@@ -5,8 +5,17 @@ The compiled twin in ``_speedups`` computes the same transition with C
 bitsets; this one uses Python int bitmasks and an incremental rule for fact
 mutexes (a pair present and non-mutex at one layer can never become mutex
 later, so only previously-mutex pairs and pairs involving a new fact are
-re-examined). Fine at unit-test scale, slow on big instances; that gap is
-what benchmarks/bench_backends.py measures.
+re-examined); the fact-mutex pairs are still tested achiever pair by
+achiever pair, which is the gap benchmarks/bench_backends.py measures.
+
+The retained action-mutex rows are built without pairwise tests. At
+construction each fact gets three node masks, no-ops included: the nodes
+that need it, add it and delete it. A node's interference mask is the OR of
+the users and adders of its deletes and the deleters of its preconditions
+and adds. At each layer, each fact p gets the OR of the users of the facts
+mutex with p, so a node's row is its interference mask ORed with that mask
+for each of its preconditions, restricted to the applicable nodes, minus
+the node itself.
 """
 
 from __future__ import annotations
@@ -49,6 +58,28 @@ class GraphKernel:
             self.pre_masks.append(1 << f)
             self.add_masks.append(1 << f)
             self.del_masks.append(0)
+        # per fact: the nodes that need, add and delete it
+        self.users = [0] * n_facts
+        adders = [0] * n_facts
+        deleters = [0] * n_facts
+        del_lists = [tuple(delete) for _, _, delete in nodes] + [()] * n_facts
+        for a in range(self.n_nodes):
+            for f in self.pre_lists[a]:
+                self.users[f] |= 1 << a
+            for f in self.add_lists[a]:
+                adders[f] |= 1 << a
+            for f in del_lists[a]:
+                deleters[f] |= 1 << a
+        # per node: the nodes it interferes with (one deletes a precondition
+        # or add effect of the other), itself included
+        self.interference = []
+        for a in range(self.n_nodes):
+            m = 0
+            for f in del_lists[a]:
+                m |= self.users[f] | adders[f]
+            for f in self.pre_lists[a] + self.add_lists[a]:
+                m |= deleters[f]
+            self.interference.append(m)
 
     def _interferes(self, a: int, b: int) -> bool:
         return bool(
@@ -109,12 +140,21 @@ class GraphKernel:
 
         action_rows = None
         if want_actions:
+            # per fact p: the nodes with a precondition mutex with p
+            competing = [0] * self.n_facts
+            for p in range(self.n_facts):
+                row = mutex_rows[p]
+                while row:
+                    low = row & -row
+                    competing[p] |= self.users[low.bit_length() - 1]
+                    row ^= low
+            applicable_mask = _mask(applicable)
             action_rows = [0] * self.n_nodes
-            for i, a in enumerate(applicable):
-                for b in applicable[i + 1:]:
-                    if am(a, b):
-                        action_rows[a] |= 1 << b
-                        action_rows[b] |= 1 << a
+            for a in applicable:
+                m = self.interference[a]
+                for p in self.pre_lists[a]:
+                    m |= competing[p]
+                action_rows[a] = m & applicable_mask & ~(1 << a)
         return applicable, next_fact_mask, next_rows, action_rows
 
     @staticmethod

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from . import corpus
 from .agenda import agenda_to_dict, compute_agenda
 from .driver import plan_with_agenda
-from .graphplan import build_graph, graph_dump
+from .graphplan import ResourceLimitError, build_graph, graph_dump
 from .model import PlanningError, PlanningProblem
 from .oracle import LimitExceeded, verify_matrix
 from .pddl import ground, parse
@@ -224,7 +224,8 @@ def run(config: RunConfig) -> int:
 
     if config.command == "verify":
         try:
-            matrix = verify_matrix(problem, limit=config.max_states)
+            matrix = verify_matrix(problem, graph_for("e"),
+                                   limit=config.max_states)
         except LimitExceeded as exc:
             print(f"goalagenda: {exc}", file=sys.stderr)
             return EXIT_RESOURCE
@@ -254,6 +255,9 @@ def main(argv=None) -> int:
                           for k, v in vars(args).items()})
     try:
         return run(config)
+    except ResourceLimitError as exc:
+        print(f"goalagenda: resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
     except PlanningError as exc:
         print(f"goalagenda: error: {exc}", file=sys.stderr)
         return EXIT_INPUT

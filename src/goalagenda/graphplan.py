@@ -116,12 +116,10 @@ def _mask(ids) -> int:
 
 def _mask_to_ids(mask: int):
     ids = []
-    f = 0
     while mask:
-        if mask & 1:
-            ids.append(f)
-        mask >>= 1
-        f += 1
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
     return ids
 
 
@@ -239,17 +237,11 @@ def graphplan_search(problem: PlanningProblem, max_layers: int = 128,
     if problem.goals <= problem.init:
         return Plan(())
 
-    # the assignment recursion descends one frame per goal per layer; deep
-    # horizons (long sequential plans without an agenda) overrun the default
-    # interpreter limit
-    import sys
-    if sys.getrecursionlimit() < 10_000:
-        sys.setrecursionlimit(10_000)
-
     graph = build_graph(problem, max_layers=max_layers, retain_layers=True)
     searcher = _BackwardSearch(graph, max_nodes)
     leveled = graph.leveled_at
     goals = frozenset(problem.goals)
+    goal_mask = _mask(goals)
 
     prev_nogood_count = None
     horizon = 0
@@ -259,9 +251,9 @@ def graphplan_search(problem: PlanningProblem, max_layers: int = 128,
             return ResourceLimit("max_layers", max_layers)
         present = graph.fact_layers[min(horizon, leveled)]
         if goals <= present and not searcher.goals_mutex(min(horizon, leveled),
-                                                         goals):
+                                                         goal_mask):
             try:
-                steps = searcher.search(goals, horizon)
+                steps = searcher.search(goal_mask, horizon)
             except _NodeBudgetExceeded:
                 return ResourceLimit("max_nodes", max_nodes)
             if steps is not None:
@@ -280,87 +272,131 @@ class _NodeBudgetExceeded(Exception):
 
 
 class _BackwardSearch:
+    """Depth-first backward search over one retained graph, kept across
+    horizons so its nogood memo and achiever tables are reused.
+
+    A goal set at fact layer t is solved by giving each goal, in ascending
+    fact order, an achiever at action layer t-1 that is not mutex with the
+    achievers already chosen, then solving the union of their preconditions
+    at layer t-1. A goal that a chosen node already adds needs no achiever
+    of its own. Achievers are tried no-op first, then in ascending node id.
+
+    Fact and node sets are int bitmasks. A partial assignment carries the
+    facts its nodes add, the OR of their action-mutex rows and the OR of
+    their preconditions, so the covered test, the mutex test and the subgoal
+    union are one operation each. The search runs on an explicit stack: one
+    entry per open goal set (one per layer below the horizon), each holding
+    one choice point per goal that got an achiever, so the horizon is not
+    bounded by the interpreter's recursion limit. A goal set whose search
+    fails is a nogood, memoized by its mask per fact layer. Each visited
+    assignment position (each goal, and the step into the next layer) counts
+    one node against max_nodes.
+    """
+
     def __init__(self, graph: PlanningGraph, max_nodes: int):
         self.graph = graph
         self.leveled = graph.leveled_at
         self.max_nodes = max_nodes
         self.nodes_used = 0
-        self.memo: dict = {}
-        self._achievers_cache: dict = {}
+        self.memo: dict = {}  # fact layer t -> nogood goal masks
+        self.init_mask = _mask(graph.fact_layers[0])
+        noops = [1 << f for f in range(len(graph.problem.atoms))]
+        self.add_masks = [_mask(n.add) for n in graph.nodes] + noops
+        self.pre_masks = [_mask(n.pre) for n in graph.nodes] + noops
+        self._achievers = [None] * (self.leveled + 1)
 
-    def _layer(self, t: int) -> int:
-        return min(t, self.leveled)
-
-    def goals_mutex(self, layer: int, goals) -> bool:
+    def goals_mutex(self, layer: int, goals: int) -> bool:
         rows = self.graph.fact_mutex[layer]
-        gs = sorted(goals)
-        for i, p in enumerate(gs):
-            for q in gs[i + 1:]:
-                if rows[p] >> q & 1:
-                    return True
-        return False
+        return any(rows[p] & goals for p in _mask_to_ids(goals))
 
-    def achievers(self, action_layer: int, fact: int):
-        """Achiever node ids at the layer, no-op first, then ascending."""
-        key = (self._layer(action_layer), fact)
-        cached = self._achievers_cache.get(key)
-        if cached is not None:
-            return cached
-        layer = self._layer(action_layer)
-        noop = self.graph.noop_id(fact)
-        out = []
-        for node_id in self.graph.action_layers[layer]:
-            if node_id == noop:
-                out.insert(0, node_id)
-            elif node_id < self.graph.n_real_nodes \
-                    and fact in self.graph.nodes[node_id].add:
-                out.append(node_id)
-        self._achievers_cache[key] = out
-        return out
+    def achievers(self, layer: int):
+        """Per fact, its achiever node ids at the action layer: the no-op
+        first, then ascending."""
+        table = self._achievers[layer]
+        if table is None:
+            graph = self.graph
+            n_real = graph.n_real_nodes
+            table = [[] for _ in range(len(self.add_masks) - n_real)]
+            for node_id in graph.action_layers[layer]:
+                if node_id >= n_real:
+                    table[node_id - n_real].insert(0, node_id)
+                else:
+                    for f in graph.nodes[node_id].add:
+                        table[f].append(node_id)
+            self._achievers[layer] = table
+        return table
 
-    def _node_pre(self, node_id: int):
-        if node_id >= self.graph.n_real_nodes:
-            return frozenset((node_id - self.graph.n_real_nodes,))
-        return self.graph.nodes[node_id].pre
-
-    def search(self, goals, t: int):
-        """Steps (list of node-id sets, layers 1..t) achieving goals at fact
-        layer t, or None."""
-        if t == 0:
-            return [] if goals <= self.graph.fact_layers[0] else None
-        layer_memo = self.memo.setdefault(t, set())
-        if goals in layer_memo:
+    def _open(self, goals: int, t: int):
+        """Stack entry for the goal set at fact layer t >= 1, or None when it
+        is a known nogood."""
+        if goals in self.memo.setdefault(t, set()):
             return None
-        result = self._assign(sorted(goals), 0, [], t)
-        if result is None:
-            layer_memo.add(frozenset(goals))
-        return result
+        layer = min(t - 1, self.leveled)
+        return (t, goals, _mask_to_ids(goals), self.achievers(layer),
+                self.graph.action_mutex[layer], [])
 
-    def _assign(self, goals, index, chosen, t):
-        self.nodes_used += 1
-        if self.nodes_used > self.max_nodes:
-            raise _NodeBudgetExceeded
-        if index == len(goals):
-            subgoals = frozenset().union(*(self._node_pre(n) for n in chosen)) \
-                if chosen else frozenset()
-            rest = self.search(subgoals, t - 1)
-            if rest is None:
-                return None
-            return rest + [set(chosen)]
-        goal = goals[index]
-        for node_id in chosen:
-            if node_id < self.graph.n_real_nodes \
-                    and goal in self.graph.nodes[node_id].add:
-                return self._assign(goals, index + 1, chosen, t)
-        act_rows = self.graph.action_mutex[self._layer(t - 1)]
-        for cand in self.achievers(t - 1, goal):
-            row = act_rows[cand]
-            if any(row >> other & 1 for other in chosen):
-                continue
-            result = self._assign(goals, index + 1, chosen + [cand], t)
-            if result is not None:
-                return result
-        return None
+    def search(self, goals: int, t: int):
+        """Steps (node-id sets for action layers 0..t-1) achieving the goal
+        mask at fact layer t, or None."""
+        if t == 0:
+            return None if goals & ~self.init_mask else []
+        level = self._open(goals, t)
+        if level is None:
+            return None
+        add_masks, pre_masks = self.add_masks, self.pre_masks
+        levels = [level]
+        t, _, goal_ids, achievers, rows, choices = level
+        n_goals = len(goal_ids)
+        index = added = mutex = pre = 0
+        k = None  # next achiever to try at goal `index`; None on arrival
+        while True:
+            if k is None:
+                self.nodes_used += 1
+                if self.nodes_used > self.max_nodes:
+                    raise _NodeBudgetExceeded
+                if index < n_goals:
+                    if added >> goal_ids[index] & 1:
+                        index += 1
+                        continue
+                    k = 0
+                elif t == 1:
+                    if not pre & ~self.init_mask:
+                        return [{achievers[goal_ids[i]][k - 1]
+                                 for i, k, *_ in choices}
+                                for _, _, goal_ids, achievers, _, choices
+                                in reversed(levels)]
+                else:
+                    level = self._open(pre, t - 1)
+                    if level is not None:
+                        levels.append(level)
+                        t, _, goal_ids, achievers, rows, choices = level
+                        n_goals = len(goal_ids)
+                        index = added = mutex = pre = 0
+                        continue
+            if k is not None:
+                cands = achievers[goal_ids[index]]
+                for j in range(k, len(cands)):
+                    c = cands[j]
+                    if not mutex >> c & 1:
+                        choices.append((index, j + 1, added, mutex, pre))
+                        added |= add_masks[c]
+                        mutex |= rows[c]
+                        pre |= pre_masks[c]
+                        index += 1
+                        k = None
+                        break
+                if k is None:
+                    continue
+            # backtrack to the newest choice point; exhausted goal sets
+            # popped on the way are nogoods
+            while not choices:
+                t, goals = levels.pop()[:2]
+                self.memo[t].add(goals)
+                if not levels:
+                    return None
+                t, _, goal_ids, achievers, rows, choices = levels[-1]
+                n_goals = len(goal_ids)
+            index, k, added, mutex, pre = choices.pop()
 
 
 def _extract_plan(graph: PlanningGraph, steps) -> Plan:

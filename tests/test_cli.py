@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from goalagenda import corpus
 from goalagenda.cli import main
 
@@ -122,6 +124,19 @@ def test_graph_dump(capsys):
     payload = json.loads(out)
     assert payload["leveled_at"] == 4
     assert payload["layers"][0]["facts"] == 7
+
+
+@pytest.mark.parametrize("args", [
+    ["graph-dump", "--corpus", "hanoi_5"],
+    ["analyze", "--corpus", "blocks3", "--method", "e"],
+    ["verify", "--corpus", "blocks3"],
+    ["plan", "--corpus", "blocks3"],
+])
+def test_graph_layer_budget_exit(args, capsys):
+    code, out, err = run_cli(args + ["--max-layers", "2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "did not level off within 2 layers" in err
 
 
 def test_input_errors(tmp_path, capsys):

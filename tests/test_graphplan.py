@@ -1,5 +1,13 @@
-import pytest
+import inspect
+import sys
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from goalagenda import graphplan
+from goalagenda.agenda import compute_agenda
+from goalagenda.driver import plan_with_agenda
 from goalagenda.graphplan import (
     AnchorUnreachable,
     build_graph,
@@ -17,12 +25,20 @@ from goalagenda.model import (
 )
 
 from conftest import atoms, names_of
+from reference import RecursiveSearch
+from test_kernels import random_problem
 
 
 def strips(table, name, pre, add, dele):
     return StripsAction(name, frozenset(map(table.id, pre)),
                         frozenset(map(table.id, add)),
                         frozenset(map(table.id, dele)))
+
+
+def with_reference_search(run):
+    """``run()`` under the recursive reference search."""
+    with mock.patch.object(graphplan, "_BackwardSearch", RecursiveSearch):
+        return run()
 
 
 def test_three_block_false_sets(load, graph_of):
@@ -159,6 +175,10 @@ def test_search_unsolvable_by_memo_exhaustion():
     result = graphplan_search(problem)
     assert isinstance(result, Unsolvable)
     assert "memoized" in result.reason
+    for max_nodes in (10, 30, 10 ** 7):
+        def run():
+            return graphplan_search(problem, max_nodes=max_nodes)
+        assert run() == with_reference_search(run), max_nodes
 
 
 def test_search_resource_limit(load):
@@ -201,3 +221,61 @@ def test_adl_actions_split_into_effect_nodes(load):
     assert all(pre0 <= n.pre for n in flip)
     graph = build_graph(problem)
     assert problem.atoms.id("lit(s1)") in graph.fact_layers[graph.leveled_at]
+
+
+@pytest.mark.parametrize("method", ["h", "e"])
+@pytest.mark.parametrize("name", ["blocks3", "gripper2", "hanoi_3", "hanoi_4",
+                                  "stack_6", "tyreworld_1", "tyreworld_2",
+                                  "trap", "revival", "diamond"])
+def test_search_matches_reference_on_corpus(load, name, method):
+    """Same steps, and the same ResourceLimit under small node budgets, as
+    the recursive search, episode by episode over the goal agenda."""
+    problem = load(name)
+    graph = build_graph(problem, retain_layers=False) if method == "e" else None
+    agenda = compute_agenda(problem, method, graph)
+    for max_nodes in (50, 500, 5000, 10 ** 7):
+        def run():
+            return plan_with_agenda(problem, agenda,
+                                    limits={"max_nodes": max_nodes})
+        assert run() == with_reference_search(run), max_nodes
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_problem(max_facts=8, max_actions=14), st.data())
+def test_search_matches_reference_on_random_problems(spec, data):
+    """Same result as the recursive search; small node budgets make the
+    ResourceLimit verdict check the node count itself."""
+    n_facts, nodes, init = spec
+    goals = data.draw(st.lists(st.integers(0, n_facts - 1), min_size=1,
+                               max_size=5, unique=True))
+    max_nodes = data.draw(st.integers(1, 60) | st.just(10 ** 7))
+    table = AtomTable(f"f{i}" for i in range(n_facts))
+    actions = tuple(StripsAction(f"a{i}", frozenset(pre), frozenset(add),
+                                 frozenset(dele))
+                    for i, (pre, add, dele) in enumerate(nodes))
+    problem = PlanningProblem(table, actions, frozenset(init),
+                              frozenset(goals))
+
+    def run():
+        return graphplan_search(problem, max_nodes=max_nodes)
+    assert run() == with_reference_search(run)
+
+
+def test_search_leaves_recursion_limit_alone(load):
+    before = sys.getrecursionlimit()
+    graphplan_search(load("hanoi_3"))
+    assert sys.getrecursionlimit() == before
+
+
+@pytest.mark.parametrize("name", ["hanoi_4", "tyreworld_2"])
+def test_search_runs_in_a_shallow_stack(load, name):
+    """Long sequential plans need no deep interpreter stack: the search is
+    not recursive."""
+    problem = load(name)
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        plan = graphplan_search(problem)
+    finally:
+        sys.setrecursionlimit(before)
+    assert validate_plan(problem, plan).valid

@@ -1,6 +1,7 @@
 """The two layer kernels must be observationally identical; the pure twin's
 incremental mutex rule is validated against the compiled twin's full
-recomputation here."""
+recomputation here. The pure twin's bitset action-mutex rows are also
+checked against a pairwise reference, which needs no compiled kernel."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from goalagenda import corpus
 from goalagenda.graphplan import graph_nodes
 from goalagenda.kernel import PyGraphKernel, backend
+from reference import pairwise_action_rows
 
 try:
     from goalagenda._speedups import GraphKernel as CGraphKernel
@@ -51,11 +53,11 @@ def test_backend_parity_on_corpus(name):
 
 
 @st.composite
-def random_problem(draw):
-    n_facts = draw(st.integers(min_value=1, max_value=7))
+def random_problem(draw, max_facts=7, max_actions=6):
+    n_facts = draw(st.integers(min_value=1, max_value=max_facts))
     facts = st.integers(min_value=0, max_value=n_facts - 1)
     fact_sets = st.lists(facts, max_size=3, unique=True)
-    n_actions = draw(st.integers(min_value=0, max_value=6))
+    n_actions = draw(st.integers(min_value=0, max_value=max_actions))
     nodes = []
     for _ in range(n_actions):
         pre = sorted(draw(fact_sets))
@@ -72,6 +74,40 @@ def random_problem(draw):
 def test_backend_parity_on_random_problems(problem):
     n_facts, nodes, init = problem
     run_both(n_facts, nodes, init)
+
+
+def check_action_rows(n_facts, nodes, init, max_layers=60):
+    """Every layer's action rows from the pure kernel equal the pairwise
+    reference, up to level-off."""
+    kern = PyGraphKernel(n_facts, nodes)
+    fm = 0
+    for i in init:
+        fm |= 1 << i
+    rows = [0] * n_facts
+    for layer in range(max_layers):
+        applicable, next_fm, next_rows, act_rows = kern.step(fm, rows, True)
+        assert act_rows == pairwise_action_rows(kern, applicable, rows), \
+            f"action mutex differs at layer {layer}"
+        if next_fm == fm and next_rows == rows:
+            return
+        fm, rows = next_fm, next_rows
+    raise AssertionError("graph did not level off")
+
+
+@pytest.mark.parametrize("name", ["blocks3", "trap", "revival", "diamond",
+                                  "gripper2", "hanoi_3", "stack_4",
+                                  "tyreworld_1", "latch"])
+def test_action_rows_match_pairwise_on_corpus(name):
+    problem = corpus.load(name)
+    nodes = [(sorted(n.pre), sorted(n.add), sorted(n.delete))
+             for n in graph_nodes(problem)]
+    check_action_rows(len(problem.atoms), nodes, problem.init)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_problem())
+def test_action_rows_match_pairwise_on_random_problems(problem):
+    check_action_rows(*problem)
 
 
 def test_active_backend_is_named():
