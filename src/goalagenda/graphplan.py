@@ -5,7 +5,10 @@ The graph is grown until it levels off: the first layer t whose fact set and
 mutex relation equal layer t+1's. Mutex rules are the standard ones: two
 actions are mutex when one deletes a precondition or add effect of the other
 or their preconditions contain a mutually exclusive fact pair; two facts are
-mutex when every pair of achievers (no-ops included) is mutex.
+mutex when every pair of achievers (no-ops included) is mutex. Each layer is
+stepped by the one kernel in ``kernel``, over int bitmasks: q is mutex with
+p when every achiever of q lies in R(p), the AND of the action-mutex rows of
+p's achievers.
 
 ADL actions enter the graph split into one node per conditional effect,
 carrying the action precondition plus the effect condition; no cross-effect
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kernel import GraphKernel, backend as kernel_backend
+from .kernel import GraphKernel, _mask, backend as kernel_backend
 from .model import (
     Plan,
     PlanningError,
@@ -107,13 +110,6 @@ class PlanningGraph:
         return pairs
 
 
-def _mask(ids) -> int:
-    m = 0
-    for i in ids:
-        m |= 1 << i
-    return m
-
-
 def _mask_to_ids(mask: int):
     ids = []
     while mask:
@@ -150,8 +146,7 @@ def build_graph(problem: PlanningProblem, max_layers: int = 128,
     leveled_at = None
 
     for t in range(max_layers):
-        applicable, next_mask, next_rows, act_rows = kern.step(
-            fact_mask, rows, want_actions=retain_layers)
+        applicable, next_mask, next_rows, act_rows = kern.step(fact_mask, rows)
         action_layers.append(tuple(applicable))
         action_mutex.append(tuple(act_rows) if retain_layers else None)
         fact_layers.append(frozenset(_mask_to_ids(next_mask)))

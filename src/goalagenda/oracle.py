@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from .agenda import build_goal_graph
 from .model import (
     Plan,
     PlanningError,
@@ -404,14 +405,16 @@ def verify_matrix(problem: PlanningProblem, graph=None,
                   limit: int = DEFAULT_STATE_LIMIT) -> dict:
     """Approximations vs exact orderings over every ordered goal pair.
 
+    The e and h columns are read off the goal graphs, which compute one
+    false set or one fixpoint per anchor goal.
+
     Oracle columns are null when the state budget is exceeded (unknown,
     never asserted either way).
     """
-    from .graphplan import build_graph
-    from .ordering import order_e, order_h
-
-    if graph is None:
-        graph = build_graph(problem, retain_layers=False)
+    goals = sorted(problem.goals)
+    if len(goals) >= 2:
+        e_graph = build_goal_graph(problem, "e", graph)
+        h_graph = build_goal_graph(problem, "h")
     index = None
     limit_hit = False
     try:
@@ -421,18 +424,16 @@ def verify_matrix(problem: PlanningProblem, graph=None,
 
     pairs = []
     names = problem.atoms.name
-    for a in sorted(problem.goals):
-        for b in sorted(problem.goals):
+    for a in goals:
+        for b in goals:
             if a == b:
                 continue
-            e = order_e(problem, graph, b, a)
-            h = order_h(problem, b, a)
             row = {
                 "before": names(b),
                 "after": names(a),
-                "e": e.holds,
-                "e_trivial": e.trivial,
-                "h": h.holds,
+                "e": (b, a) in e_graph.edges,
+                "e_trivial": (b, a) in e_graph.trivial_edges,
+                "h": (b, a) in h_graph.edges,
                 "r": None,
                 "r_trivial": None,
                 "f": None,

@@ -109,22 +109,7 @@ def reduced_actions(problem: PlanningProblem, anchor) -> UsableActions:
     actions unconditionally deleting an anchor atom and, per action, the
     effects whose implied deletes meet the anchor.
     """
-    anchor = frozenset(anchor)
-    if not problem.is_adl:
-        ids = [i for i, a in enumerate(problem.actions)
-               if not (a.delete & anchor)]
-        return UsableActions(problem, ids)
-    ids = []
-    surviving: dict = {}
-    for i, action in enumerate(problem.actions):
-        if action.effects[0].deletes & anchor:
-            continue
-        keep = tuple(k for k in range(len(action.effects))
-                     if not (implied_deletes(action, k) & anchor))
-        if 0 in keep:
-            ids.append(i)
-            surviving[i] = keep
-    return UsableActions(problem, ids, surviving)
+    return _usable_given(problem, anchor, frozenset())
 
 
 def compute_f_da(problem: PlanningProblem, anchor) -> frozenset:

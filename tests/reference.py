@@ -5,8 +5,10 @@ over frozensets, with a per-candidate pairwise mutex scan; it has the same
 interface as ``graphplan._BackwardSearch`` (goal sets passed as int
 bitmasks), so a test can swap it in with monkeypatch and compare results.
 
-``pairwise_action_rows`` is the pure kernel's action-mutex rows computed by
-testing every pair of applicable nodes.
+``full_step`` is one planning-graph layer transition recomputed from the
+node triples: action-mutex rows by ``pairwise_action_rows``, which tests
+every pair of applicable nodes, and fact mutexes by testing every pair of
+present facts over every pair of achievers.
 """
 
 from __future__ import annotations
@@ -116,34 +118,57 @@ class RecursiveSearch:
         return None
 
 
-def pairwise_action_rows(kern, applicable, mutex_rows):
-    """Action-mutex rows of one pure-kernel step, one pair at a time: two
+def _with_noops(n_facts, nodes):
+    """(pre, add, delete) fact sets per node, the no-op for fact f appended
+    as node len(nodes)+f."""
+    return ([(frozenset(pre), frozenset(add), frozenset(dele))
+             for pre, add, dele in nodes]
+            + [(frozenset((f,)), frozenset((f,)), frozenset())
+               for f in range(n_facts)])
+
+
+def pairwise_action_rows(n_facts, nodes, applicable, mutex_rows):
+    """Action-mutex rows of one layer step, one pair at a time: two
     applicable nodes are mutex when one deletes a precondition or add effect
     of the other, or some precondition pair of theirs is fact-mutex."""
+    triples = _with_noops(n_facts, nodes)
 
-    def interferes(a: int, b: int) -> bool:
-        return bool(
-            kern.del_masks[a] & (kern.pre_masks[b] | kern.add_masks[b])
-            or kern.del_masks[b] & (kern.pre_masks[a] | kern.add_masks[a]))
-
-    need_u = {}
-    for a in applicable:
-        u = 0
-        for p in kern.pre_lists[a]:
-            u |= mutex_rows[p]
-        need_u[a] = u
-
-    def am(a: int, b: int) -> bool:
-        if a == b:
-            return False
-        if interferes(a, b):
+    def mutex(a: int, b: int) -> bool:
+        pre_a, add_a, del_a = triples[a]
+        pre_b, add_b, del_b = triples[b]
+        if del_a & (pre_b | add_b) or del_b & (pre_a | add_a):
             return True
-        return bool(need_u[a] & kern.pre_masks[b])
+        return any(mutex_rows[p] >> q & 1 for p in pre_a for q in pre_b)
 
-    rows = [0] * kern.n_nodes
+    rows = [0] * len(triples)
     for i, a in enumerate(applicable):
         for b in applicable[i + 1:]:
-            if am(a, b):
+            if mutex(a, b):
                 rows[a] |= 1 << b
                 rows[b] |= 1 << a
     return rows
+
+
+def full_step(n_facts, nodes, fact_mask, mutex_rows):
+    """One layer transition recomputed from the node triples, with the same
+    result shape as ``kernel.GraphKernel.step``: a node is applicable when
+    its preconditions are present and pairwise non-mutex, and every pair of
+    present facts is tested over every pair of achievers, with no
+    incremental rule."""
+    triples = _with_noops(n_facts, nodes)
+    facts = {f for f in range(n_facts) if fact_mask >> f & 1}
+    applicable = [a for a, (pre, _, _) in enumerate(triples)
+                  if pre <= facts
+                  and not any(mutex_rows[p] >> q & 1 for p in pre for q in pre)]
+    action_rows = pairwise_action_rows(n_facts, nodes, applicable, mutex_rows)
+    next_facts = facts.union(*(triples[a][1] for a in applicable))
+    achievers = {f: [a for a in applicable if f in triples[a][1]]
+                 for f in next_facts}
+    next_rows = [0] * n_facts
+    for p in next_facts:
+        for q in next_facts:
+            if p < q and all(action_rows[a] >> b & 1
+                             for a in achievers[p] for b in achievers[q]):
+                next_rows[p] |= 1 << q
+                next_rows[q] |= 1 << p
+    return applicable, sum(1 << f for f in next_facts), next_rows, action_rows

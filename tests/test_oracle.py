@@ -1,5 +1,6 @@
 import pytest
 
+from goalagenda import agenda, ordering
 from goalagenda.model import AtomTable, PlanningProblem, StripsAction
 from goalagenda.oracle import (
     LimitExceeded,
@@ -9,6 +10,7 @@ from goalagenda.oracle import (
     enumerate_reachable,
     find_deadlocks,
     relaxed_achievable,
+    verify_matrix,
 )
 
 from conftest import atoms, names_of
@@ -284,3 +286,30 @@ def test_relaxed_achievable(load):
                               trap.actions)
     assert not relaxed_achievable(atoms(trap, "A", "C"), trap.atom("B"),
                                   trap.actions[1:])
+
+
+def test_verify_matrix_runs_one_fixpoint_per_goal(load, monkeypatch):
+    problem = load("diamond")
+    calls = []
+    original = ordering.fixpoint_reduce
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ordering, "fixpoint_reduce", counting)
+    monkeypatch.setattr(agenda, "fixpoint_reduce", counting)
+    matrix = verify_matrix(problem)
+    n = len(problem.goals)
+    assert len(matrix["pairs"]) == n * (n - 1)
+    assert len(calls) == n
+
+
+def test_verify_matrix_single_goal():
+    table = AtomTable(["C", "A"])
+    o = strips(table, "o_i1", ["C"], ["A"], ["C"])
+    problem = PlanningProblem(table, (o,), frozenset({table.id("C")}),
+                              frozenset({table.id("A")}))
+    matrix = verify_matrix(problem)
+    assert matrix["pairs"] == []
+    assert matrix["states"] == 2
