@@ -23,6 +23,7 @@ from .model import (
 from .driver import forward_search, next_initial_state, plan_with_agenda
 from .ordering import (
     FixpointResult,
+    ProblemIndex,
     compute_f_da,
     fixpoint_reduce,
     implied_deletes,

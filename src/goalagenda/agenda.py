@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .graphplan import AnchorUnreachable, PlanningGraph, build_graph, false_set
 from .model import PlanningProblem
 from .ordering import (
+    ProblemIndex,
     _graph_test,
     fixpoint_reduce,
     order_E,
@@ -55,7 +56,8 @@ class Agenda:
 
 
 def build_goal_graph(problem: PlanningProblem, method: str,
-                     graph: PlanningGraph = None) -> GoalGraph:
+                     graph: PlanningGraph = None,
+                     index: ProblemIndex = None) -> GoalGraph:
     """Test every ordered pair of distinct atomic goals with the chosen
     method. The per-anchor artifacts (false set or fixpoint) are computed
     once and shared across all candidate predecessors."""
@@ -66,6 +68,8 @@ def build_goal_graph(problem: PlanningProblem, method: str,
         raise ValueError("problem has no goals")
     if method == "e" and graph is None:
         graph = build_graph(problem, retain_layers=False)
+    if index is None:
+        index = ProblemIndex(problem)
     edges = set()
     trivial = set()
     for a in goals:  # a is the anchor: tests of "<goal> before a"
@@ -79,10 +83,10 @@ def build_goal_graph(problem: PlanningProblem, method: str,
                         trivial.add((b, a))
                 continue
             for b in goals:
-                if b != a and _graph_test(problem, f_atoms, {a}, b):
+                if b != a and _graph_test(problem, f_atoms, {a}, b, index):
                     edges.add((b, a))
         else:
-            fx = fixpoint_reduce(problem, {a})
+            fx = fixpoint_reduce(problem, {a}, index)
             for b in goals:
                 if b != a and not possibly_achievable(b, fx.o_star):
                     edges.add((b, a))
@@ -133,18 +137,19 @@ def degree_partition(closure: GoalGraph):
     return entries, gsep
 
 
-def _set_level_holds(problem, graph, method, bs, as_) -> tuple:
+def _set_level_holds(problem, graph, method, bs, as_, index) -> tuple:
     """(holds, trivial) for the set-level relation bs before as_."""
     if method == "e":
         try:
-            return order_E(problem, graph, bs, as_), False
+            return order_E(problem, graph, bs, as_, index), False
         except AnchorUnreachable:
             return True, True
-    return order_H(problem, bs, as_), False
+    return order_H(problem, bs, as_, index), False
 
 
 def place_gsep(problem: PlanningProblem, entries, gsep, method: str,
-               graph: PlanningGraph = None) -> Agenda:
+               graph: PlanningGraph = None,
+               index: ProblemIndex = None) -> Agenda:
     """Order the separate set against the derived entries with the
     set-level relations; disconnected nodes merge into the final entry."""
     method = method.lower()
@@ -162,6 +167,8 @@ def place_gsep(problem: PlanningProblem, entries, gsep, method: str,
     if len(nodes) == 1:
         return Agenda((gsep,), method, gsep=gsep,
                       gsep_placement="defaulted_last")
+    if index is None:
+        index = ProblemIndex(problem)
 
     # set-level goal analysis over the derived entries plus the separate set
     node_edges = set()
@@ -169,7 +176,7 @@ def place_gsep(problem: PlanningProblem, entries, gsep, method: str,
         # anchor-side artifacts are recomputed per pair; node counts are
         # small (entries, not atoms), so sharing buys nothing here
         holds, _ = _set_level_holds(problem, graph, method,
-                                    nodes[i], nodes[j])
+                                    nodes[i], nodes[j], index)
         if holds:
             node_edges.add((i, j))
 
@@ -198,16 +205,17 @@ def compute_agenda(problem: PlanningProblem, method: str = "h",
                    graph: PlanningGraph = None) -> Agenda:
     """Full pipeline: pairwise orderings, closure, degree partition,
     separate-set placement. Single-goal problems yield one entry; empty goal
-    sets yield an empty agenda."""
+    sets yield an empty agenda. One ProblemIndex serves the whole call."""
     method = method.lower()
     if not problem.goals:
         return Agenda((), method)
     if method == "e" and graph is None:
         graph = build_graph(problem, retain_layers=False)
-    gg = build_goal_graph(problem, method, graph)
+    index = ProblemIndex(problem)
+    gg = build_goal_graph(problem, method, graph, index=index)
     closure = transitive_closure(gg)
     entries, gsep = degree_partition(closure)
-    agenda = place_gsep(problem, entries, gsep, method, graph)
+    agenda = place_gsep(problem, entries, gsep, method, graph, index=index)
     return Agenda(
         entries=agenda.entries,
         method=method,

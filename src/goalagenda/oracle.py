@@ -25,6 +25,7 @@ from .model import (
     apply_action,
     fired_effects,
 )
+from .ordering import ProblemIndex
 
 
 class LimitExceeded(PlanningError):
@@ -117,17 +118,12 @@ class OrderingVerdict:
     witness: tuple = None  # (state, Plan) refuting the ordering
 
 
-def _deleters_of(problem: PlanningProblem, atom: int) -> frozenset:
+def _deleters_of(problem: PlanningProblem, atom: int,
+                 problem_index: ProblemIndex = None) -> frozenset:
     """Actions that can delete the atom (any effect, for ADL)."""
-    out = set()
-    for i, action in enumerate(problem.actions):
-        if isinstance(action, StripsAction):
-            if atom in action.delete:
-                out.add(i)
-        else:
-            if any(atom in eff.deletes for eff in action.effects):
-                out.add(i)
-    return frozenset(out)
+    if problem_index is None:
+        problem_index = ProblemIndex(problem)
+    return frozenset(problem_index.deleters.get(atom, ()))
 
 
 def _strongly_connected(n: int, successors) -> tuple:
@@ -254,12 +250,16 @@ def _decide(index: ReachabilityIndex, relation: str, b: int, a: int,
 
 def decide_reasonable(problem: PlanningProblem, b: int, a: int,
                       index: ReachabilityIndex = None,
-                      limit: int = DEFAULT_STATE_LIMIT) -> OrderingVerdict:
+                      limit: int = DEFAULT_STATE_LIMIT,
+                      allowed: frozenset = None) -> OrderingVerdict:
     """Exact test: from every reachable state where a was just achieved with
-    b false, is b unreachable using only the actions that never delete a?"""
+    b false, is b unreachable using only the actions that never delete a?
+    ``allowed`` is that action set when the caller has it already."""
     if index is None:
         index = enumerate_reachable(problem, limit)
-    allowed = frozenset(range(len(problem.actions))) - _deleters_of(problem, a)
+    if allowed is None:
+        allowed = frozenset(range(len(problem.actions))) \
+            - _deleters_of(problem, a)
     return _decide(index, "r", b, a, allowed)
 
 
@@ -323,10 +323,21 @@ class InvertibilityReport:
     notes: tuple = ()
 
 
-def _is_inverse(o: StripsAction, cand: StripsAction) -> bool:
-    return (cand.add == o.delete
-            and cand.delete == o.add
-            and cand.pre <= (o.pre | o.add) - o.delete)
+def _inverse_ids(problem: PlanningProblem) -> list:
+    """Per action o, the lowest id of an action that adds exactly o's
+    deletes, deletes exactly o's adds and needs nothing outside o's
+    result; -1 when there is none. Candidates are looked up by their
+    (add, delete) pair, so the search is linear in the number of actions."""
+    by_effects: dict = {}
+    for cand_id, cand in enumerate(problem.actions):
+        by_effects.setdefault((cand.add, cand.delete), []).append(cand_id)
+    out = []
+    for o in problem.actions:
+        after = (o.pre | o.add) - o.delete
+        out.append(next((cand_id for cand_id
+                         in by_effects.get((o.delete, o.add), ())
+                         if problem.actions[cand_id].pre <= after), -1))
+    return out
 
 
 def check_invertibility(problem: PlanningProblem,
@@ -341,12 +352,9 @@ def check_invertibility(problem: PlanningProblem,
     entries = []
     notes = []
     all_ok = True
+    inverse_ids = _inverse_ids(problem)
     for action_id, action in enumerate(problem.actions):
-        inverse_id = -1
-        for cand_id, cand in enumerate(problem.actions):
-            if _is_inverse(action, cand):
-                inverse_id = cand_id
-                break
+        inverse_id = inverse_ids[action_id]
         del_ok = action.delete <= action.pre
         semantic = None
         if index is not None:
@@ -406,15 +414,20 @@ def verify_matrix(problem: PlanningProblem, graph=None,
     """Approximations vs exact orderings over every ordered goal pair.
 
     The e and h columns are read off the goal graphs, which compute one
-    false set or one fixpoint per anchor goal.
+    false set or one fixpoint per anchor goal; both share one ProblemIndex,
+    which also gives each anchor's deleters once.
 
     Oracle columns are null when the state budget is exceeded (unknown,
     never asserted either way).
     """
     goals = sorted(problem.goals)
     if len(goals) >= 2:
-        e_graph = build_goal_graph(problem, "e", graph)
-        h_graph = build_goal_graph(problem, "h")
+        problem_index = ProblemIndex(problem)
+        e_graph = build_goal_graph(problem, "e", graph, index=problem_index)
+        h_graph = build_goal_graph(problem, "h", index=problem_index)
+        everything = frozenset(range(len(problem.actions)))
+        allowed = {a: everything - _deleters_of(problem, a, problem_index)
+                   for a in goals}
     index = None
     limit_hit = False
     try:
@@ -440,7 +453,8 @@ def verify_matrix(problem: PlanningProblem, graph=None,
                 "f_trivial": None,
             }
             if index is not None:
-                r = decide_reasonable(problem, b, a, index=index)
+                r = decide_reasonable(problem, b, a, index=index,
+                                      allowed=allowed[a])
                 f = decide_forced(problem, b, a, index=index)
                 row.update(r=r.holds, r_trivial=r.trivial,
                            f=f.holds, f_trivial=f.trivial)

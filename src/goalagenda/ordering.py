@@ -14,14 +14,23 @@ unordered goals. The direct route is deliberately shallow: achievability
 regresses exactly one level and assumes tested atoms are absent from the
 state, which is what makes it fast and occasionally wrong in both
 directions; the oracle module measures that.
+
+Both routes read one ``ProblemIndex``: every (action, effect) way with its
+condition and implied deletes, and per atom the ways that add it, the ways
+whose implied deletes hold it and the ways whose condition needs it. An
+action view is the set of ways blocked by the anchor and the false set, so
+every test walks only the achievers of the atom it asks about. Top-level
+calls (``order_e``/``order_E``, ``order_h``/``order_H`` and the agenda and
+oracle entry points) build the index once and pass it down; the lower-level
+functions take ``index=None`` and build one on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphplan import AnchorUnreachable, PlanningGraph, false_set
-from .model import AdlAction, PlanningProblem, StripsAction
+from .graphplan import AnchorUnreachable, PlanningGraph, false_set, graph_nodes
+from .model import AdlAction, PlanningProblem
 
 
 @dataclass(frozen=True)
@@ -35,45 +44,116 @@ class OrderingDecision:
         return self.holds
 
 
-class UsableActions:
-    """Action view used by the achievability tests: a set of surviving
-    action ids plus, for ADL problems, the surviving effect indices per
-    action. Caches the union of add effects."""
+class ProblemIndex:
+    """Per-problem lookup tables for the ordering layer.
 
-    def __init__(self, problem: PlanningProblem, action_ids,
-                 surviving_effects=None):
+    A *way* is one (action, effect) node of ``graphplan.graph_nodes``; way
+    ids ascend in (action, effect) order, and a STRIPS action is its one
+    effect-0 way. Per way: ``condition`` (action precondition plus effect
+    condition), ``implied_deletes`` and ``adds``. Per atom, as ascending
+    lists keyed only by atoms that occur: ``adders`` (ways adding it),
+    ``implied_deleters`` (ways whose implied deletes hold it),
+    ``condition_users`` (ways whose condition holds it) and ``deleters``
+    (action ids with any effect deleting it).
+
+    Built once per top-level call and passed down; nothing keeps it after
+    the call returns.
+    """
+
+    def __init__(self, problem: PlanningProblem):
         self.problem = problem
-        self.action_ids = frozenset(action_ids)
-        self.surviving_effects = surviving_effects  # dict id -> tuple[int]
+        nodes = graph_nodes(problem)
+        self.condition = tuple(n.pre for n in nodes)
+        self.adds = tuple(n.add for n in nodes)
+        # first_way[a] + i is the way of effect i of action a
+        self.first_way = [w for w, n in enumerate(nodes)
+                          if n.effect_index == 0] + [len(nodes)]
+        if problem.is_adl:
+            self.implied_deletes = tuple(
+                implied_deletes(problem.actions[n.action_id], n.effect_index)
+                for n in nodes)
+        else:
+            self.implied_deletes = tuple(n.delete for n in nodes)
+        self.adders = adders = {}
+        self.implied_deleters = implied_deleters = {}
+        self.condition_users = condition_users = {}
+        self.deleters = deleters = {}
+        for w, node in enumerate(nodes):
+            for p in node.add:
+                adders.setdefault(p, []).append(w)
+            for p in self.implied_deletes[w]:
+                implied_deleters.setdefault(p, []).append(w)
+            for p in node.pre:
+                condition_users.setdefault(p, []).append(w)
+            for p in node.delete:
+                ids = deleters.setdefault(p, [])
+                if not ids or ids[-1] != node.action_id:
+                    ids.append(node.action_id)
+        self.addable = frozenset(adders)
+
+    def view(self, anchor, false_atoms=()) -> "UsableActions":
+        """The ways usable while the anchor must stay true and the false
+        atoms stay false: block the implied deleters of the anchor and the
+        condition users of the false atoms. A way dies with its action's
+        effect-0 way without a rule of its own: its condition holds the
+        action's precondition and its implied deletes hold the
+        unconditional deletes, so whatever blocks effect 0 blocks it too."""
+        blocked: set = set()
+        for p in anchor:
+            blocked.update(self.implied_deleters.get(p, ()))
+        for p in false_atoms:
+            blocked.update(self.condition_users.get(p, ()))
+        return UsableActions(self, blocked)
+
+
+class UsableActions:
+    """Action view used by the achievability tests: a set of blocked ways
+    of a ProblemIndex; every other way survives. ``action_ids`` (actions
+    whose effect-0 way survives) and ``surviving_effects`` (None for
+    STRIPS; for ADL, per surviving action, the indices of its surviving
+    effects) are derived from the blocked set. Caches the union of add
+    effects."""
+
+    def __init__(self, index: ProblemIndex, blocked):
+        self.index = index
+        self.problem = index.problem
+        self.blocked = frozenset(blocked)
         self._addable = None
 
+    @property
+    def action_ids(self) -> frozenset:
+        first = self.index.first_way
+        return frozenset(a for a in range(len(first) - 1)
+                         if first[a] not in self.blocked)
+
+    @property
+    def surviving_effects(self):
+        if not self.problem.is_adl:
+            return None
+        first = self.index.first_way
+        return {a: tuple(w - first[a] for w in range(first[a], first[a + 1])
+                         if w not in self.blocked)
+                for a in sorted(self.action_ids)}
+
     def addable_atoms(self) -> frozenset:
+        """Every addable atom, minus those whose adders are all blocked: only
+        the atoms added by blocked ways are rechecked."""
         if self._addable is None:
-            atoms: set = set()
-            for action_id in self.action_ids:
-                action = self.problem.actions[action_id]
-                if isinstance(action, StripsAction):
-                    atoms |= action.add
-                else:
-                    for i in self.surviving_effects[action_id]:
-                        atoms |= action.effects[i].adds
-            self._addable = frozenset(atoms)
+            index, blocked = self.index, self.blocked
+            recheck = set().union(*(index.adds[w] for w in blocked))
+            self._addable = index.addable - {
+                p for p in recheck
+                if all(w in blocked for w in index.adders[p])}
         return self._addable
 
     def achieving_conditions(self, p: int):
-        """For each surviving way to add p: the full condition set that the
-        one-step test must find achievers for."""
-        for action_id in sorted(self.action_ids):
-            action = self.problem.actions[action_id]
-            if isinstance(action, StripsAction):
-                if p in action.add:
-                    yield action.pre
-            else:
-                pre0 = action.effects[0].condition
-                for i in self.surviving_effects[action_id]:
-                    eff = action.effects[i]
-                    if p in eff.adds:
-                        yield eff.condition | pre0
+        """For each surviving way to add p, in ascending (action, effect)
+        order: the full condition set that the one-step test must find
+        achievers for."""
+        index = self.index
+        for w in index.adders.get(p, ()):
+            if w not in self.blocked:
+                yield index.condition[w]
 
 
 def implied_deletes(action: AdlAction, i: int) -> frozenset:
@@ -91,48 +171,34 @@ def implied_deletes(action: AdlAction, i: int) -> frozenset:
     return frozenset(out)
 
 
-def _always_deleted_for(action: AdlAction, atom: int):
-    """D(o) wrt one target atom: intersection of implied-delete sets over
-    the effects that add the atom; None when no effect adds it."""
-    d = None
-    for i, eff in enumerate(action.effects):
-        if atom in eff.adds:
-            di = implied_deletes(action, i)
-            d = di if d is None else d & di
-    return d
-
-
-def reduced_actions(problem: PlanningProblem, anchor) -> UsableActions:
+def reduced_actions(problem: PlanningProblem, anchor,
+                    index: ProblemIndex = None) -> UsableActions:
     """Actions that cannot delete any anchor atom.
 
     STRIPS: drop actions whose delete list meets the anchor. ADL: drop
     actions unconditionally deleting an anchor atom and, per action, the
     effects whose implied deletes meet the anchor.
     """
-    return _usable_given(problem, anchor, frozenset())
+    if index is None:
+        index = ProblemIndex(problem)
+    return index.view(anchor)
 
 
-def compute_f_da(problem: PlanningProblem, anchor) -> frozenset:
+def compute_f_da(problem: PlanningProblem, anchor,
+                 index: ProblemIndex = None) -> frozenset:
     """Atoms that are false whenever an anchor atom has just been achieved:
-    per anchor atom, the intersection of what its achievers always delete;
-    unioned over the anchor. An atom with no achiever contributes nothing
-    (an unachievable anchor carries no delete information)."""
+    per anchor atom, the intersection of the implied deletes of the ways
+    that add it; unioned over the anchor. An atom with no achiever
+    contributes nothing (an unachievable anchor carries no delete
+    information)."""
+    if index is None:
+        index = ProblemIndex(problem)
     out: set = set()
-    for atom in sorted(anchor):
-        intersection = None
-        for action in problem.actions:
-            if isinstance(action, StripsAction):
-                if atom in action.add:
-                    d = action.delete
-                else:
-                    continue
-            else:
-                d = _always_deleted_for(action, atom)
-                if d is None:
-                    continue
-            intersection = d if intersection is None else intersection & d
-        if intersection:
-            out |= intersection
+    for atom in anchor:
+        ways = index.adders.get(atom)
+        if ways:
+            out |= index.implied_deletes[ways[0]].intersection(
+                *(index.implied_deletes[w] for w in ways[1:]))
     return frozenset(out)
 
 
@@ -141,32 +207,6 @@ class FixpointResult:
     f_star: frozenset
     o_star: UsableActions
     iterations: int
-
-
-def _usable_given(problem: PlanningProblem, anchor, f_set) -> UsableActions:
-    """The usable-action view for a given false-set value: anchor deleters
-    out, then everything whose (unconditional) precondition meets the set;
-    ADL also drops effects with an impossible condition."""
-    anchor = frozenset(anchor)
-    if not problem.is_adl:
-        ids = [i for i, a in enumerate(problem.actions)
-               if not (a.delete & anchor) and not (a.pre & f_set)]
-        return UsableActions(problem, ids)
-    ids = []
-    surviving: dict = {}
-    for i, action in enumerate(problem.actions):
-        eff0 = action.effects[0]
-        if eff0.deletes & anchor or eff0.condition & f_set:
-            continue
-        keep = tuple(
-            k for k in range(len(action.effects))
-            if not (implied_deletes(action, k) & anchor)
-            and not (action.effects[k].condition & f_set)
-        )
-        if 0 in keep:
-            ids.append(i)
-            surviving[i] = keep
-    return UsableActions(problem, ids, surviving)
 
 
 def possibly_achievable(p: int, view: UsableActions) -> bool:
@@ -181,17 +221,21 @@ def possibly_achievable(p: int, view: UsableActions) -> bool:
     return False
 
 
-def fixpoint_reduce(problem: PlanningProblem, anchor) -> FixpointResult:
+def fixpoint_reduce(problem: PlanningProblem, anchor,
+                    index: ProblemIndex = None) -> FixpointResult:
     """Shrink the always-deleted set by removing atoms the surviving actions
-    could re-achieve, recomputing the action view after every removal.
+    could re-achieve, rebuilding the view from the index after every
+    removal.
 
     Sweeps over a snapshot of the current set in ascending atom order;
     terminates within |F_DA| + 1 sweeps since every continuing sweep removed
     at least one atom.
     """
+    if index is None:
+        index = ProblemIndex(problem)
     anchor = frozenset(anchor)
-    f_star = set(compute_f_da(problem, anchor))
-    view = _usable_given(problem, anchor, f_star)
+    f_star = set(compute_f_da(problem, anchor, index))
+    view = index.view(anchor, f_star)
     sweeps = 0
     fixpoint_reached = False
     while not fixpoint_reached:
@@ -202,33 +246,30 @@ def fixpoint_reduce(problem: PlanningProblem, anchor) -> FixpointResult:
                 continue
             if possibly_achievable(f, view):
                 f_star.discard(f)
-                view = _usable_given(problem, anchor, f_star)
+                view = index.view(anchor, f_star)
                 fixpoint_reached = False
     return FixpointResult(frozenset(f_star), view, sweeps)
 
 
 # --- atomic orderings --------------------------------------------------------
 
-def _graph_test(problem: PlanningProblem, f_atoms, anchor, b: int) -> bool:
-    """True when every surviving achiever of b needs a condition from the
-    false set (vacuously true with no achievers)."""
+def _graph_test(problem: PlanningProblem, f_atoms, anchor, b: int,
+                index: ProblemIndex = None) -> bool:
+    """True when every way of adding b whose implied deletes miss the
+    anchor needs a condition from the false set (vacuously true with no
+    achievers)."""
+    if index is None:
+        index = ProblemIndex(problem)
     anchor = frozenset(anchor)
-    for action in problem.actions:
-        if isinstance(action, StripsAction):
-            if b in action.add and not (action.delete & anchor):
-                if not (action.pre & f_atoms):
-                    return False
-        else:
-            pre0 = action.effects[0].condition
-            for i, eff in enumerate(action.effects):
-                if b in eff.adds and not (implied_deletes(action, i) & anchor):
-                    if not ((eff.condition | pre0) & f_atoms):
-                        return False
+    for w in index.adders.get(b, ()):
+        if not (index.implied_deletes[w] & anchor) \
+                and not (index.condition[w] & f_atoms):
+            return False
     return True
 
 
 def order_e(problem: PlanningProblem, graph: PlanningGraph, b: int,
-            a: int) -> OrderingDecision:
+            a: int, index: ProblemIndex = None) -> OrderingDecision:
     """Graph-based test for ordering b before a. When the anchor never
     enters the graph the ordering holds trivially (no state achieves a)."""
     if a == b:
@@ -237,22 +278,24 @@ def order_e(problem: PlanningProblem, graph: PlanningGraph, b: int,
         fs = false_set(graph, {a})
     except AnchorUnreachable:
         return OrderingDecision(True, trivial=True)
-    return OrderingDecision(_graph_test(problem, fs.atoms, {a}, b))
+    return OrderingDecision(_graph_test(problem, fs.atoms, {a}, b, index))
 
 
-def order_h(problem: PlanningProblem, b: int, a: int) -> OrderingDecision:
+def order_h(problem: PlanningProblem, b: int, a: int,
+            index: ProblemIndex = None) -> OrderingDecision:
     """Direct-analysis test: b ordered before a iff b is not one-step
     achievable with the fixpoint's surviving actions. Cannot detect trivial
     orderings (it has no reachability information)."""
     if a == b:
         raise ValueError("ordering needs two distinct goals")
-    fx = fixpoint_reduce(problem, {a})
+    fx = fixpoint_reduce(problem, {a}, index)
     return OrderingDecision(not possibly_achievable(b, fx.o_star))
 
 
 # --- set-level orderings -----------------------------------------------------
 
-def order_E(problem: PlanningProblem, graph: PlanningGraph, bs, as_) -> bool:
+def order_E(problem: PlanningProblem, graph: PlanningGraph, bs, as_,
+            index: ProblemIndex = None) -> bool:
     """Set form of the graph test: some member of bs passes the atomic test
     against the combined false set and reduced action set of as_.
 
@@ -264,10 +307,14 @@ def order_E(problem: PlanningProblem, graph: PlanningGraph, bs, as_) -> bool:
     if bs & as_:
         raise ValueError("goal sets must be disjoint")
     fs = false_set(graph, as_)
-    return any(_graph_test(problem, fs.atoms, as_, b) for b in sorted(bs))
+    if index is None:
+        index = ProblemIndex(problem)
+    return any(_graph_test(problem, fs.atoms, as_, b, index)
+               for b in sorted(bs))
 
 
-def order_H(problem: PlanningProblem, bs, as_) -> bool:
+def order_H(problem: PlanningProblem, bs, as_,
+            index: ProblemIndex = None) -> bool:
     """Set form of the direct test: union the per-atom always-deleted sets,
     run the same fixpoint, and require some member of bs to be not possibly
     achievable."""
@@ -276,5 +323,5 @@ def order_H(problem: PlanningProblem, bs, as_) -> bool:
         raise ValueError("goal sets must be nonempty")
     if bs & as_:
         raise ValueError("goal sets must be disjoint")
-    fx = fixpoint_reduce(problem, as_)
+    fx = fixpoint_reduce(problem, as_, index)
     return any(not possibly_achievable(b, fx.o_star) for b in sorted(bs))

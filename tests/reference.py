@@ -9,6 +9,14 @@ bitmasks), so a test can swap it in with monkeypatch and compare results.
 node triples: action-mutex rows by ``pairwise_action_rows``, which tests
 every pair of applicable nodes, and fact mutexes by testing every pair of
 present facts over every pair of achievers.
+
+``ScanView``, ``usable_given``, ``compute_f_da``, ``fixpoint_reduce``,
+``possibly_achievable``, ``graph_test`` and ``deleters_of`` are the
+direct-analysis ordering layer and the oracle's deleter lookup written as
+scans over every action, with the STRIPS/ADL split made per action; the
+index-based versions in ``goalagenda.ordering`` and ``goalagenda.oracle``
+must agree with them. ``quadratic_inverse_ids`` is the invertibility
+check's inverse search tried against every action pair.
 """
 
 from __future__ import annotations
@@ -17,6 +25,8 @@ import sys
 from contextlib import contextmanager
 
 from goalagenda.graphplan import _NodeBudgetExceeded, _mask_to_ids
+from goalagenda.model import StripsAction
+from goalagenda.ordering import FixpointResult, implied_deletes
 
 
 @contextmanager
@@ -172,3 +182,156 @@ def full_step(n_facts, nodes, fact_mask, mutex_rows):
                 next_rows[p] |= 1 << q
                 next_rows[q] |= 1 << p
     return applicable, sum(1 << f for f in next_facts), next_rows, action_rows
+
+
+# --- direct-analysis ordering layer, by scans over every action --------------
+
+class ScanView:
+    """Surviving action ids plus, for ADL, the surviving effect indices per
+    action; addable atoms and achieving conditions by scanning them all."""
+
+    def __init__(self, problem, action_ids, surviving_effects=None):
+        self.problem = problem
+        self.action_ids = frozenset(action_ids)
+        self.surviving_effects = surviving_effects
+
+    def addable_atoms(self) -> frozenset:
+        atoms: set = set()
+        for action_id in self.action_ids:
+            action = self.problem.actions[action_id]
+            if isinstance(action, StripsAction):
+                atoms |= action.add
+            else:
+                for i in self.surviving_effects[action_id]:
+                    atoms |= action.effects[i].adds
+        return frozenset(atoms)
+
+    def achieving_conditions(self, p: int):
+        for action_id in sorted(self.action_ids):
+            action = self.problem.actions[action_id]
+            if isinstance(action, StripsAction):
+                if p in action.add:
+                    yield action.pre
+            else:
+                pre0 = action.effects[0].condition
+                for i in self.surviving_effects[action_id]:
+                    eff = action.effects[i]
+                    if p in eff.adds:
+                        yield eff.condition | pre0
+
+
+def usable_given(problem, anchor, f_set) -> ScanView:
+    """Anchor deleters out, then everything whose own condition meets the
+    false set; an ADL action survives only with its effect 0."""
+    anchor = frozenset(anchor)
+    if not problem.is_adl:
+        ids = [i for i, a in enumerate(problem.actions)
+               if not (a.delete & anchor) and not (a.pre & f_set)]
+        return ScanView(problem, ids)
+    ids = []
+    surviving: dict = {}
+    for i, action in enumerate(problem.actions):
+        eff0 = action.effects[0]
+        if eff0.deletes & anchor or eff0.condition & f_set:
+            continue
+        keep = tuple(
+            k for k in range(len(action.effects))
+            if not (implied_deletes(action, k) & anchor)
+            and not (action.effects[k].condition & f_set)
+        )
+        if 0 in keep:
+            ids.append(i)
+            surviving[i] = keep
+    return ScanView(problem, ids, surviving)
+
+
+def _always_deleted_for(action, atom: int):
+    d = None
+    for i, eff in enumerate(action.effects):
+        if atom in eff.adds:
+            di = implied_deletes(action, i)
+            d = di if d is None else d & di
+    return d
+
+
+def compute_f_da(problem, anchor) -> frozenset:
+    out: set = set()
+    for atom in sorted(anchor):
+        intersection = None
+        for action in problem.actions:
+            if isinstance(action, StripsAction):
+                if atom in action.add:
+                    d = action.delete
+                else:
+                    continue
+            else:
+                d = _always_deleted_for(action, atom)
+                if d is None:
+                    continue
+            intersection = d if intersection is None else intersection & d
+        if intersection:
+            out |= intersection
+    return frozenset(out)
+
+
+def possibly_achievable(p: int, view) -> bool:
+    addable = view.addable_atoms()
+    return any(conditions <= addable
+               for conditions in view.achieving_conditions(p))
+
+
+def fixpoint_reduce(problem, anchor) -> FixpointResult:
+    anchor = frozenset(anchor)
+    f_star = set(compute_f_da(problem, anchor))
+    view = usable_given(problem, anchor, f_star)
+    sweeps = 0
+    fixpoint_reached = False
+    while not fixpoint_reached:
+        sweeps += 1
+        fixpoint_reached = True
+        for f in sorted(f_star):
+            if f not in f_star:
+                continue
+            if possibly_achievable(f, view):
+                f_star.discard(f)
+                view = usable_given(problem, anchor, f_star)
+                fixpoint_reached = False
+    return FixpointResult(frozenset(f_star), view, sweeps)
+
+
+def graph_test(problem, f_atoms, anchor, b: int) -> bool:
+    anchor = frozenset(anchor)
+    for action in problem.actions:
+        if isinstance(action, StripsAction):
+            if b in action.add and not (action.delete & anchor):
+                if not (action.pre & f_atoms):
+                    return False
+        else:
+            pre0 = action.effects[0].condition
+            for i, eff in enumerate(action.effects):
+                if b in eff.adds and not (implied_deletes(action, i) & anchor):
+                    if not ((eff.condition | pre0) & f_atoms):
+                        return False
+    return True
+
+
+def deleters_of(problem, atom: int) -> frozenset:
+    out = set()
+    for i, action in enumerate(problem.actions):
+        if isinstance(action, StripsAction):
+            if atom in action.delete:
+                out.add(i)
+        elif any(atom in eff.deletes for eff in action.effects):
+            out.add(i)
+    return frozenset(out)
+
+
+def quadratic_inverse_ids(problem) -> list:
+    def is_inverse(o, cand):
+        return (cand.add == o.delete
+                and cand.delete == o.add
+                and cand.pre <= (o.pre | o.add) - o.delete)
+
+    return [next((cand_id for cand_id, cand in enumerate(problem.actions)
+                  if is_inverse(o, cand)), -1)
+            for o in problem.actions]

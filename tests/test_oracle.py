@@ -1,6 +1,6 @@
 import pytest
 
-from goalagenda import agenda, ordering
+from goalagenda import agenda, oracle, ordering
 from goalagenda.model import AtomTable, PlanningProblem, StripsAction
 from goalagenda.oracle import (
     LimitExceeded,
@@ -303,6 +303,21 @@ def test_verify_matrix_runs_one_fixpoint_per_goal(load, monkeypatch):
     n = len(problem.goals)
     assert len(matrix["pairs"]) == n * (n - 1)
     assert len(calls) == n
+
+
+def test_verify_matrix_looks_up_deleters_once_per_anchor(load, monkeypatch):
+    problem = load("diamond")
+    anchors = []
+    original = oracle._deleters_of
+
+    def counting(problem, atom, *args):
+        anchors.append(atom)
+        return original(problem, atom, *args)
+
+    monkeypatch.setattr(oracle, "_deleters_of", counting)
+    matrix = verify_matrix(problem)
+    assert sorted(anchors) == sorted(problem.goals)
+    assert all(row["r"] is not None for row in matrix["pairs"])
 
 
 def test_verify_matrix_single_goal():
