@@ -118,12 +118,17 @@ class OrderingVerdict:
     witness: tuple = None  # (state, Plan) refuting the ordering
 
 
-def _deleters_of(problem: PlanningProblem, atom: int,
-                 problem_index: ProblemIndex = None) -> frozenset:
+def _deleters_of(problem: PlanningProblem, atom: int) -> frozenset:
     """Actions that can delete the atom (any effect, for ADL)."""
-    if problem_index is None:
-        problem_index = ProblemIndex(problem)
-    return frozenset(problem_index.deleters.get(atom, ()))
+    out = set()
+    for i, action in enumerate(problem.actions):
+        if isinstance(action, StripsAction):
+            if atom in action.delete:
+                out.add(i)
+        else:
+            if any(atom in eff.deletes for eff in action.effects):
+                out.add(i)
+    return frozenset(out)
 
 
 def _strongly_connected(n: int, successors) -> tuple:
@@ -250,16 +255,12 @@ def _decide(index: ReachabilityIndex, relation: str, b: int, a: int,
 
 def decide_reasonable(problem: PlanningProblem, b: int, a: int,
                       index: ReachabilityIndex = None,
-                      limit: int = DEFAULT_STATE_LIMIT,
-                      allowed: frozenset = None) -> OrderingVerdict:
+                      limit: int = DEFAULT_STATE_LIMIT) -> OrderingVerdict:
     """Exact test: from every reachable state where a was just achieved with
-    b false, is b unreachable using only the actions that never delete a?
-    ``allowed`` is that action set when the caller has it already."""
+    b false, is b unreachable using only the actions that never delete a?"""
     if index is None:
         index = enumerate_reachable(problem, limit)
-    if allowed is None:
-        allowed = frozenset(range(len(problem.actions))) \
-            - _deleters_of(problem, a)
+    allowed = frozenset(range(len(problem.actions))) - _deleters_of(problem, a)
     return _decide(index, "r", b, a, allowed)
 
 
@@ -414,8 +415,9 @@ def verify_matrix(problem: PlanningProblem, graph=None,
     """Approximations vs exact orderings over every ordered goal pair.
 
     The e and h columns are read off the goal graphs, which compute one
-    false set or one fixpoint per anchor goal; both share one ProblemIndex,
-    which also gives each anchor's deleters once.
+    false set or one fixpoint per anchor goal; both share one ProblemIndex.
+    The r column is decide_reasonable's test with each anchor's allowed
+    actions (those that never delete it) read once from that index.
 
     Oracle columns are null when the state budget is exceeded (unknown,
     never asserted either way).
@@ -426,7 +428,7 @@ def verify_matrix(problem: PlanningProblem, graph=None,
         e_graph = build_goal_graph(problem, "e", graph, index=problem_index)
         h_graph = build_goal_graph(problem, "h", index=problem_index)
         everything = frozenset(range(len(problem.actions)))
-        allowed = {a: everything - _deleters_of(problem, a, problem_index)
+        allowed = {a: everything - set(problem_index.deleters.get(a, ()))
                    for a in goals}
     index = None
     limit_hit = False
@@ -453,8 +455,7 @@ def verify_matrix(problem: PlanningProblem, graph=None,
                 "f_trivial": None,
             }
             if index is not None:
-                r = decide_reasonable(problem, b, a, index=index,
-                                      allowed=allowed[a])
+                r = _decide(index, "r", b, a, allowed[a])
                 f = decide_forced(problem, b, a, index=index)
                 row.update(r=r.holds, r_trivial=r.trivial,
                            f=f.holds, f_trivial=f.trivial)

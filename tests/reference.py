@@ -11,10 +11,9 @@ every pair of applicable nodes, and fact mutexes by testing every pair of
 present facts over every pair of achievers.
 
 ``ScanView``, ``usable_given``, ``compute_f_da``, ``fixpoint_reduce``,
-``possibly_achievable``, ``graph_test`` and ``deleters_of`` are the
-direct-analysis ordering layer and the oracle's deleter lookup written as
-scans over every action, with the STRIPS/ADL split made per action; the
-index-based versions in ``goalagenda.ordering`` and ``goalagenda.oracle``
+``possibly_achievable`` and ``graph_test`` are the direct-analysis
+ordering layer written as scans over every action, with the STRIPS/ADL
+split made per action; the index-based versions in ``goalagenda.ordering``
 must agree with them. ``quadratic_inverse_ids`` is the invertibility
 check's inverse search tried against every action pair.
 """
@@ -313,17 +312,6 @@ def graph_test(problem, f_atoms, anchor, b: int) -> bool:
                     if not ((eff.condition | pre0) & f_atoms):
                         return False
     return True
-
-
-def deleters_of(problem, atom: int) -> frozenset:
-    out = set()
-    for i, action in enumerate(problem.actions):
-        if isinstance(action, StripsAction):
-            if atom in action.delete:
-                out.add(i)
-        elif any(atom in eff.deletes for eff in action.effects):
-            out.add(i)
-    return frozenset(out)
 
 
 def quadratic_inverse_ids(problem) -> list:

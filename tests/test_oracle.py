@@ -1,6 +1,6 @@
 import pytest
 
-from goalagenda import agenda, oracle, ordering
+from goalagenda import agenda, ordering
 from goalagenda.model import AtomTable, PlanningProblem, StripsAction
 from goalagenda.oracle import (
     LimitExceeded,
@@ -305,19 +305,20 @@ def test_verify_matrix_runs_one_fixpoint_per_goal(load, monkeypatch):
     assert len(calls) == n
 
 
-def test_verify_matrix_looks_up_deleters_once_per_anchor(load, monkeypatch):
-    problem = load("diamond")
-    anchors = []
-    original = oracle._deleters_of
-
-    def counting(problem, atom, *args):
-        anchors.append(atom)
-        return original(problem, atom, *args)
-
-    monkeypatch.setattr(oracle, "_deleters_of", counting)
+@pytest.mark.parametrize("name", ["diamond", "latch", "trap", "blocks3"])
+def test_verify_matrix_r_column_matches_decide_reasonable(load, index_of,
+                                                          name):
+    """verify_matrix reads each anchor's deleters from its ProblemIndex;
+    the r column must equal the per-pair scan of decide_reasonable."""
+    problem = load(name)
+    index = index_of(name)
     matrix = verify_matrix(problem)
-    assert sorted(anchors) == sorted(problem.goals)
-    assert all(row["r"] is not None for row in matrix["pairs"])
+    ids = {problem.atoms.name(g): g for g in problem.goals}
+    for row in matrix["pairs"]:
+        verdict = decide_reasonable(problem, ids[row["before"]],
+                                    ids[row["after"]], index=index)
+        assert (row["r"], row["r_trivial"]) == \
+            (verdict.holds, verdict.trivial), row
 
 
 def test_verify_matrix_single_goal():
