@@ -123,9 +123,11 @@ def plan_with_agenda(problem: PlanningProblem, agenda: Agenda,
 
     An unsolvable episode aborts the run; that verdict is definitive for the
     whole problem only when the problem is deadlock-free, so the result
-    carries the syntactic invertibility certification status alongside.
+    carries the invertibility certification status alongside. A STRIPS
+    problem is certified against its reachable states, enumerated within
+    the ``max_states`` budget; past the budget it stays uncertified.
     """
-    from .oracle import check_invertibility
+    from .oracle import LimitExceeded, check_invertibility, enumerate_reachable
 
     limits = limits or {}
     entries = list(agenda.entries)
@@ -151,7 +153,14 @@ def plan_with_agenda(problem: PlanningProblem, agenda: Agenda,
                                         Plan(()), "unsolvable"))
             certified = False
             if not problem.is_adl:
-                certified = check_invertibility(problem).certified
+                try:
+                    reachable = enumerate_reachable(
+                        problem, limits.get("max_states", 200_000))
+                except LimitExceeded:
+                    pass
+                else:
+                    certified = check_invertibility(
+                        problem, reachable).certified
             return AgendaPlanResult(
                 status="episode_unsolvable",
                 plan=Plan(()),

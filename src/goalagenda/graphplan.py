@@ -79,7 +79,6 @@ class PlanningGraph:
     action_mutex: tuple  # per action layer: tuple[int, ...] or None
     mutex_counts: tuple  # fact-mutex pair count per fact layer
     leveled_at: int
-    backend: str
 
     @property
     def n_real_nodes(self) -> int:
@@ -90,24 +89,6 @@ class PlanningGraph:
 
     def leveled_rows(self):
         return self.fact_mutex[self.leveled_at]
-
-    def is_fact_mutex(self, layer: int, p: int, q: int) -> bool:
-        rows = self.fact_mutex[layer]
-        if rows is None:
-            raise ValueError(f"mutex rows for layer {layer} were not retained")
-        return bool(rows[p] >> q & 1)
-
-    def fact_mutex_pairs(self, layer: int):
-        rows = self.fact_mutex[layer]
-        pairs = set()
-        for p, row in enumerate(rows):
-            q = 0
-            while row:
-                if row & 1 and p < q:
-                    pairs.add((p, q))
-                row >>= 1
-                q += 1
-        return pairs
 
 
 def _mask_to_ids(mask: int):
@@ -120,7 +101,7 @@ def _mask_to_ids(mask: int):
 
 
 def _pair_count(rows) -> int:
-    return sum(bin(r).count("1") for r in rows) // 2
+    return sum(r.bit_count() for r in rows) // 2
 
 
 def build_graph(problem: PlanningProblem, max_layers: int = 128,
@@ -177,7 +158,6 @@ def build_graph(problem: PlanningProblem, max_layers: int = 128,
         action_mutex=tuple(action_mutex),
         mutex_counts=tuple(mutex_counts),
         leveled_at=leveled_at,
-        backend=kernel_backend(),
     )
 
 
@@ -407,7 +387,7 @@ def _extract_plan(graph: PlanningGraph, steps) -> Plan:
 def graph_dump(graph: PlanningGraph) -> dict:
     """Counts per layer, for the CLI's JSON dump."""
     return {
-        "backend": graph.backend,
+        "backend": kernel_backend(),
         "leveled_at": graph.leveled_at,
         "layers": [
             {

@@ -4,10 +4,13 @@ Enumerates the reachable state space once per problem and answers the exact
 ordering questions against it: collect every reachable state that some
 applicable transition just entered while adding the anchor atom, then ask
 whether the other goal is reachable from each of those states under the
-(possibly reduced) action set. Also detects deadlocks and certifies
-invertibility. Everything here is exponential by design; the default state
-budget keeps it at desk scale, and verdicts past the budget are "unknown",
-never false.
+(possibly reduced) action set. One breadth-first search per ordering
+answers that: it starts from each of those states in discovery order and
+shares its visited states across them, since a state visited by an earlier
+start whose search never found the goal cannot reach it either, and is
+skipped. Also detects deadlocks and certifies invertibility. Everything
+here is exponential by design; the default state budget keeps it at desk
+scale, and verdicts past the budget are "unknown", never false.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from .agenda import build_goal_graph
+from .driver import _unwind
 from .model import (
-    Plan,
     PlanningError,
     PlanningProblem,
     State,
@@ -41,16 +44,8 @@ DEFAULT_STATE_LIMIT = 200_000
 class ReachabilityIndex:
     problem: PlanningProblem
     states: tuple  # tuple[frozenset, ...] in discovery order
-    index_of: dict  # canonical tuple -> index
-    producers: tuple  # per state: frozenset of entering action ids
     entry_adds: tuple  # per state: atoms added by some entering transition
     edges: tuple  # per state: tuple[(action_id, successor index), ...]
-
-    def find(self, state) -> int:
-        return self.index_of[tuple(sorted(state))]
-
-    def __post_init__(self):
-        self._atomset_cache: dict = {}
 
 
 def _effective_adds(state: State, action) -> frozenset:
@@ -72,8 +67,7 @@ def enumerate_reachable(problem: PlanningProblem,
     """
     start = frozenset(problem.init)
     states = [start]
-    index_of = {tuple(sorted(start)): 0}
-    producers = [set()]
+    index_of = {start: 0}
     entry_adds = [set()]
     edges = []
     queue = deque([0])
@@ -85,26 +79,21 @@ def enumerate_reachable(problem: PlanningProblem,
             if not action.pre <= state:
                 continue
             succ = apply_action(state, action)
-            key = tuple(sorted(succ))
-            j = index_of.get(key)
+            j = index_of.get(succ)
             if j is None:
                 j = len(states)
                 if j >= limit:
                     raise LimitExceeded(limit)
-                index_of[key] = j
+                index_of[succ] = j
                 states.append(succ)
-                producers.append(set())
                 entry_adds.append(set())
                 queue.append(j)
             out.append((action_id, j))
-            producers[j].add(action_id)
             entry_adds[j] |= _effective_adds(state, action)
         edges.append(tuple(out))
     return ReachabilityIndex(
         problem=problem,
         states=tuple(states),
-        index_of=index_of,
-        producers=tuple(frozenset(p) for p in producers),
         entry_adds=tuple(frozenset(e) for e in entry_adds),
         edges=tuple(edges),
     )
@@ -131,85 +120,6 @@ def _deleters_of(problem: PlanningProblem, atom: int) -> frozenset:
     return frozenset(out)
 
 
-def _strongly_connected(n: int, successors) -> tuple:
-    """Iterative Tarjan. Returns (component id per node, components), with
-    components numbered so that every cross-component edge points to a
-    lower-numbered (already finished) component."""
-    visit = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    tarjan_stack: list = []
-    comp_of = [-1] * n
-    comps: list = []
-    counter = 0
-    for root in range(n):
-        if visit[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, edge_pos = work.pop()
-            if edge_pos == 0:
-                visit[v] = low[v] = counter
-                counter += 1
-                tarjan_stack.append(v)
-                on_stack[v] = True
-            descend = False
-            edges = successors[v]
-            for k in range(edge_pos, len(edges)):
-                w = edges[k]
-                if visit[w] == -1:
-                    work.append((v, k + 1))
-                    work.append((w, 0))
-                    descend = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], visit[w])
-            if descend:
-                continue
-            if low[v] == visit[v]:
-                comp = []
-                while True:
-                    w = tarjan_stack.pop()
-                    on_stack[w] = False
-                    comp_of[w] = len(comps)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return comp_of, comps
-
-
-def _reachable_atomsets(index: ReachabilityIndex, allowed: frozenset):
-    """Per state: the union of atoms over all states reachable from it using
-    only allowed actions. Computed once per allowed-set by collapsing the
-    restricted graph to its strongly connected components and folding atom
-    unions along the component order; cached on the index."""
-    cached = index._atomset_cache.get(allowed)
-    if cached is not None:
-        return cached
-    n = len(index.states)
-    successors = [
-        sorted({j for action_id, j in out if action_id in allowed and j != i})
-        for i, out in enumerate(index.edges)
-    ]
-    comp_of, comps = _strongly_connected(n, successors)
-    comp_atoms: list = []
-    for comp_id, members in enumerate(comps):
-        atoms: set = set()
-        for i in members:
-            atoms |= index.states[i]
-            for j in successors[i]:
-                if comp_of[j] != comp_id:
-                    atoms |= comp_atoms[comp_of[j]]
-        comp_atoms.append(frozenset(atoms))
-    atomsets = tuple(comp_atoms[comp_of[i]] for i in range(n))
-    index._atomset_cache[allowed] = atomsets
-    return atomsets
-
-
 def _anchor_states(index: ReachabilityIndex, a: int, b: int):
     """Indices of reachable states just entered by an action whose effective
     adds contain a, with b still false."""
@@ -217,39 +127,35 @@ def _anchor_states(index: ReachabilityIndex, a: int, b: int):
             if a in index.entry_adds[i] and b not in state]
 
 
-def _witness_plan(index: ReachabilityIndex, start: int, target_atom: int,
-                  allowed: frozenset):
-    """BFS over the restricted index from start to a state containing the
-    atom; returns (state, Plan)."""
-    parents = {start: None}
-    queue = deque([start])
-    while queue:
-        i = queue.popleft()
-        if target_atom in index.states[i]:
-            actions = []
-            while parents[i] is not None:
-                i, action_id = parents[i]
-                actions.append(action_id)
-            actions.reverse()
-            return (index.states[start], Plan.sequential(actions))
-        for action_id, j in index.edges[i]:
-            if action_id in allowed and j not in parents:
-                parents[j] = (i, action_id)
-                queue.append(j)
-    raise AssertionError("witness search expected the atom to be reachable")
-
-
 def _decide(index: ReachabilityIndex, relation: str, b: int, a: int,
             allowed: frozenset) -> OrderingVerdict:
+    """Breadth-first search over the allowed transitions from each anchor
+    state in discovery order, with one ``parents`` map shared by all the
+    searches. A search that ends without finding b has visited everything
+    its states reach, so a state it visited cannot reach b and a later
+    search skips it. The first dequeued state holding b refutes the
+    ordering; the witness is that search's anchor state and the shortest
+    plan read back through ``parents``, the same one a fresh search from
+    that anchor state would find."""
     anchor_states = _anchor_states(index, a, b)
     if not anchor_states:
         return OrderingVerdict(relation, holds=True, trivial=True)
-    atomsets = _reachable_atomsets(index, allowed)
-    for i in anchor_states:
-        if b in atomsets[i]:
-            witness = _witness_plan(index, i, b, allowed)
-            return OrderingVerdict(relation, holds=False, trivial=False,
-                                   witness=witness)
+    parents: dict = {}
+    for start in anchor_states:
+        if start in parents:
+            continue
+        parents[start] = None
+        queue = deque([start])
+        while queue:
+            i = queue.popleft()
+            if b in index.states[i]:
+                witness = (index.states[start], _unwind(parents, i))
+                return OrderingVerdict(relation, holds=False, trivial=False,
+                                       witness=witness)
+            for action_id, j in index.edges[i]:
+                if action_id in allowed and j not in parents:
+                    parents[j] = (i, action_id)
+                    queue.append(j)
     return OrderingVerdict(relation, holds=True, trivial=False)
 
 

@@ -4,6 +4,18 @@ from goalagenda import corpus
 from goalagenda.graphplan import build_graph
 from goalagenda.oracle import enumerate_reachable
 
+#: Ground-problem JSON of an invertible STRIPS problem that no plan solves:
+#: nothing adds X.
+TWO_ROOMS = {
+    "name": "two_rooms",
+    "actions": [
+        {"name": "go(A,B)", "pre": ["atA"], "add": ["atB"], "del": ["atA"]},
+        {"name": "go(B,A)", "pre": ["atB"], "add": ["atA"], "del": ["atB"]},
+    ],
+    "init": ["atA"],
+    "goals": ["atB", "X"],
+}
+
 _problems: dict = {}
 _indexes: dict = {}
 _graphs: dict = {}

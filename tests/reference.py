@@ -16,15 +16,21 @@ ordering layer written as scans over every action, with the STRIPS/ADL
 split made per action; the index-based versions in ``goalagenda.ordering``
 must agree with them. ``quadratic_inverse_ids`` is the invertibility
 check's inverse search tried against every action pair.
+
+``naive_decide`` is the exact ordering test as the paper states it: a
+fresh breadth-first search from each anchor state in turn, with its own
+scan for the actions that keep the anchor atom.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import deque
 from contextlib import contextmanager
 
 from goalagenda.graphplan import _NodeBudgetExceeded, _mask_to_ids
-from goalagenda.model import StripsAction
+from goalagenda.model import Plan, StripsAction
+from goalagenda.oracle import OrderingVerdict
 from goalagenda.ordering import FixpointResult, implied_deletes
 
 
@@ -323,3 +329,44 @@ def quadratic_inverse_ids(problem) -> list:
     return [next((cand_id for cand_id, cand in enumerate(problem.actions)
                   if is_inverse(o, cand)), -1)
             for o in problem.actions]
+
+
+def allowed_actions(problem, relation: str, a: int) -> frozenset:
+    """Every action for the forced ordering; for the reasonable one, the
+    actions none of whose effects deletes a."""
+    def deletes(action):
+        if isinstance(action, StripsAction):
+            return action.delete
+        return frozenset().union(*(eff.deletes for eff in action.effects))
+
+    return frozenset(i for i, action in enumerate(problem.actions)
+                     if relation == "f" or a not in deletes(action))
+
+
+def naive_decide(index, relation: str, b: int, a: int,
+                 allowed: frozenset) -> OrderingVerdict:
+    """For each state just entered while adding a with b false, in discovery
+    order, a fresh breadth-first search over the allowed transitions; the
+    first that reaches b refutes the ordering, with its shortest plan."""
+    anchors = [i for i, state in enumerate(index.states)
+               if a in index.entry_adds[i] and b not in state]
+    if not anchors:
+        return OrderingVerdict(relation, holds=True, trivial=True)
+    for start in anchors:
+        parents = {start: None}
+        queue = deque([start])
+        while queue:
+            i = queue.popleft()
+            if b in index.states[i]:
+                actions = []
+                while parents[i] is not None:
+                    i, action_id = parents[i]
+                    actions.append(action_id)
+                plan = Plan.sequential(reversed(actions))
+                return OrderingVerdict(relation, holds=False, trivial=False,
+                                       witness=(index.states[start], plan))
+            for action_id, j in index.edges[i]:
+                if action_id in allowed and j not in parents:
+                    parents[j] = (i, action_id)
+                    queue.append(j)
+    return OrderingVerdict(relation, holds=True, trivial=False)

@@ -5,6 +5,8 @@ import pytest
 from goalagenda import corpus
 from goalagenda.cli import main
 
+from conftest import TWO_ROOMS
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -50,6 +52,17 @@ def test_ground_route_and_unsolvable_exit(tmp_path, capsys):
     assert payload["failed_episode"] == 2
     assert payload["invertibility_certified"] is False
     assert "uncertified" in err
+
+
+def test_certified_unsolvable_verdict_is_definitive(tmp_path, capsys):
+    ground = tmp_path / "two_rooms.json"
+    ground.write_text(json.dumps(TWO_ROOMS))
+    code, out, err = run_cli(["plan", "--ground", str(ground)], capsys)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "episode_unsolvable"
+    assert payload["invertibility_certified"] is True
+    assert "definitive" in err
 
 
 def test_plan_solved_validates(capsys):

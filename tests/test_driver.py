@@ -1,6 +1,7 @@
 import pytest
 
 from goalagenda.agenda import compute_agenda
+from goalagenda.corpus import problem_from_dict
 from goalagenda.driver import (
     InvalidPlanError,
     forward_search,
@@ -15,7 +16,7 @@ from goalagenda.model import (
     validate_plan,
 )
 
-from conftest import atoms, names_of
+from conftest import TWO_ROOMS, atoms, names_of
 
 
 def test_forward_search_goals_already_true(load):
@@ -133,6 +134,25 @@ def test_trap_agenda_fails_in_episode_two(load):
         assert result.failed_episode == 2
         assert result.invertibility_certified is False
         assert result.episodes[0].plan.action_count() == 1
+
+
+def test_unsolvable_invertible_problem_is_certified():
+    problem = problem_from_dict(TWO_ROOMS)
+    agenda = compute_agenda(problem, "h")
+    for base in ("graphplan", "forward"):
+        result = plan_with_agenda(problem, agenda, base=base)
+        assert result.status == "episode_unsolvable"
+        assert result.failed_episode == 1
+        assert result.invertibility_certified is True
+
+
+def test_certification_past_the_state_budget_is_false():
+    problem = problem_from_dict(TWO_ROOMS)
+    agenda = compute_agenda(problem, "h")
+    result = plan_with_agenda(problem, agenda, base="graphplan",
+                              limits={"max_states": 1})
+    assert result.status == "episode_unsolvable"
+    assert result.invertibility_certified is False
 
 
 def test_linearize_entries_splits_singletons(load):

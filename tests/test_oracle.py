@@ -1,7 +1,15 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from goalagenda import agenda, ordering
-from goalagenda.model import AtomTable, PlanningProblem, StripsAction
+import reference as ref
+from goalagenda import agenda, corpus, ordering
+from goalagenda.model import (
+    AtomTable,
+    ConflictingEffects,
+    PlanningProblem,
+    StripsAction,
+    apply_action,
+)
 from goalagenda.oracle import (
     LimitExceeded,
     check_invertibility,
@@ -14,6 +22,8 @@ from goalagenda.oracle import (
 )
 
 from conftest import atoms, names_of
+from test_kernels import random_problem
+from test_problem_index import random_adl_problem, subsets
 
 
 def strips(table, name, pre, add, dele):
@@ -329,3 +339,67 @@ def test_verify_matrix_single_goal():
     matrix = verify_matrix(problem)
     assert matrix["pairs"] == []
     assert matrix["states"] == 2
+
+
+# --- differential tests against the naive reference ---------------------------
+
+def check_witness(problem, verdict, b, allowed):
+    """The witness plan applies from its state, uses allowed actions only
+    and ends in a state holding b."""
+    state, plan = verdict.witness
+    for step in plan.steps:
+        (action_id,) = step
+        assert action_id in allowed
+        assert problem.actions[action_id].pre <= state
+        state = apply_action(state, problem.actions[action_id])
+    assert b in state
+
+
+def check_against_naive(problem, index, pairs):
+    for b, a in pairs:
+        for relation, decide in (("r", decide_reasonable),
+                                 ("f", decide_forced)):
+            allowed = ref.allowed_actions(problem, relation, a)
+            verdict = decide(problem, b, a, index=index)
+            assert verdict == ref.naive_decide(index, relation, b, a,
+                                               allowed), (relation, b, a)
+            if not verdict.holds:
+                check_witness(problem, verdict, b, allowed)
+
+
+@pytest.mark.parametrize("name", corpus.EXHAUSTIBLE + ("stack_6", "hanoi_4"))
+def test_decisions_match_naive_reference_on_corpus(load, index_of, name):
+    problem = load(name)
+    goals = sorted(problem.goals)
+    check_against_naive(problem, index_of(name),
+                        [(b, a) for a in goals for b in goals if a != b])
+
+
+def checked_on_all_pairs(problem):
+    try:
+        index = enumerate_reachable(problem)
+    except ConflictingEffects:
+        assume(False)
+    atom_ids = range(len(problem.atoms))
+    check_against_naive(problem, index, [(b, a) for a in atom_ids
+                                         for b in atom_ids if a != b])
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_problem(max_facts=6, max_actions=8))
+def test_decisions_match_naive_reference_on_random_strips(spec):
+    n_facts, nodes, init = spec
+    actions = tuple(StripsAction(f"a{i}", frozenset(pre), frozenset(add),
+                                 frozenset(dele))
+                    for i, (pre, add, dele) in enumerate(nodes))
+    checked_on_all_pairs(PlanningProblem(
+        AtomTable(f"f{i}" for i in range(n_facts)), actions,
+        frozenset(init), frozenset()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_adl_problem(max_atoms=6), st.data())
+def test_decisions_match_naive_reference_on_random_adl(problem, data):
+    checked_on_all_pairs(PlanningProblem(
+        problem.atoms, problem.actions,
+        data.draw(subsets(len(problem.atoms))), frozenset()))
