@@ -42,7 +42,6 @@ from .oracle import (
     decide_reasonable,
     enumerate_reachable,
     find_deadlocks,
-    relaxed_achievable,
 )
 from .pddl import ground, parse
 

@@ -21,6 +21,7 @@ from .model import (
     State,
     Unsolvable,
     apply_action,
+    transitions,
     validate_plan,
 )
 
@@ -62,10 +63,7 @@ def forward_search(problem: PlanningProblem, max_states: int = 200_000):
     queue = deque([start])
     while queue:
         state = queue.popleft()
-        for action_id, action in enumerate(problem.actions):
-            if not action.pre <= state:
-                continue
-            succ = apply_action(state, action)
+        for action_id, succ, _ in transitions(problem, state):
             if succ in parents:
                 continue
             parents[succ] = (state, action_id)

@@ -162,9 +162,6 @@ class PlanningProblem:
     def atom(self, name: str) -> int:
         return self.atoms.id(name)
 
-    def atom_set(self, names: Iterable[str]) -> frozenset:
-        return frozenset(self.atoms.id(n) for n in names)
-
     def action_named(self, name: str) -> int:
         for i, a in enumerate(self.actions):
             if a.name == name:
@@ -214,32 +211,48 @@ def apply_strips(state: State, action: StripsAction) -> State:
     return state
 
 
-def fired_effects(state: State, action: AdlAction):
-    """The effects of ``action`` whose conditions hold in ``state``,
-    given that the action is applicable. Effect 0 is always included."""
-    return [eff for eff in action.effects if eff.condition <= state]
-
-
-def apply_adl(state: State, action: AdlAction) -> State:
-    """Simultaneously apply every fired effect; identity when the
-    unconditional precondition fails.
-
-    Raises ConflictingEffects when the union of fired adds intersects the
-    union of fired deletes (the model never resolves add-wins silently).
-    """
-    if not action.pre <= state:
-        return state
+def _fire(state: State, action: AdlAction):
+    """Adds and deletes of an applicable ADL action's effects that fire in
+    ``state``. Raises ConflictingEffects when the fired adds intersect the
+    fired deletes (the model never resolves add-wins silently)."""
     adds: set = set()
     deletes: set = set()
-    for eff in fired_effects(state, action):
-        adds |= eff.adds
-        deletes |= eff.deletes
+    for eff in action.effects:
+        if eff.condition <= state:
+            adds |= eff.adds
+            deletes |= eff.deletes
     clash = adds & deletes
     if clash:
         raise ConflictingEffects(
             f"action {action.name!r}: atoms both added and deleted: {sorted(clash)}"
         )
-    return (state - frozenset(deletes)) | frozenset(adds)
+    return frozenset(adds), frozenset(deletes)
+
+
+def apply_adl(state: State, action: AdlAction) -> State:
+    """Simultaneously apply every fired effect; identity when the
+    unconditional precondition fails. Raises ConflictingEffects on a clash."""
+    if not action.pre <= state:
+        return state
+    adds, deletes = _fire(state, action)
+    return (state - deletes) | adds
+
+
+def transitions(problem: PlanningProblem, state: State):
+    """Every transition out of ``state``: ``(action_id, successor, adds)``
+    for each action applicable in it, in action-id order, where ``adds``
+    are the atoms the action's fired effects add. Raises ConflictingEffects
+    when an applicable ADL action's fired effects clash."""
+    if problem.is_adl:
+        for action_id, action in enumerate(problem.actions):
+            if action.pre <= state:
+                adds, deletes = _fire(state, action)
+                yield action_id, (state - deletes) | adds, adds
+    else:
+        for action_id, action in enumerate(problem.actions):
+            if action.pre <= state:
+                yield (action_id, (state | action.add) - action.delete,
+                       action.add)
 
 
 def apply_action(state: State, action: Action) -> State:

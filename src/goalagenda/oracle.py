@@ -1,16 +1,19 @@
 """Exhaustive ground truth on small instances.
 
-Enumerates the reachable state space once per problem and answers the exact
-ordering questions against it: collect every reachable state that some
-applicable transition just entered while adding the anchor atom, then ask
+Enumerates the reachable state space once per problem, expanding each state
+with ``model.transitions`` (the forward planner's successor function too),
+and records per atom the states some transition entered while adding it.
+The exact ordering questions are answered against it: take the recorded
+states of the anchor atom in which the other goal is false, then ask
 whether the other goal is reachable from each of those states under the
 (possibly reduced) action set. One breadth-first search per ordering
 answers that: it starts from each of those states in discovery order and
 shares its visited states across them, since a state visited by an earlier
 start whose search never found the goal cannot reach it either, and is
-skipped. Also detects deadlocks and certifies invertibility. Everything
-here is exponential by design; the default state budget keeps it at desk
-scale, and verdicts past the budget are "unknown", never false.
+skipped. Also detects deadlocks, and certifies invertibility against the
+transitions: an action that labels no edge never runs and is exempt.
+Everything here is exponential by design; the default state budget keeps it
+at desk scale, and verdicts past the budget are "unknown", never false.
 """
 
 from __future__ import annotations
@@ -20,14 +23,7 @@ from dataclasses import dataclass
 
 from .agenda import build_goal_graph
 from .driver import _unwind
-from .model import (
-    PlanningError,
-    PlanningProblem,
-    State,
-    StripsAction,
-    apply_action,
-    fired_effects,
-)
+from .model import PlanningError, PlanningProblem, transitions
 from .ordering import ProblemIndex
 
 
@@ -44,17 +40,8 @@ DEFAULT_STATE_LIMIT = 200_000
 class ReachabilityIndex:
     problem: PlanningProblem
     states: tuple  # tuple[frozenset, ...] in discovery order
-    entry_adds: tuple  # per state: atoms added by some entering transition
+    entered: dict  # atom -> ascending indices of states entered adding it
     edges: tuple  # per state: tuple[(action_id, successor index), ...]
-
-
-def _effective_adds(state: State, action) -> frozenset:
-    if isinstance(action, StripsAction):
-        return action.add
-    adds: set = set()
-    for eff in fired_effects(state, action):
-        adds |= eff.adds
-    return frozenset(adds)
 
 
 def enumerate_reachable(problem: PlanningProblem,
@@ -62,23 +49,17 @@ def enumerate_reachable(problem: PlanningProblem,
     """BFS closure of the initial state under all applicable transitions.
 
     Self-loops are kept: an applicable action that changes nothing still
-    enters its state with its add set, which matters for the generic-state
-    collection below.
+    enters its state with its adds, which matters for the anchor states of
+    the exact orderings below.
     """
     start = frozenset(problem.init)
     states = [start]
     index_of = {start: 0}
-    entry_adds = [set()]
+    entered: dict = {}
     edges = []
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        state = states[i]
+    for state in states:  # grows while it is read: breadth-first order
         out = []
-        for action_id, action in enumerate(problem.actions):
-            if not action.pre <= state:
-                continue
-            succ = apply_action(state, action)
+        for action_id, succ, adds in transitions(problem, state):
             j = index_of.get(succ)
             if j is None:
                 j = len(states)
@@ -86,15 +67,14 @@ def enumerate_reachable(problem: PlanningProblem,
                     raise LimitExceeded(limit)
                 index_of[succ] = j
                 states.append(succ)
-                entry_adds.append(set())
-                queue.append(j)
             out.append((action_id, j))
-            entry_adds[j] |= _effective_adds(state, action)
+            for atom in adds:
+                entered.setdefault(atom, set()).add(j)
         edges.append(tuple(out))
     return ReachabilityIndex(
         problem=problem,
         states=tuple(states),
-        entry_adds=tuple(frozenset(e) for e in entry_adds),
+        entered={atom: tuple(sorted(js)) for atom, js in entered.items()},
         edges=tuple(edges),
     )
 
@@ -107,24 +87,11 @@ class OrderingVerdict:
     witness: tuple = None  # (state, Plan) refuting the ordering
 
 
-def _deleters_of(problem: PlanningProblem, atom: int) -> frozenset:
-    """Actions that can delete the atom (any effect, for ADL)."""
-    out = set()
-    for i, action in enumerate(problem.actions):
-        if isinstance(action, StripsAction):
-            if atom in action.delete:
-                out.add(i)
-        else:
-            if any(atom in eff.deletes for eff in action.effects):
-                out.add(i)
-    return frozenset(out)
-
-
 def _anchor_states(index: ReachabilityIndex, a: int, b: int):
-    """Indices of reachable states just entered by an action whose effective
-    adds contain a, with b still false."""
-    return [i for i, state in enumerate(index.states)
-            if a in index.entry_adds[i] and b not in state]
+    """Indices of reachable states just entered by a transition that added
+    a, with b still false, in discovery order."""
+    states = index.states
+    return [i for i in index.entered.get(a, ()) if b not in states[i]]
 
 
 def _decide(index: ReachabilityIndex, relation: str, b: int, a: int,
@@ -159,6 +126,13 @@ def _decide(index: ReachabilityIndex, relation: str, b: int, a: int,
     return OrderingVerdict(relation, holds=True, trivial=False)
 
 
+def _keeping(problem: PlanningProblem, problem_index: ProblemIndex,
+             a: int) -> frozenset:
+    """Ids of the actions none of whose effects deletes a."""
+    return (frozenset(range(len(problem.actions)))
+            - frozenset(problem_index.deleters.get(a, ())))
+
+
 def decide_reasonable(problem: PlanningProblem, b: int, a: int,
                       index: ReachabilityIndex = None,
                       limit: int = DEFAULT_STATE_LIMIT) -> OrderingVerdict:
@@ -166,8 +140,7 @@ def decide_reasonable(problem: PlanningProblem, b: int, a: int,
     b false, is b unreachable using only the actions that never delete a?"""
     if index is None:
         index = enumerate_reachable(problem, limit)
-    allowed = frozenset(range(len(problem.actions))) - _deleters_of(problem, a)
-    return _decide(index, "r", b, a, allowed)
+    return _decide(index, "r", b, a, _keeping(problem, ProblemIndex(problem), a))
 
 
 def decide_forced(problem: PlanningProblem, b: int, a: int,
@@ -217,10 +190,6 @@ class ActionInvertibility:
     delete_within_pre: bool
     adds_false_when_applicable: bool = None  # None: not exhaustively checked
 
-    @property
-    def has_inverse(self) -> bool:
-        return self.inverse_id >= 0
-
 
 @dataclass(frozen=True)
 class InvertibilityReport:
@@ -250,29 +219,35 @@ def _inverse_ids(problem: PlanningProblem) -> list:
 def check_invertibility(problem: PlanningProblem,
                         index: ReachabilityIndex = None) -> InvertibilityReport:
     """Per action: syntactic inverse search, delete-within-precondition
-    check, and (when an index is available) the exhaustive check that an
-    applicable action's adds are all false. Certifies only when all three
-    hold for every action; without an index the semantic side stays
+    check, and (when an index is available) the exhaustive check that its
+    adds are all false in every reachable state it applies in, read off the
+    index's edges. Certifies only when all three hold for every action that
+    labels some edge: an action applicable in no reachable state never runs
+    and needs no inverse. Without an index the semantic side stays
     unverified and nothing is certified."""
     if problem.is_adl:
         raise ValueError("invertibility checking is defined for STRIPS only")
+    actions = problem.actions
+    semantic = [None] * len(actions)
+    ran = set()
+    if index is not None:
+        semantic = [True] * len(actions)
+        for state, out in zip(index.states, index.edges):
+            for action_id, _ in out:
+                ran.add(action_id)
+                if actions[action_id].add & state:
+                    semantic[action_id] = False
     entries = []
     notes = []
-    all_ok = True
+    all_ok = index is not None
     inverse_ids = _inverse_ids(problem)
-    for action_id, action in enumerate(problem.actions):
+    for action_id, action in enumerate(actions):
         inverse_id = inverse_ids[action_id]
         del_ok = action.delete <= action.pre
-        semantic = None
-        if index is not None:
-            semantic = all(
-                not (action.add & state)
-                for state in index.states if action.pre <= state
-            )
-        entry = ActionInvertibility(action_id, inverse_id, del_ok, semantic)
-        entries.append(entry)
+        entries.append(ActionInvertibility(action_id, inverse_id, del_ok,
+                                           semantic[action_id]))
         if inverse_id < 0:
-            if action.delete <= action.pre:
+            if del_ok:
                 notes.append(f"{action.name}: no inverse action "
                              "(deletes only its own preconditions)")
             else:
@@ -280,38 +255,15 @@ def check_invertibility(problem: PlanningProblem,
                              "(deletes atoms outside its precondition)")
         if not del_ok:
             notes.append(f"{action.name}: delete list not within precondition")
-        all_ok = all_ok and inverse_id >= 0 and del_ok and bool(semantic)
+        if action_id in ran:
+            all_ok = all_ok and inverse_id >= 0 and del_ok \
+                and semantic[action_id]
     return InvertibilityReport(
-        certified=bool(all_ok) and index is not None,
+        certified=all_ok,
         semantic_checked=index is not None,
         entries=tuple(entries),
         notes=tuple(notes),
     )
-
-
-# --- relaxed achievability ---------------------------------------------------
-
-def relaxed_achievable(state: State, p: int, actions) -> bool:
-    """Least fixpoint of the achievability recursion: p is achievable from
-    the state when it already holds or some action adds it with every
-    condition achievable. Equivalent to delete-free reachability."""
-    achievable = set(state)
-    changed = True
-    while changed:
-        changed = False
-        for action in actions:
-            if isinstance(action, StripsAction):
-                if action.pre <= achievable and not (action.add <= achievable):
-                    achievable |= action.add
-                    changed = True
-            else:
-                pre0 = action.effects[0].condition
-                for eff in action.effects:
-                    cond = pre0 | eff.condition
-                    if cond <= achievable and not (eff.adds <= achievable):
-                        achievable |= eff.adds
-                        changed = True
-    return p in achievable
 
 
 # --- verification matrix -----------------------------------------------------
@@ -333,9 +285,7 @@ def verify_matrix(problem: PlanningProblem, graph=None,
         problem_index = ProblemIndex(problem)
         e_graph = build_goal_graph(problem, "e", graph, index=problem_index)
         h_graph = build_goal_graph(problem, "h", index=problem_index)
-        everything = frozenset(range(len(problem.actions)))
-        allowed = {a: everything - set(problem_index.deleters.get(a, ()))
-                   for a in goals}
+        allowed = {a: _keeping(problem, problem_index, a) for a in goals}
     index = None
     limit_hit = False
     try:

@@ -603,10 +603,6 @@ def ground(domain: DomainFile, problem: ProblemFile) -> PlanningProblem:
         isinstance(item, WhenClause) for op in domain.operators for item in op.effect
     )
 
-    def literal_atom(lit: Literal, binding) -> tuple:
-        args = tuple(binding.get(a, a) for a in lit.args)
-        return lit.predicate, args
-
     actions = []
     for op in domain.operators:
         domains = [candidates(ty) for _, ty in op.parameters]

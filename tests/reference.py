@@ -17,9 +17,13 @@ split made per action; the index-based versions in ``goalagenda.ordering``
 must agree with them. ``quadratic_inverse_ids`` is the invertibility
 check's inverse search tried against every action pair.
 
-``naive_decide`` is the exact ordering test as the paper states it: a
-fresh breadth-first search from each anchor state in turn, with its own
-scan for the actions that keep the anchor atom.
+``naive_enumerate`` is the oracle's state space built by a plain
+breadth-first search over ``apply_action``, with each transition's adds
+taken from its own evaluation of the fired effects. ``naive_decide`` is
+the exact ordering test as the paper states it: anchor states read off
+the edges by that same evaluation, then a fresh breadth-first search from
+each anchor state in turn, with its own scan for the actions that keep the
+anchor atom.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from collections import deque
 from contextlib import contextmanager
 
 from goalagenda.graphplan import _NodeBudgetExceeded, _mask_to_ids
-from goalagenda.model import Plan, StripsAction
+from goalagenda.model import Plan, StripsAction, apply_action
 from goalagenda.oracle import OrderingVerdict
 from goalagenda.ordering import FixpointResult, implied_deletes
 
@@ -343,13 +347,55 @@ def allowed_actions(problem, relation: str, a: int) -> frozenset:
                      if relation == "f" or a not in deletes(action))
 
 
+def entering_adds(action, state) -> frozenset:
+    """What an action applicable in ``state`` adds: a STRIPS action's add
+    list, or the adds of every ADL effect whose condition holds."""
+    if isinstance(action, StripsAction):
+        return action.add
+    return frozenset().union(*(eff.adds for eff in action.effects
+                               if eff.condition <= state))
+
+
+def naive_enumerate(problem):
+    """States in discovery order, per state its ``(action_id, successor
+    index)`` edges, and per atom the ascending indices of the states some
+    transition entered while adding it."""
+    states = [frozenset(problem.init)]
+    index_of = {states[0]: 0}
+    edges = []
+    entered: dict = {}
+    queue = deque([0])
+    while queue:
+        i = queue.popleft()
+        out = []
+        for action_id, action in enumerate(problem.actions):
+            if not action.pre <= states[i]:
+                continue
+            succ = apply_action(states[i], action)
+            if succ not in index_of:
+                index_of[succ] = len(states)
+                states.append(succ)
+                queue.append(index_of[succ])
+            j = index_of[succ]
+            out.append((action_id, j))
+            for atom in entering_adds(action, states[i]):
+                entered.setdefault(atom, set()).add(j)
+        edges.append(tuple(out))
+    return (states, edges,
+            {atom: sorted(js) for atom, js in entered.items()})
+
+
 def naive_decide(index, relation: str, b: int, a: int,
                  allowed: frozenset) -> OrderingVerdict:
     """For each state just entered while adding a with b false, in discovery
     order, a fresh breadth-first search over the allowed transitions; the
     first that reaches b refutes the ordering, with its shortest plan."""
-    anchors = [i for i, state in enumerate(index.states)
-               if a in index.entry_adds[i] and b not in state]
+    problem_actions = index.problem.actions
+    anchors = sorted({j for i, out in enumerate(index.edges)
+                      for action_id, j in out
+                      if a in entering_adds(problem_actions[action_id],
+                                            index.states[i])
+                      and b not in index.states[j]})
     if not anchors:
         return OrderingVerdict(relation, holds=True, trivial=True)
     for start in anchors:

@@ -1,8 +1,10 @@
 """Golden CLI output: SHA-256 digests of stdout, with exit codes.
 
 Covers ``analyze`` and ``plan`` under both methods and ``graph-dump`` on
-every named corpus instance, and ``verify`` on the exhaustible ones. A
-change that alters CLI output on purpose re-records the digests with
+every named corpus instance, ``verify`` on the exhaustible ones, and
+``plan --method h --base forward`` on the exhaustible STRIPS ones (latch,
+the ADL fixture, always plans forward). A change that alters CLI output on
+purpose re-records the digests with
 
     PYTHONPATH=src python tests/test_cli_golden.py --capture
 
@@ -38,6 +40,9 @@ def golden_runs() -> list:
         runs.append(["graph-dump", "--corpus", name])
     for name in corpus.EXHAUSTIBLE:
         runs.append(["verify", "--corpus", name])
+        if name != "latch":
+            runs.append(["plan", "--corpus", name, "--method", "h",
+                         "--base", "forward"])
     return runs
 
 

@@ -3,8 +3,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 import reference as ref
 from goalagenda import agenda, corpus, ordering
+from goalagenda.driver import forward_search
 from goalagenda.model import (
+    AdlAction,
     AtomTable,
+    ConditionalEffect,
     ConflictingEffects,
     PlanningProblem,
     StripsAction,
@@ -17,11 +20,10 @@ from goalagenda.oracle import (
     decide_reasonable,
     enumerate_reachable,
     find_deadlocks,
-    relaxed_achievable,
     verify_matrix,
 )
 
-from conftest import atoms, names_of
+from conftest import names_of
 from test_kernels import random_problem
 from test_problem_index import random_adl_problem, subsets
 
@@ -59,19 +61,37 @@ def test_enumerate_limit():
         enumerate_reachable(corpus.load("gripper2"), limit=4)
 
 
+def test_clashing_effects_in_a_reachable_state_raise():
+    """``clash`` applies only after ``set``, and then fires an effect adding
+    G next to one deleting it: both searches expand that state and refuse
+    it, before either could report G unreachable."""
+    table = AtomTable(["P", "Q", "G"])
+    p, q, g = (frozenset({table.id(n)}) for n in "PQG")
+    none = frozenset()
+    set_q = AdlAction("set", (ConditionalEffect(p, q, none),))
+    clash = AdlAction("clash", (ConditionalEffect(q, none, none),
+                                ConditionalEffect(q, g, none),
+                                ConditionalEffect(p, none, g)))
+    problem = PlanningProblem(table, (set_q, clash), p, g)
+    with pytest.raises(ConflictingEffects):
+        enumerate_reachable(problem)
+    with pytest.raises(ConflictingEffects):
+        forward_search(problem)
+
+
 def test_entry_adds_recorded(load, index_of):
     problem = load("trap")
     index = index_of("trap")
-    b_entered = [names_of(problem, s) for i, s in enumerate(index.states)
-                 if problem.atom("B") in index.entry_adds[i]]
+    b_entered = index.entered[problem.atom("B")]
+    assert list(b_entered) == sorted(set(b_entered))
     # every state with an incoming op1 transition, self-loops included
-    assert sorted(b_entered) == [["A", "B", "C", "E", "F"], ["B", "C"],
-                                 ["B", "C", "E"], ["B", "C", "E", "F"]]
+    assert sorted(names_of(problem, index.states[i]) for i in b_entered) == \
+        [["A", "B", "C", "E", "F"], ["B", "C"], ["B", "C", "E"],
+         ["B", "C", "E", "F"]]
     # the generic-state collection for the forced/reasonable tests filters
     # out the states where the other goal already holds
-    with_a_false = [s for i, s in enumerate(index.states)
-                    if problem.atom("B") in index.entry_adds[i]
-                    and problem.atom("A") not in s]
+    with_a_false = [i for i in b_entered
+                    if problem.atom("A") not in index.states[i]]
     assert len(with_a_false) == 3
 
 
@@ -198,12 +218,41 @@ def test_nontrivial_forced_orderings_imply_deadlocks(load, index_of):
                     assert deadlocks, (name, b, a)
 
 
+#: check_invertibility's verdict on every STRIPS instance of the corpus
+#: within the default state budget.
+CERTIFIED = {
+    "blocks2": True, "blocks3": True, "stack_4": True, "hanoi_3": True,
+    "gripper2": True, "stack_6": True, "hanoi_4": True,
+    "tyreworld_1": False, "trap": False, "revival": False, "diamond": False,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED))
+def test_certification_verdicts(load, index_of, name):
+    """Only actions that label some edge must pass. blocks2, blocks3,
+    hanoi_3 and hanoi_4 certify through that exemption alone: each has
+    failing actions (stack(x,x), a bigger disc onto a smaller one), none of
+    which applies in a reachable state."""
+    problem = load(name)
+    index = index_of(name)
+    report = check_invertibility(problem, index=index)
+    assert report.certified is CERTIFIED[name]
+    ran = {action_id for out in index.edges for action_id, _ in out}
+    failing = {e.action_id for e in report.entries
+               if e.inverse_id < 0 or not e.delete_within_pre
+               or not e.adds_false_when_applicable}
+    assert bool(failing & ran) is not CERTIFIED[name]
+    assert bool(failing - ran) is \
+        (name in ("blocks2", "blocks3", "hanoi_3", "hanoi_4"))
+
+
 def test_invertible_solvable_problems_have_no_forced_orderings(load,
                                                                index_of):
-    for name in ("stack_4", "gripper2"):
+    for name in sorted(n for n in CERTIFIED if CERTIFIED[n]):
         problem = load(name)
         index = index_of(name)
         assert check_invertibility(problem, index=index).certified
+        assert find_deadlocks(problem, index=index) == [], name
         for a in sorted(problem.goals):
             for b in sorted(problem.goals):
                 if a == b:
@@ -280,22 +329,6 @@ def test_invertibility_without_index_is_unverified(load):
     report = check_invertibility(load("gripper2"))
     assert not report.semantic_checked
     assert not report.certified
-
-
-def test_relaxed_achievable(load):
-    problem = load("revival")
-    acts = problem.actions
-    assert relaxed_achievable(atoms(problem, "B"), problem.atom("B"), acts)
-    assert relaxed_achievable(atoms(problem, "C", "A"), problem.atom("B"),
-                              acts)
-    trap = load("trap")
-    assert not relaxed_achievable(atoms(trap, "A"), trap.atom("B"),
-                                  trap.actions)
-    # monotone in the state and the action set
-    assert relaxed_achievable(atoms(trap, "A", "C"), trap.atom("B"),
-                              trap.actions)
-    assert not relaxed_achievable(atoms(trap, "A", "C"), trap.atom("B"),
-                                  trap.actions[1:])
 
 
 def test_verify_matrix_runs_one_fixpoint_per_goal(load, monkeypatch):
@@ -375,11 +408,28 @@ def test_decisions_match_naive_reference_on_corpus(load, index_of, name):
                         [(b, a) for a in goals for b in goals if a != b])
 
 
+def check_enumeration(problem, index):
+    states, edges, entered = ref.naive_enumerate(problem)
+    assert list(index.states) == states
+    assert list(index.edges) == edges
+    assert {atom: list(js) for atom, js in index.entered.items()} == entered
+
+
+@pytest.mark.parametrize("name", corpus.EXHAUSTIBLE + ("stack_6",))
+def test_enumeration_matches_naive_reference_on_corpus(load, index_of, name):
+    check_enumeration(load(name), index_of(name))
+
+
 def checked_on_all_pairs(problem):
+    """The enumeration and every ordering decision on all atom pairs against
+    the naive references; a clash raises in both enumerations."""
     try:
         index = enumerate_reachable(problem)
     except ConflictingEffects:
+        with pytest.raises(ConflictingEffects):
+            ref.naive_enumerate(problem)
         assume(False)
+    check_enumeration(problem, index)
     atom_ids = range(len(problem.atoms))
     check_against_naive(problem, index, [(b, a) for a in atom_ids
                                          for b in atom_ids if a != b])
