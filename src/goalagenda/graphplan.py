@@ -205,7 +205,45 @@ def graphplan_search(problem: PlanningProblem, max_layers: int = 128,
 
     No-ops are preferred achievers (goals already true stay true when
     possible); remaining ties break by ascending node id, so plans are
-    deterministic across runs.
+    deterministic across runs. max_nodes bounds the nodes visited over all
+    horizons; _BackwardSearch says what counts as one.
+
+    The exhaustion proof (Blum & Furst 1997, AIJ 90): from the leveled fact
+    layer n on, the goals are Unsolvable once a horizon ends with as many
+    nogoods memoized at layer n as the horizon before. Every fact layer
+    above n takes its achievers from the same action layer, so horizon H
+    follows paths of H - n full assignments from the goals down to a set at
+    layer n. Call a set covered when it contains a set memoized at layer n.
+    Three facts carry the proof:
+
+    1. A memoized set has no plan from its layer, and neither has a covered
+       set at layer n: a plan for a set solves each of its subsets.
+    2. After horizon H, every path of H - n full assignments from the goals
+       ends in a covered set. Either the horizon opened the path's last set
+       at layer n, which memoizes it, or it cut the path at a set above n
+       that contains a nogood N of that layer. By induction on when N was
+       memoized, every path from N down to layer n ends in a covered set,
+       and the cut path continues through supersets of the sets of one of
+       them (see below).
+    3. A set is memoized at layer n only when a horizon opens it there, at
+       the end of such a path.
+
+    Monotonicity links them: the achievers that a full assignment of a
+    superset of M picks include a full assignment of M, so each child set
+    of the superset contains a child set of M. Now let horizon H + 1
+    memoize nothing new at layer n. A set memoized there ends a path of
+    k <= H - n assignments (by 3), so its child sets end paths of
+    k + 1 <= H + 1 - n and are covered (by 2); by monotonicity every child
+    set of a covered set is covered. By induction on the path length, every
+    path from the goals ends in a covered set, so no horizon has a plan
+    (by 1).
+
+    The cuts in _BackwardSearch keep the three facts. Forward checking
+    removes only partial assignments that no achiever completes, so the
+    full assignments, and with them the paths and the sets opened, are
+    those of the search without it. A set that contains a nogood of its
+    layer fails at once and is memoized as an opened set, so an unchanged
+    count still means that every set opened at layer n was already there.
     """
     if problem.is_adl:
         raise ValueError("graphplan_search requires a STRIPS problem")
@@ -263,9 +301,26 @@ class _BackwardSearch:
     entry per open goal set (one per layer below the horizon), each holding
     one choice point per goal that got an achiever, so the horizon is not
     bounded by the interpreter's recursion limit. A goal set whose search
-    fails is a nogood, memoized by its mask per fact layer. Each visited
-    assignment position (each goal, and the step into the next layer) counts
-    one node against max_nodes.
+    fails is a nogood, memoized by its mask per fact layer.
+
+    Two cuts remove only subtrees that hold no plan, so the search returns
+    the first plan of the search without them:
+
+    - Forward checking. A candidate achiever that passes the mutex test is
+      rejected when some later goal of the set is neither added by the
+      assignment with it nor has an achiever outside the OR of their
+      action-mutex rows: one AND per goal against its achiever mask. That
+      goal could get no achiever, and a node chosen later that added it
+      would be one.
+    - Subset nogoods. A goal set that contains a nogood memoized at its
+      fact layer has no plan there either; it fails at once, and is
+      memoized too, so the memo at the leveled layer still grows exactly
+      when a set opened there was not in it (see graphplan_search).
+
+    Each visited assignment position (each goal, and the step into the next
+    layer) counts one node against max_nodes. A candidate cut by the forward
+    check is never visited and counts no node; a goal set that fails by a
+    memo hit, exact or subset, counts none of its own.
     """
 
     def __init__(self, graph: PlanningGraph, max_nodes: int):
@@ -285,10 +340,10 @@ class _BackwardSearch:
         return any(rows[p] & goals for p in _mask_to_ids(goals))
 
     def achievers(self, layer: int):
-        """Per fact, its achiever node ids at the action layer: the no-op
-        first, then ascending."""
-        table = self._achievers[layer]
-        if table is None:
+        """Per fact, its achiever node ids at the action layer (the no-op
+        first, then ascending) and the bitmask of those ids."""
+        tables = self._achievers[layer]
+        if tables is None:
             graph = self.graph
             n_real = graph.n_real_nodes
             table = [[] for _ in range(len(self.add_masks) - n_real)]
@@ -298,16 +353,20 @@ class _BackwardSearch:
                 else:
                     for f in graph.nodes[node_id].add:
                         table[f].append(node_id)
-            self._achievers[layer] = table
-        return table
+            tables = table, [sum(1 << c for c in cands) for cands in table]
+            self._achievers[layer] = tables
+        return tables
 
     def _open(self, goals: int, t: int):
         """Stack entry for the goal set at fact layer t >= 1, or None when it
-        is a known nogood."""
-        if goals in self.memo.setdefault(t, set()):
+        contains a known nogood of layer t; a set that fails only by
+        containing one is memoized too."""
+        nogoods = self.memo.setdefault(t, set())
+        if goals in nogoods or goals in map(goals.__or__, nogoods):
+            nogoods.add(goals)
             return None
         layer = min(t - 1, self.leveled)
-        return (t, goals, _mask_to_ids(goals), self.achievers(layer),
+        return (t, goals, _mask_to_ids(goals), *self.achievers(layer),
                 self.graph.action_mutex[layer], [])
 
     def search(self, goals: int, t: int):
@@ -320,7 +379,7 @@ class _BackwardSearch:
             return None
         add_masks, pre_masks = self.add_masks, self.pre_masks
         levels = [level]
-        t, _, goal_ids, achievers, rows, choices = level
+        t, _, goal_ids, achievers, amasks, rows, choices = level
         n_goals = len(goal_ids)
         index = added = mutex = pre = 0
         k = None  # next achiever to try at goal `index`; None on arrival
@@ -338,24 +397,35 @@ class _BackwardSearch:
                     if not pre & ~self.init_mask:
                         return [{achievers[goal_ids[i]][k - 1]
                                  for i, k, *_ in choices}
-                                for _, _, goal_ids, achievers, _, choices
+                                for _, _, goal_ids, achievers, _, _, choices
                                 in reversed(levels)]
                 else:
                     level = self._open(pre, t - 1)
                     if level is not None:
                         levels.append(level)
-                        t, _, goal_ids, achievers, rows, choices = level
+                        t, _, goal_ids, achievers, amasks, rows, choices = \
+                            level
                         n_goals = len(goal_ids)
                         index = added = mutex = pre = 0
                         continue
             if k is not None:
                 cands = achievers[goal_ids[index]]
+                later = goal_ids[index + 1:]
                 for j in range(k, len(cands)):
                     c = cands[j]
-                    if not mutex >> c & 1:
+                    if mutex >> c & 1:
+                        continue
+                    c_added = added | add_masks[c]
+                    free = ~(mutex | rows[c])
+                    for g in later:
+                        # forward check: a later goal left uncovered, with
+                        # every achiever mutex with the assignment
+                        if not (c_added >> g & 1 or amasks[g] & free):
+                            break
+                    else:
                         choices.append((index, j + 1, added, mutex, pre))
-                        added |= add_masks[c]
-                        mutex |= rows[c]
+                        added = c_added
+                        mutex = ~free
                         pre |= pre_masks[c]
                         index += 1
                         k = None
@@ -369,7 +439,7 @@ class _BackwardSearch:
                 self.memo[t].add(goals)
                 if not levels:
                     return None
-                t, _, goal_ids, achievers, rows, choices = levels[-1]
+                t, _, goal_ids, achievers, amasks, rows, choices = levels[-1]
                 n_goals = len(goal_ids)
             index, k, added, mutex, pre = choices.pop()
 

@@ -3,7 +3,9 @@
 Covers ``analyze`` and ``plan`` under both methods and ``graph-dump`` on
 every named corpus instance, ``verify`` on the exhaustible ones, and
 ``plan --method h --base forward`` on the exhaustible STRIPS ones (latch,
-the ADL fixture, always plans forward). A change that alters CLI output on
+the ADL fixture, always plans forward), and ``plan`` under both methods on
+tyreworld_3 and hanoi_5, the searches that the backward search's cuts
+shorten most. A change that alters CLI output on
 purpose re-records the digests with
 
     PYTHONPATH=src python tests/test_cli_golden.py --capture
@@ -43,6 +45,9 @@ def golden_runs() -> list:
         if name != "latch":
             runs.append(["plan", "--corpus", name, "--method", "h",
                          "--base", "forward"])
+    for name in ("tyreworld_3", "hanoi_5"):
+        for method in ("h", "e"):
+            runs.append(["plan", "--corpus", name, "--method", method])
     return runs
 
 

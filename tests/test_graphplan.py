@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import sys
 from unittest import mock
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from goalagenda import graphplan
 from goalagenda.agenda import compute_agenda
-from goalagenda.driver import plan_with_agenda
+from goalagenda.driver import AgendaPlanResult, plan_with_agenda
 from goalagenda.graphplan import (
     AnchorUnreachable,
     build_graph,
@@ -23,6 +24,7 @@ from goalagenda.model import (
     Unsolvable,
     validate_plan,
 )
+from goalagenda.oracle import enumerate_reachable
 
 from conftest import atoms, names_of
 from reference import RecursiveSearch
@@ -35,10 +37,45 @@ def strips(table, name, pre, add, dele):
                         frozenset(map(table.id, dele)))
 
 
-def with_reference_search(run):
-    """``run()`` under the recursive reference search."""
-    with mock.patch.object(graphplan, "_BackwardSearch", RecursiveSearch):
-        return run()
+def recorded(run, search_class):
+    """``run()`` with each backward search made by ``search_class``: the
+    result, and the nodes each search used, in the order they ran."""
+    searches = []
+
+    class Recorded(search_class):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    with mock.patch.object(graphplan, "_BackwardSearch", Recorded):
+        result = run()
+    return result, [search.nodes_used for search in searches]
+
+
+def out_of_nodes(result) -> bool:
+    if isinstance(result, AgendaPlanResult):
+        return result.status == "resource_limit"
+    return isinstance(result, ResourceLimit)
+
+
+def assert_matches_reference(run):
+    """The search cuts only subtrees that hold no plan, so against the
+    recursive reference search it returns the same plan or Unsolvable
+    verdict, runs out of nodes only where the reference does, and uses no
+    more nodes in any search. Under a small budget it may finish where the
+    reference runs out."""
+    result, nodes = recorded(run, graphplan._BackwardSearch)
+    expected, expected_nodes = recorded(run, RecursiveSearch)
+    if out_of_nodes(expected):
+        if isinstance(expected, AgendaPlanResult):
+            before = expected.failed_episode - 1
+            assert result.episodes[:before] == expected.episodes[:before]
+    else:
+        assert result == expected
+        assert len(nodes) == len(expected_nodes)
+    assert not out_of_nodes(result) or out_of_nodes(expected)
+    assert all(n <= m for n, m in zip(nodes, expected_nodes)), \
+        (nodes, expected_nodes)
 
 
 def test_three_block_false_sets(load, graph_of):
@@ -176,9 +213,8 @@ def test_search_unsolvable_by_memo_exhaustion():
     assert isinstance(result, Unsolvable)
     assert "memoized" in result.reason
     for max_nodes in (10, 30, 10 ** 7):
-        def run():
-            return graphplan_search(problem, max_nodes=max_nodes)
-        assert run() == with_reference_search(run), max_nodes
+        assert_matches_reference(
+            lambda: graphplan_search(problem, max_nodes=max_nodes))
 
 
 def test_search_resource_limit(load):
@@ -228,37 +264,127 @@ def test_adl_actions_split_into_effect_nodes(load):
                                   "stack_6", "tyreworld_1", "tyreworld_2",
                                   "trap", "revival", "diamond"])
 def test_search_matches_reference_on_corpus(load, name, method):
-    """Same steps, and the same ResourceLimit under small node budgets, as
-    the recursive search, episode by episode over the goal agenda."""
+    """The reference's steps and verdicts, episode by episode over the goal
+    agenda, in no more nodes, also under small node budgets."""
     problem = load(name)
     graph = build_graph(problem, retain_layers=False) if method == "e" else None
     agenda = compute_agenda(problem, method, graph)
     for max_nodes in (50, 500, 5000, 10 ** 7):
-        def run():
-            return plan_with_agenda(problem, agenda,
-                                    limits={"max_nodes": max_nodes})
-        assert run() == with_reference_search(run), max_nodes
+        assert_matches_reference(
+            lambda: plan_with_agenda(problem, agenda,
+                                     limits={"max_nodes": max_nodes}))
+
+
+def problem_of(n_facts, nodes, init, goals):
+    table = AtomTable(f"f{i}" for i in range(n_facts))
+    actions = tuple(StripsAction(f"a{i}", frozenset(pre), frozenset(add),
+                                 frozenset(dele))
+                    for i, (pre, add, dele) in enumerate(nodes))
+    return PlanningProblem(table, actions, frozenset(init), frozenset(goals))
 
 
 @settings(max_examples=300, deadline=None)
 @given(random_problem(max_facts=8, max_actions=14), st.data())
 def test_search_matches_reference_on_random_problems(spec, data):
-    """Same result as the recursive search; small node budgets make the
-    ResourceLimit verdict check the node count itself."""
+    """The recursive search's result in no more nodes; small node budgets
+    make the ResourceLimit verdict check the node count itself."""
     n_facts, nodes, init = spec
     goals = data.draw(st.lists(st.integers(0, n_facts - 1), min_size=1,
                                max_size=5, unique=True))
     max_nodes = data.draw(st.integers(1, 60) | st.just(10 ** 7))
-    table = AtomTable(f"f{i}" for i in range(n_facts))
-    actions = tuple(StripsAction(f"a{i}", frozenset(pre), frozenset(add),
-                                 frozenset(dele))
-                    for i, (pre, add, dele) in enumerate(nodes))
-    problem = PlanningProblem(table, actions, frozenset(init),
-                              frozenset(goals))
+    problem = problem_of(n_facts, nodes, init, goals)
+    assert_matches_reference(
+        lambda: graphplan_search(problem, max_nodes=max_nodes))
 
-    def run():
-        return graphplan_search(problem, max_nodes=max_nodes)
-    assert run() == with_reference_search(run)
+
+def fewest_parallel_steps(problem):
+    """Breadth-first search over parallel steps: the fewest steps that reach
+    the goals, each a set of pairwise non-interfering actions applicable in
+    the state the step starts from; None when no reachable state holds the
+    goals."""
+    frontier = {problem.init}
+    seen = set(frontier)
+    steps = 0
+    while frontier:
+        if any(problem.goals <= state for state in frontier):
+            return steps
+        successors = set()
+        for state in frontier:
+            applicable = [a for a in problem.actions if a.pre <= state]
+            for size in range(1, len(applicable) + 1):
+                for step in itertools.combinations(applicable, size):
+                    if any(a.delete & (b.pre | b.add)
+                           or b.delete & (a.pre | a.add)
+                           for a, b in itertools.combinations(step, 2)):
+                        continue
+                    succ = (state | frozenset().union(*(a.add for a in step))
+                            ) - frozenset().union(*(a.delete for a in step))
+                    if succ not in seen:
+                        seen.add(succ)
+                        successors.add(succ)
+        frontier = successors
+        steps += 1
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_problem(max_facts=6, max_actions=6), st.data())
+def test_search_is_sound_and_step_optimal_on_random_problems(spec, data):
+    """An Unsolvable verdict holds in the exhaustive state space; a plan is
+    valid and has the fewest parallel steps."""
+    n_facts, nodes, init = spec
+    goals = data.draw(st.lists(st.integers(0, n_facts - 1), min_size=1,
+                               max_size=4, unique=True))
+    problem = problem_of(n_facts, nodes, init, goals)
+    result = graphplan_search(problem)
+    fewest = fewest_parallel_steps(problem)
+    if isinstance(result, Unsolvable):
+        assert not any(problem.goals <= state
+                       for state in enumerate_reachable(problem).states)
+        assert fewest is None
+    else:
+        assert validate_plan(problem, result).valid
+        assert len(result.steps) == fewest
+
+
+@st.composite
+def cycle_problem(draw):
+    """The ab/bc/ca fixture grown to k goal facts in a cycle, with noise.
+
+    Cycle action i adds goals i and i+1 (mod k) and deletes goal i+2. Noise
+    actions draw preconditions, adds and deletes over all facts, extra facts
+    included, and each deletes a goal it does not add. Every action deletes
+    a goal and the initial state lacks goal 0, so no state holds all k;
+    every pair of goals is jointly reachable, so no binary mutex separates
+    them, and only the memoized nogoods can prove the goals unsolvable."""
+    k = draw(st.integers(3, 5))
+    n_facts = k + draw(st.integers(0, 3))
+    facts = st.lists(st.integers(0, n_facts - 1), max_size=3, unique=True)
+    nodes = [([], [i, (i + 1) % k], [(i + 2) % k]) for i in range(k)]
+    for _ in range(draw(st.integers(0, 4))):
+        goal = draw(st.integers(0, k - 1))
+        pre = draw(facts)
+        add = [f for f in draw(facts) if f != goal]
+        nodes.append((pre, add, sorted({goal, *draw(facts)} - set(add))))
+    init = [f for f in draw(facts) if f != 0]
+    order = draw(st.permutations(range(len(nodes))))
+    return n_facts, [nodes[i] for i in order], init, range(k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cycle_problem(), st.integers(1, 60) | st.just(10 ** 7))
+def test_search_proves_cycles_unsolvable_by_memo_exhaustion(spec, max_nodes):
+    """Every problem of the family reaches the level-off exhaustion proof,
+    which the exhaustive state space confirms, and the search agrees with
+    the reference under any node budget."""
+    problem = problem_of(*spec)
+    result = graphplan_search(problem)
+    assert isinstance(result, Unsolvable)
+    assert "memoized" in result.reason
+    assert not any(problem.goals <= state
+                   for state in enumerate_reachable(problem).states)
+    assert_matches_reference(
+        lambda: graphplan_search(problem, max_nodes=max_nodes))
 
 
 def test_search_leaves_recursion_limit_alone(load):
