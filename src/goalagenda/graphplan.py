@@ -19,6 +19,7 @@ weaker than direct analysis on conditional-effect domains.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .kernel import GraphKernel, _mask, backend as kernel_backend
 from .model import (
@@ -40,8 +41,7 @@ class AnchorUnreachable(PlanningError):
         super().__init__(f"anchor atom {atom} never appears in the graph")
 
 
-@dataclass(frozen=True)
-class GraphNode:
+class GraphNode(NamedTuple):
     """An action-layer node: a ground action, or one conditional effect of
     one (effect_index >= 1), or implicitly a no-op (not materialized)."""
 
@@ -244,6 +244,14 @@ def graphplan_search(problem: PlanningProblem, max_layers: int = 128,
     those of the search without it. A set that contains a nogood of its
     layer fails at once and is memoized as an opened set, so an unchanged
     count still means that every set opened at layer n was already there.
+    The test for such a nogood reads an index of the sets the search
+    failed, each under its highest fact, not the whole memo, and finds the
+    same sets. A nogood inside a set has its highest fact in the set, so
+    the buckets of the set's facts hold every indexed nogood it contains.
+    A set memoized by the test itself stays out of the index, but it
+    contains an indexed nogood, and so does every set containing it. The
+    cuts, the memo at layer n and its count are therefore those of a scan
+    of the whole memo.
     """
     if problem.is_adl:
         raise ValueError("graphplan_search requires a STRIPS problem")
@@ -315,7 +323,12 @@ class _BackwardSearch:
     - Subset nogoods. A goal set that contains a nogood memoized at its
       fact layer has no plan there either; it fails at once, and is
       memoized too, so the memo at the leveled layer still grows exactly
-      when a set opened there was not in it (see graphplan_search).
+      when a set opened there was not in it (see graphplan_search). The
+      sets the search failed are also indexed per layer by their highest
+      fact, and the test looks only in the buckets of the set's own facts:
+      a nogood inside the set has its highest fact there. A set memoized
+      by this test stays out of the index; it contains an indexed nogood,
+      so any set containing it is still found.
 
     Each visited assignment position (each goal, and the step into the next
     layer) counts one node against max_nodes. A candidate cut by the forward
@@ -329,6 +342,8 @@ class _BackwardSearch:
         self.max_nodes = max_nodes
         self.nodes_used = 0
         self.memo: dict = {}  # fact layer t -> nogood goal masks
+        # fact layer t -> highest fact -> the searched nogoods with that top
+        self.by_top: dict = {}
         self.init_mask = _mask(graph.fact_layers[0])
         noops = [1 << f for f in range(len(graph.problem.atoms))]
         self.add_masks = [_mask(n.add) for n in graph.nodes] + noops
@@ -362,12 +377,23 @@ class _BackwardSearch:
         contains a known nogood of layer t; a set that fails only by
         containing one is memoized too."""
         nogoods = self.memo.setdefault(t, set())
-        if goals in nogoods or goals in map(goals.__or__, nogoods):
+        if goals not in nogoods:
+            goal_ids = _mask_to_ids(goals)
+            if not self._contains_nogood(goals, goal_ids, t):
+                layer = min(t - 1, self.leveled)
+                return (t, goals, goal_ids, *self.achievers(layer),
+                        self.graph.action_mutex[layer], [])
             nogoods.add(goals)
-            return None
-        layer = min(t - 1, self.leveled)
-        return (t, goals, _mask_to_ids(goals), *self.achievers(layer),
-                self.graph.action_mutex[layer], [])
+        return None
+
+    def _contains_nogood(self, goals: int, goal_ids, t: int) -> bool:
+        """Whether the goal set contains a nogood the search failed at fact
+        layer t: such a nogood's highest fact is one of the set's."""
+        by_top = self.by_top.get(t, {})
+        for f in goal_ids:
+            if goals in map(goals.__or__, by_top.get(f, ())):
+                return True
+        return False
 
     def search(self, goals: int, t: int):
         """Steps (node-id sets for action layers 0..t-1) achieving the goal
@@ -437,6 +463,8 @@ class _BackwardSearch:
             while not choices:
                 t, goals = levels.pop()[:2]
                 self.memo[t].add(goals)
+                self.by_top.setdefault(t, {}).setdefault(
+                    goals.bit_length() - 1, []).append(goals)
                 if not levels:
                     return None
                 t, _, goal_ids, achievers, amasks, rows, choices = levels[-1]

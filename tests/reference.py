@@ -5,6 +5,12 @@ over frozensets, with a per-candidate pairwise mutex scan; it has the same
 interface as ``graphplan._BackwardSearch`` (goal sets passed as int
 bitmasks), so a test can swap it in with monkeypatch and compare results.
 
+``LinearScanSearch`` is ``graphplan._BackwardSearch`` with its subset-nogood
+test written as a scan over every nogood memoized at the layer, the
+exact-lookup and subset-hit sets included; the indexed test must find
+exactly what it finds, so both visit the same nodes and memoize the same
+sets.
+
 ``full_step`` is one planning-graph layer transition recomputed from the
 node triples: action-mutex rows by ``pairwise_action_rows``, which tests
 every pair of applicable nodes, and fact mutexes by testing every pair of
@@ -32,7 +38,11 @@ import sys
 from collections import deque
 from contextlib import contextmanager
 
-from goalagenda.graphplan import _NodeBudgetExceeded, _mask_to_ids
+from goalagenda.graphplan import (
+    _BackwardSearch,
+    _NodeBudgetExceeded,
+    _mask_to_ids,
+)
 from goalagenda.model import Plan, StripsAction, apply_action
 from goalagenda.oracle import OrderingVerdict
 from goalagenda.ordering import FixpointResult, implied_deletes
@@ -135,6 +145,11 @@ class RecursiveSearch:
             if result is not None:
                 return result
         return None
+
+
+class LinearScanSearch(_BackwardSearch):
+    def _contains_nogood(self, goals: int, goal_ids, t: int) -> bool:
+        return goals in map(goals.__or__, self.memo[t])
 
 
 def _with_noops(n_facts, nodes):

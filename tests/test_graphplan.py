@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import random
 import sys
 from unittest import mock
 
@@ -27,7 +28,7 @@ from goalagenda.model import (
 from goalagenda.oracle import enumerate_reachable
 
 from conftest import atoms, names_of
-from reference import RecursiveSearch
+from reference import LinearScanSearch, RecursiveSearch
 from test_kernels import random_problem
 
 
@@ -39,7 +40,7 @@ def strips(table, name, pre, add, dele):
 
 def recorded(run, search_class):
     """``run()`` with each backward search made by ``search_class``: the
-    result, and the nodes each search used, in the order they ran."""
+    result, and the searches, in the order they ran."""
     searches = []
 
     class Recorded(search_class):
@@ -49,7 +50,23 @@ def recorded(run, search_class):
 
     with mock.patch.object(graphplan, "_BackwardSearch", Recorded):
         result = run()
-    return result, [search.nodes_used for search in searches]
+    return result, searches
+
+
+def footprint(search):
+    """The nodes a search used and the size of its memo per fact layer."""
+    return search.nodes_used, {t: len(m) for t, m in search.memo.items() if m}
+
+
+def assert_matches_scan(run, search_class=graphplan._BackwardSearch):
+    """The indexed subset-nogood test finds exactly the nogoods the linear
+    scan finds: the same result, and search by search the same nodes and
+    memo sizes. Returns the result and the searches of ``search_class``."""
+    result, searches = recorded(run, search_class)
+    expected, scans = recorded(run, LinearScanSearch)
+    assert result == expected
+    assert list(map(footprint, searches)) == list(map(footprint, scans))
+    return result, searches
 
 
 def out_of_nodes(result) -> bool:
@@ -64,8 +81,10 @@ def assert_matches_reference(run):
     verdict, runs out of nodes only where the reference does, and uses no
     more nodes in any search. Under a small budget it may finish where the
     reference runs out."""
-    result, nodes = recorded(run, graphplan._BackwardSearch)
-    expected, expected_nodes = recorded(run, RecursiveSearch)
+    result, searches = recorded(run, graphplan._BackwardSearch)
+    expected, expected_searches = recorded(run, RecursiveSearch)
+    nodes = [search.nodes_used for search in searches]
+    expected_nodes = [search.nodes_used for search in expected_searches]
     if out_of_nodes(expected):
         if isinstance(expected, AgendaPlanResult):
             before = expected.failed_episode - 1
@@ -295,6 +314,21 @@ def test_search_matches_reference_on_random_problems(spec, data):
     problem = problem_of(n_facts, nodes, init, goals)
     assert_matches_reference(
         lambda: graphplan_search(problem, max_nodes=max_nodes))
+    assert_matches_scan(lambda: graphplan_search(problem, max_nodes=max_nodes))
+
+
+@pytest.mark.parametrize("name, nodes", [
+    ("hanoi_4", [1895, 50, 10, 5]),
+    ("tyreworld_3", [15, 51222, 2621, 14, 15, 16, 17]),
+])
+def test_agenda_search_nodes_are_pinned(load, name, nodes):
+    """``plan -m h`` makes one search per agenda episode; the nodes each
+    uses were recorded under the linear subset scan, and the scan still
+    agrees search by search."""
+    problem = load(name)
+    agenda = compute_agenda(problem, "h", None)
+    _, searches = assert_matches_scan(lambda: plan_with_agenda(problem, agenda))
+    assert [search.nodes_used for search in searches] == nodes
 
 
 def fewest_parallel_steps(problem):
@@ -385,6 +419,98 @@ def test_search_proves_cycles_unsolvable_by_memo_exhaustion(spec, max_nodes):
                    for state in enumerate_reachable(problem).states)
     assert_matches_reference(
         lambda: graphplan_search(problem, max_nodes=max_nodes))
+
+
+def bottleneck_problem(rng):
+    """Goals that share one bottleneck fact, achieved through nested
+    preconditions.
+
+    Fact 0 is the bottleneck: every goal achiever needs and deletes it, and
+    an action with no precondition adds it back, so the goals come one at a
+    time. Facts 1..r form a chain, each added by an action that needs the
+    one before. Each goal has one to three achievers, each needing the
+    bottleneck plus a prefix of the chain, so one goal's achievers leave
+    nested subgoal sets. The actions are shuffled, so a longer prefix is
+    tried before a shorter one about as often as after. An achiever may
+    delete another goal; in a cyclic problem each achiever of goal i
+    deletes goal i + 1, so no state holds every goal, as in
+    cycle_problem."""
+    def maybe(facts, p=0.5):
+        return facts if rng.random() < p else []
+
+    r = rng.randint(1, 3)
+    m = rng.randint(2, 4)
+    chain = list(range(1, r + 1))
+    goals = list(range(r + 1, r + 1 + m))
+    nodes = [([], [0], [])]
+    for j, fact in enumerate(chain):
+        nodes.append((chain[j - 1:j] + maybe([0]), [fact], maybe([0])))
+    cyclic = m >= 3 and rng.random() < 0.3
+    for i, goal in enumerate(goals):
+        for j in rng.sample(range(r + 1), rng.randint(1, min(3, r + 1))):
+            if cyclic:
+                other = [goals[(i + 1) % m]]
+            else:
+                other = maybe([rng.choice(goals)], 0.3)
+            nodes.append(([0] + chain[:j], [goal],
+                          sorted({0, *other} - {goal})))
+    rng.shuffle(nodes)
+    return r + 1 + m, nodes, maybe([0]), goals
+
+
+class CutProbe(graphplan._BackwardSearch):
+    """The search, recording per fact layer the sets that failed by
+    containing a nogood, and counting the opened sets that are proper
+    subsets of a nogood."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.cut: dict = {}
+        self.subsets_opened = 0
+
+    def _open(self, goals, t):
+        memoized = goals in self.memo.get(t, ())
+        level = super()._open(goals, t)
+        if level is None and not memoized:
+            self.cut.setdefault(t, set()).add(goals)
+        elif level is not None and any(goals | n == n for n in self.memo[t]):
+            self.subsets_opened += 1
+        return level
+
+
+def test_subset_nogoods_on_nested_goal_sets_over_a_bottleneck():
+    """Seeded problems whose searches reopen, at one fact layer, both
+    supersets of a failed set (cut there) and proper subsets of one (which
+    must be searched). The index holds each set the search failed under its
+    highest fact, and no set that failed by a cut; the search visits what
+    the linear scan visits, agrees with the recursive reference, and its
+    Unsolvable verdicts hold in the exhaustive state space."""
+    cuts = subsets_opened = unsolvable = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        problem = problem_of(*bottleneck_problem(rng))
+        for max_nodes in (rng.randint(1, 60), 10 ** 7):
+            run = lambda: graphplan_search(problem, max_nodes=max_nodes)
+            result, searches = assert_matches_scan(run, CutProbe)
+            assert_matches_reference(run)
+        for search in searches:
+            for t, nogoods in search.memo.items():
+                failed = nogoods - search.cut.get(t, set())
+                indexed = [(f, n) for f, bucket
+                           in search.by_top.get(t, {}).items()
+                           for n in bucket]
+                assert sorted(indexed) == sorted(
+                    (n.bit_length() - 1, n) for n in failed)
+            cuts += sum(map(len, search.cut.values()))
+            subsets_opened += search.subsets_opened
+        if isinstance(result, Unsolvable):
+            unsolvable += 1
+            assert not any(problem.goals <= state
+                           for state in enumerate_reachable(problem).states)
+        else:
+            assert validate_plan(problem, result).valid
+    assert cuts and subsets_opened and unsolvable, \
+        (cuts, subsets_opened, unsolvable)
 
 
 def test_search_leaves_recursion_limit_alone(load):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import reference as ref
 from goalagenda import agenda, corpus, ordering
@@ -422,13 +422,8 @@ def test_enumeration_matches_naive_reference_on_corpus(load, index_of, name):
 
 def checked_on_all_pairs(problem):
     """The enumeration and every ordering decision on all atom pairs against
-    the naive references; a clash raises in both enumerations."""
-    try:
-        index = enumerate_reachable(problem)
-    except ConflictingEffects:
-        with pytest.raises(ConflictingEffects):
-            ref.naive_enumerate(problem)
-        assume(False)
+    the naive references."""
+    index = enumerate_reachable(problem)
     check_enumeration(problem, index)
     atom_ids = range(len(problem.atoms))
     check_against_naive(problem, index, [(b, a) for a in atom_ids

@@ -109,25 +109,24 @@ def random_adl_problem(draw, max_atoms=7, max_actions=5, max_effects=4):
     """Ground ADL problems whose conditional effects often nest (an effect's
     condition extends an earlier one's, so firing it implies the earlier
     effect's deletes), next to empty conditions and unconditional deletes
-    in effect 0."""
+    in effect 0. No atom is both added and deleted by one action, so no
+    state makes its effects clash."""
     n_atoms = draw(st.integers(1, max_atoms))
     atom_sets = subsets(n_atoms)
 
-    def effect(condition):
-        adds = draw(atom_sets)
-        return ConditionalEffect(condition, adds, draw(atom_sets) - adds)
-
     actions = []
     for k in range(draw(st.integers(1, max_actions))):
-        effects = [effect(draw(atom_sets))]
-        conditions = []
+        conditions = [draw(atom_sets)]
         for _ in range(draw(st.integers(0, max_effects - 1))):
             base = frozenset()
-            if conditions and draw(st.booleans()):
-                base = draw(st.sampled_from(conditions))
+            if len(conditions) > 1 and draw(st.booleans()):
+                base = draw(st.sampled_from(conditions[1:]))
             conditions.append(base | draw(atom_sets))
-            effects.append(effect(conditions[-1]))
-        actions.append(AdlAction(f"o{k}", tuple(effects)))
+        adds = [draw(atom_sets) for _ in conditions]
+        added = frozenset().union(*adds)
+        actions.append(AdlAction(f"o{k}", tuple(
+            ConditionalEffect(condition, add, draw(atom_sets) - added)
+            for condition, add in zip(conditions, adds))))
     table = AtomTable(f"f{i}" for i in range(n_atoms))
     return PlanningProblem(table, tuple(actions), frozenset(), frozenset())
 
