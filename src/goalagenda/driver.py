@@ -19,8 +19,10 @@ from .model import (
     PlanningProblem,
     ResourceLimit,
     State,
+    SuccessorTable,
     Unsolvable,
     apply_action,
+    mask_of,
     transitions,
     validate_plan,
 )
@@ -54,20 +56,23 @@ def next_initial_state(problem: PlanningProblem, state: State,
 
 
 def forward_search(problem: PlanningProblem, max_states: int = 200_000):
-    """Breadth-first search with duplicate detection: shortest sequential
-    plan, complete on finite state spaces within the state budget."""
+    """Breadth-first search with duplicate detection, over states as int
+    bitmasks: shortest sequential plan, complete on finite state spaces
+    within the state budget."""
     if problem.goals <= problem.init:
         return Plan(())
-    start = frozenset(problem.init)
+    table = SuccessorTable(problem)
+    goals = mask_of(problem.goals)
+    start = mask_of(problem.init)
     parents: dict = {start: None}
     queue = deque([start])
     while queue:
         state = queue.popleft()
-        for action_id, succ, _ in transitions(problem, state):
+        for action_id, succ, _ in transitions(table, state):
             if succ in parents:
                 continue
             parents[succ] = (state, action_id)
-            if problem.goals <= succ:
+            if succ & goals == goals:
                 return _unwind(parents, succ)
             if len(parents) > max_states:
                 return ResourceLimit("max_states", max_states)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .kernel import GraphKernel, _mask, backend as kernel_backend
+from .kernel import GraphKernel, backend as kernel_backend
 from .model import (
     Plan,
     PlanningError,
@@ -29,6 +29,8 @@ from .model import (
     ResourceLimit,
     StripsAction,
     Unsolvable,
+    mask_ids,
+    mask_of,
 )
 
 
@@ -91,15 +93,6 @@ class PlanningGraph:
         return self.fact_mutex[self.leveled_at]
 
 
-def _mask_to_ids(mask: int):
-    ids = []
-    while mask:
-        low = mask & -mask
-        ids.append(low.bit_length() - 1)
-        mask ^= low
-    return ids
-
-
 def _pair_count(rows) -> int:
     return sum(r.bit_count() for r in rows) // 2
 
@@ -116,7 +109,7 @@ def build_graph(problem: PlanningProblem, max_layers: int = 128,
     n_facts = len(problem.atoms)
     kern = GraphKernel(n_facts, [(sorted(n.pre), sorted(n.add), sorted(n.delete))
                                  for n in nodes])
-    fact_mask = _mask(problem.init)
+    fact_mask = mask_of(problem.init)
     rows = [0] * n_facts
 
     fact_layers = [frozenset(problem.init)]
@@ -130,7 +123,7 @@ def build_graph(problem: PlanningProblem, max_layers: int = 128,
         applicable, next_mask, next_rows, act_rows = kern.step(fact_mask, rows)
         action_layers.append(tuple(applicable))
         action_mutex.append(tuple(act_rows) if retain_layers else None)
-        fact_layers.append(frozenset(_mask_to_ids(next_mask)))
+        fact_layers.append(frozenset(mask_ids(next_mask)))
         mutex_counts.append(_pair_count(next_rows))
         leveled = next_mask == fact_mask and next_rows == rows
         if retain_layers or leveled:
@@ -190,7 +183,7 @@ def false_set(graph: PlanningGraph, anchor) -> FalseSet:
         if atom not in leveled_facts:
             raise AnchorUnreachable(atom)
         combined |= rows[atom]
-    atoms = frozenset(_mask_to_ids(combined))
+    atoms = frozenset(mask_ids(combined))
     internal = bool(atoms & anchor)
     return FalseSet(anchor=anchor, atoms=atoms - anchor,
                     anchor_internal_mutex=internal)
@@ -262,7 +255,7 @@ def graphplan_search(problem: PlanningProblem, max_layers: int = 128,
     searcher = _BackwardSearch(graph, max_nodes)
     leveled = graph.leveled_at
     goals = frozenset(problem.goals)
-    goal_mask = _mask(goals)
+    goal_mask = mask_of(goals)
 
     prev_nogood_count = None
     horizon = 0
@@ -344,15 +337,15 @@ class _BackwardSearch:
         self.memo: dict = {}  # fact layer t -> nogood goal masks
         # fact layer t -> highest fact -> the searched nogoods with that top
         self.by_top: dict = {}
-        self.init_mask = _mask(graph.fact_layers[0])
+        self.init_mask = mask_of(graph.fact_layers[0])
         noops = [1 << f for f in range(len(graph.problem.atoms))]
-        self.add_masks = [_mask(n.add) for n in graph.nodes] + noops
-        self.pre_masks = [_mask(n.pre) for n in graph.nodes] + noops
+        self.add_masks = [mask_of(n.add) for n in graph.nodes] + noops
+        self.pre_masks = [mask_of(n.pre) for n in graph.nodes] + noops
         self._achievers = [None] * (self.leveled + 1)
 
     def goals_mutex(self, layer: int, goals: int) -> bool:
         rows = self.graph.fact_mutex[layer]
-        return any(rows[p] & goals for p in _mask_to_ids(goals))
+        return any(rows[p] & goals for p in mask_ids(goals))
 
     def achievers(self, layer: int):
         """Per fact, its achiever node ids at the action layer (the no-op
@@ -378,7 +371,7 @@ class _BackwardSearch:
         containing one is memoized too."""
         nogoods = self.memo.setdefault(t, set())
         if goals not in nogoods:
-            goal_ids = _mask_to_ids(goals)
+            goal_ids = mask_ids(goals)
             if not self._contains_nogood(goals, goal_ids, t):
                 layer = min(t - 1, self.leveled)
                 return (t, goals, goal_ids, *self.achievers(layer),

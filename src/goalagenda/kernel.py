@@ -21,18 +21,13 @@ only previously mutex pairs and pairs involving a new fact are examined.
 
 from __future__ import annotations
 
+from .model import mask_of
+
 
 def backend() -> str:
     """Name of the layer kernel, as recorded in graph dumps and benchmark
     results."""
     return "python"
-
-
-def _mask(ids) -> int:
-    m = 0
-    for i in ids:
-        m |= 1 << i
-    return m
 
 
 class GraphKernel:
@@ -51,8 +46,8 @@ class GraphKernel:
         self.pre_lists = [tuple(pre) for pre, _, _ in nodes] + noops
         self.add_lists = [tuple(add) for _, add, _ in nodes] + noops
         del_lists = [tuple(delete) for _, _, delete in nodes] + [()] * n_facts
-        self.pre_masks = [_mask(pre) for pre in self.pre_lists]
-        self.add_masks = [_mask(add) for add in self.add_lists]
+        self.pre_masks = [mask_of(pre) for pre in self.pre_lists]
+        self.add_masks = [mask_of(add) for add in self.add_lists]
         # per fact: the nodes that need, add and delete it
         self.users = [0] * n_facts
         adders = [0] * n_facts
@@ -103,7 +98,7 @@ class GraphKernel:
                 low = row & -row
                 competing[p] |= self.users[low.bit_length() - 1]
                 row ^= low
-        applicable_mask = _mask(applicable)
+        applicable_mask = mask_of(applicable)
         action_rows = [0] * self.n_nodes
         next_fact_mask = fact_mask
         achievers = [[] for _ in range(n_facts)]

@@ -1,8 +1,10 @@
 """Ground planning model: interned atoms, states, actions, plans, execution.
 
-States are plain frozensets of dense atom ids. Every type is an immutable
-value after construction, so problems, graphs and plans can be shared freely
-between threads. All operations here are pure functions.
+States are plain frozensets of dense atom ids. The state-space searches (the
+oracle's enumeration and the forward planner) run on the same states as int
+bitmasks, bit i for atom i, through ``transitions``. Every type is an
+immutable value after construction, so problems, graphs and plans can be
+shared freely between threads. All operations here are pure functions.
 """
 
 from __future__ import annotations
@@ -203,6 +205,25 @@ class Plan:
         return len(self.steps)
 
 
+def mask_of(ids: Iterable[int]) -> int:
+    """The bitmask of a set of ids (atoms, or graph nodes): bit i is set
+    when i is in the set."""
+    mask = 0
+    for i in ids:
+        mask |= 1 << i
+    return mask
+
+
+def mask_ids(mask: int) -> list:
+    """The ids whose bits are set in ``mask``, ascending."""
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return ids
+
+
 def apply_strips(state: State, action: StripsAction) -> State:
     """Result of one STRIPS action: (s | add) - delete when the precondition
     holds, s unchanged otherwise (inapplicable actions are the identity)."""
@@ -211,22 +232,27 @@ def apply_strips(state: State, action: StripsAction) -> State:
     return state
 
 
-def _fire(state: State, action: AdlAction):
-    """Adds and deletes of an applicable ADL action's effects that fire in
-    ``state``. Raises ConflictingEffects when the fired adds intersect the
+def _effect_masks(action: AdlAction) -> tuple:
+    """Per effect of an ADL action: (condition, adds, deletes) as masks."""
+    return tuple((mask_of(eff.condition), mask_of(eff.adds),
+                  mask_of(eff.deletes)) for eff in action.effects)
+
+
+def _fire(name: str, effects: tuple, state: int):
+    """Adds and deletes, as masks, of the effects of an applicable ADL action
+    (``effects`` as from ``_effect_masks``) whose conditions hold in the
+    state mask. Raises ConflictingEffects when the fired adds intersect the
     fired deletes (the model never resolves add-wins silently)."""
-    adds: set = set()
-    deletes: set = set()
-    for eff in action.effects:
-        if eff.condition <= state:
-            adds |= eff.adds
-            deletes |= eff.deletes
+    adds = deletes = 0
+    for condition, add, delete in effects:
+        if state & condition == condition:
+            adds |= add
+            deletes |= delete
     clash = adds & deletes
     if clash:
         raise ConflictingEffects(
-            f"action {action.name!r}: atoms both added and deleted: {sorted(clash)}"
-        )
-    return frozenset(adds), frozenset(deletes)
+            f"action {name!r}: atoms both added and deleted: {mask_ids(clash)}")
+    return adds, deletes
 
 
 def apply_adl(state: State, action: AdlAction) -> State:
@@ -234,25 +260,65 @@ def apply_adl(state: State, action: AdlAction) -> State:
     unconditional precondition fails. Raises ConflictingEffects on a clash."""
     if not action.pre <= state:
         return state
-    adds, deletes = _fire(state, action)
-    return (state - deletes) | adds
+    adds, deletes = _fire(action.name, _effect_masks(action), mask_of(state))
+    return (state - frozenset(mask_ids(deletes))) | frozenset(mask_ids(adds))
 
 
-def transitions(problem: PlanningProblem, state: State):
-    """Every transition out of ``state``: ``(action_id, successor, adds)``
-    for each action applicable in it, in action-id order, where ``adds``
-    are the atoms the action's fired effects add. Raises ConflictingEffects
-    when an applicable ADL action's fired effects clash."""
-    if problem.is_adl:
+class SuccessorTable:
+    """Every action of one problem as masks, for ``transitions``: a STRIPS
+    action as ``(action_id, pre, add, keep)`` with ``keep`` the complement
+    of its delete mask, an ADL action as ``(action_id, pre, name,
+    effects)``. Actions are bucketed by their highest precondition atom, so
+    a state tests only the actions whose highest precondition holds in it
+    (a flat form of Fast Downward's successor generator, Helmert 2006):
+    ``buckets`` maps that atom's bit to its actions, ``keys`` is the mask
+    of those atoms, and actions with no precondition are in ``free``."""
+
+    __slots__ = ("is_adl", "free", "keys", "buckets")
+
+    def __init__(self, problem: PlanningProblem):
+        self.is_adl = problem.is_adl
+        self.free = []
+        self.buckets = {}
         for action_id, action in enumerate(problem.actions):
-            if action.pre <= state:
-                adds, deletes = _fire(state, action)
-                yield action_id, (state - deletes) | adds, adds
+            pre = mask_of(action.pre)
+            if self.is_adl:
+                entry = (action_id, pre, action.name, _effect_masks(action))
+            else:
+                entry = (action_id, pre, mask_of(action.add),
+                         ~mask_of(action.delete))
+            if pre:
+                top = 1 << (pre.bit_length() - 1)
+                self.buckets.setdefault(top, []).append(entry)
+            else:
+                self.free.append(entry)
+        self.keys = sum(self.buckets)  # distinct bits: the sum is their OR
+
+
+def transitions(table: SuccessorTable, state: int):
+    """Every transition out of the state mask ``state``: ``(action_id,
+    successor, adds)`` for each action applicable in it, in action-id
+    order, where ``successor`` is a state mask and ``adds`` is the mask of
+    the atoms the action's fired effects add. Only the buckets whose key
+    atom holds are tested. Raises ConflictingEffects when an applicable ADL
+    action's fired effects clash."""
+    candidates = list(table.free)
+    buckets = table.buckets
+    keys = state & table.keys
+    while keys:
+        low = keys & -keys
+        candidates += buckets[low]
+        keys ^= low
+    candidates.sort()
+    if table.is_adl:
+        for action_id, pre, name, effects in candidates:
+            if state & pre == pre:
+                adds, deletes = _fire(name, effects, state)
+                yield action_id, (state & ~deletes) | adds, adds
     else:
-        for action_id, action in enumerate(problem.actions):
-            if action.pre <= state:
-                yield (action_id, (state | action.add) - action.delete,
-                       action.add)
+        for action_id, pre, add, keep in candidates:
+            if state & pre == pre:
+                yield action_id, (state & keep) | add, add
 
 
 def apply_action(state: State, action: Action) -> State:

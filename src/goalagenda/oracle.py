@@ -1,8 +1,9 @@
 """Exhaustive ground truth on small instances.
 
-Enumerates the reachable state space once per problem, expanding each state
-with ``model.transitions`` (the forward planner's successor function too),
-and records per atom the states some transition entered while adding it.
+Enumerates the reachable state space once per problem as int bitmasks (bit
+i for atom i), expanding each state with ``model.transitions`` over one
+``SuccessorTable`` (the forward planner's successor function too), and
+records per atom the states some transition entered while adding it.
 The exact ordering questions are answered against it: take the recorded
 states of the anchor atom in which the other goal is false, then ask
 whether the other goal is reachable from each of those states under the
@@ -14,16 +15,26 @@ skipped. Also detects deadlocks, and certifies invertibility against the
 transitions: an action that labels no edge never runs and is exempt.
 Everything here is exponential by design; the default state budget keeps it
 at desk scale, and verdicts past the budget are "unknown", never false.
+Every search reads the masks; states become frozensets only where they leave
+the module: witness states, deadlocks and ``ReachabilityIndex.states``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .agenda import build_goal_graph
 from .driver import _unwind
-from .model import PlanningError, PlanningProblem, transitions
+from .model import (
+    PlanningError,
+    PlanningProblem,
+    SuccessorTable,
+    mask_ids,
+    mask_of,
+    transitions,
+)
 from .ordering import ProblemIndex
 
 
@@ -38,10 +49,20 @@ DEFAULT_STATE_LIMIT = 200_000
 
 @dataclass
 class ReachabilityIndex:
+    """The reachable states in discovery order as int bitmasks (bit i for
+    atom i), per atom the ascending indices of the states some transition
+    entered while adding it, and per state its ``(action_id, successor
+    index)`` edges in action-id order. ``states`` is the same states as
+    frozensets of atom ids, built on first read and kept."""
+
     problem: PlanningProblem
-    states: tuple  # tuple[frozenset, ...] in discovery order
-    entered: dict  # atom -> ascending indices of states entered adding it
+    masks: tuple  # tuple[int, ...]
+    entered: dict  # atom -> tuple[int, ...]
     edges: tuple  # per state: tuple[(action_id, successor index), ...]
+
+    @cached_property
+    def states(self) -> tuple:
+        return tuple(frozenset(mask_ids(m)) for m in self.masks)
 
 
 def enumerate_reachable(problem: PlanningProblem,
@@ -52,28 +73,36 @@ def enumerate_reachable(problem: PlanningProblem,
     enters its state with its adds, which matters for the anchor states of
     the exact orderings below.
     """
-    start = frozenset(problem.init)
-    states = [start]
+    table = SuccessorTable(problem)
+    start = mask_of(problem.init)
+    masks = [start]
     index_of = {start: 0}
-    entered: dict = {}
+    entering_adds = [0]  # per state, the OR of the adds that entered it
     edges = []
-    for state in states:  # grows while it is read: breadth-first order
+    for state in masks:  # grows while it is read: breadth-first order
         out = []
-        for action_id, succ, adds in transitions(problem, state):
+        for action_id, succ, adds in transitions(table, state):
             j = index_of.get(succ)
             if j is None:
-                j = len(states)
+                j = len(masks)
                 if j >= limit:
                     raise LimitExceeded(limit)
                 index_of[succ] = j
-                states.append(succ)
+                masks.append(succ)
+                entering_adds.append(0)
             out.append((action_id, j))
-            for atom in adds:
-                entered.setdefault(atom, set()).add(j)
+            entering_adds[j] |= adds
         edges.append(tuple(out))
+    by_adds: dict = {}  # far fewer distinct masks than states
+    for j, adds in enumerate(entering_adds):
+        by_adds.setdefault(adds, []).append(j)
+    entered: dict = {}
+    for adds, js in by_adds.items():
+        for atom in mask_ids(adds):
+            entered.setdefault(atom, []).extend(js)
     return ReachabilityIndex(
         problem=problem,
-        states=tuple(states),
+        masks=tuple(masks),
         entered={atom: tuple(sorted(js)) for atom, js in entered.items()},
         edges=tuple(edges),
     )
@@ -90,8 +119,9 @@ class OrderingVerdict:
 def _anchor_states(index: ReachabilityIndex, a: int, b: int):
     """Indices of reachable states just entered by a transition that added
     a, with b still false, in discovery order."""
-    states = index.states
-    return [i for i in index.entered.get(a, ()) if b not in states[i]]
+    masks = index.masks
+    bit = 1 << b
+    return [i for i in index.entered.get(a, ()) if not masks[i] & bit]
 
 
 def _decide(index: ReachabilityIndex, relation: str, b: int, a: int,
@@ -107,6 +137,8 @@ def _decide(index: ReachabilityIndex, relation: str, b: int, a: int,
     anchor_states = _anchor_states(index, a, b)
     if not anchor_states:
         return OrderingVerdict(relation, holds=True, trivial=True)
+    masks = index.masks
+    bit = 1 << b
     parents: dict = {}
     for start in anchor_states:
         if start in parents:
@@ -115,8 +147,9 @@ def _decide(index: ReachabilityIndex, relation: str, b: int, a: int,
         queue = deque([start])
         while queue:
             i = queue.popleft()
-            if b in index.states[i]:
-                witness = (index.states[start], _unwind(parents, i))
+            if masks[i] & bit:
+                witness = (frozenset(mask_ids(masks[start])),
+                           _unwind(parents, i))
                 return OrderingVerdict(relation, holds=False, trivial=False,
                                        witness=witness)
             for action_id, j in index.edges[i]:
@@ -133,6 +166,17 @@ def _keeping(problem: PlanningProblem, problem_index: ProblemIndex,
             - frozenset(problem_index.deleters.get(a, ())))
 
 
+def _keeping_by_scan(problem: PlanningProblem, a: int) -> frozenset:
+    """``_keeping`` by one scan over the actions' delete sets, for a caller
+    that decides one pair and has no ProblemIndex to read."""
+    if problem.is_adl:
+        return frozenset(i for i, action in enumerate(problem.actions)
+                         if not any(a in eff.deletes
+                                    for eff in action.effects))
+    return frozenset(i for i, action in enumerate(problem.actions)
+                     if a not in action.delete)
+
+
 def decide_reasonable(problem: PlanningProblem, b: int, a: int,
                       index: ReachabilityIndex = None,
                       limit: int = DEFAULT_STATE_LIMIT) -> OrderingVerdict:
@@ -140,7 +184,7 @@ def decide_reasonable(problem: PlanningProblem, b: int, a: int,
     b false, is b unreachable using only the actions that never delete a?"""
     if index is None:
         index = enumerate_reachable(problem, limit)
-    return _decide(index, "r", b, a, _keeping(problem, ProblemIndex(problem), a))
+    return _decide(index, "r", b, a, _keeping_by_scan(problem, a))
 
 
 def decide_forced(problem: PlanningProblem, b: int, a: int,
@@ -161,15 +205,17 @@ def find_deadlocks(problem: PlanningProblem,
     order. An unsolvable problem lists every reachable state."""
     if index is None:
         index = enumerate_reachable(problem, limit)
-    n = len(index.states)
+    masks = index.masks
+    n = len(masks)
     reverse = [[] for _ in range(n)]
     for i, out in enumerate(index.edges):
         for _, j in out:
             reverse[j].append(i)
     can_reach = [False] * n
     queue = deque()
-    for i, state in enumerate(index.states):
-        if problem.goals <= state:
+    goals = mask_of(problem.goals)
+    for i, state in enumerate(masks):
+        if state & goals == goals:
             can_reach[i] = True
             queue.append(i)
     while queue:
@@ -178,7 +224,8 @@ def find_deadlocks(problem: PlanningProblem,
             if not can_reach[i]:
                 can_reach[i] = True
                 queue.append(i)
-    return [index.states[i] for i in range(n) if not can_reach[i]]
+    return [frozenset(mask_ids(masks[i])) for i in range(n)
+            if not can_reach[i]]
 
 
 # --- invertibility -----------------------------------------------------------
@@ -232,10 +279,11 @@ def check_invertibility(problem: PlanningProblem,
     ran = set()
     if index is not None:
         semantic = [True] * len(actions)
-        for state, out in zip(index.states, index.edges):
+        adds = [mask_of(action.add) for action in actions]
+        for state, out in zip(index.masks, index.edges):
             for action_id, _ in out:
                 ran.add(action_id)
-                if actions[action_id].add & state:
+                if adds[action_id] & state:
                     semantic[action_id] = False
     entries = []
     notes = []
@@ -286,6 +334,7 @@ def verify_matrix(problem: PlanningProblem, graph=None,
         e_graph = build_goal_graph(problem, "e", graph, index=problem_index)
         h_graph = build_goal_graph(problem, "h", index=problem_index)
         allowed = {a: _keeping(problem, problem_index, a) for a in goals}
+        all_actions = frozenset(range(len(problem.actions)))
     index = None
     limit_hit = False
     try:
@@ -312,7 +361,7 @@ def verify_matrix(problem: PlanningProblem, graph=None,
             }
             if index is not None:
                 r = _decide(index, "r", b, a, allowed[a])
-                f = decide_forced(problem, b, a, index=index)
+                f = _decide(index, "f", b, a, all_actions)
                 row.update(r=r.holds, r_trivial=r.trivial,
                            f=f.holds, f_trivial=f.trivial)
             pairs.append(row)
@@ -320,6 +369,6 @@ def verify_matrix(problem: PlanningProblem, graph=None,
         "problem": problem.name,
         "limit": limit,
         "limit_exceeded": limit_hit,
-        "states": None if limit_hit else len(index.states),
+        "states": None if limit_hit else len(index.masks),
         "pairs": pairs,
     }

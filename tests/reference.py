@@ -30,6 +30,10 @@ the exact ordering test as the paper states it: anchor states read off
 the edges by that same evaluation, then a fresh breadth-first search from
 each anchor state in turn, with its own scan for the actions that keep the
 anchor atom.
+
+``naive_forward_search`` is the forward planner as a breadth-first search
+over ``apply_action`` on frozenset states, testing every action's
+precondition in every state, with the same goal test and state budget.
 """
 
 from __future__ import annotations
@@ -41,9 +45,15 @@ from contextlib import contextmanager
 from goalagenda.graphplan import (
     _BackwardSearch,
     _NodeBudgetExceeded,
-    _mask_to_ids,
 )
-from goalagenda.model import Plan, StripsAction, apply_action
+from goalagenda.model import (
+    Plan,
+    ResourceLimit,
+    StripsAction,
+    Unsolvable,
+    apply_action,
+    mask_ids,
+)
 from goalagenda.oracle import OrderingVerdict
 from goalagenda.ordering import FixpointResult, implied_deletes
 
@@ -75,7 +85,7 @@ class RecursiveSearch:
 
     def goals_mutex(self, layer: int, goals: int) -> bool:
         rows = self.graph.fact_mutex[layer]
-        gs = _mask_to_ids(goals)
+        gs = mask_ids(goals)
         for i, p in enumerate(gs):
             for q in gs[i + 1:]:
                 if rows[p] >> q & 1:
@@ -107,7 +117,7 @@ class RecursiveSearch:
 
     def search(self, goals: int, t: int):
         with recursion_limit(10_000):
-            return self._search(frozenset(_mask_to_ids(goals)), t)
+            return self._search(frozenset(mask_ids(goals)), t)
 
     def _search(self, goals, t: int):
         if t == 0:
@@ -431,3 +441,34 @@ def naive_decide(index, relation: str, b: int, a: int,
                     parents[j] = (i, action_id)
                     queue.append(j)
     return OrderingVerdict(relation, holds=True, trivial=False)
+
+
+def naive_forward_search(problem, max_states: int = 200_000):
+    """Shortest sequential plan by breadth-first search over frozensets:
+    successors in action-id order, the goal tested when a state is first
+    generated, and ``ResourceLimit`` once more than ``max_states`` states
+    are known."""
+    if problem.goals <= problem.init:
+        return Plan(())
+    start = frozenset(problem.init)
+    parents = {start: None}
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        for action_id, action in enumerate(problem.actions):
+            if not action.pre <= state:
+                continue
+            succ = apply_action(state, action)
+            if succ in parents:
+                continue
+            parents[succ] = (state, action_id)
+            if problem.goals <= succ:
+                actions = []
+                while parents[succ] is not None:
+                    succ, action_id = parents[succ]
+                    actions.append(action_id)
+                return Plan.sequential(reversed(actions))
+            if len(parents) > max_states:
+                return ResourceLimit("max_states", max_states)
+            queue.append(succ)
+    return Unsolvable("state space exhausted")

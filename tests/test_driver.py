@@ -1,5 +1,10 @@
-import pytest
+from collections import deque
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference as ref
+from goalagenda import corpus
 from goalagenda.agenda import compute_agenda
 from goalagenda.corpus import problem_from_dict
 from goalagenda.driver import (
@@ -17,6 +22,9 @@ from goalagenda.model import (
 )
 
 from conftest import TWO_ROOMS, atoms, names_of
+from test_kernels import random_problem
+from test_oracle import strips_problem
+from test_problem_index import random_adl_problem, subsets
 
 
 def test_forward_search_goals_already_true(load):
@@ -63,6 +71,60 @@ def test_forward_search_handles_conditional_effects():
     assert [problem.actions[a].name for s in plan.steps for a in s] == \
         ["flip(s1)"]
     assert validate_plan(problem, plan).valid
+
+
+def goal_distance(problem):
+    """Fewest actions from the initial state to a state holding the goals,
+    by breadth-first search over the naive reference's state space; None
+    when no such state is reachable."""
+    states, edges, _ = ref.naive_enumerate(problem)
+    depth = {0: 0}
+    queue = deque([0])
+    while queue:
+        i = queue.popleft()
+        if problem.goals <= states[i]:
+            return depth[i]
+        for _, j in edges[i]:
+            if j not in depth:
+                depth[j] = depth[i] + 1
+                queue.append(j)
+    return None
+
+
+def check_forward_search(problem, max_states: int = 200_000):
+    """The same plan or non-answer as the frozenset reference; a plan is as
+    long as the goal's breadth-first distance, and ``Unsolvable`` means no
+    goal state is reachable."""
+    result = forward_search(problem, max_states)
+    assert result == ref.naive_forward_search(problem, max_states)
+    if isinstance(result, Plan):
+        assert validate_plan(problem, result).valid
+        assert result.action_count() == goal_distance(problem)
+    elif isinstance(result, Unsolvable):
+        assert goal_distance(problem) is None
+
+
+@pytest.mark.parametrize("name", corpus.EXHAUSTIBLE)
+def test_forward_search_matches_reference_on_corpus(load, name):
+    check_forward_search(load(name))
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_problem(max_facts=6, max_actions=8), st.data())
+def test_forward_search_matches_reference_on_random_strips(spec, data):
+    check_forward_search(strips_problem(spec, data.draw(subsets(spec[0]))),
+                         data.draw(st.integers(1, 40)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_adl_problem(max_atoms=6), st.data())
+def test_forward_search_matches_reference_on_random_adl(problem, data):
+    n_atoms = len(problem.atoms)
+    check_forward_search(
+        PlanningProblem(problem.atoms, problem.actions,
+                        data.draw(subsets(n_atoms)),
+                        data.draw(subsets(n_atoms))),
+        data.draw(st.integers(1, 40)))
 
 
 def test_next_initial_state_trap(load):

@@ -15,6 +15,8 @@ from goalagenda.model import (
 )
 from goalagenda.oracle import (
     LimitExceeded,
+    _keeping,
+    _keeping_by_scan,
     check_invertibility,
     decide_forced,
     decide_reasonable,
@@ -22,10 +24,22 @@ from goalagenda.oracle import (
     find_deadlocks,
     verify_matrix,
 )
+from goalagenda.ordering import ProblemIndex
 
 from conftest import names_of
 from test_kernels import random_problem
 from test_problem_index import random_adl_problem, subsets
+
+
+def strips_problem(spec, goals=frozenset()) -> PlanningProblem:
+    """The STRIPS problem of a ``random_problem`` draw."""
+    n_facts, nodes, init = spec
+    return PlanningProblem(
+        AtomTable(f"f{i}" for i in range(n_facts)),
+        tuple(StripsAction(f"a{i}", frozenset(pre), frozenset(add),
+                           frozenset(dele))
+              for i, (pre, add, dele) in enumerate(nodes)),
+        frozenset(init), goals)
 
 
 def strips(table, name, pre, add, dele):
@@ -374,6 +388,31 @@ def test_verify_matrix_single_goal():
     assert matrix["states"] == 2
 
 
+def check_keeping(problem):
+    index = ProblemIndex(problem)
+    for a in range(len(problem.atoms)):
+        assert _keeping_by_scan(problem, a) == _keeping(problem, index, a), a
+
+
+@pytest.mark.parametrize("name", corpus.ALL_NAMED)
+def test_keeping_scan_matches_problem_index_on_corpus(load, name):
+    """decide_reasonable scans the actions' delete sets for one anchor;
+    verify_matrix reads the same set off its ProblemIndex."""
+    check_keeping(load(name))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_problem(max_facts=6, max_actions=8))
+def test_keeping_scan_matches_problem_index_on_random_strips(spec):
+    check_keeping(strips_problem(spec))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_adl_problem(max_atoms=6))
+def test_keeping_scan_matches_problem_index_on_random_adl(problem):
+    check_keeping(problem)
+
+
 # --- differential tests against the naive reference ---------------------------
 
 def check_witness(problem, verdict, b, allowed):
@@ -433,18 +472,55 @@ def checked_on_all_pairs(problem):
 @settings(max_examples=300, deadline=None)
 @given(random_problem(max_facts=6, max_actions=8))
 def test_decisions_match_naive_reference_on_random_strips(spec):
-    n_facts, nodes, init = spec
-    actions = tuple(StripsAction(f"a{i}", frozenset(pre), frozenset(add),
-                                 frozenset(dele))
-                    for i, (pre, add, dele) in enumerate(nodes))
-    checked_on_all_pairs(PlanningProblem(
-        AtomTable(f"f{i}" for i in range(n_facts)), actions,
-        frozenset(init), frozenset()))
+    checked_on_all_pairs(strips_problem(spec))
+
+
+@st.composite
+def adl_with_init(draw):
+    problem = draw(random_adl_problem(max_atoms=6))
+    return PlanningProblem(problem.atoms, problem.actions,
+                           draw(subsets(len(problem.atoms))), frozenset())
+
+
+@st.composite
+def late_anchor_adl_problem(draw):
+    """ADL problems in which several states are entered adding A and only a
+    later one reaches B. From S, ``go(i)`` leads to route R(i); one action,
+    ``mark``, adds A through a conditional effect per route, so the anchor
+    states {R(i), A} are discovered in the order of the ``go`` actions;
+    ``finish`` adds B only on a route that is not the first. Drawn action
+    order and extra effects on spare atoms vary the rest."""
+    k = draw(st.integers(2, 4))
+    n_spare = draw(st.integers(0, 2))
+    table = AtomTable(["S", "A", "B"] + [f"R{i}" for i in range(k)]
+                      + [f"X{i}" for i in range(n_spare)])
+    s, a, b = 0, 1, 2
+    routes = range(3, 3 + k)
+    spare = st.frozensets(st.sampled_from(range(3 + k, 3 + k + n_spare)),
+                          max_size=2) if n_spare else st.just(frozenset())
+    none = frozenset()
+
+    def extra():
+        return ConditionalEffect(draw(spare), draw(spare), none)
+
+    order = draw(st.permutations(routes))
+    goes = [AdlAction(f"go{r}", (
+        ConditionalEffect(frozenset({s}), frozenset({r}), frozenset({s})),
+        extra())) for r in order]
+    mark = AdlAction("mark", (ConditionalEffect(none, none, none),)
+                     + tuple(ConditionalEffect(frozenset({r}),
+                                               frozenset({a}), none)
+                             for r in routes))
+    late = draw(st.sampled_from(order[1:]))
+    finish = AdlAction("finish", (
+        ConditionalEffect(frozenset({late, a}), frozenset({b}), none),
+        extra()))
+    actions = draw(st.permutations([mark, finish]))
+    return PlanningProblem(table, tuple(goes) + tuple(actions),
+                           frozenset({s}), frozenset())
 
 
 @settings(max_examples=200, deadline=None)
-@given(random_adl_problem(max_atoms=6), st.data())
-def test_decisions_match_naive_reference_on_random_adl(problem, data):
-    checked_on_all_pairs(PlanningProblem(
-        problem.atoms, problem.actions,
-        data.draw(subsets(len(problem.atoms))), frozenset()))
+@given(st.one_of(adl_with_init(), late_anchor_adl_problem()))
+def test_decisions_match_naive_reference_on_random_adl(problem):
+    checked_on_all_pairs(problem)
