@@ -42,10 +42,7 @@ import sys
 from collections import deque
 from contextlib import contextmanager
 
-from goalagenda.graphplan import (
-    _BackwardSearch,
-    _NodeBudgetExceeded,
-)
+from goalagenda.graphplan import _BackwardSearch, _NodeBudgetExceeded
 from goalagenda.model import (
     Plan,
     ResourceLimit,
