@@ -1,14 +1,20 @@
 """Layered planning graph with binary mutex propagation, and the backward
 search that uses it as the STRIPS base planner.
 
-The graph is grown until it levels off: the first layer t whose fact set and
-mutex relation equal layer t+1's. Mutex rules are the standard ones: two
-actions are mutex when one deletes a precondition or add effect of the other
-or their preconditions contain a mutually exclusive fact pair; two facts are
-mutex when every pair of achievers (no-ops included) is mutex. Each layer is
-stepped by the one kernel in ``kernel``, over int bitmasks: q is mutex with
-p when every achiever of q lies in R(p), the AND of the action-mutex rows of
-p's achievers.
+The graph grows one layer at a time (GraphGrowth) and levels off at the
+first layer t whose fact set and mutex relation equal layer t+1's; every
+layer from t on equals layer t. build_graph grows to level-off, for the
+orderings and the dumps. The backward search, as in GraphPlan and IPP,
+grows only the layers its horizons read: layer H+1 once the search at
+horizon H has failed.
+
+Mutex rules are the standard ones: two actions are mutex when one deletes
+a precondition or add effect of the other or their preconditions contain a
+mutually exclusive fact pair; two facts are mutex when every pair of
+achievers (no-ops included) is mutex. Each layer is stepped by the one
+kernel in ``kernel``, over int bitmasks: q is mutex with p when every
+achiever of q lies in R(p), the AND of the action-mutex rows of p's
+achievers.
 
 ADL actions enter the graph split into one node per conditional effect,
 carrying the action precondition plus the effect condition; no cross-effect
@@ -71,16 +77,9 @@ def graph_nodes(problem: PlanningProblem) -> tuple:
     return tuple(nodes)
 
 
-@dataclass(frozen=True)
-class PlanningGraph:
-    problem: PlanningProblem
-    nodes: tuple  # tuple[GraphNode, ...]; no-op for fact f has id len(nodes)+f
-    fact_layers: tuple  # tuple[frozenset[int], ...], layers 0..leveled_at+1
-    action_layers: tuple  # tuple[tuple[int, ...], ...] node ids incl. no-ops
-    fact_mutex: tuple  # per fact layer: tuple[int, ...] row bitmasks or None
-    action_mutex: tuple  # per action layer: tuple[int, ...] or None
-    mutex_counts: tuple  # fact-mutex pair count per fact layer
-    leveled_at: int
+class _NodeIds:
+    """Node ids shared by a graph in growth and a frozen one: ids below
+    len(nodes) are real nodes, and len(nodes) + f is the no-op for fact f."""
 
     @property
     def n_real_nodes(self) -> int:
@@ -89,73 +88,116 @@ class PlanningGraph:
     def noop_id(self, fact: int) -> int:
         return len(self.nodes) + fact
 
+
+@dataclass(frozen=True)
+class PlanningGraph(_NodeIds):
+    problem: PlanningProblem
+    nodes: tuple  # tuple[GraphNode, ...]
+    fact_layers: tuple  # tuple[frozenset[int], ...], layers 0..leveled_at+1
+    action_layers: tuple  # tuple[tuple[int, ...], ...] node ids incl. no-ops
+    fact_mutex: tuple  # per fact layer: tuple[int, ...] row bitmasks or None
+    action_mutex: tuple  # per action layer: tuple[int, ...] or None
+    mutex_counts: tuple  # fact-mutex pair count per fact layer
+    leveled_at: int
+
     def leveled_rows(self):
         return self.fact_mutex[self.leveled_at]
+
+
+class ResourceLimitError(PlanningError):
+    pass
 
 
 def _pair_count(rows) -> int:
     return sum(r.bit_count() for r in rows) // 2
 
 
+class GraphGrowth(_NodeIds):
+    """A planning graph grown one layer per call to ``grow``, with the same
+    fields as PlanningGraph held in lists; ``leveled_at`` stays None until
+    a layer equal to the one before shows level-off.
+
+    With retain_layers=False the fact-mutex rows are kept only at the
+    leveled layer, which is all the false-set computation needs; the
+    backward search grows with retention.
+    """
+
+    def __init__(self, problem: PlanningProblem, max_layers: int,
+                 retain_layers: bool = True):
+        self.problem = problem
+        self.nodes = graph_nodes(problem)
+        self.max_layers = max_layers
+        self.retain_layers = retain_layers
+        n_facts = len(problem.atoms)
+        self._kernel = GraphKernel(n_facts, [
+            (sorted(n.pre), sorted(n.add), sorted(n.delete))
+            for n in self.nodes])
+        self._mask = mask_of(problem.init)
+        self._rows = [0] * n_facts
+        self.fact_layers = [frozenset(problem.init)]
+        self.action_layers = []
+        self.fact_mutex = [tuple(self._rows) if retain_layers else None]
+        self.action_mutex = []
+        self.mutex_counts = [0]
+        self.leveled_at = None
+
+    def grow(self) -> None:
+        """Add action layer t and fact layer t + 1, t being the number of
+        action layers so far; ResourceLimitError when that would pass
+        max_layers layers without level-off."""
+        t = len(self.action_layers)
+        if t >= self.max_layers:
+            raise ResourceLimitError(
+                f"planning graph did not level off within "
+                f"{self.max_layers} layers")
+        applicable, mask, rows, act_rows = self._kernel.step(self._mask,
+                                                             self._rows)
+        leveled = mask == self._mask and rows == self._rows
+        self.action_layers.append(tuple(applicable))
+        self.action_mutex.append(
+            tuple(act_rows) if self.retain_layers else None)
+        self.fact_layers.append(frozenset(mask_ids(mask)))
+        self.mutex_counts.append(_pair_count(rows))
+        keep = self.retain_layers or leveled
+        self.fact_mutex.append(tuple(rows) if keep else None)
+        if leveled:
+            self.leveled_at = t
+            # the leveled layer's rows equal its successor's
+            self.fact_mutex[t] = self.fact_mutex[t + 1]
+        self._mask, self._rows = mask, rows
+
+    def grow_to(self, t: int) -> None:
+        """Grow until fact layer t exists or level-off is seen."""
+        while self.leveled_at is None and len(self.fact_layers) <= t:
+            self.grow()
+
+    def layer(self, t: int) -> int:
+        """The index of the stored layer equal to layer t: t itself while
+        level-off is unknown (so t <= leveled_at), else at most leveled_at."""
+        return t if self.leveled_at is None else min(t, self.leveled_at)
+
+    def freeze(self) -> PlanningGraph:
+        return PlanningGraph(
+            problem=self.problem,
+            nodes=self.nodes,
+            fact_layers=tuple(self.fact_layers),
+            action_layers=tuple(self.action_layers),
+            fact_mutex=tuple(self.fact_mutex),
+            action_mutex=tuple(self.action_mutex),
+            mutex_counts=tuple(self.mutex_counts),
+            leveled_at=self.leveled_at,
+        )
+
+
 def build_graph(problem: PlanningProblem, max_layers: int = 128,
                 retain_layers: bool = True) -> PlanningGraph:
-    """Grow the graph until level-off (through leveled_at + 1 layers).
-
-    With retain_layers=False only the leveled layer's mutex rows are kept,
-    which is all the false-set computation needs; backward search builds
-    with retention.
-    """
-    nodes = graph_nodes(problem)
-    n_facts = len(problem.atoms)
-    kern = GraphKernel(n_facts, [(sorted(n.pre), sorted(n.add), sorted(n.delete))
-                                 for n in nodes])
-    fact_mask = mask_of(problem.init)
-    rows = [0] * n_facts
-
-    fact_layers = [frozenset(problem.init)]
-    action_layers = []
-    fact_mutex = [tuple(rows) if retain_layers else None]
-    action_mutex = []
-    mutex_counts = [0]
-    leveled_at = None
-
-    for t in range(max_layers):
-        applicable, next_mask, next_rows, act_rows = kern.step(fact_mask, rows)
-        action_layers.append(tuple(applicable))
-        action_mutex.append(tuple(act_rows) if retain_layers else None)
-        fact_layers.append(frozenset(mask_ids(next_mask)))
-        mutex_counts.append(_pair_count(next_rows))
-        leveled = next_mask == fact_mask and next_rows == rows
-        if retain_layers or leveled:
-            fact_mutex.append(tuple(next_rows))
-        else:
-            fact_mutex.append(None)
-        fact_mask, rows = next_mask, next_rows
-        if leveled:
-            leveled_at = t
-            break
-    if leveled_at is None:
-        raise ResourceLimitError(
-            f"planning graph did not level off within {max_layers} layers")
-    if not retain_layers:
-        # keep rows only at the leveled layer (== its successor)
-        fact_mutex[leveled_at] = fact_mutex[leveled_at + 1]
-        for i in range(leveled_at):
-            fact_mutex[i] = None
-    return PlanningGraph(
-        problem=problem,
-        nodes=nodes,
-        fact_layers=tuple(fact_layers),
-        action_layers=tuple(action_layers),
-        fact_mutex=tuple(fact_mutex),
-        action_mutex=tuple(action_mutex),
-        mutex_counts=tuple(mutex_counts),
-        leveled_at=leveled_at,
-    )
-
-
-class ResourceLimitError(PlanningError):
-    pass
+    """Grow the graph until level-off (through leveled_at + 1 layers), or
+    raise ResourceLimitError past max_layers layers; see GraphGrowth for
+    retain_layers."""
+    growth = GraphGrowth(problem, max_layers, retain_layers)
+    while growth.leveled_at is None:
+        growth.grow()
+    return growth.freeze()
 
 
 @dataclass(frozen=True)
@@ -199,7 +241,20 @@ def graphplan_search(problem: PlanningProblem, max_layers: int = 128,
     No-ops are preferred achievers (goals already true stay true when
     possible); remaining ties break by ascending node id, so plans are
     deterministic across runs. max_nodes bounds the nodes visited over all
-    horizons; _BackwardSearch says what counts as one.
+    horizons; _BackwardSearch says what counts as one. max_layers bounds
+    the layers grown: ResourceLimitError when a horizon needs a layer past
+    it before level-off, so a plan found within it is returned even where
+    the graph would level off later.
+
+    The graph grows lazily. Horizon H reads fact layers 0..H and action
+    layers 0..H-1, each at its own index while level-off is unknown and at
+    the leveled layer n past n; the search grows layer H+1 only after
+    horizon H failed, since horizon H+1 reads it. The search therefore
+    reads the same layers as over a graph built to level-off first. The
+    exhaustion check below runs after that growth, and layer H+1 is what
+    shows level-off at n = H, so it knows n exactly when H >= n: it starts
+    counting at the same horizon, and every count, memo and verdict are
+    those of the graph built first.
 
     The exhaustion proof (Blum & Furst 1997, AIJ 90): from the leveled fact
     layer n on, the goals are Unsolvable once a horizon ends with as many
@@ -251,9 +306,8 @@ def graphplan_search(problem: PlanningProblem, max_layers: int = 128,
     if problem.goals <= problem.init:
         return Plan(())
 
-    graph = build_graph(problem, max_layers=max_layers, retain_layers=True)
+    graph = GraphGrowth(problem, max_layers)
     searcher = _BackwardSearch(graph, max_nodes)
-    leveled = graph.leveled_at
     goals = frozenset(problem.goals)
     goal_mask = mask_of(goals)
 
@@ -263,18 +317,21 @@ def graphplan_search(problem: PlanningProblem, max_layers: int = 128,
         horizon += 1
         if horizon > max_layers:
             return ResourceLimit("max_layers", max_layers)
-        present = graph.fact_layers[min(horizon, leveled)]
-        if goals <= present and not searcher.goals_mutex(min(horizon, leveled),
-                                                         goal_mask):
+        graph.grow_to(horizon)
+        layer = graph.layer(horizon)
+        if goals <= graph.fact_layers[layer] and \
+                not searcher.goals_mutex(layer, goal_mask):
             try:
                 steps = searcher.search(goal_mask, horizon)
             except _NodeBudgetExceeded:
                 return ResourceLimit("max_nodes", max_nodes)
             if steps is not None:
                 return _extract_plan(graph, steps)
-        elif horizon > leveled:
+        elif layer < horizon:  # past level-off, so at every later horizon
             return Unsolvable("goals absent or mutex at level-off")
-        if horizon >= leveled:
+        graph.grow_to(horizon + 1)
+        leveled = graph.leveled_at
+        if leveled is not None and horizon >= leveled:
             count = len(searcher.memo.get(leveled, ()))
             if prev_nogood_count is not None and count == prev_nogood_count:
                 return Unsolvable("memoized goal sets prove exhaustion")
@@ -286,8 +343,10 @@ class _NodeBudgetExceeded(Exception):
 
 
 class _BackwardSearch:
-    """Depth-first backward search over one retained graph, kept across
-    horizons so its nogood memo and achiever tables are reused.
+    """Depth-first backward search over one graph in growth, kept across
+    horizons so its nogood memo and achiever tables are reused. The graph
+    grows between horizons; the search reads action layer t-1 at
+    graph.layer(t - 1), so the tables, kept per layer index, stay valid.
 
     A goal set at fact layer t is solved by giving each goal, in ascending
     fact order, an achiever at action layer t-1 that is not mutex with the
@@ -329,9 +388,8 @@ class _BackwardSearch:
     memo hit, exact or subset, counts none of its own.
     """
 
-    def __init__(self, graph: PlanningGraph, max_nodes: int):
+    def __init__(self, graph: GraphGrowth, max_nodes: int):
         self.graph = graph
-        self.leveled = graph.leveled_at
         self.max_nodes = max_nodes
         self.nodes_used = 0
         self.memo: dict = {}  # fact layer t -> nogood goal masks
@@ -341,7 +399,7 @@ class _BackwardSearch:
         noops = [1 << f for f in range(len(graph.problem.atoms))]
         self.add_masks = [mask_of(n.add) for n in graph.nodes] + noops
         self.pre_masks = [mask_of(n.pre) for n in graph.nodes] + noops
-        self._achievers = [None] * (self.leveled + 1)
+        self._achievers: dict = {}  # action layer -> achiever tables
 
     def goals_mutex(self, layer: int, goals: int) -> bool:
         rows = self.graph.fact_mutex[layer]
@@ -350,7 +408,7 @@ class _BackwardSearch:
     def achievers(self, layer: int):
         """Per fact, its achiever node ids at the action layer (the no-op
         first, then ascending) and the bitmask of those ids."""
-        tables = self._achievers[layer]
+        tables = self._achievers.get(layer)
         if tables is None:
             graph = self.graph
             n_real = graph.n_real_nodes
@@ -373,7 +431,7 @@ class _BackwardSearch:
         if goals not in nogoods:
             goal_ids = mask_ids(goals)
             if not self._contains_nogood(goals, goal_ids, t):
-                layer = min(t - 1, self.leveled)
+                layer = self.graph.layer(t - 1)
                 return (t, goals, goal_ids, *self.achievers(layer),
                         self.graph.action_mutex[layer], [])
             nogoods.add(goals)

@@ -71,14 +71,13 @@ def recursion_limit(limit: int):
 class RecursiveSearch:
     def __init__(self, graph, max_nodes: int):
         self.graph = graph
-        self.leveled = graph.leveled_at
         self.max_nodes = max_nodes
         self.nodes_used = 0
         self.memo: dict = {}
         self._achievers_cache: dict = {}
 
     def _layer(self, t: int) -> int:
-        return min(t, self.leveled)
+        return self.graph.layer(t)
 
     def goals_mutex(self, layer: int, goals: int) -> bool:
         rows = self.graph.fact_mutex[layer]

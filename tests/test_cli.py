@@ -140,16 +140,28 @@ def test_graph_dump(capsys):
 
 
 @pytest.mark.parametrize("args", [
-    ["graph-dump", "--corpus", "hanoi_5"],
-    ["analyze", "--corpus", "blocks3", "--method", "e"],
-    ["verify", "--corpus", "blocks3"],
-    ["plan", "--corpus", "blocks3"],
+    ["graph-dump", "--corpus", "hanoi_5", "--max-layers", "2"],
+    ["analyze", "--corpus", "blocks3", "--method", "e", "--max-layers", "2"],
+    ["verify", "--corpus", "blocks3", "--max-layers", "2"],
+    # plan grows each episode's graph only as far as its search needs, and
+    # blocks3's first episode needs two layers
+    ["plan", "--corpus", "blocks3", "--max-layers", "1"],
 ])
 def test_graph_layer_budget_exit(args, capsys):
-    code, out, err = run_cli(args + ["--max-layers", "2"], capsys)
+    code, out, err = run_cli(args, capsys)
     assert code == 2
     assert out == ""
-    assert "did not level off within 2 layers" in err
+    assert f"did not level off within {args[-1]} layers" in err
+
+
+def test_plan_within_layer_budget_needs_no_level_off(capsys):
+    """blocks3's episodes plan within two layers, though its graph levels
+    off at layer 4: the budget bounds the layers grown, not level-off."""
+    _, expected, _ = run_cli(["plan", "--corpus", "blocks3"], capsys)
+    code, out, _ = run_cli(["plan", "--corpus", "blocks3",
+                            "--max-layers", "2"], capsys)
+    assert code == 0
+    assert out == expected
 
 
 def test_input_errors(tmp_path, capsys):

@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from goalagenda import graphplan
+from goalagenda import corpus, graphplan
 from goalagenda.agenda import compute_agenda
 from goalagenda.driver import AgendaPlanResult, plan_with_agenda
 from goalagenda.graphplan import (
@@ -228,9 +228,13 @@ def test_search_unsolvable_by_memo_exhaustion():
             strips(table, "ca", [], ["C", "A"], ["B"]))
     problem = PlanningProblem(table, acts, frozenset(),
                               frozenset({0, 1, 2}))
-    result = graphplan_search(problem)
+    result, searches = recorded(lambda: graphplan_search(problem),
+                                graphplan._BackwardSearch)
     assert isinstance(result, Unsolvable)
     assert "memoized" in result.reason
+    # the proof starts counting at the leveled horizon: nodes and memo
+    # sizes as recorded with the graph built to level-off before the search
+    assert list(map(footprint, searches)) == [(5, {1: 1, 2: 1})]
     for max_nodes in (10, 30, 10 ** 7):
         assert_matches_reference(
             lambda: graphplan_search(problem, max_nodes=max_nodes))
@@ -329,6 +333,77 @@ def test_agenda_search_nodes_are_pinned(load, name, nodes):
     agenda = compute_agenda(problem, "h", None)
     _, searches = assert_matches_scan(lambda: plan_with_agenda(problem, agenda))
     assert [search.nodes_used for search in searches] == nodes
+
+
+def grown_graphs(run):
+    """The graph each backward search of ``run()`` grew, in the order the
+    searches ran."""
+    _, searches = recorded(run, graphplan._BackwardSearch)
+    return [search.graph for search in searches]
+
+
+def assert_grown_layers_match_build(graph):
+    """Every layer the search grew equals the layer of the same index in the
+    graph built to level-off, and growth saw level-off where it reached it."""
+    full = build_graph(graph.problem)
+    grown = len(graph.action_layers)
+    if graph.leveled_at is None:
+        assert grown <= full.leveled_at
+    else:
+        assert graph.leveled_at == full.leveled_at
+    assert len(graph.fact_layers) == grown + 1
+    assert tuple(graph.fact_layers) == full.fact_layers[:grown + 1]
+    assert tuple(graph.action_layers) == full.action_layers[:grown]
+    assert tuple(graph.action_mutex) == full.action_mutex[:grown]
+    assert tuple(graph.fact_mutex) == full.fact_mutex[:grown + 1]
+    assert tuple(graph.mutex_counts) == full.mutex_counts[:grown + 1]
+
+
+def assert_growth_matches_build(problem, methods):
+    """Plain, and episode by episode over the agenda of each method."""
+    runs = [lambda: graphplan_search(problem)]
+    for method in methods:
+        graph = build_graph(problem, retain_layers=False) \
+            if method == "e" else None
+        agenda = compute_agenda(problem, method, graph)
+        runs.append(lambda agenda=agenda: plan_with_agenda(problem, agenda))
+    for run in runs:
+        for graph in grown_graphs(run):
+            assert_grown_layers_match_build(graph)
+
+
+@pytest.mark.parametrize("name", [n for n in corpus.ALL_NAMED
+                                  if n != "latch"])
+def test_grown_layers_match_build_on_corpus(load, name):
+    assert_growth_matches_build(load(name), ("h", "e"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_problem(max_facts=8, max_actions=14), st.data())
+def test_grown_layers_match_build_on_random_problems(spec, data):
+    n_facts, nodes, init = spec
+    goals = data.draw(st.lists(st.integers(0, n_facts - 1), min_size=1,
+                               max_size=5, unique=True))
+    method = data.draw(st.sampled_from("he"))
+    assert_growth_matches_build(problem_of(n_facts, nodes, init, goals),
+                                (method,))
+
+
+@pytest.mark.parametrize("name, method, layers, leveled", [
+    # every episode plans at horizon 2, while the episodes' graphs level
+    # off at layers 4, 6, ..., 16
+    ("stack_8", "e", [2] * 7, [None] * 7),
+    ("tyreworld_3", "h", [3, 14, 9, 1, 1, 1, 1], [None, 13] + [None] * 5),
+])
+def test_layers_grown_per_episode_are_pinned(load, name, method, layers,
+                                            leveled):
+    problem = load(name)
+    graph = build_graph(problem, retain_layers=False) if method == "e" \
+        else None
+    agenda = compute_agenda(problem, method, graph)
+    graphs = grown_graphs(lambda: plan_with_agenda(problem, agenda))
+    assert [len(g.action_layers) for g in graphs] == layers
+    assert [g.leveled_at for g in graphs] == leveled
 
 
 def fewest_parallel_steps(problem):
