@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 from .agenda import Agenda
-from .graphplan import graphplan_search
+from .graphplan import GraphContext, graphplan_search
 from .model import (
     Plan,
     PlanningError,
@@ -55,15 +56,15 @@ def next_initial_state(problem: PlanningProblem, state: State,
     return state
 
 
-def forward_search(problem: PlanningProblem, max_states: int = 200_000):
-    """Breadth-first search with duplicate detection, over states as int
-    bitmasks: shortest sequential plan, complete on finite state spaces
-    within the state budget."""
-    if problem.goals <= problem.init:
+def forward_search(table: SuccessorTable, init, goals,
+                   max_states: int = 200_000):
+    """Breadth-first search with duplicate detection from init to the goals,
+    over states as int bitmasks: shortest sequential plan, complete on
+    finite state spaces within the state budget."""
+    goals = mask_of(goals)
+    start = mask_of(init)
+    if start & goals == goals:
         return Plan(())
-    table = SuccessorTable(problem)
-    goals = mask_of(problem.goals)
-    start = mask_of(problem.init)
     parents: dict = {start: None}
     queue = deque([start])
     while queue:
@@ -109,13 +110,15 @@ class AgendaPlanResult:
 
 
 def _base_planner(name: str, problem: PlanningProblem, limits: dict):
+    """The episode planner, a function of an initial state and goals, over
+    the one per-problem table that every episode shares."""
     if name == "graphplan":
-        return graphplan_search(problem,
-                                max_layers=limits.get("max_layers", 128),
-                                max_nodes=limits.get("max_nodes", 10 ** 7))
+        return partial(graphplan_search, GraphContext(problem),
+                       max_layers=limits.get("max_layers", 128),
+                       max_nodes=limits.get("max_nodes", 10 ** 7))
     if name == "forward":
-        return forward_search(problem,
-                              max_states=limits.get("max_states", 200_000))
+        return partial(forward_search, SuccessorTable(problem),
+                       max_states=limits.get("max_states", 200_000))
     raise ValueError(f"unknown base planner {name!r}")
 
 
@@ -133,6 +136,7 @@ def plan_with_agenda(problem: PlanningProblem, agenda: Agenda,
     from .oracle import LimitExceeded, check_invertibility, enumerate_reachable
 
     limits = limits or {}
+    planner = _base_planner(base, problem, limits)
     entries = list(agenda.entries)
     if linearize_entries:
         entries = [frozenset([g]) for entry in entries for g in sorted(entry)]
@@ -143,14 +147,7 @@ def plan_with_agenda(problem: PlanningProblem, agenda: Agenda,
     cumulative: set = set()
     for index, entry in enumerate(entries, start=1):
         cumulative |= entry
-        subproblem = PlanningProblem(
-            atoms=problem.atoms,
-            actions=problem.actions,
-            init=state,
-            goals=frozenset(cumulative),
-            name=f"{problem.name}/episode-{index}",
-        )
-        outcome = _base_planner(base, subproblem, limits)
+        outcome = planner(state, frozenset(cumulative))
         if isinstance(outcome, Unsolvable):
             episodes.append(PlanEpisode(index, state, frozenset(cumulative),
                                         Plan(()), "unsolvable"))

@@ -1,12 +1,16 @@
 """Layered planning graph with binary mutex propagation, and the backward
 search that uses it as the STRIPS base planner.
 
-The graph grows one layer at a time (GraphGrowth) and levels off at the
-first layer t whose fact set and mutex relation equal layer t+1's; every
-layer from t on equals layer t. build_graph grows to level-off, for the
-orderings and the dumps. The backward search, as in GraphPlan and IPP,
-grows only the layers its horizons read: layer H+1 once the search at
-horizon H has failed.
+What is per problem, the graph nodes and the layer kernel, is built once in
+a GraphContext. What is per episode is built over it: a GraphGrowth grows
+the graph from the episode's initial state one layer at a time, and the
+backward search keeps its memo and achiever tables. No search writes to a
+context, so one serves every episode of an agenda, in any order. The graph
+levels off at the first layer t whose fact set and mutex relation equal
+layer t+1's; every layer from t on equals layer t. build_graph grows to
+level-off, for the orderings and the dumps. The backward search, as in
+GraphPlan and IPP, grows only the layers its horizons read: layer H+1 once
+the search at horizon H has failed.
 
 Mutex rules are the standard ones: two actions are mutex when one deletes
 a precondition or add effect of the other or their preconditions contain a
@@ -77,20 +81,24 @@ def graph_nodes(problem: PlanningProblem) -> tuple:
     return tuple(nodes)
 
 
-class _NodeIds:
-    """Node ids shared by a graph in growth and a frozen one: ids below
-    len(nodes) are real nodes, and len(nodes) + f is the no-op for fact f."""
+class GraphContext:
+    """The graph nodes of one problem and the layer kernel over them: ids
+    below n_real_nodes are real nodes, n_real_nodes + f is fact f's no-op."""
 
-    @property
-    def n_real_nodes(self) -> int:
-        return len(self.nodes)
+    def __init__(self, problem: PlanningProblem):
+        self.problem = problem
+        self.nodes = graph_nodes(problem)
+        self.n_real_nodes = len(self.nodes)
+        self.kernel = GraphKernel(len(problem.atoms), [
+            (sorted(n.pre), sorted(n.add), sorted(n.delete))
+            for n in self.nodes])
 
     def noop_id(self, fact: int) -> int:
-        return len(self.nodes) + fact
+        return self.n_real_nodes + fact
 
 
 @dataclass(frozen=True)
-class PlanningGraph(_NodeIds):
+class PlanningGraph:
     problem: PlanningProblem
     nodes: tuple  # tuple[GraphNode, ...]
     fact_layers: tuple  # tuple[frozenset[int], ...], layers 0..leveled_at+1
@@ -112,29 +120,24 @@ def _pair_count(rows) -> int:
     return sum(r.bit_count() for r in rows) // 2
 
 
-class GraphGrowth(_NodeIds):
-    """A planning graph grown one layer per call to ``grow``, with the same
-    fields as PlanningGraph held in lists; ``leveled_at`` stays None until
-    a layer equal to the one before shows level-off.
+class GraphGrowth:
+    """A planning graph over a context, grown from ``init`` one layer per
+    call to ``grow``, with PlanningGraph's layer fields in lists; leveled_at
+    stays None until a layer equal to its predecessor shows level-off.
 
     With retain_layers=False the fact-mutex rows are kept only at the
     leveled layer, which is all the false-set computation needs; the
     backward search grows with retention.
     """
 
-    def __init__(self, problem: PlanningProblem, max_layers: int,
+    def __init__(self, context: GraphContext, init, max_layers: int,
                  retain_layers: bool = True):
-        self.problem = problem
-        self.nodes = graph_nodes(problem)
+        self.context = context
         self.max_layers = max_layers
         self.retain_layers = retain_layers
-        n_facts = len(problem.atoms)
-        self._kernel = GraphKernel(n_facts, [
-            (sorted(n.pre), sorted(n.add), sorted(n.delete))
-            for n in self.nodes])
-        self._mask = mask_of(problem.init)
-        self._rows = [0] * n_facts
-        self.fact_layers = [frozenset(problem.init)]
+        self._mask = mask_of(init)
+        self._rows = [0] * len(context.problem.atoms)
+        self.fact_layers = [frozenset(init)]
         self.action_layers = []
         self.fact_mutex = [tuple(self._rows) if retain_layers else None]
         self.action_mutex = []
@@ -150,8 +153,8 @@ class GraphGrowth(_NodeIds):
             raise ResourceLimitError(
                 f"planning graph did not level off within "
                 f"{self.max_layers} layers")
-        applicable, mask, rows, act_rows = self._kernel.step(self._mask,
-                                                             self._rows)
+        applicable, mask, rows, act_rows = self.context.kernel.step(
+            self._mask, self._rows)
         leveled = mask == self._mask and rows == self._rows
         self.action_layers.append(tuple(applicable))
         self.action_mutex.append(
@@ -176,28 +179,26 @@ class GraphGrowth(_NodeIds):
         level-off is unknown (so t <= leveled_at), else at most leveled_at."""
         return t if self.leveled_at is None else min(t, self.leveled_at)
 
-    def freeze(self) -> PlanningGraph:
-        return PlanningGraph(
-            problem=self.problem,
-            nodes=self.nodes,
-            fact_layers=tuple(self.fact_layers),
-            action_layers=tuple(self.action_layers),
-            fact_mutex=tuple(self.fact_mutex),
-            action_mutex=tuple(self.action_mutex),
-            mutex_counts=tuple(self.mutex_counts),
-            leveled_at=self.leveled_at,
-        )
-
 
 def build_graph(problem: PlanningProblem, max_layers: int = 128,
                 retain_layers: bool = True) -> PlanningGraph:
     """Grow the graph until level-off (through leveled_at + 1 layers), or
     raise ResourceLimitError past max_layers layers; see GraphGrowth for
     retain_layers."""
-    growth = GraphGrowth(problem, max_layers, retain_layers)
+    context = GraphContext(problem)
+    growth = GraphGrowth(context, problem.init, max_layers, retain_layers)
     while growth.leveled_at is None:
         growth.grow()
-    return growth.freeze()
+    return PlanningGraph(
+        problem=problem,
+        nodes=context.nodes,
+        fact_layers=tuple(growth.fact_layers),
+        action_layers=tuple(growth.action_layers),
+        fact_mutex=tuple(growth.fact_mutex),
+        action_mutex=tuple(growth.action_mutex),
+        mutex_counts=tuple(growth.mutex_counts),
+        leveled_at=growth.leveled_at,
+    )
 
 
 @dataclass(frozen=True)
@@ -233,18 +234,21 @@ def false_set(graph: PlanningGraph, anchor) -> FalseSet:
 
 # --- backward search ---------------------------------------------------------
 
-def graphplan_search(problem: PlanningProblem, max_layers: int = 128,
-                     max_nodes: int = 10 ** 7):
-    """GraphPlan backward search: step-optimal parallel plan, Unsolvable with
-    a level-off + memoization exhaustion proof, or ResourceLimit.
+def graphplan_search(context: GraphContext, init, goals,
+                     max_layers: int = 128, max_nodes: int = 10 ** 7):
+    """GraphPlan backward search from the state init to the goals:
+    step-optimal parallel plan, Unsolvable with a level-off + memoization
+    exhaustion proof, or ResourceLimit.
 
     No-ops are preferred achievers (goals already true stay true when
     possible); remaining ties break by ascending node id, so plans are
     deterministic across runs. max_nodes bounds the nodes visited over all
     horizons; _BackwardSearch says what counts as one. max_layers bounds
-    the layers grown: ResourceLimitError when a horizon needs a layer past
-    it before level-off, so a plan found within it is returned even where
-    the graph would level off later.
+    the layers grown, not the horizon: ResourceLimitError when a horizon
+    needs a layer past it before level-off, so a plan found within it is
+    returned even where the graph would level off later. Horizons past
+    level-off read no new layer and run until a plan, the exhaustion proof
+    or max_nodes ends the search.
 
     The graph grows lazily. Horizon H reads fact layers 0..H and action
     layers 0..H-1, each at its own index while level-off is unknown and at
@@ -301,22 +305,20 @@ def graphplan_search(problem: PlanningProblem, max_layers: int = 128,
     cuts, the memo at layer n and its count are therefore those of a scan
     of the whole memo.
     """
-    if problem.is_adl:
+    if context.problem.is_adl:
         raise ValueError("graphplan_search requires a STRIPS problem")
-    if problem.goals <= problem.init:
+    goals = frozenset(goals)
+    if goals <= init:
         return Plan(())
 
-    graph = GraphGrowth(problem, max_layers)
+    graph = GraphGrowth(context, init, max_layers)
     searcher = _BackwardSearch(graph, max_nodes)
-    goals = frozenset(problem.goals)
     goal_mask = mask_of(goals)
 
     prev_nogood_count = None
     horizon = 0
     while True:
         horizon += 1
-        if horizon > max_layers:
-            return ResourceLimit("max_layers", max_layers)
         graph.grow_to(horizon)
         layer = graph.layer(horizon)
         if goals <= graph.fact_layers[layer] and \
@@ -326,7 +328,7 @@ def graphplan_search(problem: PlanningProblem, max_layers: int = 128,
             except _NodeBudgetExceeded:
                 return ResourceLimit("max_nodes", max_nodes)
             if steps is not None:
-                return _extract_plan(graph, steps)
+                return _extract_plan(context, steps)
         elif layer < horizon:  # past level-off, so at every later horizon
             return Unsolvable("goals absent or mutex at level-off")
         graph.grow_to(horizon + 1)
@@ -396,9 +398,6 @@ class _BackwardSearch:
         # fact layer t -> highest fact -> the searched nogoods with that top
         self.by_top: dict = {}
         self.init_mask = mask_of(graph.fact_layers[0])
-        noops = [1 << f for f in range(len(graph.problem.atoms))]
-        self.add_masks = [mask_of(n.add) for n in graph.nodes] + noops
-        self.pre_masks = [mask_of(n.pre) for n in graph.nodes] + noops
         self._achievers: dict = {}  # action layer -> achiever tables
 
     def goals_mutex(self, layer: int, goals: int) -> bool:
@@ -410,14 +409,14 @@ class _BackwardSearch:
         first, then ascending) and the bitmask of those ids."""
         tables = self._achievers.get(layer)
         if tables is None:
-            graph = self.graph
-            n_real = graph.n_real_nodes
-            table = [[] for _ in range(len(self.add_masks) - n_real)]
-            for node_id in graph.action_layers[layer]:
+            context = self.graph.context
+            n_real = context.n_real_nodes
+            table = [[] for _ in range(context.kernel.n_facts)]
+            for node_id in self.graph.action_layers[layer]:
                 if node_id >= n_real:
                     table[node_id - n_real].insert(0, node_id)
                 else:
-                    for f in graph.nodes[node_id].add:
+                    for f in context.nodes[node_id].add:
                         table[f].append(node_id)
             tables = table, [sum(1 << c for c in cands) for cands in table]
             self._achievers[layer] = tables
@@ -454,7 +453,8 @@ class _BackwardSearch:
         level = self._open(goals, t)
         if level is None:
             return None
-        add_masks, pre_masks = self.add_masks, self.pre_masks
+        kernel = self.graph.context.kernel
+        add_masks, pre_masks = kernel.add_masks, kernel.pre_masks
         levels = [level]
         t, _, goal_ids, achievers, amasks, rows, choices = level
         n_goals = len(goal_ids)
@@ -523,11 +523,11 @@ class _BackwardSearch:
             index, k, added, mutex, pre = choices.pop()
 
 
-def _extract_plan(graph: PlanningGraph, steps) -> Plan:
+def _extract_plan(context: GraphContext, steps) -> Plan:
     out = []
     for step in steps:
-        real = frozenset(graph.nodes[n].action_id for n in step
-                         if n < graph.n_real_nodes)
+        real = frozenset(context.nodes[n].action_id for n in step
+                         if n < context.n_real_nodes)
         if real:
             out.append(real)
     return Plan(tuple(out))

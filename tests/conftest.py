@@ -1,7 +1,9 @@
 import pytest
 
 from goalagenda import corpus
-from goalagenda.graphplan import build_graph
+from goalagenda.driver import forward_search
+from goalagenda.graphplan import GraphContext, build_graph, graphplan_search
+from goalagenda.model import SuccessorTable
 from goalagenda.oracle import enumerate_reachable
 
 #: Ground-problem JSON of an invertible STRIPS problem that no plan solves:
@@ -100,3 +102,15 @@ def atoms(problem, *names):
 
 def names_of(problem, ids):
     return sorted(problem.atoms.name(i) for i in ids)
+
+
+def graphplan_on(problem, **limits):
+    """``graphplan_search`` from the problem's initial state to its goals."""
+    return graphplan_search(GraphContext(problem), problem.init,
+                            problem.goals, **limits)
+
+
+def forward_on(problem, **limits):
+    """``forward_search`` from the problem's initial state to its goals."""
+    return forward_search(SuccessorTable(problem), problem.init,
+                          problem.goals, **limits)

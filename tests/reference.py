@@ -71,6 +71,7 @@ def recursion_limit(limit: int):
 class RecursiveSearch:
     def __init__(self, graph, max_nodes: int):
         self.graph = graph
+        self.context = graph.context
         self.max_nodes = max_nodes
         self.nodes_used = 0
         self.memo: dict = {}
@@ -95,21 +96,21 @@ class RecursiveSearch:
         if cached is not None:
             return cached
         layer = self._layer(action_layer)
-        noop = self.graph.noop_id(fact)
+        noop = self.context.noop_id(fact)
         out = []
         for node_id in self.graph.action_layers[layer]:
             if node_id == noop:
                 out.insert(0, node_id)
-            elif node_id < self.graph.n_real_nodes \
-                    and fact in self.graph.nodes[node_id].add:
+            elif node_id < self.context.n_real_nodes \
+                    and fact in self.context.nodes[node_id].add:
                 out.append(node_id)
         self._achievers_cache[key] = out
         return out
 
     def _node_pre(self, node_id: int):
-        if node_id >= self.graph.n_real_nodes:
-            return frozenset((node_id - self.graph.n_real_nodes,))
-        return self.graph.nodes[node_id].pre
+        if node_id >= self.context.n_real_nodes:
+            return frozenset((node_id - self.context.n_real_nodes,))
+        return self.context.nodes[node_id].pre
 
     def search(self, goals: int, t: int):
         with recursion_limit(10_000):
@@ -139,8 +140,8 @@ class RecursiveSearch:
             return rest + [set(chosen)]
         goal = goals[index]
         for node_id in chosen:
-            if node_id < self.graph.n_real_nodes \
-                    and goal in self.graph.nodes[node_id].add:
+            if node_id < self.context.n_real_nodes \
+                    and goal in self.context.nodes[node_id].add:
                 return self._assign(goals, index + 1, chosen, t)
         act_rows = self.graph.action_mutex[self._layer(t - 1)]
         for cand in self.achievers(t - 1, goal):

@@ -15,7 +15,7 @@ from goalagenda.agenda import (
 )
 from goalagenda.cli import main as cli_main
 from goalagenda.driver import plan_with_agenda
-from goalagenda.graphplan import AnchorUnreachable, build_graph, false_set, graphplan_search
+from goalagenda.graphplan import AnchorUnreachable, build_graph, false_set
 from goalagenda.model import (
     AdlAction,
     AtomTable,
@@ -33,7 +33,7 @@ from goalagenda.oracle import (
 )
 from goalagenda.ordering import compute_f_da, fixpoint_reduce, order_e, order_h
 
-from conftest import atoms, names_of
+from conftest import atoms, graphplan_on, names_of
 
 EXHAUSTIBLE = corpus.EXHAUSTIBLE
 
@@ -219,7 +219,7 @@ def test_c8_invertibility_chain(load, index_of):
             continue
         index = index_of(name)
         report = check_invertibility(problem, index=index)
-        direct = graphplan_search(problem)
+        direct = graphplan_on(problem)
         solvable = not isinstance(direct, Unsolvable)
         if report.certified and solvable:
             certified_names.append(name)

@@ -9,43 +9,44 @@ from goalagenda.agenda import compute_agenda
 from goalagenda.corpus import problem_from_dict
 from goalagenda.driver import (
     InvalidPlanError,
-    forward_search,
     next_initial_state,
     plan_with_agenda,
 )
+from goalagenda.kernel import GraphKernel
 from goalagenda.model import (
     Plan,
     PlanningProblem,
     ResourceLimit,
+    SuccessorTable,
     Unsolvable,
     validate_plan,
 )
 
-from conftest import TWO_ROOMS, atoms, names_of
+from conftest import TWO_ROOMS, atoms, forward_on, graphplan_on, names_of
 from test_kernels import random_problem
 from test_oracle import strips_problem
-from test_problem_index import random_adl_problem, subsets
+from test_problem_index import count_builds, random_adl_problem, subsets
 
 
 def test_forward_search_goals_already_true(load):
     problem = load("blocks3")
     trivial = PlanningProblem(problem.atoms, problem.actions, problem.init,
                               atoms(problem, "arm-empty()"))
-    assert forward_search(trivial).steps == ()
+    assert forward_on(trivial).steps == ()
 
 
 def test_forward_search_trap_single_goal(load):
     problem = load("trap")
     single = PlanningProblem(problem.atoms, problem.actions, problem.init,
                              atoms(problem, "A"))
-    plan = forward_search(single)
+    plan = forward_on(single)
     assert [problem.actions[a].name for s in plan.steps for a in s] == \
         ["op2", "op3", "op4"]
 
 
 def test_forward_search_trap_both_goals(load):
     problem = load("trap")
-    plan = forward_search(problem)
+    plan = forward_on(problem)
     assert plan.action_count() == 4
     assert validate_plan(problem, plan).valid
 
@@ -54,11 +55,11 @@ def test_forward_search_unsolvable(load):
     problem = load("trap")
     stuck = PlanningProblem(problem.atoms, problem.actions,
                             atoms(problem, "B", "C"), problem.goals)
-    assert isinstance(forward_search(stuck), Unsolvable)
+    assert isinstance(forward_on(stuck), Unsolvable)
 
 
 def test_forward_search_state_budget(load):
-    result = forward_search(load("gripper2"), max_states=3)
+    result = forward_on(load("gripper2"), max_states=3)
     assert isinstance(result, ResourceLimit)
 
 
@@ -67,7 +68,7 @@ def test_forward_search_handles_conditional_effects():
     from test_pddl import ADL_DOMAIN, ADL_PROBLEM
 
     problem = ground(*parse(ADL_DOMAIN, ADL_PROBLEM))
-    plan = forward_search(problem)
+    plan = forward_on(problem)
     assert [problem.actions[a].name for s in plan.steps for a in s] == \
         ["flip(s1)"]
     assert validate_plan(problem, plan).valid
@@ -95,7 +96,7 @@ def check_forward_search(problem, max_states: int = 200_000):
     """The same plan or non-answer as the frozenset reference; a plan is as
     long as the goal's breadth-first distance, and ``Unsolvable`` means no
     goal state is reachable."""
-    result = forward_search(problem, max_states)
+    result = forward_on(problem, max_states=max_states)
     assert result == ref.naive_forward_search(problem, max_states)
     if isinstance(result, Plan):
         assert validate_plan(problem, result).valid
@@ -179,11 +180,28 @@ def test_one_entry_agenda_equals_plain_search(load):
     problem = load("gripper2")
     agenda = compute_agenda(problem, "h")
     assert len(agenda.entries) == 1
-    from goalagenda.graphplan import graphplan_search
-    direct = graphplan_search(problem)
+    direct = graphplan_on(problem)
     driven = plan_with_agenda(problem, agenda, base="graphplan")
     assert driven.status == "solved"
     assert driven.plan == direct
+
+
+@pytest.mark.parametrize("name, base, table, episodes", [
+    ("tyreworld_3", "graphplan", GraphKernel, 7),
+    ("tyreworld_1", "forward", SuccessorTable, 6),
+])
+def test_one_planning_table_per_plan_with_agenda_call(load, monkeypatch, name,
+                                                      base, table, episodes):
+    """Every episode plans over the per-problem table the call builds once:
+    the layer kernel for the layered planner, the successor table for the
+    forward one."""
+    problem = load(name)
+    agenda = compute_agenda(problem, "h")
+    built = count_builds(monkeypatch, table)
+    result = plan_with_agenda(problem, agenda, base=base)
+    assert result.status == "solved"
+    assert len(result.episodes) == episodes
+    assert len(built) == 1
 
 
 def test_trap_agenda_fails_in_episode_two(load):

@@ -2,6 +2,7 @@ import inspect
 import itertools
 import random
 import sys
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -12,6 +13,8 @@ from goalagenda.agenda import compute_agenda
 from goalagenda.driver import AgendaPlanResult, plan_with_agenda
 from goalagenda.graphplan import (
     AnchorUnreachable,
+    GraphContext,
+    ResourceLimitError,
     build_graph,
     false_set,
     graph_dump,
@@ -27,7 +30,7 @@ from goalagenda.model import (
 )
 from goalagenda.oracle import enumerate_reachable
 
-from conftest import atoms, names_of
+from conftest import atoms, graphplan_on, names_of
 from reference import LinearScanSearch, RecursiveSearch
 from test_kernels import random_problem
 
@@ -184,7 +187,7 @@ def test_light_retention_keeps_leveled_rows(load):
 
 def test_search_three_blocks(load):
     problem = load("blocks3")
-    plan = graphplan_search(problem)
+    plan = graphplan_on(problem)
     assert len(plan.steps) == 4 and plan.action_count() == 4
     report = validate_plan(problem, plan)
     assert report.valid
@@ -194,7 +197,7 @@ def test_search_goals_already_true(load):
     problem = load("blocks3")
     trivial = PlanningProblem(problem.atoms, problem.actions, problem.init,
                               atoms(problem, "on-table(a)"))
-    assert graphplan_search(trivial).steps == ()
+    assert graphplan_on(trivial).steps == ()
 
 
 def test_search_reports_unsolvable_when_goal_never_appears():
@@ -208,14 +211,14 @@ def test_search_reports_unsolvable_when_goal_never_appears():
                               frozenset({table.id("B")}))
     graph = build_graph(problem)
     assert all(table.id("B") not in layer for layer in graph.fact_layers)
-    assert isinstance(graphplan_search(problem), Unsolvable)
+    assert isinstance(graphplan_on(problem), Unsolvable)
 
     solvable = PlanningProblem(
         table, (inner, o_i1, o_i2, strips(table, "o_g", ["Q"], ["B"], [])),
         frozenset({table.id("C")}), frozenset({table.id("B")}))
     assert any(table.id("B") in layer
                for layer in build_graph(solvable).fact_layers)
-    plan = graphplan_search(solvable)
+    plan = graphplan_on(solvable)
     assert validate_plan(solvable, plan).valid
 
 
@@ -228,7 +231,7 @@ def test_search_unsolvable_by_memo_exhaustion():
             strips(table, "ca", [], ["C", "A"], ["B"]))
     problem = PlanningProblem(table, acts, frozenset(),
                               frozenset({0, 1, 2}))
-    result, searches = recorded(lambda: graphplan_search(problem),
+    result, searches = recorded(lambda: graphplan_on(problem),
                                 graphplan._BackwardSearch)
     assert isinstance(result, Unsolvable)
     assert "memoized" in result.reason
@@ -237,18 +240,18 @@ def test_search_unsolvable_by_memo_exhaustion():
     assert list(map(footprint, searches)) == [(5, {1: 1, 2: 1})]
     for max_nodes in (10, 30, 10 ** 7):
         assert_matches_reference(
-            lambda: graphplan_search(problem, max_nodes=max_nodes))
+            lambda: graphplan_on(problem, max_nodes=max_nodes))
 
 
 def test_search_resource_limit(load):
-    result = graphplan_search(load("blocks3"), max_nodes=3)
+    result = graphplan_on(load("blocks3"), max_nodes=3)
     assert isinstance(result, ResourceLimit)
     assert result.limit == "max_nodes"
 
 
 def test_parallel_steps_are_conflict_free(load):
     problem = load("gripper2")
-    plan = graphplan_search(problem)
+    plan = graphplan_on(problem)
     report = validate_plan(problem, plan)
     assert report.valid
     assert any(len(step) > 1 for step in plan.steps), \
@@ -257,7 +260,39 @@ def test_parallel_steps_are_conflict_free(load):
 
 def test_deterministic_plans(load):
     problem = load("hanoi_3")
-    assert graphplan_search(problem) == graphplan_search(problem)
+    assert graphplan_on(problem) == graphplan_on(problem)
+
+
+def test_max_layers_bounds_the_layers_grown_not_the_horizon(load):
+    """hanoi_3's graph levels off at layer 5 and its plan takes 7 steps: a
+    budget of 6 layers reaches level-off, so the horizons past it need no
+    layer and find the plan; a budget of 5 ends before level-off."""
+    problem = load("hanoi_3")
+    plan = graphplan_on(problem)
+    assert len(plan.steps) == 7 and build_graph(problem).leveled_at == 5
+    assert graphplan_on(problem, max_layers=6) == plan
+    with pytest.raises(ResourceLimitError):
+        graphplan_on(problem, max_layers=5)
+
+
+@pytest.mark.parametrize("name", ["tyreworld_2", "trap"])
+def test_episodes_share_one_context(load, name):
+    """An agenda's episodes, replayed in reverse order over one context, get
+    the outcomes they get over fresh contexts, and the context's tables are
+    still those of a fresh build: no search writes to the context."""
+    problem = load(name)
+    result = plan_with_agenda(problem, compute_agenda(problem, "h"))
+    assert len(result.episodes) > 1
+    shared = GraphContext(problem)
+    for episode in reversed(result.episodes):
+        outcome = graphplan_search(shared, episode.initial, episode.goals)
+        assert outcome == graphplan_search(GraphContext(problem),
+                                           episode.initial, episode.goals)
+        if episode.outcome == "solved":
+            assert outcome == episode.plan
+    fresh = GraphContext(problem)
+    assert shared.nodes == fresh.nodes
+    assert vars(shared.kernel) == vars(fresh.kernel)
 
 
 def test_graph_dump_shape(load, graph_of):
@@ -317,8 +352,8 @@ def test_search_matches_reference_on_random_problems(spec, data):
     max_nodes = data.draw(st.integers(1, 60) | st.just(10 ** 7))
     problem = problem_of(n_facts, nodes, init, goals)
     assert_matches_reference(
-        lambda: graphplan_search(problem, max_nodes=max_nodes))
-    assert_matches_scan(lambda: graphplan_search(problem, max_nodes=max_nodes))
+        lambda: graphplan_on(problem, max_nodes=max_nodes))
+    assert_matches_scan(lambda: graphplan_on(problem, max_nodes=max_nodes))
 
 
 @pytest.mark.parametrize("name, nodes", [
@@ -343,9 +378,11 @@ def grown_graphs(run):
 
 
 def assert_grown_layers_match_build(graph):
-    """Every layer the search grew equals the layer of the same index in the
-    graph built to level-off, and growth saw level-off where it reached it."""
-    full = build_graph(graph.problem)
+    """Every layer the search grew over its context, from its initial state,
+    equals the layer of the same index in the graph built to level-off from
+    that state, and growth saw level-off where it reached it."""
+    full = build_graph(replace(graph.context.problem,
+                               init=graph.fact_layers[0]))
     grown = len(graph.action_layers)
     if graph.leveled_at is None:
         assert grown <= full.leveled_at
@@ -361,7 +398,7 @@ def assert_grown_layers_match_build(graph):
 
 def assert_growth_matches_build(problem, methods):
     """Plain, and episode by episode over the agenda of each method."""
-    runs = [lambda: graphplan_search(problem)]
+    runs = [lambda: graphplan_on(problem)]
     for method in methods:
         graph = build_graph(problem, retain_layers=False) \
             if method == "e" else None
@@ -445,7 +482,7 @@ def test_search_is_sound_and_step_optimal_on_random_problems(spec, data):
     goals = data.draw(st.lists(st.integers(0, n_facts - 1), min_size=1,
                                max_size=4, unique=True))
     problem = problem_of(n_facts, nodes, init, goals)
-    result = graphplan_search(problem)
+    result = graphplan_on(problem)
     fewest = fewest_parallel_steps(problem)
     if isinstance(result, Unsolvable):
         assert not any(problem.goals <= state
@@ -487,13 +524,13 @@ def test_search_proves_cycles_unsolvable_by_memo_exhaustion(spec, max_nodes):
     which the exhaustive state space confirms, and the search agrees with
     the reference under any node budget."""
     problem = problem_of(*spec)
-    result = graphplan_search(problem)
+    result = graphplan_on(problem)
     assert isinstance(result, Unsolvable)
     assert "memoized" in result.reason
     assert not any(problem.goals <= state
                    for state in enumerate_reachable(problem).states)
     assert_matches_reference(
-        lambda: graphplan_search(problem, max_nodes=max_nodes))
+        lambda: graphplan_on(problem, max_nodes=max_nodes))
 
 
 def bottleneck_problem(rng):
@@ -565,7 +602,7 @@ def test_subset_nogoods_on_nested_goal_sets_over_a_bottleneck():
         rng = random.Random(seed)
         problem = problem_of(*bottleneck_problem(rng))
         for max_nodes in (rng.randint(1, 60), 10 ** 7):
-            run = lambda: graphplan_search(problem, max_nodes=max_nodes)
+            run = lambda: graphplan_on(problem, max_nodes=max_nodes)
             result, searches = assert_matches_scan(run, CutProbe)
             assert_matches_reference(run)
         for search in searches:
@@ -590,7 +627,7 @@ def test_subset_nogoods_on_nested_goal_sets_over_a_bottleneck():
 
 def test_search_leaves_recursion_limit_alone(load):
     before = sys.getrecursionlimit()
-    graphplan_search(load("hanoi_3"))
+    graphplan_on(load("hanoi_3"))
     assert sys.getrecursionlimit() == before
 
 
@@ -602,7 +639,7 @@ def test_search_runs_in_a_shallow_stack(load, name):
     before = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 100)
     try:
-        plan = graphplan_search(problem)
+        plan = graphplan_on(problem)
     finally:
         sys.setrecursionlimit(before)
     assert validate_plan(problem, plan).valid

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference as ref
+import test_state_digests
 from goalagenda import agenda, corpus, ordering
-from goalagenda.driver import forward_search
+from goalagenda.graphplan import build_graph
 from goalagenda.model import (
     AdlAction,
     AtomTable,
@@ -26,7 +27,7 @@ from goalagenda.oracle import (
 )
 from goalagenda.ordering import ProblemIndex
 
-from conftest import names_of
+from conftest import forward_on, names_of
 from test_kernels import random_problem
 from test_problem_index import random_adl_problem, subsets
 
@@ -90,7 +91,7 @@ def test_clashing_effects_in_a_reachable_state_raise():
     with pytest.raises(ConflictingEffects):
         enumerate_reachable(problem)
     with pytest.raises(ConflictingEffects):
-        forward_search(problem)
+        forward_on(problem)
 
 
 def test_entry_adds_recorded(load, index_of):
@@ -392,6 +393,30 @@ def check_keeping(problem):
     index = ProblemIndex(problem)
     for a in range(len(problem.atoms)):
         assert _keeping_by_scan(problem, a) == _keeping(problem, index, a), a
+
+
+def test_graph_ordering_implies_reasonable_on_random_problems():
+    """Criterion 6 beyond the corpus: on 3000 seeded random STRIPS and ADL
+    problems, every ordered atom pair that the graph ordering e accepts is
+    reasonable by the exact test r. The counts pin how many pairs were
+    decided, and how many of them r decided from reachable anchor states."""
+    decided = nontrivial = 0
+    for seed in range(3000):
+        problem = test_state_digests.random_problem(seed)
+        graph = build_graph(problem, retain_layers=False)
+        index = enumerate_reachable(problem)
+        problem_index = ProblemIndex(problem)
+        atoms = range(len(problem.atoms))
+        for a in atoms:
+            for b in atoms:
+                if a == b or not ordering.order_e(problem, graph, b, a,
+                                                  problem_index).holds:
+                    continue
+                verdict = decide_reasonable(problem, b, a, index=index)
+                assert verdict.holds, (problem.name, b, a)
+                decided += 1
+                nontrivial += not verdict.trivial
+    assert (decided, nontrivial) == (16400, 3942)
 
 
 @pytest.mark.parametrize("name", corpus.ALL_NAMED)

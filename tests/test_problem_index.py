@@ -162,15 +162,16 @@ def test_effect_0_takes_its_conditional_effects_with_it():
                        [frozenset({i("F")}), frozenset({i("Q")})])
 
 
-def count_index_builds(monkeypatch):
+def count_builds(monkeypatch, cls=ProblemIndex):
+    """The instances of ``cls`` constructed from now on, in order."""
     built = []
-    original = ProblemIndex.__init__
+    original = cls.__init__
 
-    def counting(self, problem):
+    def counting(self, *args):
         built.append(self)
-        original(self, problem)
+        original(self, *args)
 
-    monkeypatch.setattr(ProblemIndex, "__init__", counting)
+    monkeypatch.setattr(cls, "__init__", counting)
     return built
 
 
@@ -179,7 +180,7 @@ def test_one_index_per_compute_agenda_call(load, monkeypatch, method):
     """One build per call, shared by the goal graph and the separate-set
     placement; a second call on the same problem builds its own."""
     problem = load("diamond")
-    built = count_index_builds(monkeypatch)
+    built = count_builds(monkeypatch)
     seen = []
     for name in ("build_goal_graph", "place_gsep"):
         original = getattr(agenda, name)
@@ -202,7 +203,7 @@ def test_top_level_orderings_build_one_index(load, graph_of, monkeypatch):
     problem = load("tyreworld_1")
     graph = graph_of("tyreworld_1")
     goals = sorted(problem.goals)
-    built = count_index_builds(monkeypatch)
+    built = count_builds(monkeypatch)
     ordering.order_H(problem, goals[:2], goals[2:])
     ordering.order_E(problem, graph, goals[:2], goals[2:])
     ordering.order_h(problem, goals[0], goals[1])

@@ -25,7 +25,6 @@ from pathlib import Path
 import pytest
 
 from goalagenda import corpus
-from goalagenda.driver import forward_search
 from goalagenda.model import (
     AdlAction,
     AtomTable,
@@ -42,6 +41,8 @@ from goalagenda.oracle import (
     find_deadlocks,
     verify_matrix,
 )
+
+from conftest import forward_on
 
 DIGESTS = Path(__file__).with_name("state_digests.json")
 
@@ -85,7 +86,7 @@ def records(problem, all_pairs: bool) -> dict:
         "decisions": _decisions(problem, index, [(b, a) for a in atoms
                                                  for b in atoms if a != b]),
         "deadlocks": [_ids(s) for s in find_deadlocks(problem, index=index)],
-        "forward": _outcome(forward_search(problem)),
+        "forward": _outcome(forward_on(problem)),
         "verify_matrix": json.dumps(verify_matrix(problem), sort_keys=True),
     }
     if not problem.is_adl:
