@@ -11,7 +11,7 @@ final entry.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .graphplan import AnchorUnreachable, PlanningGraph, build_graph, false_set
 from .model import PlanningProblem
@@ -137,14 +137,15 @@ def degree_partition(closure: GoalGraph):
     return entries, gsep
 
 
-def _set_level_holds(problem, graph, method, bs, as_, index) -> tuple:
-    """(holds, trivial) for the set-level relation bs before as_."""
+def _set_level_holds(problem, graph, method, bs, as_, index) -> bool:
+    """Whether the set-level relation bs before as_ holds; it holds
+    trivially when as_ never enters the graph."""
     if method == "e":
         try:
-            return order_E(problem, graph, bs, as_, index), False
+            return order_E(problem, graph, bs, as_, index)
         except AnchorUnreachable:
-            return True, True
-    return order_H(problem, bs, as_, index), False
+            return True
+    return order_H(problem, bs, as_, index)
 
 
 def place_gsep(problem: PlanningProblem, entries, gsep, method: str,
@@ -175,9 +176,8 @@ def place_gsep(problem: PlanningProblem, entries, gsep, method: str,
     for i, j in itertools.permutations(range(len(nodes)), 2):
         # anchor-side artifacts are recomputed per pair; node counts are
         # small (entries, not atoms), so sharing buys nothing here
-        holds, _ = _set_level_holds(problem, graph, method,
-                                    nodes[i], nodes[j], index)
-        if holds:
+        if _set_level_holds(problem, graph, method, nodes[i], nodes[j],
+                            index):
             node_edges.add((i, j))
 
     index_graph = GoalGraph(frozenset(range(len(nodes))),
@@ -216,14 +216,7 @@ def compute_agenda(problem: PlanningProblem, method: str = "h",
     closure = transitive_closure(gg)
     entries, gsep = degree_partition(closure)
     agenda = place_gsep(problem, entries, gsep, method, graph, index=index)
-    return Agenda(
-        entries=agenda.entries,
-        method=method,
-        edges=gg.edges,
-        trivial_edges=gg.trivial_edges,
-        gsep=gsep,
-        gsep_placement=agenda.gsep_placement,
-    )
+    return replace(agenda, edges=gg.edges, trivial_edges=gg.trivial_edges)
 
 
 def agenda_to_dict(problem: PlanningProblem, agenda: Agenda) -> dict:

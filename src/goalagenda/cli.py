@@ -5,7 +5,8 @@ trace), verify (approximations vs the exhaustive oracle), graph-dump
 (planning-graph layer statistics). Two input routes: a PDDL domain/problem
 pair, or a ground-problem JSON file; --corpus NAME loads a shipped instance.
 
-Exit codes: 0 success, 1 unsolvable, 2 resource limit, 3 input error.
+Exit codes: 0 success, 1 unsolvable, 2 resource limit, 3 input error
+(a usage error too).
 JSON always goes to stdout (or --out) and is byte-deterministic for fixed
 inputs; timings are informational and go to stderr.
 """
@@ -16,13 +17,13 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from . import corpus
 from .agenda import agenda_to_dict, compute_agenda
 from .driver import plan_with_agenda
 from .graphplan import ResourceLimitError, build_graph, graph_dump
-from .model import PlanningError, PlanningProblem
+from .model import (MAX_LAYERS, MAX_NODES, MAX_STATES, PlanningError,
+                    PlanningProblem)
 from .oracle import LimitExceeded, verify_matrix
 from .pddl import ground, parse
 
@@ -32,21 +33,13 @@ EXIT_RESOURCE = 2
 EXIT_INPUT = 3
 
 
-@dataclass
-class RunConfig:
-    command: str
-    domain: str = None
-    problem: str = None
-    ground: str = None
-    corpus: str = None
-    method: str = "h"
-    base: str = None  # default picked per problem kind
-    linearize_entries: bool = False
-    max_layers: int = 128
-    max_nodes: int = 10 ** 7
-    max_states: int = 200_000
-    out: str = None
-    fmt: str = "json"
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: exit 3, not argparse's 2, which
+    stands for a resource limit here. Subparsers share the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -58,7 +51,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="goalagenda",
         description="goal-ordering analysis and agenda-driven planning")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -66,32 +59,32 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="compute the goal agenda")
     _add_common(analyze)
     analyze.add_argument("--method", choices=("e", "h"), default="h")
-    analyze.add_argument("--max-layers", type=int, default=128)
+    analyze.add_argument("--max-layers", type=int, default=MAX_LAYERS)
 
     plan = sub.add_parser("plan", help="plan over the goal agenda")
     _add_common(plan)
     plan.add_argument("--method", choices=("e", "h"), default="h")
     plan.add_argument("--base", choices=("graphplan", "forward"))
     plan.add_argument("--linearize-entries", action="store_true")
-    plan.add_argument("--max-layers", type=int, default=128)
-    plan.add_argument("--max-nodes", type=int, default=10 ** 7)
-    plan.add_argument("--max-states", type=int, default=200_000)
+    plan.add_argument("--max-layers", type=int, default=MAX_LAYERS)
+    plan.add_argument("--max-nodes", type=int, default=MAX_NODES)
+    plan.add_argument("--max-states", type=int, default=MAX_STATES)
     plan.add_argument("--format", dest="fmt", choices=("json", "text"),
                       default="json")
 
     verify = sub.add_parser(
         "verify", help="compare approximations against the exhaustive oracle")
     _add_common(verify)
-    verify.add_argument("--max-states", type=int, default=200_000)
-    verify.add_argument("--max-layers", type=int, default=128)
+    verify.add_argument("--max-states", type=int, default=MAX_STATES)
+    verify.add_argument("--max-layers", type=int, default=MAX_LAYERS)
 
     dump = sub.add_parser("graph-dump", help="planning-graph layer counts")
     _add_common(dump)
-    dump.add_argument("--max-layers", type=int, default=128)
+    dump.add_argument("--max-layers", type=int, default=MAX_LAYERS)
     return parser
 
 
-def _load_problem(config: RunConfig) -> PlanningProblem:
+def _load_problem(config: argparse.Namespace) -> PlanningProblem:
     routes = [r for r in (config.domain or config.problem, config.ground,
                           config.corpus) if r]
     if len(routes) != 1:
@@ -116,7 +109,7 @@ def _load_problem(config: RunConfig) -> PlanningProblem:
     return ground(dom, prob)
 
 
-def _emit(config: RunConfig, payload: str) -> None:
+def _emit(config: argparse.Namespace, payload: str) -> None:
     if config.out:
         with open(config.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
@@ -164,7 +157,7 @@ def _plan_text(problem: PlanningProblem, result) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run(config: RunConfig) -> int:
+def run(config: argparse.Namespace) -> int:
     try:
         problem = _load_problem(config)
     except (OSError, PlanningError) as exc:
@@ -249,10 +242,7 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = RunConfig(**{k.replace("-", "_"): v
-                          for k, v in vars(args).items()})
+    config = build_parser().parse_args(argv)
     try:
         return run(config)
     except ResourceLimitError as exc:

@@ -40,10 +40,16 @@ def problem_from_dict(data: dict) -> PlanningProblem:
             raise GroundFileError(f"{where} must be a list of atom names")
         return frozenset(atoms.intern(n) for n in names)
 
+    def objects(items, where):
+        if not isinstance(items, list) or not all(isinstance(item, dict)
+                                                  for item in items):
+            raise GroundFileError(f"{where} must be a list of objects")
+        return items
+
     init = ids(data["init"], "init")
     goals = ids(data["goals"], "goals")
     actions = []
-    adl = any("effects" in a for a in data["actions"])
+    adl = any("effects" in a for a in objects(data["actions"], "actions"))
     for a in data["actions"]:
         if "name" not in a:
             raise GroundFileError("every action needs a name")
@@ -51,7 +57,8 @@ def problem_from_dict(data: dict) -> PlanningProblem:
             raise GroundFileError("actions must be homogeneous")
         if adl:
             effects = []
-            for i, eff in enumerate(a["effects"]):
+            for i, eff in enumerate(objects(a["effects"],
+                                            f"{a['name']} effects")):
                 cond = ids(eff.get("when", []), f"{a['name']} effect {i}")
                 if i == 0 and eff.get("when"):
                     raise GroundFileError(
@@ -105,10 +112,11 @@ def problem_to_dict(problem: PlanningProblem) -> dict:
 
 def load_ground_json(text: str) -> PlanningProblem:
     try:
-        data = json.loads(text)
+        return problem_from_dict(json.loads(text))
     except json.JSONDecodeError as exc:
         raise GroundFileError(f"invalid JSON: {exc}") from exc
-    return problem_from_dict(data)
+    except ValueError as exc:  # a form the model's constructors reject
+        raise GroundFileError(str(exc)) from exc
 
 
 # --- packaged files ----------------------------------------------------------

@@ -15,6 +15,9 @@ from functools import partial
 from .agenda import Agenda
 from .graphplan import GraphContext, graphplan_search
 from .model import (
+    MAX_LAYERS,
+    MAX_NODES,
+    MAX_STATES,
     Plan,
     PlanningError,
     PlanningProblem,
@@ -57,7 +60,7 @@ def next_initial_state(problem: PlanningProblem, state: State,
 
 
 def forward_search(table: SuccessorTable, init, goals,
-                   max_states: int = 200_000):
+                   max_states: int = MAX_STATES):
     """Breadth-first search with duplicate detection from init to the goals,
     over states as int bitmasks: shortest sequential plan, complete on
     finite state spaces within the state budget."""
@@ -114,11 +117,11 @@ def _base_planner(name: str, problem: PlanningProblem, limits: dict):
     the one per-problem table that every episode shares."""
     if name == "graphplan":
         return partial(graphplan_search, GraphContext(problem),
-                       max_layers=limits.get("max_layers", 128),
-                       max_nodes=limits.get("max_nodes", 10 ** 7))
+                       max_layers=limits.get("max_layers", MAX_LAYERS),
+                       max_nodes=limits.get("max_nodes", MAX_NODES))
     if name == "forward":
         return partial(forward_search, SuccessorTable(problem),
-                       max_states=limits.get("max_states", 200_000))
+                       max_states=limits.get("max_states", MAX_STATES))
     raise ValueError(f"unknown base planner {name!r}")
 
 
@@ -155,7 +158,7 @@ def plan_with_agenda(problem: PlanningProblem, agenda: Agenda,
             if not problem.is_adl:
                 try:
                     reachable = enumerate_reachable(
-                        problem, limits.get("max_states", 200_000))
+                        problem, limits.get("max_states", MAX_STATES))
                 except LimitExceeded:
                     pass
                 else:

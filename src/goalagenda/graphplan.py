@@ -1,13 +1,14 @@
 """Layered planning graph with binary mutex propagation, and the backward
 search that uses it as the STRIPS base planner.
 
-What is per problem, the graph nodes and the layer kernel, is built once in
-a GraphContext. What is per episode is built over it: a GraphGrowth grows
-the graph from the episode's initial state one layer at a time, and the
-backward search keeps its memo and achiever tables. No search writes to a
-context, so one serves every episode of an agenda, in any order. The graph
-levels off at the first layer t whose fact set and mutex relation equal
-layer t+1's; every layer from t on equals layer t. build_graph grows to
+What is per problem, the layer kernel over the graph nodes, is built once
+in a GraphContext. What is per episode is built over it: a GraphGrowth
+grows the graph from the episode's initial state one layer at a time,
+keeping the achiever lists that the kernel returns per action layer, and
+the backward search keeps its nogood memo. No search writes to a context,
+so one serves every episode of an agenda, in any order. The graph levels
+off at the first layer t whose fact set and mutex relation equal layer
+t+1's; every layer from t on equals layer t. build_graph grows to
 level-off, for the orderings and the dumps. The backward search, as in
 GraphPlan and IPP, grows only the layers its horizons read: layer H+1 once
 the search at horizon H has failed.
@@ -33,6 +34,8 @@ from typing import NamedTuple
 
 from .kernel import GraphKernel, backend as kernel_backend
 from .model import (
+    MAX_LAYERS,
+    MAX_NODES,
     Plan,
     PlanningError,
     PlanningProblem,
@@ -59,7 +62,6 @@ class GraphNode(NamedTuple):
 
     action_id: int
     effect_index: int  # 0 for STRIPS actions and unconditional ADL parts
-    name: str
     pre: frozenset
     add: frozenset
     delete: frozenset
@@ -69,29 +71,26 @@ def graph_nodes(problem: PlanningProblem) -> tuple:
     nodes = []
     for action_id, action in enumerate(problem.actions):
         if isinstance(action, StripsAction):
-            nodes.append(GraphNode(action_id, 0, action.name, action.pre,
-                                   action.add, action.delete))
+            nodes.append(GraphNode(action_id, 0, action.pre, action.add,
+                                   action.delete))
         else:
             pre0 = action.effects[0].condition
             for i, eff in enumerate(action.effects):
-                nodes.append(GraphNode(
-                    action_id, i,
-                    action.name if i == 0 else f"{action.name}#{i}",
-                    pre0 | eff.condition, eff.adds, eff.deletes))
+                nodes.append(GraphNode(action_id, i, pre0 | eff.condition,
+                                       eff.adds, eff.deletes))
     return tuple(nodes)
 
 
 class GraphContext:
-    """The graph nodes of one problem and the layer kernel over them: ids
-    below n_real_nodes are real nodes, n_real_nodes + f is fact f's no-op."""
+    """The layer kernel over the graph nodes of one problem: ids below
+    n_real_nodes are real nodes, n_real_nodes + f is fact f's no-op."""
 
     def __init__(self, problem: PlanningProblem):
         self.problem = problem
-        self.nodes = graph_nodes(problem)
-        self.n_real_nodes = len(self.nodes)
+        nodes = graph_nodes(problem)
+        self.n_real_nodes = len(nodes)
         self.kernel = GraphKernel(len(problem.atoms), [
-            (sorted(n.pre), sorted(n.add), sorted(n.delete))
-            for n in self.nodes])
+            (sorted(n.pre), sorted(n.add), sorted(n.delete)) for n in nodes])
 
     def noop_id(self, fact: int) -> int:
         return self.n_real_nodes + fact
@@ -99,8 +98,6 @@ class GraphContext:
 
 @dataclass(frozen=True)
 class PlanningGraph:
-    problem: PlanningProblem
-    nodes: tuple  # tuple[GraphNode, ...]
     fact_layers: tuple  # tuple[frozenset[int], ...], layers 0..leveled_at+1
     action_layers: tuple  # tuple[tuple[int, ...], ...] node ids incl. no-ops
     fact_mutex: tuple  # per fact layer: tuple[int, ...] row bitmasks or None
@@ -124,10 +121,12 @@ class GraphGrowth:
     """A planning graph over a context, grown from ``init`` one layer per
     call to ``grow``, with PlanningGraph's layer fields in lists; leveled_at
     stays None until a layer equal to its predecessor shows level-off.
+    ``achievers`` holds, per action layer, the kernel's per-fact achiever
+    lists and masks.
 
-    With retain_layers=False the fact-mutex rows are kept only at the
-    leveled layer, which is all the false-set computation needs; the
-    backward search grows with retention.
+    With retain_layers=False the action-layer tables are not kept and the
+    fact-mutex rows are kept only at the leveled layer, which is all the
+    false-set computation needs; the backward search grows with retention.
     """
 
     def __init__(self, context: GraphContext, init, max_layers: int,
@@ -141,6 +140,7 @@ class GraphGrowth:
         self.action_layers = []
         self.fact_mutex = [tuple(self._rows) if retain_layers else None]
         self.action_mutex = []
+        self.achievers = []
         self.mutex_counts = [0]
         self.leveled_at = None
 
@@ -153,15 +153,16 @@ class GraphGrowth:
             raise ResourceLimitError(
                 f"planning graph did not level off within "
                 f"{self.max_layers} layers")
-        applicable, mask, rows, act_rows = self.context.kernel.step(
-            self._mask, self._rows)
+        applicable, mask, rows, act_rows, achievers, ach_masks = \
+            self.context.kernel.step(self._mask, self._rows)
         leveled = mask == self._mask and rows == self._rows
         self.action_layers.append(tuple(applicable))
-        self.action_mutex.append(
-            tuple(act_rows) if self.retain_layers else None)
+        retain = self.retain_layers
+        self.action_mutex.append(tuple(act_rows) if retain else None)
+        self.achievers.append((achievers, ach_masks) if retain else None)
         self.fact_layers.append(frozenset(mask_ids(mask)))
         self.mutex_counts.append(_pair_count(rows))
-        keep = self.retain_layers or leveled
+        keep = retain or leveled
         self.fact_mutex.append(tuple(rows) if keep else None)
         if leveled:
             self.leveled_at = t
@@ -180,7 +181,7 @@ class GraphGrowth:
         return t if self.leveled_at is None else min(t, self.leveled_at)
 
 
-def build_graph(problem: PlanningProblem, max_layers: int = 128,
+def build_graph(problem: PlanningProblem, max_layers: int = MAX_LAYERS,
                 retain_layers: bool = True) -> PlanningGraph:
     """Grow the graph until level-off (through leveled_at + 1 layers), or
     raise ResourceLimitError past max_layers layers; see GraphGrowth for
@@ -190,8 +191,6 @@ def build_graph(problem: PlanningProblem, max_layers: int = 128,
     while growth.leveled_at is None:
         growth.grow()
     return PlanningGraph(
-        problem=problem,
-        nodes=context.nodes,
         fact_layers=tuple(growth.fact_layers),
         action_layers=tuple(growth.action_layers),
         fact_mutex=tuple(growth.fact_mutex),
@@ -235,7 +234,7 @@ def false_set(graph: PlanningGraph, anchor) -> FalseSet:
 # --- backward search ---------------------------------------------------------
 
 def graphplan_search(context: GraphContext, init, goals,
-                     max_layers: int = 128, max_nodes: int = 10 ** 7):
+                     max_layers: int = MAX_LAYERS, max_nodes: int = MAX_NODES):
     """GraphPlan backward search from the state init to the goals:
     step-optimal parallel plan, Unsolvable with a level-off + memoization
     exhaustion proof, or ResourceLimit.
@@ -346,9 +345,9 @@ class _NodeBudgetExceeded(Exception):
 
 class _BackwardSearch:
     """Depth-first backward search over one graph in growth, kept across
-    horizons so its nogood memo and achiever tables are reused. The graph
-    grows between horizons; the search reads action layer t-1 at
-    graph.layer(t - 1), so the tables, kept per layer index, stay valid.
+    horizons so its nogood memo is reused. The graph grows between horizons;
+    the search reads action layer t-1 at graph.layer(t - 1), with the
+    achiever lists and masks the growth kept for that layer.
 
     A goal set at fact layer t is solved by giving each goal, in ascending
     fact order, an achiever at action layer t-1 that is not mutex with the
@@ -398,29 +397,10 @@ class _BackwardSearch:
         # fact layer t -> highest fact -> the searched nogoods with that top
         self.by_top: dict = {}
         self.init_mask = mask_of(graph.fact_layers[0])
-        self._achievers: dict = {}  # action layer -> achiever tables
 
     def goals_mutex(self, layer: int, goals: int) -> bool:
         rows = self.graph.fact_mutex[layer]
         return any(rows[p] & goals for p in mask_ids(goals))
-
-    def achievers(self, layer: int):
-        """Per fact, its achiever node ids at the action layer (the no-op
-        first, then ascending) and the bitmask of those ids."""
-        tables = self._achievers.get(layer)
-        if tables is None:
-            context = self.graph.context
-            n_real = context.n_real_nodes
-            table = [[] for _ in range(context.kernel.n_facts)]
-            for node_id in self.graph.action_layers[layer]:
-                if node_id >= n_real:
-                    table[node_id - n_real].insert(0, node_id)
-                else:
-                    for f in context.nodes[node_id].add:
-                        table[f].append(node_id)
-            tables = table, [sum(1 << c for c in cands) for cands in table]
-            self._achievers[layer] = tables
-        return tables
 
     def _open(self, goals: int, t: int):
         """Stack entry for the goal set at fact layer t >= 1, or None when it
@@ -431,7 +411,7 @@ class _BackwardSearch:
             goal_ids = mask_ids(goals)
             if not self._contains_nogood(goals, goal_ids, t):
                 layer = self.graph.layer(t - 1)
-                return (t, goals, goal_ids, *self.achievers(layer),
+                return (t, goals, goal_ids, *self.graph.achievers[layer],
                         self.graph.action_mutex[layer], [])
             nogoods.add(goals)
         return None
@@ -524,10 +504,9 @@ class _BackwardSearch:
 
 
 def _extract_plan(context: GraphContext, steps) -> Plan:
-    out = []
+    out = []  # the search is STRIPS-only, so node i is action i
     for step in steps:
-        real = frozenset(context.nodes[n].action_id for n in step
-                         if n < context.n_real_nodes)
+        real = frozenset(n for n in step if n < context.n_real_nodes)
         if real:
             out.append(real)
     return Plan(tuple(out))

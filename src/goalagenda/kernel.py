@@ -17,6 +17,10 @@ mutex with every achiever of p. So q is mutex with p exactly when all of
 q's achievers lie in R(p). Only pairs that can change are tested: a pair
 present and non-mutex at one layer stays non-mutex at every later layer, so
 only previously mutex pairs and pairs involving a new fact are examined.
+
+The achiever lists and masks that this test builds are also returned, in the
+order the backward search tries them, so the kernel is the one place that
+produces achievers.
 """
 
 from __future__ import annotations
@@ -74,7 +78,11 @@ class GraphKernel:
         """One transition: facts/mutexes at layer t -> layer t+1.
 
         Returns (applicable node ids, next fact mask, next mutex rows,
-        action mutex rows indexed by node id, 0 for inapplicable nodes).
+        action mutex rows indexed by node id, 0 for inapplicable nodes,
+        per fact its achievers among the applicable nodes, and per fact the
+        bitmask of those achievers). A fact's achievers are its no-op first,
+        when the fact is present at layer t, then ascending node id; a fact
+        absent from layer t+1 has none.
         """
         n_facts, pre_lists = self.n_facts, self.pre_lists
         applicable = []
@@ -101,17 +109,21 @@ class GraphKernel:
         applicable_mask = mask_of(applicable)
         action_rows = [0] * self.n_nodes
         next_fact_mask = fact_mask
-        achievers = [[] for _ in range(n_facts)]
-        ach_masks = [0] * n_facts
+        noop = self.n_actions
+        achievers = [[noop + f] if fact_mask >> f & 1 else []
+                     for f in range(n_facts)]
+        ach_masks = [1 << (noop + f) if fact_mask >> f & 1 else 0
+                     for f in range(n_facts)]
         for a in applicable:
             m = self.interference[a]
             for p in pre_lists[a]:
                 m |= competing[p]
             action_rows[a] = m & applicable_mask & ~(1 << a)
-            next_fact_mask |= self.add_masks[a]
-            for f in self.add_lists[a]:
-                achievers[f].append(a)
-                ach_masks[f] |= 1 << a
+            if a < noop:
+                next_fact_mask |= self.add_masks[a]
+                for f in self.add_lists[a]:
+                    achievers[f].append(a)
+                    ach_masks[f] |= 1 << a
 
         next_rows = [0] * n_facts
         for p in range(n_facts):
@@ -135,4 +147,5 @@ class GraphKernel:
                 if not ach_masks[q] & ~r:
                     next_rows[p] |= low
                     next_rows[q] |= 1 << p
-        return applicable, next_fact_mask, next_rows, action_rows
+        return (applicable, next_fact_mask, next_rows, action_rows,
+                achievers, ach_masks)

@@ -336,6 +336,13 @@ def result_sequence(state: State, actions: Sequence[Action]) -> State:
 
 # --- search outcomes --------------------------------------------------------
 
+# default budgets: planning-graph layers grown, backward-search nodes per
+# episode, and states held by a forward search or the oracle's enumeration
+MAX_LAYERS = 128
+MAX_NODES = 10 ** 7
+MAX_STATES = 200_000
+
+
 @dataclass(frozen=True)
 class Unsolvable:
     """Definitive non-answer: exhaustion proved there is no plan."""

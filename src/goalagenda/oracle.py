@@ -11,7 +11,10 @@ whether the other goal is reachable from each of those states under the
 answers that: it starts from each of those states in discovery order and
 shares its visited states across them, since a state visited by an earlier
 start whose search never found the goal cannot reach it either, and is
-skipped. Also detects deadlocks, and certifies invertibility against the
+skipped. The reasonable ordering allows the actions that never delete the
+anchor atom, found by one scan over the actions per decision; the
+verification matrix decides every pair through the same two entry points.
+Also detects deadlocks, and certifies invertibility against the
 transitions: an action that labels no edge never runs and is exempt.
 Everything here is exponential by design; the default state budget keeps it
 at desk scale, and verdicts past the budget are "unknown", never false.
@@ -28,6 +31,7 @@ from functools import cached_property
 from .agenda import build_goal_graph
 from .driver import _unwind
 from .model import (
+    MAX_STATES,
     PlanningError,
     PlanningProblem,
     SuccessorTable,
@@ -42,9 +46,6 @@ class LimitExceeded(PlanningError):
     def __init__(self, limit: int):
         self.limit = limit
         super().__init__(f"reachable-state budget of {limit} exceeded")
-
-
-DEFAULT_STATE_LIMIT = 200_000
 
 
 @dataclass
@@ -66,7 +67,7 @@ class ReachabilityIndex:
 
 
 def enumerate_reachable(problem: PlanningProblem,
-                        limit: int = DEFAULT_STATE_LIMIT) -> ReachabilityIndex:
+                        limit: int = MAX_STATES) -> ReachabilityIndex:
     """BFS closure of the initial state under all applicable transitions.
 
     Self-loops are kept: an applicable action that changes nothing still
@@ -159,16 +160,9 @@ def _decide(index: ReachabilityIndex, relation: str, b: int, a: int,
     return OrderingVerdict(relation, holds=True, trivial=False)
 
 
-def _keeping(problem: PlanningProblem, problem_index: ProblemIndex,
-             a: int) -> frozenset:
-    """Ids of the actions none of whose effects deletes a."""
-    return (frozenset(range(len(problem.actions)))
-            - frozenset(problem_index.deleters.get(a, ())))
-
-
-def _keeping_by_scan(problem: PlanningProblem, a: int) -> frozenset:
-    """``_keeping`` by one scan over the actions' delete sets, for a caller
-    that decides one pair and has no ProblemIndex to read."""
+def _keeping(problem: PlanningProblem, a: int) -> frozenset:
+    """Ids of the actions none of whose effects deletes a, by one scan over
+    the actions' delete sets."""
     if problem.is_adl:
         return frozenset(i for i, action in enumerate(problem.actions)
                          if not any(a in eff.deletes
@@ -179,17 +173,17 @@ def _keeping_by_scan(problem: PlanningProblem, a: int) -> frozenset:
 
 def decide_reasonable(problem: PlanningProblem, b: int, a: int,
                       index: ReachabilityIndex = None,
-                      limit: int = DEFAULT_STATE_LIMIT) -> OrderingVerdict:
+                      limit: int = MAX_STATES) -> OrderingVerdict:
     """Exact test: from every reachable state where a was just achieved with
     b false, is b unreachable using only the actions that never delete a?"""
     if index is None:
         index = enumerate_reachable(problem, limit)
-    return _decide(index, "r", b, a, _keeping_by_scan(problem, a))
+    return _decide(index, "r", b, a, _keeping(problem, a))
 
 
 def decide_forced(problem: PlanningProblem, b: int, a: int,
                   index: ReachabilityIndex = None,
-                  limit: int = DEFAULT_STATE_LIMIT) -> OrderingVerdict:
+                  limit: int = MAX_STATES) -> OrderingVerdict:
     """Exact test with the full action set: achieving a with b false is a
     dead end for b."""
     if index is None:
@@ -200,7 +194,7 @@ def decide_forced(problem: PlanningProblem, b: int, a: int,
 
 def find_deadlocks(problem: PlanningProblem,
                    index: ReachabilityIndex = None,
-                   limit: int = DEFAULT_STATE_LIMIT):
+                   limit: int = MAX_STATES):
     """Reachable states from which no goal state is reachable, in discovery
     order. An unsolvable problem lists every reachable state."""
     if index is None:
@@ -317,13 +311,13 @@ def check_invertibility(problem: PlanningProblem,
 # --- verification matrix -----------------------------------------------------
 
 def verify_matrix(problem: PlanningProblem, graph=None,
-                  limit: int = DEFAULT_STATE_LIMIT) -> dict:
+                  limit: int = MAX_STATES) -> dict:
     """Approximations vs exact orderings over every ordered goal pair.
 
     The e and h columns are read off the goal graphs, which compute one
     false set or one fixpoint per anchor goal; both share one ProblemIndex.
-    The r column is decide_reasonable's test with each anchor's allowed
-    actions (those that never delete it) read once from that index.
+    The r and f columns are decide_reasonable's and decide_forced's
+    verdicts over one enumeration.
 
     Oracle columns are null when the state budget is exceeded (unknown,
     never asserted either way).
@@ -333,8 +327,6 @@ def verify_matrix(problem: PlanningProblem, graph=None,
         problem_index = ProblemIndex(problem)
         e_graph = build_goal_graph(problem, "e", graph, index=problem_index)
         h_graph = build_goal_graph(problem, "h", index=problem_index)
-        allowed = {a: _keeping(problem, problem_index, a) for a in goals}
-        all_actions = frozenset(range(len(problem.actions)))
     index = None
     limit_hit = False
     try:
@@ -360,8 +352,8 @@ def verify_matrix(problem: PlanningProblem, graph=None,
                 "f_trivial": None,
             }
             if index is not None:
-                r = _decide(index, "r", b, a, allowed[a])
-                f = _decide(index, "f", b, a, all_actions)
+                r = decide_reasonable(problem, b, a, index)
+                f = decide_forced(problem, b, a, index)
                 row.update(r=r.holds, r_trivial=r.trivial,
                            f=f.holds, f_trivial=f.trivial)
             pairs.append(row)

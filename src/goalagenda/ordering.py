@@ -52,9 +52,8 @@ class ProblemIndex:
     effect-0 way. Per way: ``condition`` (action precondition plus effect
     condition), ``implied_deletes`` and ``adds``. Per atom, as ascending
     lists keyed only by atoms that occur: ``adders`` (ways adding it),
-    ``implied_deleters`` (ways whose implied deletes hold it),
-    ``condition_users`` (ways whose condition holds it) and ``deleters``
-    (action ids with any effect deleting it).
+    ``implied_deleters`` (ways whose implied deletes hold it) and
+    ``condition_users`` (ways whose condition holds it).
 
     Built once per top-level call and passed down; nothing keeps it after
     the call returns.
@@ -77,7 +76,6 @@ class ProblemIndex:
         self.adders = adders = {}
         self.implied_deleters = implied_deleters = {}
         self.condition_users = condition_users = {}
-        self.deleters = deleters = {}
         for w, node in enumerate(nodes):
             for p in node.add:
                 adders.setdefault(p, []).append(w)
@@ -85,10 +83,6 @@ class ProblemIndex:
                 implied_deleters.setdefault(p, []).append(w)
             for p in node.pre:
                 condition_users.setdefault(p, []).append(w)
-            for p in node.delete:
-                ids = deleters.setdefault(p, [])
-                if not ids or ids[-1] != node.action_id:
-                    ids.append(node.action_id)
         self.addable = frozenset(adders)
 
     def view(self, anchor, false_atoms=()) -> "UsableActions":

@@ -142,6 +142,13 @@ def _head(form):
     return form[0].text.lower()
 
 
+def _name(form, what: str) -> str:
+    """The name after a form's head, as in (domain NAME)."""
+    if len(form) < 2 or not isinstance(form[1], _Tok):
+        raise PddlSyntaxError(f"expected {what}", *_loc(form))
+    return form[1].text
+
+
 # --- lifted structures ------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -252,7 +259,7 @@ def parse_domain(text: str) -> DomainFile:
     body = forms[0][1:]
     if not body or _head(body[0]) != "domain":
         raise PddlSyntaxError("expected (domain NAME)", *_loc(forms[0]))
-    name = body[0][1].text
+    name = _name(body[0], "(domain NAME)")
     requirements: list = [":strips"]
     types: list = []
     predicates: list = []
@@ -286,9 +293,7 @@ def parse_domain(text: str) -> DomainFile:
 
 
 def _parse_action(section) -> LiftedOperator:
-    if len(section) < 2 or not isinstance(section[1], _Tok):
-        raise PddlSyntaxError("expected an action name", *_loc(section))
-    name = section[1].text
+    name = _name(section, "an action name")
     params: tuple = ()
     precondition: tuple = ()
     effect: tuple = ()
@@ -384,7 +389,7 @@ def parse_problem(text: str, domain: DomainFile) -> ProblemFile:
     body = forms[0][1:]
     if not body or _head(body[0]) != "problem":
         raise PddlSyntaxError("expected (problem NAME)")
-    name = body[0][1].text
+    name = _name(body[0], "(problem NAME)")
     domain_name = ""
     objects: list = []
     init: list = []
@@ -393,7 +398,7 @@ def parse_problem(text: str, domain: DomainFile) -> ProblemFile:
     for section in body[1:]:
         head = _head(section)
         if head == ":domain":
-            domain_name = section[1].text
+            domain_name = _name(section, "(:domain NAME)")
         elif head == ":objects":
             objects = _parse_typed_list(section[1:])
         elif head == ":init":
@@ -402,6 +407,9 @@ def parse_problem(text: str, domain: DomainFile) -> ProblemFile:
                 _check_ground_atom(lit, arities)
                 init.append((lit.predicate, lit.args))
         elif head == ":goal":
+            if len(section) != 2:
+                raise PddlSyntaxError("expected (:goal FORMULA)",
+                                      *_loc(section))
             for form in _flatten_and(section[1], "goal"):
                 if isinstance(form, list) and not form:
                     continue  # (and) is the empty conjunction

@@ -13,8 +13,9 @@ sets.
 
 ``full_step`` is one planning-graph layer transition recomputed from the
 node triples: action-mutex rows by ``pairwise_action_rows``, which tests
-every pair of applicable nodes, and fact mutexes by testing every pair of
-present facts over every pair of achievers.
+every pair of applicable nodes, fact mutexes by testing every pair of
+present facts over every pair of achievers, and the achiever lists and
+masks by a scan of the applicable nodes' add sets.
 
 ``ScanView``, ``usable_given``, ``compute_f_da``, ``fixpoint_reduce``,
 ``possibly_achievable`` and ``graph_test`` are the direct-analysis
@@ -42,7 +43,11 @@ import sys
 from collections import deque
 from contextlib import contextmanager
 
-from goalagenda.graphplan import _BackwardSearch, _NodeBudgetExceeded
+from goalagenda.graphplan import (
+    _BackwardSearch,
+    _NodeBudgetExceeded,
+    graph_nodes,
+)
 from goalagenda.model import (
     Plan,
     ResourceLimit,
@@ -72,6 +77,7 @@ class RecursiveSearch:
     def __init__(self, graph, max_nodes: int):
         self.graph = graph
         self.context = graph.context
+        self.nodes = graph_nodes(graph.context.problem)
         self.max_nodes = max_nodes
         self.nodes_used = 0
         self.memo: dict = {}
@@ -102,7 +108,7 @@ class RecursiveSearch:
             if node_id == noop:
                 out.insert(0, node_id)
             elif node_id < self.context.n_real_nodes \
-                    and fact in self.context.nodes[node_id].add:
+                    and fact in self.nodes[node_id].add:
                 out.append(node_id)
         self._achievers_cache[key] = out
         return out
@@ -110,7 +116,7 @@ class RecursiveSearch:
     def _node_pre(self, node_id: int):
         if node_id >= self.context.n_real_nodes:
             return frozenset((node_id - self.context.n_real_nodes,))
-        return self.context.nodes[node_id].pre
+        return self.nodes[node_id].pre
 
     def search(self, goals: int, t: int):
         with recursion_limit(10_000):
@@ -141,7 +147,7 @@ class RecursiveSearch:
         goal = goals[index]
         for node_id in chosen:
             if node_id < self.context.n_real_nodes \
-                    and goal in self.context.nodes[node_id].add:
+                    and goal in self.nodes[node_id].add:
                 return self._assign(goals, index + 1, chosen, t)
         act_rows = self.graph.action_mutex[self._layer(t - 1)]
         for cand in self.achievers(t - 1, goal):
@@ -193,9 +199,10 @@ def pairwise_action_rows(n_facts, nodes, applicable, mutex_rows):
 def full_step(n_facts, nodes, fact_mask, mutex_rows):
     """One layer transition recomputed from the node triples, with the same
     result shape as ``kernel.GraphKernel.step``: a node is applicable when
-    its preconditions are present and pairwise non-mutex, and every pair of
+    its preconditions are present and pairwise non-mutex, every pair of
     present facts is tested over every pair of achievers, with no
-    incremental rule."""
+    incremental rule, and each fact's achievers are sorted no-op first,
+    then by node id."""
     triples = _with_noops(n_facts, nodes)
     facts = {f for f in range(n_facts) if fact_mask >> f & 1}
     applicable = [a for a, (pre, _, _) in enumerate(triples)
@@ -203,8 +210,9 @@ def full_step(n_facts, nodes, fact_mask, mutex_rows):
                   and not any(mutex_rows[p] >> q & 1 for p in pre for q in pre)]
     action_rows = pairwise_action_rows(n_facts, nodes, applicable, mutex_rows)
     next_facts = facts.union(*(triples[a][1] for a in applicable))
-    achievers = {f: [a for a in applicable if f in triples[a][1]]
-                 for f in next_facts}
+    achievers = [sorted((a for a in applicable if f in triples[a][1]),
+                        key=lambda a: (a < len(nodes), a))
+                 for f in range(n_facts)]
     next_rows = [0] * n_facts
     for p in next_facts:
         for q in next_facts:
@@ -212,7 +220,9 @@ def full_step(n_facts, nodes, fact_mask, mutex_rows):
                              for a in achievers[p] for b in achievers[q]):
                 next_rows[p] |= 1 << q
                 next_rows[q] |= 1 << p
-    return applicable, sum(1 << f for f in next_facts), next_rows, action_rows
+    return (applicable, sum(1 << f for f in next_facts), next_rows,
+            action_rows, achievers,
+            [sum(1 << a for a in achs) for achs in achievers])
 
 
 # --- direct-analysis ordering layer, by scans over every action --------------

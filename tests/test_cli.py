@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -176,6 +180,66 @@ def test_input_errors(tmp_path, capsys):
     code, _, _ = run_cli(["analyze", "--corpus", "trap",
                           "--ground", str(bad)], capsys)
     assert code == 3
+
+
+def _ground(**changes):
+    """TWO_ROOMS's ground JSON with its first action or top-level keys
+    changed."""
+    data = json.loads(json.dumps(TWO_ROOMS))
+    data["actions"][0].update(changes.pop("action", {}))
+    data.update(changes)
+    return ["--ground", json.dumps(data)]
+
+
+BLOCKS_DOMAIN = corpus.domain_text("blocks")
+BLOCKS_TWO = corpus.problem_text("blocks", "two")
+
+
+MALFORMED = [
+    ("strips add meets del",
+     ["analyze", *_ground(action={"del": ["atA", "atB"]})]),
+    ("actions not a list", ["analyze", *_ground(actions=5)]),
+    ("no effects", ["analyze", *_ground(action={"effects": []})]),
+    ("effect not an object",
+     ["analyze", *_ground(action={"effects": [{"add": ["atB"]}, 5]})]),
+    ("domain without name",
+     ["analyze", "--domain", "(define (domain))", "--problem", BLOCKS_TWO]),
+    ("problem without name",
+     ["analyze", "--domain", BLOCKS_DOMAIN, "--problem",
+      "(define (problem))"]),
+    ("empty goal",
+     ["analyze", "--domain", BLOCKS_DOMAIN, "--problem",
+      "(define (problem p) (:domain blocks) (:goal))"]),
+    ("domain reference without name",
+     ["analyze", "--domain", BLOCKS_DOMAIN, "--problem",
+      "(define (problem p) (:domain))"]),
+    ("non-integer budget", ["plan", "--corpus", "trap", "--max-nodes", "abc"]),
+    ("no subcommand", []),
+]
+
+
+@pytest.mark.parametrize("args", [pytest.param(args, id=case)
+                                  for case, args in MALFORMED])
+def test_malformed_input_exits_3(tmp_path, args):
+    """Each malformed input is an input error: exit 3 with a message and no
+    traceback. File arguments are written to files first."""
+    argv = []
+    for i, arg in enumerate(args):
+        if i and args[i - 1] in ("--ground", "--domain", "--problem"):
+            path = tmp_path / f"{args[i - 1][2:]}.txt"
+            path.write_text(arg)
+            arg = str(path)
+        argv.append(arg)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "goalagenda.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "error" in proc.stderr
 
 
 def test_out_file(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """The layer kernel against references recomputed from the node triples:
-every output of every step against a full recomputation with no incremental
-mutex rule, and the bitset action-mutex rows against a pairwise test."""
+every output of every step (the achiever lists and masks included) against
+a full recomputation with no incremental mutex rule, and the bitset
+action-mutex rows against a pairwise test."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,8 +32,9 @@ def check_full_step(n_facts, nodes, init):
     def check(layer, fm, rows, result):
         want = full_step(n_facts, nodes, fm, rows)
         for what, got, expected in zip(
-                ("applicable", "fact layers", "fact mutex", "action mutex"),
-                result, want):
+                ("applicable", "fact layers", "fact mutex", "action mutex",
+                 "achievers", "achiever masks"),
+                result, want, strict=True):
             assert got == expected, f"{what} differ at layer {layer}"
 
     walk(n_facts, nodes, init, check)

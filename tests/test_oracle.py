@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference as ref
 import test_state_digests
-from goalagenda import agenda, corpus, ordering
+from goalagenda import agenda, corpus, oracle, ordering
 from goalagenda.graphplan import build_graph
 from goalagenda.model import (
     AdlAction,
@@ -17,7 +17,6 @@ from goalagenda.model import (
 from goalagenda.oracle import (
     LimitExceeded,
     _keeping,
-    _keeping_by_scan,
     check_invertibility,
     decide_forced,
     decide_reasonable,
@@ -363,11 +362,32 @@ def test_verify_matrix_runs_one_fixpoint_per_goal(load, monkeypatch):
     assert len(calls) == n
 
 
+def test_verify_matrix_decides_each_pair_through_the_entry_points(
+        load, monkeypatch):
+    """verify_matrix decides every ordered goal pair with one
+    decide_reasonable and one decide_forced call, which the traced
+    benchmark run counts as oracle decisions."""
+    problem = load("diamond")
+    calls = {"decide_reasonable": 0, "decide_forced": 0}
+    for name in calls:
+        original = getattr(oracle, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, counting)
+    matrix = verify_matrix(problem)
+    n = len(problem.goals)
+    assert n >= 2 and matrix["states"] is not None
+    assert calls == {"decide_reasonable": n * (n - 1),
+                     "decide_forced": n * (n - 1)}
+
+
 @pytest.mark.parametrize("name", ["diamond", "latch", "trap", "blocks3"])
 def test_verify_matrix_r_column_matches_decide_reasonable(load, index_of,
                                                           name):
-    """verify_matrix reads each anchor's deleters from its ProblemIndex;
-    the r column must equal the per-pair scan of decide_reasonable."""
+    """The r column equals decide_reasonable's verdict on each pair."""
     problem = load(name)
     index = index_of(name)
     matrix = verify_matrix(problem)
@@ -390,9 +410,9 @@ def test_verify_matrix_single_goal():
 
 
 def check_keeping(problem):
-    index = ProblemIndex(problem)
     for a in range(len(problem.atoms)):
-        assert _keeping_by_scan(problem, a) == _keeping(problem, index, a), a
+        assert _keeping(problem, a) == \
+            ref.allowed_actions(problem, "r", a), a
 
 
 def test_graph_ordering_implies_reasonable_on_random_problems():
@@ -421,8 +441,8 @@ def test_graph_ordering_implies_reasonable_on_random_problems():
 
 @pytest.mark.parametrize("name", corpus.ALL_NAMED)
 def test_keeping_scan_matches_problem_index_on_corpus(load, name):
-    """decide_reasonable scans the actions' delete sets for one anchor;
-    verify_matrix reads the same set off its ProblemIndex."""
+    """decide_reasonable's scan for the actions that keep the anchor atom
+    equals the reference's allowed actions."""
     check_keeping(load(name))
 
 
