@@ -2,12 +2,17 @@
 
 Accepted requirements: :strips, :typing, :negative-preconditions,
 :conditional-effects. Preconditions and goals are conjunctions of literals;
-effects are conjunctions of literals plus (ADL mode) ``when`` clauses whose
-antecedent and consequent are again conjunctions of literals. Anything else
-(quantifiers, disjunction, equality, numeric fluents) is rejected with
-UnsupportedFeature. STRIPS mode (neither :negative-preconditions nor
-:conditional-effects declared) additionally rejects negated preconditions
-and ``when``.
+effects are conjunctions of literals plus (with :conditional-effects)
+``when`` clauses whose antecedent and consequent are again conjunctions of
+literals. Anything else (quantifiers, disjunction, equality, numeric
+fluents) is rejected with UnsupportedFeature; negated preconditions need
+:negative-preconditions. Every malformed text raises PddlSyntaxError,
+with a source location where one is known.
+
+The reader is one regular expression: newlines, spaces, tabs, carriage
+returns and ``;`` comments separate tokens, parentheses are tokens of their
+own, and every other run of characters is a name. Types form a hierarchy in which a
+type may have several parents; ``object`` holds every object.
 
 Grounding instantiates each operator over all type-consistent object tuples,
 prunes instances whose static preconditions (predicates never occurring in
@@ -21,7 +26,9 @@ positive-precondition ground actions.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import (
     AdlAction,
@@ -65,63 +72,37 @@ class ArityMismatch(PlanningError):
 
 # --- s-expression reader ---------------------------------------------------
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     text: str
     line: int
     col: int
 
 
-def _tokenize(text: str):
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            col += 1
-            i += 1
-            continue
-        if ch in "()":
-            yield _Tok(ch, line, col)
-            col += 1
-            i += 1
-            continue
-        start = i
-        start_col = col
-        while i < n and text[i] not in " \t\r\n();":
-            i += 1
-            col += 1
-        yield _Tok(text[start:i], line, start_col)
-
-
 def _read_sexprs(text: str):
-    """Parse into nested lists of _Tok; returns the top-level forms."""
+    """Parse into nested lists of _Tok; returns the top-level forms. Each
+    line is scanned by one regex whose matches are a ``;`` comment, a
+    parenthesis or a name; the characters between matches (space, tab and
+    ``\\r``) separate tokens."""
+    scan = re.compile(r";.*|[()]|[^ \t\r();]+")
     stack: list = [[]]
     opens: list = []
-    for tok in _tokenize(text):
-        if tok.text == "(":
-            stack.append([])
-            opens.append(tok)
-        elif tok.text == ")":
-            if len(stack) == 1:
-                raise PddlSyntaxError("unbalanced ')'", tok.line, tok.col)
-            done = stack.pop()
-            opens.pop()
-            stack[-1].append(done)
-        else:
-            stack[-1].append(tok)
+    for line, chars in enumerate(text.split("\n"), 1):
+        for match in scan.finditer(chars):
+            word = match.group()
+            col = match.start() + 1
+            if word == "(":
+                stack.append([])
+                opens.append((line, col))
+            elif word == ")":
+                if len(stack) == 1:
+                    raise PddlSyntaxError("unbalanced ')'", line, col)
+                done = stack.pop()
+                opens.pop()
+                stack[-1].append(done)
+            elif word[0] != ";":
+                stack[-1].append(_Tok(word, line, col))
     if len(stack) != 1:
-        tok = opens[-1]
-        raise PddlSyntaxError("unbalanced '('", tok.line, tok.col)
+        raise PddlSyntaxError("unbalanced '('", *opens[-1])
     return stack[0]
 
 
@@ -133,12 +114,17 @@ def _loc(form):
     return (form.line, form.col)
 
 
+def _is_form(form, keyword: str) -> bool:
+    """Whether ``form`` is a list headed by ``keyword``, in any case."""
+    return isinstance(form, list) and bool(form) \
+        and isinstance(form[0], _Tok) and form[0].text.lower() == keyword
+
+
 def _head(form):
     """Structural head of a form, lowercased: PDDL keywords are matched
     case-insensitively while names keep their case."""
     if not isinstance(form, list) or not form or not isinstance(form[0], _Tok):
-        line, col = _loc(form)
-        raise PddlSyntaxError("expected a named form", line, col)
+        raise PddlSyntaxError("expected a named form", *_loc(form))
     return form[0].text.lower()
 
 
@@ -180,13 +166,6 @@ class DomainFile:
     predicates: tuple  # tuple[(name, tuple[param types]), ...]
     operators: tuple  # tuple[LiftedOperator, ...]
 
-    @property
-    def adl_mode(self) -> bool:
-        return bool(
-            {":negative-preconditions", ":conditional-effects"}
-            & set(self.requirements)
-        )
-
 
 @dataclass(frozen=True)
 class ProblemFile:
@@ -197,34 +176,32 @@ class ProblemFile:
     goal: tuple  # tuple[(pred, args), ...] positive ground atoms
 
 
-def _parse_typed_list(forms, default_type="object"):
-    """Parse ``a b - t c d`` item/type runs; returns [(name, type), ...]."""
+def _parse_typed_list(forms):
+    """Parse ``a b - t c d`` item/type runs; returns [(name, type), ...].
+    Names without a type are objects; a type needs names before it."""
     out = []
     pending = []
-    i = 0
-    while i < len(forms):
-        tok = forms[i]
+    items = iter(forms)
+    for tok in items:
         if not isinstance(tok, _Tok):
-            line, col = _loc(tok)
-            raise PddlSyntaxError("expected a name in typed list", line, col)
-        if tok.text == "-":
-            if i + 1 >= len(forms) or not isinstance(forms[i + 1], _Tok):
-                raise PddlSyntaxError("expected a type after '-'", tok.line, tok.col)
-            ty = forms[i + 1].text
-            out.extend((name, ty) for name in pending)
-            pending = []
-            i += 2
+            raise PddlSyntaxError("expected a name in typed list", *_loc(tok))
+        if tok.text != "-":
+            pending.append(tok.text)
             continue
-        pending.append(tok.text)
-        i += 1
-    out.extend((name, default_type) for name in pending)
+        ty = next(items, None)
+        if not isinstance(ty, _Tok):
+            raise PddlSyntaxError("expected a type after '-'", tok.line, tok.col)
+        if not pending:
+            raise PddlSyntaxError("expected a name before '-'", tok.line, tok.col)
+        out.extend((name, ty.text) for name in pending)
+        pending = []
+    out.extend((name, "object") for name in pending)
     return out
 
 
 def _parse_literal(form, allow_negated, context):
     if not isinstance(form, list) or not form:
-        line, col = _loc(form)
-        raise PddlSyntaxError(f"expected an atom in {context}", line, col)
+        raise PddlSyntaxError(f"expected an atom in {context}", *_loc(form))
     head = _head(form)
     if head == "not":
         if len(form) != 2:
@@ -244,12 +221,14 @@ def _parse_literal(form, allow_negated, context):
     return Literal(True, head, tuple(args))
 
 
-def _flatten_and(form, context):
+def _flatten_and(form):
     """A conjunction form: either a single item or (and item...)."""
-    if isinstance(form, list) and form and isinstance(form[0], _Tok) \
-            and form[0].text.lower() == "and":
-        return form[1:]
-    return [form]
+    return form[1:] if _is_form(form, "and") else [form]
+
+
+def _conjunction(form, context):
+    return tuple(_parse_literal(f, allow_negated=True, context=context)
+                 for f in _flatten_and(form))
 
 
 def parse_domain(text: str) -> DomainFile:
@@ -269,6 +248,9 @@ def parse_domain(text: str) -> DomainFile:
         if head == ":requirements":
             requirements = []
             for tok in section[1:]:
+                if not isinstance(tok, _Tok):
+                    raise PddlSyntaxError("expected a requirement flag",
+                                          *_loc(tok))
                 flag = tok.text.lower()
                 if flag not in SUPPORTED_REQUIREMENTS:
                     raise UnsupportedFeature(flag, tok.line, tok.col)
@@ -308,14 +290,13 @@ def _parse_action(section) -> LiftedOperator:
         value = section[i + 1]
         key_kw = key.text.lower()
         if key_kw == ":parameters":
+            if not isinstance(value, list):
+                raise PddlSyntaxError("expected a parameter list", *_loc(value))
             params = tuple(_parse_typed_list(value))
         elif key_kw == ":precondition":
-            precondition = tuple(
-                _parse_literal(f, allow_negated=True, context="precondition")
-                for f in _flatten_and(value, "precondition")
-            )
+            precondition = _conjunction(value, "precondition")
         elif key_kw == ":effect":
-            effect = tuple(_parse_effect_item(f) for f in _flatten_and(value, "effect"))
+            effect = tuple(_parse_effect_item(f) for f in _flatten_and(value))
         else:
             raise UnsupportedFeature(key_kw, key.line, key.col)
         i += 2
@@ -323,31 +304,22 @@ def _parse_action(section) -> LiftedOperator:
 
 
 def _parse_effect_item(form):
-    if isinstance(form, list) and form and isinstance(form[0], _Tok) \
-            and form[0].text.lower() == "when":
+    if _is_form(form, "when"):
         if len(form) != 3:
             raise PddlSyntaxError("'when' takes condition and effect", *_loc(form))
-        conditions = tuple(
-            _parse_literal(f, allow_negated=True, context="when condition")
-            for f in _flatten_and(form[1], "when condition")
-        )
-        effects = tuple(
-            _parse_literal(f, allow_negated=True, context="when effect")
-            for f in _flatten_and(form[2], "when effect")
-        )
-        return WhenClause(conditions, effects)
+        return WhenClause(_conjunction(form[1], "when condition"),
+                          _conjunction(form[2], "when effect"))
     return _parse_literal(form, allow_negated=True, context="effect")
 
 
 def _check_domain(domain: DomainFile) -> None:
     arities = {name: len(tys) for name, tys in domain.predicates}
-    adl = domain.adl_mode
     neg_ok = ":negative-preconditions" in domain.requirements
     cond_ok = ":conditional-effects" in domain.requirements
     for op in domain.operators:
         params = {v for v, _ in op.parameters}
         for lit in op.precondition:
-            _check_literal(lit, arities, params, op)
+            _check_literal(lit, arities, op.name, params)
             if not lit.positive and not neg_ok:
                 raise UnsupportedFeature(
                     f"negative precondition in {op.name} "
@@ -358,28 +330,31 @@ def _check_domain(domain: DomainFile) -> None:
                     raise UnsupportedFeature(
                         f"when clause in {op.name} (requires :conditional-effects)")
                 for lit in item.conditions:
-                    _check_literal(lit, arities, params, op)
+                    _check_literal(lit, arities, op.name, params)
                     if not lit.positive and not neg_ok:
                         raise UnsupportedFeature(
                             f"negative when-condition in {op.name}")
                 for lit in item.effects:
-                    _check_literal(lit, arities, params, op)
+                    _check_literal(lit, arities, op.name, params)
             else:
-                _check_literal(item, arities, params, op)
+                _check_literal(item, arities, op.name, params)
 
 
-def _check_literal(lit: Literal, arities, params, op) -> None:
+def _check_literal(lit: Literal, arities, op_name=None, params=()) -> None:
+    """Check a literal of operator ``op_name`` over its ``params``, or,
+    without an operator, a ground atom of the problem."""
+    where = f" in operator {op_name!r}" if op_name else ""
     if lit.predicate not in arities:
-        raise PddlSyntaxError(
-            f"unknown predicate {lit.predicate!r} in operator {op.name!r}")
+        raise PddlSyntaxError(f"unknown predicate {lit.predicate!r}{where}")
     if len(lit.args) != arities[lit.predicate]:
         raise ArityMismatch(
             f"{lit.predicate} expects {arities[lit.predicate]} args, "
-            f"got {len(lit.args)} in operator {op.name!r}")
+            f"got {len(lit.args)}{where}")
     for arg in lit.args:
         if arg.startswith("?") and arg not in params:
             raise PddlSyntaxError(
-                f"variable {arg} of {op.name!r} is not a parameter")
+                f"variable {arg} of {op_name!r} is not a parameter" if op_name
+                else f"variable {arg} in a ground atom")
 
 
 def parse_problem(text: str, domain: DomainFile) -> ProblemFile:
@@ -404,17 +379,17 @@ def parse_problem(text: str, domain: DomainFile) -> ProblemFile:
         elif head == ":init":
             for form in section[1:]:
                 lit = _parse_literal(form, allow_negated=False, context="init")
-                _check_ground_atom(lit, arities)
+                _check_literal(lit, arities)
                 init.append((lit.predicate, lit.args))
         elif head == ":goal":
             if len(section) != 2:
                 raise PddlSyntaxError("expected (:goal FORMULA)",
                                       *_loc(section))
-            for form in _flatten_and(section[1], "goal"):
+            for form in _flatten_and(section[1]):
                 if isinstance(form, list) and not form:
                     continue  # (and) is the empty conjunction
                 lit = _parse_literal(form, allow_negated=False, context="goal")
-                _check_ground_atom(lit, arities)
+                _check_literal(lit, arities)
                 goal.append((lit.predicate, lit.args))
         else:
             raise PddlSyntaxError(f"unknown problem section {head!r}",
@@ -427,18 +402,6 @@ def parse_problem(text: str, domain: DomainFile) -> ProblemFile:
                        tuple(init), tuple(goal))
 
 
-def _check_ground_atom(lit: Literal, arities) -> None:
-    if lit.predicate not in arities:
-        raise PddlSyntaxError(f"unknown predicate {lit.predicate!r}")
-    if len(lit.args) != arities[lit.predicate]:
-        raise ArityMismatch(
-            f"{lit.predicate} expects {arities[lit.predicate]} args, "
-            f"got {len(lit.args)}")
-    for arg in lit.args:
-        if arg.startswith("?"):
-            raise PddlSyntaxError(f"variable {arg} in a ground atom")
-
-
 def parse(domain_text: str, problem_text: str):
     """Parse a domain/problem pair. Returns (DomainFile, ProblemFile)."""
     domain = parse_domain(domain_text)
@@ -446,93 +409,33 @@ def parse(domain_text: str, problem_text: str):
     return domain, problem
 
 
-# --- pretty printing (round-trip support) -----------------------------------
-
-def _fmt_typed(items) -> str:
-    parts = []
-    for name, ty in items:
-        parts.append(f"{name} - {ty}")
-    return " ".join(parts)
-
-
-def _fmt_literal(lit: Literal) -> str:
-    atom = f"({lit.predicate}{''.join(' ' + a for a in lit.args)})"
-    return atom if lit.positive else f"(not {atom})"
-
-
-def domain_to_pddl(domain: DomainFile) -> str:
-    lines = [f"(define (domain {domain.name})"]
-    lines.append(f"  (:requirements {' '.join(domain.requirements)})")
-    if domain.types:
-        lines.append(f"  (:types {_fmt_typed(domain.types)})")
-    preds = []
-    for pname, tys in domain.predicates:
-        args = "".join(f" ?x{i} - {ty}" for i, ty in enumerate(tys))
-        preds.append(f"({pname}{args})")
-    lines.append(f"  (:predicates {' '.join(preds)})")
-    for op in domain.operators:
-        lines.append(f"  (:action {op.name}")
-        lines.append(f"    :parameters ({_fmt_typed(op.parameters)})")
-        pre = " ".join(_fmt_literal(l) for l in op.precondition)
-        lines.append(f"    :precondition (and {pre})")
-        effs = []
-        for item in op.effect:
-            if isinstance(item, WhenClause):
-                cond = " ".join(_fmt_literal(l) for l in item.conditions)
-                eff = " ".join(_fmt_literal(l) for l in item.effects)
-                effs.append(f"(when (and {cond}) (and {eff}))")
-            else:
-                effs.append(_fmt_literal(item))
-        lines.append(f"    :effect (and {' '.join(effs)}))")
-    lines.append(")")
-    return "\n".join(lines)
-
-
-def problem_to_pddl(problem: ProblemFile) -> str:
-    lines = [f"(define (problem {problem.name})"]
-    lines.append(f"  (:domain {problem.domain_name})")
-    if problem.objects:
-        lines.append(f"  (:objects {_fmt_typed(problem.objects)})")
-    init = " ".join(f"({p}{''.join(' ' + a for a in args)})"
-                    for p, args in problem.init)
-    lines.append(f"  (:init {init})")
-    goal = " ".join(f"({p}{''.join(' ' + a for a in args)})"
-                    for p, args in problem.goal)
-    lines.append(f"  (:goal (and {goal}))")
-    lines.append(")")
-    return "\n".join(lines)
-
-
 # --- grounding ---------------------------------------------------------------
 
-def _type_closure(types) -> dict:
-    """type -> set of types it subsumes (itself plus descendants)."""
-    children: dict = {}
-    known = {"object"}
+def _type_table(types, objects) -> dict:
+    """Every declared type (parents and ``object`` included) -> its objects,
+    subtypes included, in declaration order. ``object`` holds them all."""
+    parents: dict = {"object": []}
     for ty, parent in types:
-        known.add(ty)
-        known.add(parent)
-        children.setdefault(parent, set()).add(ty)
-    closure = {}
+        parents.setdefault(parent, [])
+        parents.setdefault(ty, []).append(parent)
 
-    def descend(ty):
+    def supertypes(ty):
         seen = {ty}
         frontier = [ty]
         while frontier:
-            t = frontier.pop()
-            for child in children.get(t, ()):
-                if child not in seen:
-                    seen.add(child)
-                    frontier.append(child)
-        return seen
+            for parent in parents[frontier.pop()]:
+                if parent not in seen:
+                    seen.add(parent)
+                    frontier.append(parent)
+        return seen | {"object"}
 
-    for ty in known:
-        closure[ty] = descend(ty)
-    return closure
-
-
-def _atom_name(pred: str, args) -> str:
-    return f"{pred}({','.join(args)})" if args else f"{pred}()"
+    table: dict = {ty: [] for ty in parents}
+    for obj, ty in objects:
+        if ty not in table:
+            raise TypeMismatch(f"object {obj!r} has undeclared type {ty!r}")
+        for sup in supertypes(ty):
+            table[sup].append(obj)
+    return table
 
 
 def ground(domain: DomainFile, problem: ProblemFile) -> PlanningProblem:
@@ -540,87 +443,67 @@ def ground(domain: DomainFile, problem: ProblemFile) -> PlanningProblem:
 
     Deterministic: objects in declaration order, operators in declaration
     order, atom ids in first-encounter order (init, complements, goal, then
-    per-action literals).
+    per-action literals, including those of instances a later static
+    literal prunes).
     """
-    closure = _type_closure(domain.types)
-    closure.setdefault("object", {"object"})
+    table = _type_table(domain.types, problem.objects)
     pred_types = dict(domain.predicates)
 
-    objects_by_type: dict = {}
-    for obj, ty in problem.objects:
-        if ty != "object" and ty not in closure:
-            raise TypeMismatch(f"object {obj!r} has undeclared type {ty!r}")
-        objects_by_type.setdefault(ty, []).append(obj)
-
-    def candidates(ty: str) -> list:
-        subs = closure.get(ty)
-        if subs is None:
+    def objects_of(ty: str) -> list:
+        if ty not in table:
             raise TypeMismatch(f"parameter type {ty!r} is not declared")
-        out = []
-        for obj, oty in problem.objects:  # declaration order
-            if oty in subs or ty == "object":
-                out.append(obj)
-        return out
+        return table[ty]
 
-    # Static predicates: never occur in any effect.
-    effect_preds: set = set()
+    # Static predicates occur in no effect. Negated dynamic ones get
+    # complement atoms, in the order of their first negated condition.
+    # Problems ground to AdlActions only when a when-clause is present;
+    # negative preconditions alone compile away into plain STRIPS.
+    conditions, effect_preds, as_adl = [], set(), False
     for op in domain.operators:
-        for item in op.effect:
-            lits = item.effects if isinstance(item, WhenClause) else (item,)
-            for lit in lits:
-                effect_preds.add(lit.predicate)
-    static_preds = {name for name, _ in domain.predicates} - effect_preds
-
-    # Predicates needing complement atoms: negated dynamic occurrences.
-    negated_dynamic: list = []
-    for op in domain.operators:
-        lits = list(op.precondition)
+        conditions.extend(op.precondition)
         for item in op.effect:
             if isinstance(item, WhenClause):
-                lits.extend(item.conditions)
-        for lit in lits:
-            if not lit.positive and lit.predicate not in static_preds:
-                if lit.predicate not in negated_dynamic:
-                    negated_dynamic.append(lit.predicate)
+                as_adl = True
+                conditions.extend(item.conditions)
+                effect_preds.update(lit.predicate for lit in item.effects)
+            else:
+                effect_preds.add(item.predicate)
+    static = {name for name, _ in domain.predicates} - effect_preds
+    negated = list(dict.fromkeys(lit.predicate for lit in conditions
+                                 if not lit.positive
+                                 and lit.predicate not in static))
 
     atoms = AtomTable()
-    init_ids = set()
-    init_atoms = {(p, args) for p, args in problem.init}
-    for pred, args in problem.init:
-        init_ids.add(atoms.intern(_atom_name(pred, args)))
+
+    def intern(pred: str, args) -> int:
+        return atoms.intern(f"{pred}({','.join(args)})")
+
+    init_atoms = set(problem.init)
+    init_ids = {intern(pred, args) for pred, args in problem.init}
 
     # Complement atoms for every type-consistent grounding absent from init.
-    for pred in negated_dynamic:
-        tys = pred_types[pred]
-        for combo in itertools.product(*(candidates(t) for t in tys)):
-            comp = atoms.intern(_atom_name("not-" + pred, combo))
+    for pred in negated:
+        for combo in itertools.product(*map(objects_of, pred_types[pred])):
+            comp = intern("not-" + pred, combo)
             if (pred, combo) not in init_atoms:
                 init_ids.add(comp)
 
     goal_ids = set()
     for pred, args in problem.goal:
-        for i, arg in enumerate(args):
-            if not _object_has_type(arg, pred_types[pred][i], problem, closure):
-                raise TypeMismatch(
-                    f"goal atom {pred}{args}: {arg!r} is not a {pred_types[pred][i]}")
-        goal_ids.add(atoms.intern(_atom_name(pred, args)))
-
-    # Problems ground to AdlActions only when a when-clause is actually
-    # present; negative preconditions alone compile away into plain STRIPS.
-    use_adl_actions = any(
-        isinstance(item, WhenClause) for op in domain.operators for item in op.effect
-    )
+        for arg, ty in zip(args, pred_types[pred]):
+            if arg not in table.get(ty, ()):
+                raise TypeMismatch(f"goal atom {pred}{args}: {arg!r} is not a {ty}")
+        goal_ids.add(intern(pred, args))
 
     actions = []
     for op in domain.operators:
-        domains = [candidates(ty) for _, ty in op.parameters]
-        for combo in itertools.product(*domains):
-            binding = {var: obj for (var, _), obj in zip(op.parameters, combo)}
-            ground_action = _ground_instance(
-                op, binding, atoms, init_atoms, static_preds, negated_dynamic,
-                use_adl_actions)
-            if ground_action is not None:
-                actions.append(ground_action)
+        variables = [var for var, _ in op.parameters]
+        for combo in itertools.product(*(objects_of(ty)
+                                         for _, ty in op.parameters)):
+            action = _ground_instance(op, variables, combo, intern,
+                                      init_atoms, static, negated, as_adl)
+            if action is not None:
+                actions.append(action)
 
     return PlanningProblem(
         atoms=atoms,
@@ -631,80 +514,46 @@ def ground(domain: DomainFile, problem: ProblemFile) -> PlanningProblem:
     )
 
 
-def _object_has_type(obj, ty, problem: ProblemFile, closure) -> bool:
-    if ty == "object":
-        return any(name == obj for name, _ in problem.objects)
-    subs = closure.get(ty, {ty})
-    return any(name == obj and oty in subs for name, oty in problem.objects)
-
-
-def _ground_instance(op, binding, atoms: AtomTable, init_atoms, static_preds,
-                     negated_dynamic, as_adl):
+def _ground_instance(op, variables, combo, intern, init_atoms, static,
+                     negated, as_adl):
     """One ground instance, or None when a static precondition fails."""
+    binding = dict(zip(variables, combo))
 
-    def inst(lit: Literal):
-        return lit.predicate, tuple(binding.get(a, a) for a in lit.args)
-
-    arg_str = ",".join(binding[v] for v, _ in op.parameters)
-    name = f"{op.name}({arg_str})" if op.parameters else f"{op.name}()"
-
-    def resolve_conditions(literals):
-        """Positive condition ids after static evaluation, or None if a
-        static literal is false (instance pruned / effect dropped)."""
-        ids = []
-        for lit in literals:
-            pred, args = inst(lit)
-            if pred in static_preds:
-                holds = (pred, args) in init_atoms
-                if lit.positive != holds:
-                    return None
-                continue  # satisfied static: dropped
-            if lit.positive:
-                ids.append(atoms.intern(_atom_name(pred, args)))
-            else:
-                ids.append(atoms.intern(_atom_name("not-" + pred, args)))
-        return ids
-
-    def resolve_effects(literals):
+    def evaluate(literals, effect):
+        """An effect's (adds, deletes), or a condition's ids as the first of
+        the pair: None when a static literal is false in init, while a true
+        one is dropped. A negated literal stands for its complement atom."""
         adds, dels = [], []
         for lit in literals:
-            pred, args = inst(lit)
-            target = atoms.intern(_atom_name(pred, args))
-            comp = None
-            if pred in negated_dynamic:
-                comp = atoms.intern(_atom_name("not-" + pred, args))
-            if lit.positive:
-                adds.append(target)
-                if comp is not None:
-                    dels.append(comp)
+            pred = lit.predicate
+            args = tuple(map(binding.get, lit.args, lit.args))  # objects stay
+            if effect:
+                (adds if lit.positive else dels).append(intern(pred, args))
+                if pred in negated:
+                    (dels if lit.positive else adds).append(
+                        intern("not-" + pred, args))
+            elif pred in static:
+                if ((pred, args) in init_atoms) != lit.positive:
+                    return None
             else:
-                dels.append(target)
-                if comp is not None:
-                    adds.append(comp)
-        return adds, dels
+                adds.append(intern(pred if lit.positive else "not-" + pred,
+                                   args))
+        adds = frozenset(adds)
+        return adds, frozenset(dels) - adds  # add wins within one effect
 
-    pre_ids = resolve_conditions(op.precondition)
-    if pre_ids is None:
+    pre = evaluate(op.precondition, effect=False)
+    if pre is None:
         return None
-
-    plain = [item for item in op.effect if isinstance(item, Literal)]
-    whens = [item for item in op.effect if isinstance(item, WhenClause)]
-
-    adds0, dels0 = resolve_effects(plain)
-
+    name = f"{op.name}({','.join(combo)})"
+    adds, dels = evaluate([i for i in op.effect if isinstance(i, Literal)],
+                          effect=True)
     if not as_adl:
-        add = frozenset(adds0)
-        delete = frozenset(dels0) - add  # add wins within one action
-        return StripsAction(name, frozenset(pre_ids), add, delete)
-
-    effects = [ConditionalEffect(frozenset(pre_ids), frozenset(adds0),
-                                 frozenset(dels0) - frozenset(adds0))]
-    for clause in whens:
-        cond_ids = resolve_conditions(clause.conditions)
-        if cond_ids is None:
-            continue  # statically impossible effect
-        adds, dels = resolve_effects(clause.effects)
-        effects.append(ConditionalEffect(
-            frozenset(cond_ids), frozenset(adds),
-            frozenset(dels) - frozenset(adds)))
+        return StripsAction(name, pre[0], adds, dels)
+    effects = [ConditionalEffect(pre[0], adds, dels)]
+    for clause in op.effect:
+        if isinstance(clause, WhenClause):
+            condition = evaluate(clause.conditions, effect=False)
+            if condition is not None:  # else statically impossible
+                effects.append(ConditionalEffect(
+                    condition[0], *evaluate(clause.effects, effect=True)))
     return AdlAction(name, tuple(effects))

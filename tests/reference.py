@@ -35,6 +35,11 @@ anchor atom.
 ``naive_forward_search`` is the forward planner as a breadth-first search
 over ``apply_action`` on frozenset states, testing every action's
 precondition in every state, with the same goal test and state budget.
+
+``tokenize`` is the PDDL reader's scanner written as a loop over the
+characters, and ``read_sexprs`` nests its tokens as ``pddl._read_sexprs``
+does, with ``(text, line, col)`` tuples for the tokens; the regex scanner
+must yield the same tokens, positions and errors.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ from goalagenda.model import (
 )
 from goalagenda.oracle import OrderingVerdict
 from goalagenda.ordering import FixpointResult, implied_deletes
+from goalagenda.pddl import PddlSyntaxError
 
 
 @contextmanager
@@ -479,3 +485,59 @@ def naive_forward_search(problem, max_states: int = 200_000):
                 return ResourceLimit("max_states", max_states)
             queue.append(succ)
     return Unsolvable("state space exhausted")
+
+
+def tokenize(text: str):
+    """``(text, line, col)`` for every token: a parenthesis or a run of
+    characters other than parentheses, ``;``, space, tab, ``\\r`` and
+    ``\\n``. A ``;`` starts a comment that runs to the end of the line."""
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            col += 1
+            i += 1
+            continue
+        if ch in "()":
+            yield (ch, line, col)
+            col += 1
+            i += 1
+            continue
+        start = i
+        start_col = col
+        while i < n and text[i] not in " \t\r\n();":
+            i += 1
+            col += 1
+        yield (text[start:i], line, start_col)
+
+
+def read_sexprs(text: str) -> list:
+    """The top-level forms of ``text`` as nested lists of ``tokenize``'s
+    tuples."""
+    stack: list = [[]]
+    opens: list = []
+    for tok in tokenize(text):
+        if tok[0] == "(":
+            stack.append([])
+            opens.append(tok)
+        elif tok[0] == ")":
+            if len(stack) == 1:
+                raise PddlSyntaxError("unbalanced ')'", tok[1], tok[2])
+            done = stack.pop()
+            opens.pop()
+            stack[-1].append(done)
+        else:
+            stack[-1].append(tok)
+    if len(stack) != 1:
+        raise PddlSyntaxError("unbalanced '('", opens[-1][1], opens[-1][2])
+    return stack[0]

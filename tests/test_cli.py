@@ -210,6 +210,15 @@ MALFORMED = [
     ("empty goal",
      ["analyze", "--domain", BLOCKS_DOMAIN, "--problem",
       "(define (problem p) (:domain blocks) (:goal))"]),
+    ("requirement not a flag",
+     ["analyze", "--domain",
+      BLOCKS_DOMAIN.replace("(:requirements :strips)",
+                            "(:requirements (:strips))"),
+      "--problem", BLOCKS_TWO]),
+    ("parameters not a list",
+     ["analyze", "--domain",
+      BLOCKS_DOMAIN.replace(":parameters (?ob)", ":parameters ?ob", 1),
+      "--problem", BLOCKS_TWO]),
     ("domain reference without name",
      ["analyze", "--domain", BLOCKS_DOMAIN, "--problem",
       "(define (problem p) (:domain))"]),

@@ -29,7 +29,7 @@ from pathlib import Path
 import pytest
 
 from goalagenda import corpus
-from goalagenda.model import StripsAction
+from goalagenda.model import PlanningError, StripsAction
 from goalagenda.pddl import ground, parse
 
 from test_pddl import ADL_DOMAIN, ADL_PROBLEM
@@ -159,7 +159,7 @@ def records(domain_text: str, problem_text: str) -> dict:
     out = {"lifted": repr((domain, problem))}
     try:
         grounded = ground(domain, problem)
-    except Exception as exc:  # the error class and message are pinned
+    except PlanningError as exc:  # the error class and message are pinned
         out["error"] = (type(exc).__name__, str(exc))
         return out
     out.update({

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from goalagenda import corpus
@@ -7,13 +9,13 @@ from goalagenda.pddl import (
     PddlSyntaxError,
     TypeMismatch,
     UnsupportedFeature,
-    domain_to_pddl,
+    _read_sexprs,
     ground,
     parse,
     parse_domain,
-    problem_to_pddl,
 )
 
+import reference
 from conftest import atoms
 
 
@@ -58,6 +60,72 @@ def test_syntax_error_carries_location():
     with pytest.raises(PddlSyntaxError) as err:
         parse_domain("(define (domain x)\n  (:predicates (p ?x)")
     assert err.value.line is not None
+
+
+@pytest.mark.parametrize("text", [
+    "(define (domain x) (:types - t))",
+    "(define (domain x) (:types a - t - u))",
+    "(define (domain x) (:predicates (p - t)))",
+    "(define (domain x) (:predicates (p))"
+    " (:action a :parameters (- t) :effect (p)))",
+])
+def test_type_needs_names_before_it(text):
+    with pytest.raises(PddlSyntaxError, match="expected a name before '-'"):
+        parse_domain(text)
+
+
+def test_objects_type_needs_names_before_it():
+    with pytest.raises(PddlSyntaxError) as err:
+        parse(corpus.domain_text("blocks"),
+              "(define (problem p) (:domain blocks)\n  (:objects - t)"
+              " (:init) (:goal (and)))")
+    assert (err.value.line, err.value.col) == (2, 13)
+
+
+def _read(read, text):
+    """The forms ``read`` makes of ``text`` (a token compares equal to its
+    ``(text, line, col)`` tuple), or the syntax error it raises."""
+    try:
+        return read(text)
+    except PddlSyntaxError as exc:
+        return ("error", str(exc), exc.line, exc.col)
+
+
+CORPUS_TEXTS = [corpus.domain_text(name) for name in
+                ("blocks", "gripper", "hanoi", "stack", "tyreworld")] + [
+    corpus.problem_text("blocks", "two"), corpus.problem_text("blocks", "three"),
+    corpus.problem_text("gripper", "two"), corpus.stack_problem_text(4),
+    corpus.hanoi_problem_text(3), corpus.tyreworld_problem_text(2)]
+
+#: Every character class the scanner treats apart: parentheses, the
+#: separators, the comment sign, and token characters including ``\f``,
+#: ``\v``, a non-breaking space and a non-ASCII letter.
+ALPHABET = "()() \t\r\n\n;-?:ab\f\v\xa0\xe9"
+
+
+def test_reader_matches_reference_scanner_on_corpus():
+    for text in CORPUS_TEXTS:
+        assert _read(_read_sexprs, text) == _read(reference.read_sexprs, text)
+
+
+def test_reader_matches_reference_scanner_on_random_texts():
+    rng = random.Random(20)
+    for _ in range(3000):
+        text = "".join(rng.choice(ALPHABET)
+                       for _ in range(rng.randint(0, 40)))
+        assert _read(_read_sexprs, text) == \
+            _read(reference.read_sexprs, text), repr(text)
+
+
+def test_reader_matches_reference_scanner_on_mutated_corpus():
+    rng = random.Random(21)
+    for _ in range(300):
+        text = list(rng.choice(CORPUS_TEXTS))
+        for _ in range(rng.randint(1, 4)):
+            text[rng.randrange(len(text))] = rng.choice(ALPHABET)
+        text = "".join(text)
+        assert _read(_read_sexprs, text) == \
+            _read(reference.read_sexprs, text), repr(text)
 
 
 def test_arity_and_type_errors():
@@ -118,17 +186,6 @@ def test_grounding_is_deterministic(load):
     assert [a.name for a in one.actions] == [a.name for a in two.actions]
     assert list(one.atoms) == list(two.atoms)
     assert one.init == two.init and one.goals == two.goals
-
-
-def test_pretty_print_round_trip():
-    for name in ("blocks", "gripper", "tyreworld", "hanoi", "stack"):
-        domain = parse_domain(corpus.domain_text(name))
-        assert parse_domain(domain_to_pddl(domain)) == domain
-    domain = parse_domain(corpus.domain_text("stack"))
-    _, problem = parse(corpus.domain_text("stack"),
-                       corpus.stack_problem_text(3))
-    reparsed = parse(domain_to_pddl(domain), problem_to_pddl(problem))
-    assert reparsed == (domain, problem)
 
 
 ADL_DOMAIN = """(define (domain toggler)
