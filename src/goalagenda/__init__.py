@@ -17,9 +17,6 @@ from .model import (
     StripsAction,
     SuccessorTable,
     Unsolvable,
-    apply_adl,
-    apply_strips,
-    result_sequence,
     validate_plan,
 )
 from .driver import forward_search, next_initial_state, plan_with_agenda

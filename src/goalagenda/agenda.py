@@ -10,7 +10,6 @@ final entry.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 from .graphplan import AnchorUnreachable, PlanningGraph, build_graph, false_set
@@ -19,8 +18,6 @@ from .ordering import (
     ProblemIndex,
     _graph_test,
     fixpoint_reduce,
-    order_E,
-    order_H,
     possibly_achievable,
 )
 
@@ -55,6 +52,25 @@ class Agenda:
         return out
 
 
+def _before_anchor(problem: PlanningProblem, method: str,
+                  graph: PlanningGraph, index: ProblemIndex, anchor,
+                  candidates):
+    """The candidate goals ordered before the anchor goal set, by the
+    method's test against the anchor's one false set (``e``) or one
+    fixpoint (``h``); None when the anchor never enters the graph, where
+    every ordering before it holds trivially."""
+    if method == "e":
+        try:
+            f_atoms = false_set(graph, anchor).atoms
+        except AnchorUnreachable:
+            return None
+        return frozenset(b for b in candidates
+                         if _graph_test(problem, f_atoms, anchor, b, index))
+    fx = fixpoint_reduce(problem, anchor, index)
+    return frozenset(b for b in candidates
+                     if not possibly_achievable(b, fx.o_star))
+
+
 def build_goal_graph(problem: PlanningProblem, method: str,
                      graph: PlanningGraph = None,
                      index: ProblemIndex = None) -> GoalGraph:
@@ -73,23 +89,12 @@ def build_goal_graph(problem: PlanningProblem, method: str,
     edges = set()
     trivial = set()
     for a in goals:  # a is the anchor: tests of "<goal> before a"
-        if method == "e":
-            try:
-                f_atoms = false_set(graph, {a}).atoms
-            except AnchorUnreachable:
-                for b in goals:
-                    if b != a:
-                        edges.add((b, a))
-                        trivial.add((b, a))
-                continue
-            for b in goals:
-                if b != a and _graph_test(problem, f_atoms, {a}, b, index):
-                    edges.add((b, a))
-        else:
-            fx = fixpoint_reduce(problem, {a}, index)
-            for b in goals:
-                if b != a and not possibly_achievable(b, fx.o_star):
-                    edges.add((b, a))
+        others = [b for b in goals if b != a]
+        before = _before_anchor(problem, method, graph, index, {a}, others)
+        if before is None:
+            before = others
+            trivial.update((b, a) for b in others)
+        edges.update((b, a) for b in before)
     return GoalGraph(frozenset(goals), frozenset(edges), frozenset(trivial))
 
 
@@ -137,17 +142,6 @@ def degree_partition(closure: GoalGraph):
     return entries, gsep
 
 
-def _set_level_holds(problem, graph, method, bs, as_, index) -> bool:
-    """Whether the set-level relation bs before as_ holds; it holds
-    trivially when as_ never enters the graph."""
-    if method == "e":
-        try:
-            return order_E(problem, graph, bs, as_, index)
-        except AnchorUnreachable:
-            return True
-    return order_H(problem, bs, as_, index)
-
-
 def place_gsep(problem: PlanningProblem, entries, gsep, method: str,
                graph: PlanningGraph = None,
                index: ProblemIndex = None) -> Agenda:
@@ -171,14 +165,14 @@ def place_gsep(problem: PlanningProblem, entries, gsep, method: str,
     if index is None:
         index = ProblemIndex(problem)
 
-    # set-level goal analysis over the derived entries plus the separate set
+    # set-level goal analysis over the derived entries plus the separate
+    # set: node i is before node j when some goal of i is before j
     node_edges = set()
-    for i, j in itertools.permutations(range(len(nodes)), 2):
-        # anchor-side artifacts are recomputed per pair; node counts are
-        # small (entries, not atoms), so sharing buys nothing here
-        if _set_level_holds(problem, graph, method, nodes[i], nodes[j],
-                            index):
-            node_edges.add((i, j))
+    for j, anchor in enumerate(nodes):
+        before = _before_anchor(problem, method, graph, index, anchor,
+                                frozenset().union(*nodes) - anchor)
+        node_edges.update((i, j) for i, node in enumerate(nodes)
+                          if i != j and (before is None or node & before))
 
     index_graph = GoalGraph(frozenset(range(len(nodes))),
                             frozenset(node_edges))

@@ -252,8 +252,12 @@ def load(name: str) -> PlanningProblem:
         ("tyreworld_", "tyreworld", tyreworld_problem_text),
     ):
         if name.startswith(prefix):
-            n = int(name[len(prefix):])
-            return _pddl_problem(domain, generator(n))
+            try:
+                text = generator(int(name[len(prefix):]))
+            except ValueError as exc:
+                raise PlanningError(f"corpus problem {name!r}: {exc}") \
+                    from None
+            return _pddl_problem(domain, text)
     try:
         return load_ground_json(micro_text(name))
     except FileNotFoundError:

@@ -12,6 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 
+from . import oracle
 from .agenda import Agenda
 from .graphplan import GraphContext, graphplan_search
 from .model import (
@@ -22,10 +23,11 @@ from .model import (
     PlanningError,
     PlanningProblem,
     ResourceLimit,
-    State,
     SuccessorTable,
     Unsolvable,
-    apply_action,
+    _execute,
+    _unwind,
+    mask_ids,
     mask_of,
     transitions,
     validate_plan,
@@ -36,27 +38,15 @@ class InvalidPlanError(PlanningError):
     pass
 
 
-def next_initial_state(problem: PlanningProblem, state: State,
-                       plan: Plan) -> State:
-    """Execute a plan; parallel steps apply all adds then all deletes, which
-    the step non-conflict invariant makes order-independent. Raises on an
-    inapplicable action (episode plans must never contain one)."""
-    for step_index, step in enumerate(plan.steps):
-        adds: set = set()
-        deletes: set = set()
-        for action_id in sorted(step):
-            action = problem.actions[action_id]
-            if not action.pre <= state:
-                raise InvalidPlanError(
-                    f"step {step_index}: {action.name} inapplicable")
-            if problem.is_adl:
-                state = apply_action(state, action)  # ADL plans are sequential
-            else:
-                adds |= action.add
-                deletes |= action.delete
-        if not problem.is_adl:
-            state = (state | adds) - frozenset(deletes)
-    return state
+def next_initial_state(problem: PlanningProblem, state: frozenset,
+                       plan: Plan) -> frozenset:
+    """Execute a plan from ``state`` under validate_plan's parallel-step
+    rule. Raises on any issue: episode plans must never contain an
+    inapplicable action or a conflicting step."""
+    state, issues = _execute(problem, mask_of(state), plan)
+    if issues:
+        raise InvalidPlanError(f"episode plan does not execute: {issues}")
+    return frozenset(mask_ids(state))
 
 
 def forward_search(table: SuccessorTable, init, goals,
@@ -82,15 +72,6 @@ def forward_search(table: SuccessorTable, init, goals,
                 return ResourceLimit("max_states", max_states)
             queue.append(succ)
     return Unsolvable("state space exhausted")
-
-
-def _unwind(parents, state) -> Plan:
-    actions = []
-    while parents[state] is not None:
-        state, action_id = parents[state]
-        actions.append(action_id)
-    actions.reverse()
-    return Plan.sequential(actions)
 
 
 @dataclass(frozen=True)
@@ -125,6 +106,19 @@ def _base_planner(name: str, problem: PlanningProblem, limits: dict):
     raise ValueError(f"unknown base planner {name!r}")
 
 
+def _certified(problem: PlanningProblem, max_states: int) -> bool:
+    """Whether a STRIPS problem is certified invertible against its
+    reachable states, enumerated within ``max_states``; an ADL problem, or
+    one past the budget, stays uncertified."""
+    if problem.is_adl:
+        return False
+    try:
+        reachable = oracle.enumerate_reachable(problem, max_states)
+    except oracle.LimitExceeded:
+        return False
+    return oracle.check_invertibility(problem, reachable).certified
+
+
 def plan_with_agenda(problem: PlanningProblem, agenda: Agenda,
                      base: str = "graphplan", linearize_entries: bool = False,
                      limits: dict = None) -> AgendaPlanResult:
@@ -136,8 +130,6 @@ def plan_with_agenda(problem: PlanningProblem, agenda: Agenda,
     problem is certified against its reachable states, enumerated within
     the ``max_states`` budget; past the budget it stays uncertified.
     """
-    from .oracle import LimitExceeded, check_invertibility, enumerate_reachable
-
     limits = limits or {}
     planner = _base_planner(base, problem, limits)
     entries = list(agenda.entries)
@@ -147,43 +139,29 @@ def plan_with_agenda(problem: PlanningProblem, agenda: Agenda,
     episodes = []
     all_steps: list = []
     state = frozenset(problem.init)
-    cumulative: set = set()
+    cumulative = frozenset()
     for index, entry in enumerate(entries, start=1):
         cumulative |= entry
-        outcome = planner(state, frozenset(cumulative))
-        if isinstance(outcome, Unsolvable):
-            episodes.append(PlanEpisode(index, state, frozenset(cumulative),
-                                        Plan(()), "unsolvable"))
-            certified = False
-            if not problem.is_adl:
-                try:
-                    reachable = enumerate_reachable(
-                        problem, limits.get("max_states", MAX_STATES))
-                except LimitExceeded:
-                    pass
-                else:
-                    certified = check_invertibility(
-                        problem, reachable).certified
+        outcome = planner(state, cumulative)
+        if not isinstance(outcome, Plan):
+            unsolvable = isinstance(outcome, Unsolvable)
+            episodes.append(PlanEpisode(
+                index, state, cumulative, Plan(()),
+                "unsolvable" if unsolvable else "resource_limit"))
             return AgendaPlanResult(
-                status="episode_unsolvable",
+                status="episode_unsolvable" if unsolvable
+                else "resource_limit",
                 plan=Plan(()),
                 episodes=tuple(episodes),
                 failed_episode=index,
-                invertibility_certified=certified,
+                invertibility_certified=_certified(
+                    problem, limits.get("max_states", MAX_STATES))
+                if unsolvable else None,
             )
-        if isinstance(outcome, ResourceLimit):
-            episodes.append(PlanEpisode(index, state, frozenset(cumulative),
-                                        Plan(()), "resource_limit"))
-            return AgendaPlanResult(
-                status="resource_limit",
-                plan=Plan(()),
-                episodes=tuple(episodes),
-                failed_episode=index,
-            )
-        episodes.append(PlanEpisode(index, state, frozenset(cumulative),
-                                    outcome, "solved"))
+        episodes.append(PlanEpisode(index, state, cumulative, outcome,
+                                    "solved"))
         state = next_initial_state(problem, state, outcome)
-        if not frozenset(cumulative) <= state:
+        if not cumulative <= state:
             raise InvalidPlanError(
                 f"episode {index} ended without its cumulative goals")
         all_steps.extend(outcome.steps)

@@ -1,16 +1,19 @@
 """Ground planning model: interned atoms, states, actions, plans, execution.
 
-States are plain frozensets of dense atom ids. The state-space searches (the
-oracle's enumeration and the forward planner) run on the same states as int
-bitmasks, bit i for atom i, through ``transitions``. Every type is an
-immutable value after construction, so problems, graphs and plans can be
-shared freely between threads. All operations here are pure functions.
+Frozensets at the API, masks inside: a state is a frozenset of dense atom
+ids wherever it enters or leaves the package, and an int bitmask (bit i for
+atom i) wherever it is searched or executed. The state-space searches (the
+oracle's enumeration and the forward planner) step through ``transitions``;
+plans run through ``validate_plan``, whose executor the agenda driver
+shares. Every type is an immutable value after construction, so problems,
+graphs and plans can be shared freely between threads. All operations here
+are pure functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 
 class PlanningError(Exception):
@@ -21,9 +24,6 @@ class ConflictingEffects(PlanningError):
     """A single action application fired effects that both add and delete
     the same atom. The model refuses to pick a winner: this always indicates
     a modeling bug, so it is surfaced instead of silently resolved."""
-
-
-State = frozenset  # frozenset[int]; complete under the closed-world reading
 
 
 class AtomTable:
@@ -136,7 +136,7 @@ class PlanningProblem:
 
     atoms: AtomTable
     actions: tuple  # tuple[Action, ...]
-    init: State
+    init: frozenset
     goals: frozenset
     name: str = "problem"
 
@@ -187,9 +187,10 @@ def _atom_id_sets(action: Action):
 class Plan:
     """Sequence of steps; each step is a set of action ids.
 
-    Parallel steps come from the layered planner and must be pairwise
-    non-conflicting (no action deletes a precondition or add of another in
-    the same step); validate_plan checks this, the constructor cannot.
+    Parallel steps come from the layered planner: every action of a step
+    must be applicable before the step, and no action may delete a
+    precondition or add of another in the same step. validate_plan checks
+    this, the constructor cannot.
     """
 
     steps: tuple  # tuple[frozenset[int], ...]
@@ -224,22 +225,18 @@ def mask_ids(mask: int) -> list:
     return ids
 
 
-def apply_strips(state: State, action: StripsAction) -> State:
-    """Result of one STRIPS action: (s | add) - delete when the precondition
-    holds, s unchanged otherwise (inapplicable actions are the identity)."""
-    if action.pre <= state:
-        return (state | action.add) - action.delete
-    return state
-
-
-def _effect_masks(action: AdlAction) -> tuple:
-    """Per effect of an ADL action: (condition, adds, deletes) as masks."""
+def _effect_masks(action: Action) -> tuple:
+    """Per effect of an action: (condition, adds, deletes) as masks. A
+    STRIPS action has one effect, conditioned on its precondition."""
+    if isinstance(action, StripsAction):
+        return ((mask_of(action.pre), mask_of(action.add),
+                 mask_of(action.delete)),)
     return tuple((mask_of(eff.condition), mask_of(eff.adds),
                   mask_of(eff.deletes)) for eff in action.effects)
 
 
 def _fire(name: str, effects: tuple, state: int):
-    """Adds and deletes, as masks, of the effects of an applicable ADL action
+    """Adds and deletes, as masks, of the effects of an applicable action
     (``effects`` as from ``_effect_masks``) whose conditions hold in the
     state mask. Raises ConflictingEffects when the fired adds intersect the
     fired deletes (the model never resolves add-wins silently)."""
@@ -253,15 +250,6 @@ def _fire(name: str, effects: tuple, state: int):
         raise ConflictingEffects(
             f"action {name!r}: atoms both added and deleted: {mask_ids(clash)}")
     return adds, deletes
-
-
-def apply_adl(state: State, action: AdlAction) -> State:
-    """Simultaneously apply every fired effect; identity when the
-    unconditional precondition fails. Raises ConflictingEffects on a clash."""
-    if not action.pre <= state:
-        return state
-    adds, deletes = _fire(action.name, _effect_masks(action), mask_of(state))
-    return (state - frozenset(mask_ids(deletes))) | frozenset(mask_ids(adds))
 
 
 class SuccessorTable:
@@ -321,17 +309,16 @@ def transitions(table: SuccessorTable, state: int):
                 yield action_id, (state & keep) | add, add
 
 
-def apply_action(state: State, action: Action) -> State:
-    if isinstance(action, StripsAction):
-        return apply_strips(state, action)
-    return apply_adl(state, action)
-
-
-def result_sequence(state: State, actions: Sequence[Action]) -> State:
-    """Left fold of apply_action; the empty sequence returns ``state``."""
-    for action in actions:
-        state = apply_action(state, action)
-    return state
+def _unwind(parents: dict, state) -> Plan:
+    """The sequential plan a breadth-first search's ``parents`` map (node
+    -> ``(parent, action_id)``, ``None`` at a start) records for reaching
+    ``state``."""
+    actions = []
+    while parents[state] is not None:
+        state, action_id = parents[state]
+        actions.append(action_id)
+    actions.reverse()
+    return Plan.sequential(actions)
 
 
 # --- search outcomes --------------------------------------------------------
@@ -381,51 +368,68 @@ class StepConflict:
 class ValidationReport:
     valid: bool
     issues: tuple
-    final_state: State
+    final_state: frozenset
 
     def issue_kinds(self):
         return {type(i).__name__ for i in self.issues}
 
 
-def _step_conflicts(problem: PlanningProblem, step_ids) -> list:
-    """Pairs in a parallel step where one action's delete list intersects
-    another's precondition or add list (order dependence)."""
-    conflicts = []
-    ids = sorted(step_ids)
-    for i, a_id in enumerate(ids):
-        a = problem.actions[a_id]
-        if not isinstance(a, StripsAction):
-            continue
-        for b_id in ids[i + 1:]:
-            b = problem.actions[b_id]
-            if a.delete & (b.pre | b.add) or b.delete & (a.pre | a.add):
-                conflicts.append((a_id, b_id))
-    return conflicts
+def _execute(problem: PlanningProblem, state: int, plan: Plan):
+    """Run ``plan`` from the state mask ``state``; returns the final state
+    mask and the issues met, in step order.
+
+    The parallel-step rule: every action of a step reads the state before
+    the step. Its precondition must hold there, else it is reported
+    (InapplicableAction) and changes nothing; an ADL action fires the
+    effects whose conditions hold there, and a fired add meeting a fired
+    delete is reported (StepConflict) and changes nothing. Each pair of
+    actions in the step where one's fired deletes meet the other's
+    precondition or fired adds is reported (StepConflict). Then the fired
+    effects of the whole step apply together, deletes before adds.
+    """
+    issues: list = []
+    for step_index, step in enumerate(plan.steps):
+        fired = []  # (action_id, pre, adds, deletes)
+        for action_id in sorted(step):
+            action = problem.actions[action_id]
+            effects = _effect_masks(action)
+            pre = effects[0][0]
+            if state & pre != pre:
+                issues.append(InapplicableAction(step_index, action_id))
+                continue
+            try:
+                adds, deletes = _fire(action.name, effects, state)
+            except ConflictingEffects as exc:
+                issues.append(StepConflict(step_index, str(exc)))
+                continue
+            fired.append((action_id, pre, adds, deletes))
+        step_adds = step_deletes = 0
+        for i, (a_id, a_pre, a_add, a_del) in enumerate(fired):
+            for b_id, b_pre, b_add, b_del in fired[i + 1:]:
+                if a_del & (b_pre | b_add) or b_del & (a_pre | a_add):
+                    issues.append(
+                        StepConflict(step_index, f"{a_id} vs {b_id}"))
+            step_adds |= a_add
+            step_deletes |= a_del
+        state = (state & ~step_deletes) | step_adds
+    return state, issues
 
 
 def validate_plan(problem: PlanningProblem, plan: Plan) -> ValidationReport:
     """Execute ``plan`` from the problem's initial state and report.
 
-    Parallel steps are linearized in ascending action-id order; the step
-    non-conflict invariant makes this order-free for well-formed plans, and
-    violations are reported as StepConflict. Never raises: inapplicable
-    actions keep identity semantics and are reported.
+    Steps run under the parallel-step rule: every action's precondition
+    (and, for an ADL action, every effect condition) is read in the state
+    before the step, no action may delete a precondition or fired add of
+    another in the same step, and the step's fired effects apply together.
+    Never raises: an inapplicable action changes nothing and is reported as
+    InapplicableAction, interference and clashing effects as StepConflict,
+    and goals false at the end as GoalsUnmet.
     """
-    issues: list = []
-    state = problem.init
-    for step_index, step in enumerate(plan.steps):
-        for a_id, b_id in _step_conflicts(problem, step):
-            issues.append(StepConflict(step_index, f"{a_id} vs {b_id}"))
-        for action_id in sorted(step):
-            action = problem.actions[action_id]
-            if not action.pre <= state:
-                issues.append(InapplicableAction(step_index, action_id))
-                continue
-            try:
-                state = apply_action(state, action)
-            except ConflictingEffects as exc:
-                issues.append(StepConflict(step_index, str(exc)))
-    missing = problem.goals - state
+    state, issues = _execute(problem, mask_of(problem.init), plan)
+    final_state = frozenset(mask_ids(state))
+    missing = problem.goals - final_state
     if missing:
         issues.append(GoalsUnmet(frozenset(missing)))
-    return ValidationReport(valid=not issues, issues=tuple(issues), final_state=state)
+    return ValidationReport(valid=not issues, issues=tuple(issues),
+                            final_state=final_state)

@@ -29,12 +29,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .agenda import build_goal_graph
-from .driver import _unwind
 from .model import (
     MAX_STATES,
     PlanningError,
     PlanningProblem,
     SuccessorTable,
+    _unwind,
     mask_ids,
     mask_of,
     transitions,

@@ -176,16 +176,22 @@ class ProblemFile:
     goal: tuple  # tuple[(pred, args), ...] positive ground atoms
 
 
-def _parse_typed_list(forms):
+def _parse_typed_list(forms, unique: bool = False):
     """Parse ``a b - t c d`` item/type runs; returns [(name, type), ...].
-    Names without a type are objects; a type needs names before it."""
+    Names without a type are objects; a type needs names before it. With
+    ``unique``, a name listed twice is an error."""
     out = []
     pending = []
+    seen = set()
     items = iter(forms)
     for tok in items:
         if not isinstance(tok, _Tok):
             raise PddlSyntaxError("expected a name in typed list", *_loc(tok))
         if tok.text != "-":
+            if unique and tok.text in seen:
+                raise PddlSyntaxError(f"{tok.text!r} declared twice",
+                                      tok.line, tok.col)
+            seen.add(tok.text)
             pending.append(tok.text)
             continue
         ty = next(items, None)
@@ -375,7 +381,7 @@ def parse_problem(text: str, domain: DomainFile) -> ProblemFile:
         if head == ":domain":
             domain_name = _name(section, "(:domain NAME)")
         elif head == ":objects":
-            objects = _parse_typed_list(section[1:])
+            objects = _parse_typed_list(section[1:], unique=True)
         elif head == ":init":
             for form in section[1:]:
                 lit = _parse_literal(form, allow_negated=False, context="init")

@@ -24,6 +24,12 @@ split made per action; the index-based versions in ``goalagenda.ordering``
 must agree with them. ``quadratic_inverse_ids`` is the invertibility
 check's inverse search tried against every action pair.
 
+``apply_strips``, ``apply_adl``, ``apply_action`` and ``result_sequence``
+execute actions on frozenset states, with their own effect evaluation:
+an inapplicable action is the identity, and an ADL action whose fired
+adds meet its fired deletes raises ``ConflictingEffects``. The library
+executes over int masks and shares none of this.
+
 ``naive_enumerate`` is the oracle's state space built by a plain
 breadth-first search over ``apply_action``, with each transition's adds
 taken from its own evaluation of the fired effects. ``naive_decide`` is
@@ -54,11 +60,11 @@ from goalagenda.graphplan import (
     graph_nodes,
 )
 from goalagenda.model import (
+    ConflictingEffects,
     Plan,
     ResourceLimit,
     StripsAction,
     Unsolvable,
-    apply_action,
     mask_ids,
 )
 from goalagenda.oracle import OrderingVerdict
@@ -383,6 +389,41 @@ def allowed_actions(problem, relation: str, a: int) -> frozenset:
 
     return frozenset(i for i, action in enumerate(problem.actions)
                      if relation == "f" or a not in deletes(action))
+
+
+def apply_strips(state: frozenset, action) -> frozenset:
+    """(s | add) - delete when the precondition holds, s otherwise."""
+    if action.pre <= state:
+        return (state | action.add) - action.delete
+    return state
+
+
+def apply_adl(state: frozenset, action) -> frozenset:
+    """Every effect whose condition holds in ``state`` applied together;
+    the identity when the precondition fails."""
+    if not action.pre <= state:
+        return state
+    fired = [eff for eff in action.effects if eff.condition <= state]
+    adds = frozenset().union(*(eff.adds for eff in fired))
+    deletes = frozenset().union(*(eff.deletes for eff in fired))
+    if adds & deletes:
+        raise ConflictingEffects(
+            f"action {action.name!r}: atoms both added and deleted: "
+            f"{sorted(adds & deletes)}")
+    return (state - deletes) | adds
+
+
+def apply_action(state: frozenset, action) -> frozenset:
+    if isinstance(action, StripsAction):
+        return apply_strips(state, action)
+    return apply_adl(state, action)
+
+
+def result_sequence(state: frozenset, actions) -> frozenset:
+    """Left fold of apply_action; the empty sequence returns ``state``."""
+    for action in actions:
+        state = apply_action(state, action)
+    return state
 
 
 def entering_adds(action, state) -> frozenset:

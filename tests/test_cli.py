@@ -222,6 +222,12 @@ MALFORMED = [
     ("domain reference without name",
      ["analyze", "--domain", BLOCKS_DOMAIN, "--problem",
       "(define (problem p) (:domain))"]),
+    ("object declared twice",
+     ["analyze", "--domain", BLOCKS_DOMAIN, "--problem",
+      BLOCKS_TWO.replace("(:objects a b)", "(:objects a b a)")]),
+    ("corpus size not a number", ["analyze", "--corpus", "stack_x"]),
+    ("corpus stack too small", ["analyze", "--corpus", "stack_1"]),
+    ("corpus hanoi too small", ["analyze", "--corpus", "hanoi_0"]),
     ("non-integer budget", ["plan", "--corpus", "trap", "--max-nodes", "abc"]),
     ("no subcommand", []),
 ]

@@ -1,17 +1,18 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+import reference as ref
+import test_state_digests
+from goalagenda.driver import InvalidPlanError, next_initial_state
 from goalagenda.model import (
     AdlAction,
     AtomTable,
     ConditionalEffect,
-    ConflictingEffects,
     Plan,
     PlanningProblem,
     StripsAction,
-    apply_adl,
-    apply_strips,
-    result_sequence,
     validate_plan,
 )
 
@@ -31,6 +32,11 @@ def make_problem(action_defs, init, goals, atom_names):
                            frozenset(map(table.id, goals)))
 
 
+def with_init(problem, init):
+    return PlanningProblem(problem.atoms, problem.actions, frozenset(init),
+                           problem.goals)
+
+
 def test_intern_round_trip():
     table = AtomTable()
     ids = [table.intern(n) for n in ("p(a)", "q(a,b)", "p(a)", "r()")]
@@ -46,27 +52,32 @@ def test_strips_action_rejects_add_delete_overlap():
 
 
 def test_apply_strips_fires_and_identity():
-    table = AtomTable(["C", "A"])
-    o = StripsAction("o", frozenset({table.id("C")}),
-                     frozenset({table.id("A")}), frozenset({table.id("C")}))
-    assert apply_strips(frozenset({table.id("C")}), o) == {table.id("A")}
-    assert apply_strips(frozenset(), o) == frozenset()
+    """A STRIPS action fires in a plan; an inapplicable one is the identity
+    and is reported."""
+    problem = make_problem([("o", ["C"], ["A"], ["C"])], ["C"], ["A"],
+                           ["C", "A"])
+    plan = Plan.sequential([0])
+    report = validate_plan(problem, plan)
+    assert report.valid and report.final_state == atoms(problem, "A")
+    report = validate_plan(with_init(problem, ()), plan)
+    assert report.final_state == frozenset()
+    assert report.issue_kinds() == {"InapplicableAction", "GoalsUnmet"}
 
 
 def test_apply_strips_pickup(load):
     problem = load("blocks3")
     state = atoms(problem, "on-table(a)", "clear(a)", "arm-empty()")
-    pickup = problem.actions[problem.action_named("pickup(a)")]
-    assert apply_strips(state, pickup) == atoms(problem, "holding(a)")
+    pickup = problem.action_named("pickup(a)")
+    assert next_initial_state(problem, state, Plan.sequential([pickup])) \
+        == atoms(problem, "holding(a)")
 
 
 def test_fired_delete_never_survives(load):
     problem = load("blocks3")
-    for action in problem.actions:
-        for state_extra in (frozenset(), action.pre):
-            state = action.pre | state_extra
-            result = apply_strips(state, action)
-            assert not (result & (action.delete - action.add))
+    for action_id, action in enumerate(problem.actions):
+        result = next_initial_state(problem, action.pre,
+                                    Plan.sequential([action_id]))
+        assert not (result & (action.delete - action.add))
 
 
 def _adl_example(table):
@@ -78,41 +89,60 @@ def _adl_example(table):
     ))
 
 
+def adl_problem(table, action, init=()):
+    return PlanningProblem(table, (action,), frozenset(init), frozenset())
+
+
 def test_apply_adl_conditional_firing():
+    """Effect conditions are read in the state before the step: the effect
+    on W does not fire although the first effect adds W."""
     table = AtomTable("UVWXYA")
-    o = _adl_example(table)
+    problem = adl_problem(table, _adl_example(table))
     U, W = table.id("U"), table.id("W")
-    assert apply_adl(frozenset({U}), o) == {U, W}
-    assert apply_adl(frozenset({U, W}), o) == {U, W}
-    assert apply_adl(frozenset(), o) == frozenset()
+    plan = Plan.sequential([0])
+    assert next_initial_state(problem, {U}, plan) == {U, W}
+    assert next_initial_state(problem, {U, W}, plan) == {U, W}
+    report = validate_plan(problem, plan)
+    assert report.final_state == frozenset()
+    assert report.issue_kinds() == {"InapplicableAction"}
 
 
 def test_apply_adl_conflict_is_an_error():
+    """Fired effects that add and delete one atom are a StepConflict in
+    validation and an InvalidPlanError when an episode is chained."""
     table = AtomTable("PQ")
     P, Q = table.id("P"), table.id("Q")
-    o = AdlAction("clash", (
+    problem = adl_problem(table, AdlAction("clash", (
         ConditionalEffect(frozenset(), frozenset({Q}), frozenset()),
         ConditionalEffect(frozenset({P}), frozenset(), frozenset({Q})),
-    ))
-    assert apply_adl(frozenset(), o) == {Q}
-    with pytest.raises(ConflictingEffects):
-        apply_adl(frozenset({P}), o)
+    )))
+    plan = Plan.sequential([0])
+    assert next_initial_state(problem, frozenset(), plan) == {Q}
+    report = validate_plan(with_init(problem, {P}), plan)
+    assert report.issue_kinds() == {"StepConflict"}
+    assert report.final_state == {P}
+    with pytest.raises(InvalidPlanError):
+        next_initial_state(problem, {P}, plan)
 
 
 def test_result_sequence_trap_prefix(load):
     problem = load("trap")
-    op1 = problem.actions[problem.action_named("op1")]
-    state = result_sequence(problem.init, [op1])
-    assert state == atoms(problem, "B", "C")
-    assert result_sequence(state, []) == state
+    report = validate_plan(problem,
+                           Plan.sequential([problem.action_named("op1")]))
+    assert report.final_state == atoms(problem, "B", "C")
+    state = report.final_state
+    assert next_initial_state(problem, state, Plan(())) == state
 
 
 def test_result_sequence_concatenation_is_composition(load):
     problem = load("blocks3")
-    acts = [problem.actions[problem.action_named(n)]
+    acts = [problem.action_named(n)
             for n in ("pickup(b)", "stack(b,c)", "pickup(a)", "stack(a,b)")]
-    whole = result_sequence(problem.init, acts)
-    split = result_sequence(result_sequence(problem.init, acts[:2]), acts[2:])
+    whole = validate_plan(problem, Plan.sequential(acts)).final_state
+    split = next_initial_state(
+        problem, next_initial_state(problem, problem.init,
+                                    Plan.sequential(acts[:2])),
+        Plan.sequential(acts[2:]))
     assert whole == split
     assert problem.goals <= whole
 
@@ -131,11 +161,58 @@ def strips_actions(draw):
 @given(st.lists(strips_actions(), max_size=5), atom_sets, atom_sets,
        st.integers(min_value=0, max_value=4))
 def test_result_sequence_split_property(actions, s1, s2, cut):
-    state = frozenset(s1 | s2)
-    left = actions[:cut]
-    right = actions[cut:]
-    assert result_sequence(state, actions) == \
-        result_sequence(result_sequence(state, left), right)
+    """Running a plan's two halves one after the other, each from where
+    the last ended, ends where the whole plan ends."""
+    problem = PlanningProblem(AtomTable(f"f{i}" for i in range(7)),
+                              tuple(actions), frozenset(s1 | s2),
+                              frozenset())
+    ids = list(range(len(actions)))
+    left = validate_plan(problem, Plan.sequential(ids[:cut]))
+    right = validate_plan(with_init(problem, left.final_state),
+                          Plan.sequential(ids[cut:]))
+    whole = validate_plan(problem, Plan.sequential(ids))
+    assert whole.final_state == right.final_state
+    assert whole.issue_kinds() == left.issue_kinds() | right.issue_kinds()
+
+
+def test_sequential_plans_match_the_reference_evaluator():
+    """On 400 seeded random STRIPS (even seeds) and ADL (odd seeds)
+    problems, a random sequential plan ends in the state the frozenset
+    reference reaches, with the issue kinds it predicts."""
+    for seed in range(400):
+        problem = test_state_digests.random_problem(seed)
+        rng = random.Random(seed)
+        ids = [rng.randrange(len(problem.actions))
+               for _ in range(rng.randint(0, 6))]
+        actions = [problem.actions[i] for i in ids]
+        expected = ref.result_sequence(problem.init, actions)
+        kinds = set()
+        state = problem.init
+        for action in actions:
+            if not action.pre <= state:
+                kinds.add("InapplicableAction")
+            state = ref.apply_action(state, action)
+        if not problem.goals <= expected:
+            kinds.add("GoalsUnmet")
+        report = validate_plan(problem, Plan.sequential(ids))
+        assert report.final_state == expected, seed
+        assert report.issue_kinds() == kinds, seed
+
+
+def test_parallel_step_reads_the_state_before_it():
+    """a: P -> Q and b: Q -> G in one step from {P}: b's precondition is
+    false before the step, so the step does not execute, although running
+    a then b would reach G."""
+    problem = make_problem([("a", ["P"], ["Q"], []), ("b", ["Q"], ["G"], [])],
+                           ["P"], ["G"], ["P", "Q", "G"])
+    step_plan = Plan((frozenset({0, 1}),))
+    report = validate_plan(problem, step_plan)
+    assert not report.valid
+    assert report.issue_kinds() == {"InapplicableAction", "GoalsUnmet"}
+    assert report.final_state == atoms(problem, "P", "Q")
+    with pytest.raises(InvalidPlanError):
+        next_initial_state(problem, problem.init, step_plan)
+    assert validate_plan(problem, Plan.sequential([0, 1])).valid
 
 
 def test_validate_plan_happy_path(load):
@@ -191,6 +268,7 @@ def test_inverse_application_restores_state(load, index_of):
         for i, o in enumerate(problem.actions):
             if o.pre <= state and o.delete <= o.pre and not (state & o.add):
                 bar = problem.actions[inverses[i]]
-                assert apply_strips(apply_strips(state, o), bar) == state
+                assert next_initial_state(
+                    problem, state, Plan.sequential([i, inverses[i]])) == state
                 checked += 1
     assert checked > 0

@@ -12,7 +12,6 @@ from goalagenda.model import (
     ConflictingEffects,
     PlanningProblem,
     StripsAction,
-    apply_action,
 )
 from goalagenda.oracle import (
     LimitExceeded,
@@ -468,7 +467,7 @@ def check_witness(problem, verdict, b, allowed):
         (action_id,) = step
         assert action_id in allowed
         assert problem.actions[action_id].pre <= state
-        state = apply_action(state, problem.actions[action_id])
+        state = ref.apply_action(state, problem.actions[action_id])
     assert b in state
 
 

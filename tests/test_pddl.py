@@ -82,6 +82,25 @@ def test_objects_type_needs_names_before_it():
     assert (err.value.line, err.value.col) == (2, 13)
 
 
+TYPED_DOMAIN = """(define (domain typed) (:requirements :strips :typing)
+  (:types t1 t2) (:predicates (p ?x - t1)))"""
+
+
+@pytest.mark.parametrize("domain, objects, at", [
+    ("blocks", "a b a", (2, 17)),
+    ("typed", "a - t1 a - t2", (2, 20)),
+    ("typed", "a b - t1 b", (2, 22)),
+])
+def test_object_declared_twice(domain, objects, at):
+    """A repeated name in :objects would ground every operator once per
+    declaration, under the same action names."""
+    text = TYPED_DOMAIN if domain == "typed" else corpus.domain_text(domain)
+    with pytest.raises(PddlSyntaxError, match="declared twice") as err:
+        parse(text, f"(define (problem p) (:domain {domain})\n"
+                    f"  (:objects {objects}) (:init) (:goal (and)))")
+    assert (err.value.line, err.value.col) == at
+
+
 def _read(read, text):
     """The forms ``read`` makes of ``text`` (a token compares equal to its
     ``(text, line, col)`` tuple), or the syntax error it raises."""
