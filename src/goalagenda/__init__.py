@@ -26,12 +26,9 @@ from .ordering import (
     compute_f_da,
     fixpoint_reduce,
     implied_deletes,
-    order_E,
-    order_H,
     order_e,
     order_h,
     possibly_achievable,
-    reduced_actions,
 )
 from .oracle import (
     InvertibilityReport,

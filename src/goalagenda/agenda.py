@@ -14,12 +14,7 @@ from dataclasses import dataclass, replace
 
 from .graphplan import AnchorUnreachable, PlanningGraph, build_graph, false_set
 from .model import PlanningProblem
-from .ordering import (
-    ProblemIndex,
-    _graph_test,
-    fixpoint_reduce,
-    possibly_achievable,
-)
+from .ordering import ProblemIndex, fixpoint_reduce, possibly_achievable
 
 
 @dataclass(frozen=True)
@@ -55,20 +50,21 @@ class Agenda:
 def _before_anchor(problem: PlanningProblem, method: str,
                   graph: PlanningGraph, index: ProblemIndex, anchor,
                   candidates):
-    """The candidate goals ordered before the anchor goal set, by the
-    method's test against the anchor's one false set (``e``) or one
-    fixpoint (``h``); None when the anchor never enters the graph, where
-    every ordering before it holds trivially."""
+    """The candidate goals ordered before the anchor goal set: those that
+    no way usable under the anchor's one false set adds (``e``), or that
+    are not one-step achievable under its one fixpoint (``h``). None when
+    the anchor never enters the graph, where every ordering before it
+    holds trivially."""
     if method == "e":
         try:
             f_atoms = false_set(graph, anchor).atoms
         except AnchorUnreachable:
             return None
-        return frozenset(b for b in candidates
-                         if _graph_test(problem, f_atoms, anchor, b, index))
-    fx = fixpoint_reduce(problem, anchor, index)
+        view = index.view(anchor, f_atoms)
+        return frozenset(b for b in candidates if not view.adds(b))
+    view = fixpoint_reduce(problem, anchor, index).o_star
     return frozenset(b for b in candidates
-                     if not possibly_achievable(b, fx.o_star))
+                     if not possibly_achievable(b, view))
 
 
 def build_goal_graph(problem: PlanningProblem, method: str,

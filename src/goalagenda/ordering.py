@@ -1,28 +1,31 @@
 """Polynomial goal-ordering approximations.
 
-Two routes to "B should be achieved before A":
+Both routes to "B should be achieved before A" are one rule over a false
+set and one action view: keep the anchor true, make the false set false,
+and order B first when no usable action can (re)achieve B.
 
-* graph route: every potential achiever of B that survives removing the
-  anchor's deleters needs a precondition that is mutually exclusive with the
-  anchor once the planning graph has leveled off;
-* direct-analysis route: start from the atoms every anchor achiever deletes,
-  shrink that set by a one-step achievability fixpoint, and order B first
-  when B is not even one-step achievable with the surviving actions.
+* graph route (``order_e``): the false set is the atoms mutually exclusive
+  with the anchor once the planning graph has leveled off, and B is
+  ordered first when no usable way adds it;
+* direct-analysis route (``order_h``): the false set is the atoms every
+  anchor achiever deletes, shrunk by a one-step achievability fixpoint,
+  and B is ordered first when it is not even one-step achievable with the
+  surviving ways.
 
-Both lift to sets of goals (the union/False-set forms) for placing the
-unordered goals. The direct route is deliberately shallow: achievability
-regresses exactly one level and assumes tested atoms are absent from the
-state, which is what makes it fast and occasionally wrong in both
-directions; the oracle module measures that.
+The direct route is deliberately shallow: achievability regresses exactly
+one level and assumes tested atoms are absent from the state, which is what
+makes it fast and occasionally wrong in both directions; the oracle module
+measures that. The same tests lifted to goal sets, for placing the
+unordered goals, live in ``agenda._before_anchor``.
 
 Both routes read one ``ProblemIndex``: every (action, effect) way with its
 condition and implied deletes, and per atom the ways that add it, the ways
 whose implied deletes hold it and the ways whose condition needs it. An
 action view is the set of ways blocked by the anchor and the false set, so
 every test walks only the achievers of the atom it asks about. Top-level
-calls (``order_e``/``order_E``, ``order_h``/``order_H`` and the agenda and
-oracle entry points) build the index once and pass it down; the lower-level
-functions take ``index=None`` and build one on demand.
+calls (``order_e``, ``order_h`` and the agenda and oracle entry points)
+build the index once and pass it down; the lower-level functions take
+``index=None`` and build one on demand.
 """
 
 from __future__ import annotations
@@ -60,13 +63,9 @@ class ProblemIndex:
     """
 
     def __init__(self, problem: PlanningProblem):
-        self.problem = problem
         nodes = graph_nodes(problem)
         self.condition = tuple(n.pre for n in nodes)
         self.adds = tuple(n.add for n in nodes)
-        # first_way[a] + i is the way of effect i of action a
-        self.first_way = [w for w, n in enumerate(nodes)
-                          if n.effect_index == 0] + [len(nodes)]
         if problem.is_adl:
             self.implied_deletes = tuple(
                 implied_deletes(problem.actions[n.action_id], n.effect_index)
@@ -102,42 +101,25 @@ class ProblemIndex:
 
 class UsableActions:
     """Action view used by the achievability tests: a set of blocked ways
-    of a ProblemIndex; every other way survives. ``action_ids`` (actions
-    whose effect-0 way survives) and ``surviving_effects`` (None for
-    STRIPS; for ADL, per surviving action, the indices of its surviving
-    effects) are derived from the blocked set. Caches the union of add
+    of a ProblemIndex; every other way survives. Caches the union of add
     effects."""
 
     def __init__(self, index: ProblemIndex, blocked):
         self.index = index
-        self.problem = index.problem
         self.blocked = frozenset(blocked)
         self._addable = None
 
-    @property
-    def action_ids(self) -> frozenset:
-        first = self.index.first_way
-        return frozenset(a for a in range(len(first) - 1)
-                         if first[a] not in self.blocked)
-
-    @property
-    def surviving_effects(self):
-        if not self.problem.is_adl:
-            return None
-        first = self.index.first_way
-        return {a: tuple(w - first[a] for w in range(first[a], first[a + 1])
-                         if w not in self.blocked)
-                for a in sorted(self.action_ids)}
+    def adds(self, p: int) -> bool:
+        """Whether some surviving way adds p."""
+        return any(w not in self.blocked for w in self.index.adders.get(p, ()))
 
     def addable_atoms(self) -> frozenset:
         """Every addable atom, minus those whose adders are all blocked: only
         the atoms added by blocked ways are rechecked."""
         if self._addable is None:
-            index, blocked = self.index, self.blocked
-            recheck = set().union(*(index.adds[w] for w in blocked))
-            self._addable = index.addable - {
-                p for p in recheck
-                if all(w in blocked for w in index.adders[p])}
+            recheck = set().union(*(self.index.adds[w] for w in self.blocked))
+            self._addable = self.index.addable - {
+                p for p in recheck if not self.adds(p)}
         return self._addable
 
     def achieving_conditions(self, p: int):
@@ -163,19 +145,6 @@ def implied_deletes(action: AdlAction, i: int) -> frozenset:
         if j != 0 and eff.condition <= pre_i:
             out |= eff.deletes
     return frozenset(out)
-
-
-def reduced_actions(problem: PlanningProblem, anchor,
-                    index: ProblemIndex = None) -> UsableActions:
-    """Actions that cannot delete any anchor atom.
-
-    STRIPS: drop actions whose delete list meets the anchor. ADL: drop
-    actions unconditionally deleting an anchor atom and, per action, the
-    effects whose implied deletes meet the anchor.
-    """
-    if index is None:
-        index = ProblemIndex(problem)
-    return index.view(anchor)
 
 
 def compute_f_da(problem: PlanningProblem, anchor,
@@ -247,32 +216,21 @@ def fixpoint_reduce(problem: PlanningProblem, anchor,
 
 # --- atomic orderings --------------------------------------------------------
 
-def _graph_test(problem: PlanningProblem, f_atoms, anchor, b: int,
-                index: ProblemIndex = None) -> bool:
-    """True when every way of adding b whose implied deletes miss the
-    anchor needs a condition from the false set (vacuously true with no
-    achievers)."""
-    if index is None:
-        index = ProblemIndex(problem)
-    anchor = frozenset(anchor)
-    for w in index.adders.get(b, ()):
-        if not (index.implied_deletes[w] & anchor) \
-                and not (index.condition[w] & f_atoms):
-            return False
-    return True
-
-
 def order_e(problem: PlanningProblem, graph: PlanningGraph, b: int,
             a: int, index: ProblemIndex = None) -> OrderingDecision:
-    """Graph-based test for ordering b before a. When the anchor never
-    enters the graph the ordering holds trivially (no state achieves a)."""
+    """Graph-based test: b ordered before a iff no way usable while a stays
+    true and a's false set stays false adds b (vacuously true with no
+    achievers). When the anchor never enters the graph the ordering holds
+    trivially (no state achieves a)."""
     if a == b:
         raise ValueError("ordering needs two distinct goals")
     try:
         fs = false_set(graph, {a})
     except AnchorUnreachable:
         return OrderingDecision(True, trivial=True)
-    return OrderingDecision(_graph_test(problem, fs.atoms, {a}, b, index))
+    if index is None:
+        index = ProblemIndex(problem)
+    return OrderingDecision(not index.view({a}, fs.atoms).adds(b))
 
 
 def order_h(problem: PlanningProblem, b: int, a: int,
@@ -284,38 +242,3 @@ def order_h(problem: PlanningProblem, b: int, a: int,
         raise ValueError("ordering needs two distinct goals")
     fx = fixpoint_reduce(problem, {a}, index)
     return OrderingDecision(not possibly_achievable(b, fx.o_star))
-
-
-# --- set-level orderings -----------------------------------------------------
-
-def order_E(problem: PlanningProblem, graph: PlanningGraph, bs, as_,
-            index: ProblemIndex = None) -> bool:
-    """Set form of the graph test: some member of bs passes the atomic test
-    against the combined false set and reduced action set of as_.
-
-    Propagates AnchorUnreachable like false_set does.
-    """
-    bs, as_ = frozenset(bs), frozenset(as_)
-    if not bs or not as_:
-        raise ValueError("goal sets must be nonempty")
-    if bs & as_:
-        raise ValueError("goal sets must be disjoint")
-    fs = false_set(graph, as_)
-    if index is None:
-        index = ProblemIndex(problem)
-    return any(_graph_test(problem, fs.atoms, as_, b, index)
-               for b in sorted(bs))
-
-
-def order_H(problem: PlanningProblem, bs, as_,
-            index: ProblemIndex = None) -> bool:
-    """Set form of the direct test: union the per-atom always-deleted sets,
-    run the same fixpoint, and require some member of bs to be not possibly
-    achievable."""
-    bs, as_ = frozenset(bs), frozenset(as_)
-    if not bs or not as_:
-        raise ValueError("goal sets must be nonempty")
-    if bs & as_:
-        raise ValueError("goal sets must be disjoint")
-    fx = fixpoint_reduce(problem, as_, index)
-    return any(not possibly_achievable(b, fx.o_star) for b in sorted(bs))

@@ -78,6 +78,15 @@ class _Tok(NamedTuple):
     col: int
 
 
+class _List(list):
+    """A parenthesised form; ``line`` and ``col`` locate its ``(``."""
+
+    def __init__(self, line: int, col: int):
+        super().__init__()
+        self.line = line
+        self.col = col
+
+
 def _read_sexprs(text: str):
     """Parse into nested lists of _Tok; returns the top-level forms. Each
     line is scanned by one regex whose matches are a ``;`` comment, a
@@ -85,31 +94,28 @@ def _read_sexprs(text: str):
     ``\\r``) separate tokens."""
     scan = re.compile(r";.*|[()]|[^ \t\r();]+")
     stack: list = [[]]
-    opens: list = []
     for line, chars in enumerate(text.split("\n"), 1):
         for match in scan.finditer(chars):
             word = match.group()
             col = match.start() + 1
             if word == "(":
-                stack.append([])
-                opens.append((line, col))
+                stack.append(_List(line, col))
             elif word == ")":
                 if len(stack) == 1:
                     raise PddlSyntaxError("unbalanced ')'", line, col)
                 done = stack.pop()
-                opens.pop()
                 stack[-1].append(done)
             elif word[0] != ";":
                 stack[-1].append(_Tok(word, line, col))
     if len(stack) != 1:
-        raise PddlSyntaxError("unbalanced '('", *opens[-1])
+        raise PddlSyntaxError("unbalanced '('", stack[-1].line, stack[-1].col)
     return stack[0]
 
 
 def _loc(form):
-    while isinstance(form, list):
-        if not form:
-            return (None, None)
+    """Where a form starts: its first token, or the ``(`` of an empty
+    list."""
+    while isinstance(form, list) and form:
         form = form[0]
     return (form.line, form.col)
 
@@ -298,7 +304,7 @@ def _parse_action(section) -> LiftedOperator:
         if key_kw == ":parameters":
             if not isinstance(value, list):
                 raise PddlSyntaxError("expected a parameter list", *_loc(value))
-            params = tuple(_parse_typed_list(value))
+            params = tuple(_parse_typed_list(value, unique=True))
         elif key_kw == ":precondition":
             precondition = _conjunction(value, "precondition")
         elif key_kw == ":effect":

@@ -219,6 +219,10 @@ MALFORMED = [
      ["analyze", "--domain",
       BLOCKS_DOMAIN.replace(":parameters (?ob)", ":parameters ?ob", 1),
       "--problem", BLOCKS_TWO]),
+    ("parameter declared twice",
+     ["analyze", "--domain",
+      BLOCKS_DOMAIN.replace(":parameters (?ob)", ":parameters (?ob ?ob)", 1),
+      "--problem", BLOCKS_TWO]),
     ("domain reference without name",
      ["analyze", "--domain", BLOCKS_DOMAIN, "--problem",
       "(define (problem p) (:domain))"]),

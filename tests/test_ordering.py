@@ -1,5 +1,5 @@
-import pytest
-
+from goalagenda.agenda import _before_anchor
+from goalagenda.graphplan import graph_nodes
 from goalagenda.model import (
     AdlAction,
     AtomTable,
@@ -8,33 +8,37 @@ from goalagenda.model import (
     StripsAction,
 )
 from goalagenda.ordering import (
+    ProblemIndex,
     compute_f_da,
     fixpoint_reduce,
     implied_deletes,
-    order_E,
-    order_H,
     order_e,
     order_h,
     possibly_achievable,
-    reduced_actions,
 )
 
 from conftest import atoms, names_of
 
 
+def before(problem, method, bs, as_, graph=None) -> frozenset:
+    """The goals of bs that the set-level test orders before the set as_."""
+    return _before_anchor(problem, method, graph, ProblemIndex(problem),
+                          frozenset(as_), frozenset(bs))
+
+
 def test_reduced_actions_three_blocks(load):
+    """The anchor's view (the reduced action set) blocks exactly the
+    actions that delete the anchor."""
     problem = load("blocks3")
-    view = reduced_actions(problem, atoms(problem, "on(b,c)"))
-    excluded = [problem.actions[i].name
-                for i in range(len(problem.actions))
-                if i not in view.action_ids]
-    assert excluded == ["unstack(b,c)"]
+    view = ProblemIndex(problem).view(atoms(problem, "on(b,c)"))
+    nodes = graph_nodes(problem)
+    assert [problem.actions[nodes[w].action_id].name
+            for w in sorted(view.blocked)] == ["unstack(b,c)"]
 
 
 def test_reduced_actions_empty_anchor_keeps_all(load):
     problem = load("blocks3")
-    view = reduced_actions(problem, frozenset())
-    assert len(view.action_ids) == len(problem.actions)
+    assert ProblemIndex(problem).view(frozenset()).blocked == frozenset()
 
 
 def _conditional_example():
@@ -65,10 +69,10 @@ def _p(table, action):
 
 def test_reduced_actions_drops_entailed_effects():
     table, action, problem = _conditional_example()
-    view = reduced_actions(problem, {table.id("Y")})
+    view = ProblemIndex(problem).view({table.id("Y")})
     # the effect deleting Y goes, and so does the one whose condition
-    # entails firing it; the unconditional part survives
-    assert view.surviving_effects == {0: (0,)}
+    # entails firing it; the unconditional part (way 0) survives
+    assert view.blocked == {1, 2}
 
 
 def test_always_deleted_set_of_conditional_achiever():
@@ -116,7 +120,7 @@ def test_fixpoint_revives_deletions(load):
     problem = load("revival")
     fx = fixpoint_reduce(problem, atoms(problem, "A"))
     assert fx.f_star == frozenset()
-    assert fx.o_star.action_ids == frozenset(range(4))
+    assert fx.o_star.blocked == frozenset()
     assert fx.iterations <= len(compute_f_da(problem, atoms(problem, "A"))) + 1
     assert not order_h(problem, problem.atom("B"), problem.atom("A")).holds
 
@@ -132,7 +136,7 @@ def test_fixpoint_empty_f_da(load):
     problem = load("trap")
     fx = fixpoint_reduce(problem, atoms(problem, "A"))
     assert fx.f_star == frozenset()
-    assert fx.o_star.action_ids == frozenset(range(4))
+    assert fx.o_star.blocked == frozenset()
     assert fx.iterations == 1
 
 
@@ -150,7 +154,7 @@ def test_possibly_achievable_no_preconditions():
                           frozenset())
     problem = PlanningProblem(table, (action,), frozenset(),
                               frozenset({table.id("P")}))
-    view = reduced_actions(problem, frozenset())
+    view = ProblemIndex(problem).view(frozenset())
     assert possibly_achievable(table.id("P"), view)
 
 
@@ -221,11 +225,11 @@ def test_order_sets_degenerate_to_atomic(load, graph_of):
     graph = graph_of("blocks3")
     bs = atoms(problem, "on(b,c)")
     as_ = atoms(problem, "on(a,b)")
-    assert order_E(problem, graph, bs, as_) == \
+    assert bool(before(problem, "e", bs, as_, graph)) == \
         order_e(problem, graph, problem.atom("on(b,c)"),
                 problem.atom("on(a,b)")).holds
-    assert order_H(problem, bs, as_)
-    assert not order_H(problem, as_, bs)
+    assert before(problem, "h", bs, as_)
+    assert not before(problem, "h", as_, bs)
 
 
 def test_order_sets_tyreworld_families(load):
@@ -238,10 +242,10 @@ def test_order_sets_tyreworld_families(load):
                         "tight(n3,hub3)")
     in_jack = atoms(problem, "in(jack,boot)")
     closed = atoms(problem, "closed(boot)")
-    assert order_H(problem, on_goals, in_jack)
-    assert not order_H(problem, tight_goals, in_jack)
-    assert order_H(problem, tight_goals, closed)
-    assert order_H(problem, atoms(problem, "in(w1,boot)"), closed)
+    assert before(problem, "h", on_goals, in_jack)
+    assert not before(problem, "h", tight_goals, in_jack)
+    assert before(problem, "h", tight_goals, closed)
+    assert before(problem, "h", atoms(problem, "in(w1,boot)"), closed)
 
 
 def test_order_E_tyreworld_on_before_tight(load, graph_of):
@@ -252,16 +256,7 @@ def test_order_E_tyreworld_on_before_tight(load, graph_of):
     on_goals = atoms(problem, "on(r1,hub1)", "on(r2,hub2)", "on(r3,hub3)")
     tight_goals = atoms(problem, "tight(n1,hub1)", "tight(n2,hub2)",
                         "tight(n3,hub3)")
-    assert order_E(problem, graph, on_goals, tight_goals)
-
-
-def test_order_set_contract_violations(load, graph_of):
-    problem = load("blocks3")
-    with pytest.raises(ValueError):
-        order_H(problem, frozenset(), atoms(problem, "on(a,b)"))
-    with pytest.raises(ValueError):
-        order_E(problem, graph_of("blocks3"), atoms(problem, "on(a,b)"),
-                atoms(problem, "on(a,b)"))
+    assert before(problem, "e", on_goals, tight_goals, graph)
 
 
 def test_fixpoint_result_invariants(load):
@@ -276,8 +271,10 @@ def test_fixpoint_result_invariants(load):
             fx = fixpoint_reduce(problem, anchor)
             assert fx.f_star <= compute_f_da(problem, anchor)
             assert fx.iterations <= len(compute_f_da(problem, anchor)) + 1
-            for action_id in fx.o_star.action_ids:
-                action = problem.actions[action_id]
+            for w, node in enumerate(graph_nodes(problem)):
+                if w in fx.o_star.blocked:
+                    continue
+                action = problem.actions[node.action_id]
                 assert not (action.delete & anchor)
                 assert not (action.pre & fx.f_star)
 

@@ -101,6 +101,32 @@ def test_object_declared_twice(domain, objects, at):
     assert (err.value.line, err.value.col) == at
 
 
+@pytest.mark.parametrize("parameters, at", [
+    ("?x ?x", (2, 30)),
+    ("?x - t1 ?y ?x - t2", (2, 38)),
+])
+def test_parameter_declared_twice(parameters, at):
+    """A repeated parameter would ground one action again under another
+    name, with only the last binding read by its precondition and
+    effects."""
+    with pytest.raises(PddlSyntaxError, match="'[?]x' declared twice") as err:
+        parse_domain("(define (domain d) (:requirements :strips :typing)"
+                     " (:types t1 t2) (:predicates (p ?x))\n"
+                     f"  (:action a :parameters ({parameters}) :effect (p ?x)))")
+    assert (err.value.line, err.value.col) == at
+
+
+@pytest.mark.parametrize("section, message, at", [
+    ("(:requirements ())", "expected a requirement flag", (2, 18)),
+    ("(:predicates ())", "expected a named form", (2, 16)),
+])
+def test_empty_form_error_carries_location(section, message, at):
+    """An error on an empty form points at its open parenthesis."""
+    with pytest.raises(PddlSyntaxError, match=message) as err:
+        parse_domain(f"(define (domain x)\n  {section})")
+    assert (err.value.line, err.value.col) == at
+
+
 def _read(read, text):
     """The forms ``read`` makes of ``text`` (a token compares equal to its
     ``(text, line, col)`` tuple), or the syntax error it raises."""
