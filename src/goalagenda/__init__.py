@@ -4,8 +4,8 @@ agenda-driven driver over GraphPlan or breadth-first base planners, and an
 exhaustive oracle that checks the approximations on small instances."""
 
 from .agenda import Agenda, GoalGraph, compute_agenda
-from .graphplan import (FalseSet, GraphContext, PlanningGraph, build_graph,
-                        false_set, graphplan_search)
+from .graphplan import (GraphContext, PlanningGraph, build_graph, false_set,
+                        graphplan_search)
 from .kernel import backend as kernel_backend
 from .model import (
     AdlAction,

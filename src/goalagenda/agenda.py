@@ -57,7 +57,7 @@ def _before_anchor(problem: PlanningProblem, method: str,
     holds trivially."""
     if method == "e":
         try:
-            f_atoms = false_set(graph, anchor).atoms
+            f_atoms = false_set(graph, anchor)
         except AnchorUnreachable:
             return None
         view = index.view(anchor, f_atoms)

@@ -228,7 +228,8 @@ def run(config: argparse.Namespace) -> int:
         return EXIT_OK
 
     if config.command == "graph-dump":
-        graph = build_graph(problem, max_layers=config.max_layers)
+        graph = build_graph(problem, max_layers=config.max_layers,
+                            retain_layers=False)
         _emit(config, _json(graph_dump(graph)))
         print(f"goalagenda: graph {time.perf_counter() - t0:.3f}s",
               file=sys.stderr)

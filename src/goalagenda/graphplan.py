@@ -2,16 +2,17 @@
 search that uses it as the STRIPS base planner.
 
 What is per problem, the layer kernel over the graph nodes, is built once
-in a GraphContext. What is per episode is built over it: a GraphGrowth
-grows the graph from the episode's initial state one layer at a time,
-keeping the achiever lists that the kernel returns per action layer, and
-the backward search keeps its nogood memo. No search writes to a context,
-so one serves every episode of an agenda, in any order. The graph levels
-off at the first layer t whose fact set and mutex relation equal layer
-t+1's; every layer from t on equals layer t. build_graph grows to
-level-off, for the orderings and the dumps. The backward search, as in
-GraphPlan and IPP, grows only the layers its horizons read: layer H+1 once
-the search at horizon H has failed.
+in a GraphContext. What is per episode is built over it: a PlanningGraph
+grows from the episode's initial state one layer at a time, keeping each
+fact layer as the kernel's bitmask and the achiever lists that the kernel
+returns per action layer, and the backward search keeps its nogood memo.
+No search writes to a context, so one serves every episode of an agenda,
+in any order. The graph levels off at the first layer t whose fact set and
+mutex relation equal layer t+1's; every layer from t on equals layer t.
+build_graph grows to level-off, for the orderings and the dumps; a leveled
+graph is never written again. The backward search, as in GraphPlan and
+IPP, grows only the layers its horizons read: layer H+1 once the search at
+horizon H has failed.
 
 Mutex rules are the standard ones: two actions are mutex when one deletes
 a precondition or add effect of the other or their preconditions contain a
@@ -29,7 +30,6 @@ weaker than direct analysis on conditional-effect domains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .kernel import GraphKernel, backend as kernel_backend
@@ -92,41 +92,25 @@ class GraphContext:
         self.kernel = GraphKernel(len(problem.atoms), [
             (sorted(n.pre), sorted(n.add), sorted(n.delete)) for n in nodes])
 
-    def noop_id(self, fact: int) -> int:
-        return self.n_real_nodes + fact
-
-
-@dataclass(frozen=True)
-class PlanningGraph:
-    fact_layers: tuple  # tuple[frozenset[int], ...], layers 0..leveled_at+1
-    action_layers: tuple  # tuple[tuple[int, ...], ...] node ids incl. no-ops
-    fact_mutex: tuple  # per fact layer: tuple[int, ...] row bitmasks or None
-    action_mutex: tuple  # per action layer: tuple[int, ...] or None
-    mutex_counts: tuple  # fact-mutex pair count per fact layer
-    leveled_at: int
-
-    def leveled_rows(self):
-        return self.fact_mutex[self.leveled_at]
-
 
 class ResourceLimitError(PlanningError):
     pass
 
 
-def _pair_count(rows) -> int:
-    return sum(r.bit_count() for r in rows) // 2
-
-
-class GraphGrowth:
+class PlanningGraph:
     """A planning graph over a context, grown from ``init`` one layer per
-    call to ``grow``, with PlanningGraph's layer fields in lists; leveled_at
-    stays None until a layer equal to its predecessor shows level-off.
-    ``achievers`` holds, per action layer, the kernel's per-fact achiever
-    lists and masks.
+    call to ``grow``. Per fact layer: ``fact_layers`` holds the fact
+    bitmask, ``fact_mutex`` the per-fact mutex rows and ``mutex_counts``
+    the mutex pair count; per action layer: ``action_layers`` holds the
+    applicable node ids (no-ops included), ``action_mutex`` the per-node
+    mutex rows and ``achievers`` the kernel's per-fact achiever lists and
+    masks. leveled_at stays None until a layer equal to its predecessor
+    shows level-off.
 
     With retain_layers=False the action-layer tables are not kept and the
     fact-mutex rows are kept only at the leveled layer, which is all the
     false-set computation needs; the backward search grows with retention.
+    The layers, node ids and pair counts are kept either way.
     """
 
     def __init__(self, context: GraphContext, init, max_layers: int,
@@ -134,9 +118,8 @@ class GraphGrowth:
         self.context = context
         self.max_layers = max_layers
         self.retain_layers = retain_layers
-        self._mask = mask_of(init)
         self._rows = [0] * len(context.problem.atoms)
-        self.fact_layers = [frozenset(init)]
+        self.fact_layers = [mask_of(init)]
         self.action_layers = []
         self.fact_mutex = [tuple(self._rows) if retain_layers else None]
         self.action_mutex = []
@@ -153,22 +136,23 @@ class GraphGrowth:
             raise ResourceLimitError(
                 f"planning graph did not level off within "
                 f"{self.max_layers} layers")
+        facts = self.fact_layers[-1]
         applicable, mask, rows, act_rows, achievers, ach_masks = \
-            self.context.kernel.step(self._mask, self._rows)
-        leveled = mask == self._mask and rows == self._rows
+            self.context.kernel.step(facts, self._rows)
+        leveled = mask == facts and rows == self._rows
         self.action_layers.append(tuple(applicable))
         retain = self.retain_layers
         self.action_mutex.append(tuple(act_rows) if retain else None)
         self.achievers.append((achievers, ach_masks) if retain else None)
-        self.fact_layers.append(frozenset(mask_ids(mask)))
-        self.mutex_counts.append(_pair_count(rows))
+        self.fact_layers.append(mask)
+        self.mutex_counts.append(sum(r.bit_count() for r in rows) // 2)
         keep = retain or leveled
         self.fact_mutex.append(tuple(rows) if keep else None)
         if leveled:
             self.leveled_at = t
             # the leveled layer's rows equal its successor's
             self.fact_mutex[t] = self.fact_mutex[t + 1]
-        self._mask, self._rows = mask, rows
+        self._rows = rows
 
     def grow_to(self, t: int) -> None:
         """Grow until fact layer t exists or level-off is seen."""
@@ -184,51 +168,30 @@ class GraphGrowth:
 def build_graph(problem: PlanningProblem, max_layers: int = MAX_LAYERS,
                 retain_layers: bool = True) -> PlanningGraph:
     """Grow the graph until level-off (through leveled_at + 1 layers), or
-    raise ResourceLimitError past max_layers layers; see GraphGrowth for
+    raise ResourceLimitError past max_layers layers; see PlanningGraph for
     retain_layers."""
-    context = GraphContext(problem)
-    growth = GraphGrowth(context, problem.init, max_layers, retain_layers)
-    while growth.leveled_at is None:
-        growth.grow()
-    return PlanningGraph(
-        fact_layers=tuple(growth.fact_layers),
-        action_layers=tuple(growth.action_layers),
-        fact_mutex=tuple(growth.fact_mutex),
-        action_mutex=tuple(growth.action_mutex),
-        mutex_counts=tuple(growth.mutex_counts),
-        leveled_at=growth.leveled_at,
-    )
+    graph = PlanningGraph(GraphContext(problem), problem.init, max_layers,
+                          retain_layers)
+    while graph.leveled_at is None:
+        graph.grow()
+    return graph
 
 
-@dataclass(frozen=True)
-class FalseSet:
-    """Atoms that can never hold together with the anchor, per the leveled
-    graph's mutex relation."""
-
-    anchor: frozenset
-    atoms: frozenset
-    anchor_internal_mutex: bool = False
-
-
-def false_set(graph: PlanningGraph, anchor) -> FalseSet:
-    """Atoms mutex with at least one anchor member at level-off.
+def false_set(graph: PlanningGraph, anchor) -> frozenset:
+    """Atoms outside the anchor that are mutex with at least one anchor
+    member at level-off: they never hold together with the anchor.
 
     Raises AnchorUnreachable when an anchor atom never enters the graph;
-    callers treat that as a trivial ordering. Anchor members mutex with each
-    other are excluded from the result and flagged (degenerate anchor).
+    callers treat that as a trivial ordering.
     """
-    anchor = frozenset(anchor)
-    leveled_facts = graph.fact_layers[graph.leveled_at]
-    rows = graph.leveled_rows()
+    facts = graph.fact_layers[graph.leveled_at]
+    rows = graph.fact_mutex[graph.leveled_at]
     combined = 0
     for atom in sorted(anchor):
-        if atom not in leveled_facts:
+        if not facts >> atom & 1:
             raise AnchorUnreachable(atom)
         combined |= rows[atom]
-    atoms = frozenset(mask_ids(combined))
-    internal = bool(atoms & anchor)
-    return FalseSet(anchor=anchor, atoms=atoms - anchor,
-                    anchor_internal_mutex=internal)
+    return frozenset(mask_ids(combined & ~mask_of(anchor)))
 
 
 # --- backward search ---------------------------------------------------------
@@ -310,7 +273,7 @@ def graphplan_search(context: GraphContext, init, goals,
     if goals <= init:
         return Plan(())
 
-    graph = GraphGrowth(context, init, max_layers)
+    graph = PlanningGraph(context, init, max_layers)
     searcher = _BackwardSearch(graph, max_nodes)
     goal_mask = mask_of(goals)
 
@@ -320,7 +283,7 @@ def graphplan_search(context: GraphContext, init, goals,
         horizon += 1
         graph.grow_to(horizon)
         layer = graph.layer(horizon)
-        if goals <= graph.fact_layers[layer] and \
+        if not goal_mask & ~graph.fact_layers[layer] and \
                 not searcher.goals_mutex(layer, goal_mask):
             try:
                 steps = searcher.search(goal_mask, horizon)
@@ -389,14 +352,14 @@ class _BackwardSearch:
     memo hit, exact or subset, counts none of its own.
     """
 
-    def __init__(self, graph: GraphGrowth, max_nodes: int):
+    def __init__(self, graph: PlanningGraph, max_nodes: int):
         self.graph = graph
         self.max_nodes = max_nodes
         self.nodes_used = 0
         self.memo: dict = {}  # fact layer t -> nogood goal masks
         # fact layer t -> highest fact -> the searched nogoods with that top
         self.by_top: dict = {}
-        self.init_mask = mask_of(graph.fact_layers[0])
+        self.init_mask = graph.fact_layers[0]
 
     def goals_mutex(self, layer: int, goals: int) -> bool:
         rows = self.graph.fact_mutex[layer]
@@ -519,7 +482,7 @@ def graph_dump(graph: PlanningGraph) -> dict:
         "leveled_at": graph.leveled_at,
         "layers": [
             {
-                "facts": len(graph.fact_layers[t]),
+                "facts": graph.fact_layers[t].bit_count(),
                 "fact_mutex_pairs": graph.mutex_counts[t],
                 "actions": len(graph.action_layers[t])
                 if t < len(graph.action_layers) else None,

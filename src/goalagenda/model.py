@@ -5,9 +5,11 @@ ids wherever it enters or leaves the package, and an int bitmask (bit i for
 atom i) wherever it is searched or executed. The state-space searches (the
 oracle's enumeration and the forward planner) step through ``transitions``;
 plans run through ``validate_plan``, whose executor the agenda driver
-shares. Every type is an immutable value after construction, so problems,
-graphs and plans can be shared freely between threads. All operations here
-are pure functions.
+shares. Every type is an immutable value after construction, so problems
+and plans can be shared freely between threads. All operations here are
+pure functions. A planning graph (``graphplan.PlanningGraph``) is not such
+a value: it is written while it grows, and never again once it has leveled
+off, so a leveled graph can be shared too.
 """
 
 from __future__ import annotations

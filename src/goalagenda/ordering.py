@@ -225,12 +225,12 @@ def order_e(problem: PlanningProblem, graph: PlanningGraph, b: int,
     if a == b:
         raise ValueError("ordering needs two distinct goals")
     try:
-        fs = false_set(graph, {a})
+        f_atoms = false_set(graph, {a})
     except AnchorUnreachable:
         return OrderingDecision(True, trivial=True)
     if index is None:
         index = ProblemIndex(problem)
-    return OrderingDecision(not index.view({a}, fs.atoms).adds(b))
+    return OrderingDecision(not index.view({a}, f_atoms).adds(b))
 
 
 def order_h(problem: PlanningProblem, b: int, a: int,

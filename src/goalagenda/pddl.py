@@ -243,19 +243,27 @@ def _conjunction(form, context):
                  for f in _flatten_and(form))
 
 
-def parse_domain(text: str) -> DomainFile:
+def _define(text: str, kind: str):
+    """The name and the sections of the one (define (KIND NAME) ...) form
+    of ``text``; a stray second form is located at its start."""
     forms = _read_sexprs(text)
     if len(forms) != 1 or _head(forms[0]) != "define":
-        raise PddlSyntaxError("expected a single (define (domain ...)) form")
+        where = _loc(forms[1 if len(forms) > 1 else 0]) if forms else ()
+        raise PddlSyntaxError(f"expected a single (define ({kind} ...)) form",
+                              *where)
     body = forms[0][1:]
-    if not body or _head(body[0]) != "domain":
-        raise PddlSyntaxError("expected (domain NAME)", *_loc(forms[0]))
-    name = _name(body[0], "(domain NAME)")
+    if not body or _head(body[0]) != kind:
+        raise PddlSyntaxError(f"expected ({kind} NAME)", *_loc(forms[0]))
+    return _name(body[0], f"({kind} NAME)"), body[1:]
+
+
+def parse_domain(text: str) -> DomainFile:
+    name, sections = _define(text, "domain")
     requirements: list = [":strips"]
     types: list = []
     predicates: list = []
     operators: list = []
-    for section in body[1:]:
+    for section in sections:
         head = _head(section)
         if head == ":requirements":
             requirements = []
@@ -370,19 +378,13 @@ def _check_literal(lit: Literal, arities, op_name=None, params=()) -> None:
 
 
 def parse_problem(text: str, domain: DomainFile) -> ProblemFile:
-    forms = _read_sexprs(text)
-    if len(forms) != 1 or _head(forms[0]) != "define":
-        raise PddlSyntaxError("expected a single (define (problem ...)) form")
-    body = forms[0][1:]
-    if not body or _head(body[0]) != "problem":
-        raise PddlSyntaxError("expected (problem NAME)")
-    name = _name(body[0], "(problem NAME)")
+    name, sections = _define(text, "problem")
     domain_name = ""
     objects: list = []
     init: list = []
     goal: list = []
     arities = {pname: len(tys) for pname, tys in domain.predicates}
-    for section in body[1:]:
+    for section in sections:
         head = _head(section)
         if head == ":domain":
             domain_name = _name(section, "(:domain NAME)")

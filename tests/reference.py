@@ -114,7 +114,7 @@ class RecursiveSearch:
         if cached is not None:
             return cached
         layer = self._layer(action_layer)
-        noop = self.context.noop_id(fact)
+        noop = self.context.n_real_nodes + fact
         out = []
         for node_id in self.graph.action_layers[layer]:
             if node_id == noop:
@@ -136,7 +136,8 @@ class RecursiveSearch:
 
     def _search(self, goals, t: int):
         if t == 0:
-            return [] if goals <= self.graph.fact_layers[0] else None
+            init = self.graph.fact_layers[0]
+            return [] if all(init >> g & 1 for g in goals) else None
         layer_memo = self.memo.setdefault(t, set())
         if goals in layer_memo:
             return None

@@ -26,6 +26,8 @@ from goalagenda.model import (
     ResourceLimit,
     StripsAction,
     Unsolvable,
+    mask_ids,
+    mask_of,
     validate_plan,
 )
 from goalagenda.oracle import enumerate_reachable
@@ -103,29 +105,30 @@ def assert_matches_reference(run):
 def test_three_block_false_sets(load, graph_of):
     problem = load("blocks3")
     graph = graph_of("blocks3")
-    fs_bc = false_set(graph, atoms(problem, "on(b,c)"))
-    assert names_of(problem, fs_bc.atoms) == sorted([
+    on_bc = problem.atom("on(b,c)")
+    fs_bc = false_set(graph, {on_bc})
+    assert names_of(problem, fs_bc) == sorted([
         "clear(c)", "on-table(b)", "holding(c)", "holding(b)",
         "on(a,c)", "on(c,b)", "on(b,a)"])
     fs_ab = false_set(graph, atoms(problem, "on(a,b)"))
-    assert names_of(problem, fs_ab.atoms) == sorted([
+    assert names_of(problem, fs_ab) == sorted([
         "clear(b)", "on-table(a)", "holding(b)", "holding(a)",
         "on(a,c)", "on(c,b)", "on(b,a)"])
-    assert not fs_bc.anchor_internal_mutex
+    # the anchor is not mutex with itself at level-off
+    assert not graph.fact_mutex[graph.leveled_at][on_bc] >> on_bc & 1
 
 
 def test_false_set_of_empty_anchor_is_empty(graph_of):
-    fs = false_set(graph_of("blocks3"), frozenset())
-    assert fs.atoms == frozenset()
+    assert false_set(graph_of("blocks3"), frozenset()) == frozenset()
 
 
 def test_false_set_set_anchor_unions_rows(load, graph_of):
     problem = load("blocks3")
     graph = graph_of("blocks3")
     both = false_set(graph, atoms(problem, "on(b,c)", "on(a,b)"))
-    single = false_set(graph, atoms(problem, "on(b,c)")).atoms | \
-        false_set(graph, atoms(problem, "on(a,b)")).atoms
-    assert both.atoms == single - atoms(problem, "on(b,c)", "on(a,b)")
+    single = false_set(graph, atoms(problem, "on(b,c)")) | \
+        false_set(graph, atoms(problem, "on(a,b)"))
+    assert both == single - atoms(problem, "on(b,c)", "on(a,b)")
 
 
 def test_unreachable_anchor_raises():
@@ -144,8 +147,8 @@ def test_no_action_problem_levels_off_immediately():
                               frozenset({table.id("P")}))
     graph = build_graph(problem)
     assert graph.leveled_at == 0
-    assert graph.fact_layers[0] == problem.init
-    assert graph.mutex_counts == (0, 0)
+    assert graph.fact_layers[0] == mask_of(problem.init)
+    assert graph.mutex_counts == [0, 0]
 
 
 def test_layer_monotonicity(load):
@@ -159,11 +162,11 @@ def test_layer_monotonicity(load):
         stable_from = min(t for t in range(len(layers))
                           if layers[t] == layers[-1])
         for t in range(len(layers) - 1):
-            assert layers[t] <= layers[t + 1]
+            assert not layers[t] & ~layers[t + 1]
             rows_now = graph.fact_mutex[t]
             rows_next = graph.fact_mutex[t + 1]
-            for p in layers[t]:
-                for q in layers[t]:
+            for p in mask_ids(layers[t]):
+                for q in mask_ids(layers[t]):
                     if p < q and not rows_now[p] >> q & 1:
                         assert not rows_next[p] >> q & 1
         for t in range(stable_from, len(layers) - 1):
@@ -179,10 +182,21 @@ def test_level_off_bound(load):
 
 
 def test_light_retention_keeps_leveled_rows(load):
-    graph = build_graph(load("blocks3"), retain_layers=False)
-    assert graph.fact_mutex[graph.leveled_at] is not None
-    assert all(rows is None for rows in graph.fact_mutex[:graph.leveled_at])
-    assert graph.action_mutex[0] is None
+    """Light retention drops the mutex rows below level-off and the action
+    tables, and keeps what graph-dump and the benchmark counters read: the
+    layers, their node ids, their pair counts and the level-off layer."""
+    for name in corpus.ALL_NAMED:
+        graph = build_graph(load(name), retain_layers=False)
+        leveled = graph.leveled_at
+        assert graph.fact_mutex[leveled] is not None
+        assert all(rows is None for rows in graph.fact_mutex[:leveled])
+        assert graph.action_mutex[0] is None
+        full = build_graph(load(name), retain_layers=True)
+        assert graph.fact_layers == full.fact_layers, name
+        assert graph.action_layers == full.action_layers, name
+        assert graph.mutex_counts == full.mutex_counts, name
+        assert leveled == full.leveled_at, name
+        assert graph.fact_mutex[leveled] == full.fact_mutex[leveled], name
 
 
 def test_search_three_blocks(load):
@@ -210,13 +224,13 @@ def test_search_reports_unsolvable_when_goal_never_appears():
                               frozenset({table.id("C")}),
                               frozenset({table.id("B")}))
     graph = build_graph(problem)
-    assert all(table.id("B") not in layer for layer in graph.fact_layers)
+    assert not any(layer >> table.id("B") & 1 for layer in graph.fact_layers)
     assert isinstance(graphplan_on(problem), Unsolvable)
 
     solvable = PlanningProblem(
         table, (inner, o_i1, o_i2, strips(table, "o_g", ["Q"], ["B"], [])),
         frozenset({table.id("C")}), frozenset({table.id("B")}))
-    assert any(table.id("B") in layer
+    assert any(layer >> table.id("B") & 1
                for layer in build_graph(solvable).fact_layers)
     plan = graphplan_on(solvable)
     assert validate_plan(solvable, plan).valid
@@ -314,7 +328,7 @@ def test_adl_actions_split_into_effect_nodes(load):
     pre0 = problem.actions[flip[0].action_id].effects[0].condition
     assert all(pre0 <= n.pre for n in flip)
     graph = build_graph(problem)
-    assert problem.atoms.id("lit(s1)") in graph.fact_layers[graph.leveled_at]
+    assert graph.fact_layers[graph.leveled_at] >> problem.atom("lit(s1)") & 1
 
 
 @pytest.mark.parametrize("method", ["h", "e"])
@@ -381,19 +395,20 @@ def assert_grown_layers_match_build(graph):
     """Every layer the search grew over its context, from its initial state,
     equals the layer of the same index in the graph built to level-off from
     that state, and growth saw level-off where it reached it."""
-    full = build_graph(replace(graph.context.problem,
-                               init=graph.fact_layers[0]))
+    init = frozenset(mask_ids(graph.fact_layers[0]))
+    full = build_graph(replace(graph.context.problem, init=init))
     grown = len(graph.action_layers)
     if graph.leveled_at is None:
         assert grown <= full.leveled_at
     else:
         assert graph.leveled_at == full.leveled_at
     assert len(graph.fact_layers) == grown + 1
-    assert tuple(graph.fact_layers) == full.fact_layers[:grown + 1]
-    assert tuple(graph.action_layers) == full.action_layers[:grown]
-    assert tuple(graph.action_mutex) == full.action_mutex[:grown]
-    assert tuple(graph.fact_mutex) == full.fact_mutex[:grown + 1]
-    assert tuple(graph.mutex_counts) == full.mutex_counts[:grown + 1]
+    assert graph.fact_layers == full.fact_layers[:grown + 1]
+    assert graph.action_layers == full.action_layers[:grown]
+    assert graph.action_mutex == full.action_mutex[:grown]
+    assert graph.achievers == full.achievers[:grown]
+    assert graph.fact_mutex == full.fact_mutex[:grown + 1]
+    assert graph.mutex_counts == full.mutex_counts[:grown + 1]
 
 
 def assert_growth_matches_build(problem, methods):

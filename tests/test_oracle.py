@@ -205,7 +205,8 @@ def test_leveled_mutex_pairs_never_coreachable(load, index_of):
     for name in ("blocks2", "blocks3", "stack_4", "hanoi_3", "gripper2",
                  "tyreworld_1", "trap", "revival", "diamond", "latch"):
         problem = load(name)
-        rows = build_graph(problem, retain_layers=False).leveled_rows()
+        graph = build_graph(problem, retain_layers=False)
+        rows = graph.fact_mutex[graph.leveled_at]
         index = index_of(name)
         for state in index.states:
             mask = 0
@@ -414,12 +415,18 @@ def check_keeping(problem):
             ref.allowed_actions(problem, "r", a), a
 
 
-def test_graph_ordering_implies_reasonable_on_random_problems():
-    """Criterion 6 beyond the corpus: on 3000 seeded random STRIPS and ADL
-    problems, every ordered atom pair that the graph ordering e accepts is
-    reasonable by the exact test r. The counts pin how many pairs were
-    decided, and how many of them r decided from reachable anchor states."""
-    decided = nontrivial = 0
+def test_direct_ordering_error_rates_on_random_problems():
+    """e and h against the exact r on 3000 seeded random STRIPS and ADL
+    problems, over every ordered atom pair, one anchor at a time.
+
+    Criterion 6 beyond the corpus: every pair that the graph ordering e
+    accepts is reasonable by r. The counts pin how many pairs e accepts and
+    how many of them r decided from reachable anchor states. For h they pin
+    how many pairs it accepts and how many of those r refutes (false
+    positives). For both they pin how many pairs r holds from reachable
+    anchor states that the ordering rejects (false negatives)."""
+    pairs = accepted = false_positives = false_negatives = 0
+    e_accepted = e_nontrivial = e_false_negatives = 0
     for seed in range(3000):
         problem = test_state_digests.random_problem(seed)
         graph = build_graph(problem, retain_layers=False)
@@ -427,40 +434,27 @@ def test_graph_ordering_implies_reasonable_on_random_problems():
         problem_index = ProblemIndex(problem)
         atoms = range(len(problem.atoms))
         for a in atoms:
-            for b in atoms:
-                if a == b or not ordering.order_e(problem, graph, b, a,
-                                                  problem_index).holds:
-                    continue
-                verdict = decide_reasonable(problem, b, a, index=index)
-                assert verdict.holds, (problem.name, b, a)
-                decided += 1
-                nontrivial += not verdict.trivial
-    assert (decided, nontrivial) == (16400, 3942)
-
-
-def test_direct_ordering_error_rates_on_random_problems():
-    """h against the exact r on the 3000 seeded problems above, over every
-    ordered atom pair: how many pairs h accepts, how many of those r
-    refutes (false positives), and how many pairs r holds from reachable
-    anchor states that h rejects (false negatives)."""
-    pairs = accepted = false_positives = false_negatives = 0
-    for seed in range(3000):
-        problem = test_state_digests.random_problem(seed)
-        index = enumerate_reachable(problem)
-        problem_index = ProblemIndex(problem)
-        atoms = range(len(problem.atoms))
-        for a in atoms:
             others = [b for b in atoms if b != a]
+            e = agenda._before_anchor(problem, "e", graph, problem_index,
+                                      {a}, others)
+            if e is None:  # the anchor never enters the graph
+                e = others
             h = agenda._before_anchor(problem, "h", None, problem_index, {a},
                                       others)
             for b in others:
                 r = decide_reasonable(problem, b, a, index=index)
+                assert b not in e or r.holds, (problem.name, b, a)
+                e_accepted += b in e
+                e_nontrivial += b in e and not r.trivial
+                e_false_negatives += b not in e and r.holds and not r.trivial
                 pairs += 1
                 accepted += b in h
                 false_positives += b in h and not r.holds
                 false_negatives += b not in h and r.holds and not r.trivial
+    assert (e_accepted, e_nontrivial) == (16400, 3942)
     assert (pairs, accepted, false_positives, false_negatives) == \
         (41934, 14947, 224, 2095)
+    assert e_false_negatives == 2536
 
 
 #: The goal pairs (before, after) that h orders and r refutes, per
@@ -484,14 +478,17 @@ H_FALSE_POSITIVES = {
 
 @pytest.mark.parametrize("name", corpus.EXHAUSTIBLE)
 def test_direct_ordering_errors_on_corpus(load, name):
-    """h's false positives against r are the pinned pairs, and h rejects
-    no goal pair that r holds from reachable anchor states."""
+    """h's false positives against r are the pinned pairs. Neither h nor e
+    has a false negative on any exhaustible instance: each rejects no goal
+    pair that r holds from reachable anchor states (over the seeded random
+    problems e has 2536 and h 2095)."""
     rows = verify_matrix(load(name))["pairs"]
     assert sorted((row["before"], row["after"]) for row in rows
                   if row["h"] and not row["r"]) == \
         H_FALSE_POSITIVES.get(name, [])
-    assert not [row for row in rows
-                if not row["h"] and row["r"] and not row["r_trivial"]]
+    for method in ("h", "e"):
+        assert not [row for row in rows if not row[method] and row["r"]
+                    and not row["r_trivial"]], method
 
 
 @pytest.mark.parametrize("name", corpus.ALL_NAMED)

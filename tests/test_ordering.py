@@ -203,7 +203,7 @@ def test_orderings_through_conditional_effects(load, graph_of):
     msg, sig = problem.atom("message"), problem.atom("signal")
     graph = graph_of("latch")
     from goalagenda.graphplan import false_set
-    assert false_set(graph, {sig}).atoms == atoms(problem, "latch")
+    assert false_set(graph, {sig}) == atoms(problem, "latch")
     assert order_e(problem, graph, msg, sig).holds
     assert not order_e(problem, graph, sig, msg).holds
     assert order_h(problem, msg, sig).holds

@@ -127,6 +127,27 @@ def test_empty_form_error_carries_location(section, message, at):
     assert (err.value.line, err.value.col) == at
 
 
+@pytest.mark.parametrize("kind, text, message, at", [
+    ("domain", "(define (domain x)) (foo)", "single", (1, 22)),
+    ("domain", "(foo)", "single", (1, 2)),
+    ("domain", "(define (foo x))", r"\(domain NAME\)", (1, 2)),
+    ("problem", "(define (problem p) (:domain blocks))\n  (bar)", "single",
+     (2, 4)),
+    ("problem", "(foo)", "single", (1, 2)),
+    ("problem", "(define (domain p))", r"\(problem NAME\)", (1, 2)),
+])
+def test_define_form_error_carries_location(kind, text, message, at):
+    """A stray second top-level form is located at its start; a wrong
+    single form, or a wrong (domain ...) or (problem ...) head, at the
+    form's start."""
+    with pytest.raises(PddlSyntaxError, match=message) as err:
+        if kind == "domain":
+            parse_domain(text)
+        else:
+            parse(corpus.domain_text("blocks"), text)
+    assert (err.value.line, err.value.col) == at
+
+
 def _read(read, text):
     """The forms ``read`` makes of ``text`` (a token compares equal to its
     ``(text, line, col)`` tuple), or the syntax error it raises."""

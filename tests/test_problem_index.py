@@ -91,7 +91,7 @@ def test_ordering_layer_matches_scan_on_corpus(load, graph_of, name):
     false_sets = []
     for anchor in anchors:
         try:
-            false_sets.append(false_set(graph_of(name), anchor).atoms)
+            false_sets.append(false_set(graph_of(name), anchor))
         except AnchorUnreachable:
             pass
     check_against_scan(problem, anchors, false_sets)
