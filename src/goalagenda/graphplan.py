@@ -18,9 +18,12 @@ Mutex rules are the standard ones: two actions are mutex when one deletes
 a precondition or add effect of the other or their preconditions contain a
 mutually exclusive fact pair; two facts are mutex when every pair of
 achievers (no-ops included) is mutex. Each layer is stepped by the one
-kernel in ``kernel``, over int bitmasks: q is mutex with p when every
-achiever of q lies in R(p), the AND of the action-mutex rows of p's
-achievers.
+kernel in ``kernel``, over int bitmasks, a fact row at a time: p's row is
+the next layer's facts minus those added by an applicable node outside
+R(p), the AND of the action-mutex rows of p's achievers. Rows are computed
+for the facts that are new or had a partner; the old facts with none get
+their bits by write-back. The kernel's OR tables, built once per context,
+turn a set of facts into its users and a set of nodes into its adds.
 
 ADL actions enter the graph split into one node per conditional effect,
 carrying the action precondition plus the effect condition; no cross-effect

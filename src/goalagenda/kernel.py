@@ -13,25 +13,68 @@ preconditions, restricted to the applicable nodes, minus the node itself.
 
 Two facts are mutex when every pair of their achievers (no-ops included) is
 mutex. For a fact p, R(p) is the AND of the rows of p's achievers: the nodes
-mutex with every achiever of p. So q is mutex with p exactly when all of
-q's achievers lie in R(p). Only pairs that can change are tested: a pair
-present and non-mutex at one layer stays non-mutex at every later layer, so
-only previously mutex pairs and pairs involving a new fact are examined.
+mutex with every achiever of p. So q is not mutex with p exactly when some
+applicable node outside R(p) adds q, and p's row is the next layer's facts
+minus reach(p), the facts those nodes add. The no-ops' share of reach(p) is
+one shift of the outside nodes' mask. Rows are computed only for the facts
+that are new or had a mutex partner at layer t. A pair present and
+non-mutex at one layer stays non-mutex at every later layer, so each other
+fact (old, with no partner) can be mutex only with new facts; it gets its
+bits by write-back from the computed rows, into the skipped facts only.
 
-The achiever lists and masks that this test builds are also returned, in the
+Both ORs over sets of ids use "four Russians" tables (Arlazarov et al.
+1970), built once per kernel over the real nodes: per 4-bit chunk of ids,
+the OR of the chunk's masks for each of its 16 subsets. One table over the
+facts' user masks gives the users of a mutex row, whose no-op users are
+one shift of the row; one over the nodes' add masks gives reach(p). A
+lookup reads the id mask's bytes and ORs two table entries per non-zero
+byte. Chunks of 4 bits rather than 8 keep the tables 8 times smaller and
+cheap to build for the small graphs of one agenda episode.
+
+The achiever lists and masks that the step builds are also returned, in the
 order the backward search tries them, so the kernel is the one place that
 produces achievers.
 """
 
 from __future__ import annotations
 
-from .model import mask_of
+from itertools import compress
+
+from .model import mask_ids, mask_of
 
 
 def backend() -> str:
     """Name of the layer kernel, as recorded in graph dumps and benchmark
     results."""
     return "python"
+
+
+def _or_table(masks) -> tuple:
+    """OR table over ``masks``: per 4-bit chunk of ids, the OR of the chunk's
+    masks for each of its 16 subsets. Returned as the rows for the low and
+    for the high nibble of each byte of an id mask."""
+    rows = []
+    for base in range(0, len(masks), 4):
+        row = [0]
+        for m in masks[base:base + 4]:
+            row += [x | m for x in row]
+        rows.append(row)
+    if len(rows) % 2:
+        rows.append([0])
+    return rows[0::2], rows[1::2]
+
+
+def _or_lookup(table, mask: int) -> int:
+    """The OR of the masks of ``table`` whose ids are set in ``mask``, one
+    lookup per nibble of the non-zero bytes."""
+    low, high = table
+    n_bytes = (mask.bit_length() + 7) // 8
+    data = mask.to_bytes(n_bytes, "little")
+    out = 0
+    for i in compress(range(n_bytes), data):
+        b = data[i]
+        out |= low[i][b & 15] | high[i][b >> 4]
+    return out
 
 
 class GraphKernel:
@@ -53,12 +96,12 @@ class GraphKernel:
         self.pre_masks = [mask_of(pre) for pre in self.pre_lists]
         self.add_masks = [mask_of(add) for add in self.add_lists]
         # per fact: the nodes that need, add and delete it
-        self.users = [0] * n_facts
+        users = [0] * n_facts
         adders = [0] * n_facts
         deleters = [0] * n_facts
         for a in range(self.n_nodes):
             for f in self.pre_lists[a]:
-                self.users[f] |= 1 << a
+                users[f] |= 1 << a
             for f in self.add_lists[a]:
                 adders[f] |= 1 << a
             for f in del_lists[a]:
@@ -69,10 +112,15 @@ class GraphKernel:
         for a in range(self.n_nodes):
             m = 0
             for f in del_lists[a]:
-                m |= self.users[f] | adders[f]
+                m |= users[f] | adders[f]
             for f in self.pre_lists[a] + self.add_lists[a]:
                 m |= deleters[f]
             self.interference.append(m)
+        # OR tables over the real nodes: their users per fact chunk, their
+        # add masks per node chunk
+        real = (1 << self.n_actions) - 1
+        self.user_table = _or_table([u & real for u in users])
+        self.add_table = _or_table(self.add_masks[:self.n_actions])
 
     def step(self, fact_mask: int, mutex_rows):
         """One transition: facts/mutexes at layer t -> layer t+1.
@@ -85,8 +133,9 @@ class GraphKernel:
         absent from layer t+1 has none.
         """
         n_facts, pre_lists = self.n_facts, self.pre_lists
+        noop = self.n_actions
         applicable = []
-        for a in range(self.n_actions):
+        for a in range(noop):
             pm = self.pre_masks[a]
             if pm & ~fact_mask:
                 continue
@@ -95,21 +144,16 @@ class GraphKernel:
                 u |= mutex_rows[p]
             if not u & pm:  # preconditions not mutually exclusive
                 applicable.append(a)
-        applicable.extend(self.n_actions + f for f in range(n_facts)
+        applicable.extend(noop + f for f in range(n_facts)
                           if fact_mask >> f & 1)
 
-        # per fact p: the nodes with a precondition mutex with p
-        competing = [0] * n_facts
-        for p in range(n_facts):
-            row = mutex_rows[p]
-            while row:
-                low = row & -row
-                competing[p] |= self.users[low.bit_length() - 1]
-                row ^= low
+        # per fact p: the nodes with a precondition mutex with p, the no-op
+        # users being one shift of p's row
+        competing = [_or_lookup(self.user_table, row) | row << noop
+                     if row else 0 for row in mutex_rows]
         applicable_mask = mask_of(applicable)
         action_rows = [0] * self.n_nodes
         next_fact_mask = fact_mask
-        noop = self.n_actions
         achievers = [[noop + f] if fact_mask >> f & 1 else []
                      for f in range(n_facts)]
         ach_masks = [1 << (noop + f) if fact_mask >> f & 1 else 0
@@ -125,27 +169,23 @@ class GraphKernel:
                     achievers[f].append(a)
                     ach_masks[f] |= 1 << a
 
+        # q is not mutex with p exactly when an applicable node outside R(p)
+        # adds q. Rows are computed for the facts that are new or had a
+        # partner at layer t; the others are old and had none, so they stay
+        # non-mutex with each other and get their bits by write-back.
+        skipped = fact_mask & ~mask_of(
+            p for p, row in enumerate(mutex_rows) if row)
+        real = (1 << noop) - 1
         next_rows = [0] * n_facts
-        for p in range(n_facts):
-            if not next_fact_mask >> p & 1:
-                continue
-            # partners q > p whose pair can be mutex: all present facts for
-            # a new p, else the new facts and p's previous mutex partners
-            cand = next_fact_mask
-            if fact_mask >> p & 1:
-                cand &= ~fact_mask | mutex_rows[p]
-            cand &= -2 << p
-            if not cand:
-                continue
+        for p in mask_ids(next_fact_mask & ~skipped):
             r = -1
             for a in achievers[p]:
                 r &= action_rows[a]
-            while cand:
-                low = cand & -cand
-                q = low.bit_length() - 1
-                cand ^= low
-                if not ach_masks[q] & ~r:
-                    next_rows[p] |= low
-                    next_rows[q] |= 1 << p
+            outside = applicable_mask & ~r
+            reach = outside >> noop | _or_lookup(self.add_table,
+                                                 outside & real)
+            next_rows[p] = row = next_fact_mask & ~reach
+            for q in mask_ids(row & skipped):
+                next_rows[q] |= 1 << p
         return (applicable, next_fact_mask, next_rows, action_rows,
                 achievers, ach_masks)

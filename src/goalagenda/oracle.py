@@ -12,8 +12,9 @@ answers that: it starts from each of those states in discovery order and
 shares its visited states across them, since a state visited by an earlier
 start whose search never found the goal cannot reach it either, and is
 skipped. The reasonable ordering allows the actions that never delete the
-anchor atom, found by one scan over the actions per decision; the
-verification matrix decides every pair through the same two entry points.
+anchor atom, found by one scan over the actions per anchor atom and kept on
+the index; the verification matrix decides every pair through the same two
+entry points.
 Also detects deadlocks, and certifies invertibility against the
 transitions: an action that labels no edge never runs and is exempt.
 Everything here is exponential by design; the default state budget keeps it
@@ -25,7 +26,7 @@ the module: witness states, deadlocks and ``ReachabilityIndex.states``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .agenda import build_goal_graph
@@ -60,10 +61,20 @@ class ReachabilityIndex:
     masks: tuple  # tuple[int, ...]
     entered: dict  # atom -> tuple[int, ...]
     edges: tuple  # per state: tuple[(action_id, successor index), ...]
+    _kept: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)  # atom -> keep-set
 
     @cached_property
     def states(self) -> tuple:
         return tuple(frozenset(mask_ids(m)) for m in self.masks)
+
+    def keeping(self, a: int) -> frozenset:
+        """Ids of the actions none of whose effects deletes a, scanned on
+        the first read for a and kept."""
+        kept = self._kept.get(a)
+        if kept is None:
+            kept = self._kept[a] = _keeping(self.problem, a)
+        return kept
 
 
 def enumerate_reachable(problem: PlanningProblem,
@@ -178,7 +189,7 @@ def decide_reasonable(problem: PlanningProblem, b: int, a: int,
     b false, is b unreachable using only the actions that never delete a?"""
     if index is None:
         index = enumerate_reachable(problem, limit)
-    return _decide(index, "r", b, a, _keeping(problem, a))
+    return _decide(index, "r", b, a, index.keeping(a))
 
 
 def decide_forced(problem: PlanningProblem, b: int, a: int,

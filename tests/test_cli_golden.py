@@ -6,7 +6,10 @@ every named corpus instance, ``verify`` on the exhaustible ones, and
 the ADL fixture, always plans forward), and ``plan`` under both methods on
 tyreworld_3 and hanoi_5, the searches that the backward search's cuts
 shorten most, and on stack_12, whose episodes plan at horizons far below
-their graphs' level-off layers. A change that alters CLI output on
+their graphs' level-off layers. stack_20 adds ``plan`` under both methods,
+``analyze --method e`` and ``graph-dump``: 821 facts and 800 nodes, about
+2.7 times stack_12's, so the layer steps cross many bytes of the kernel's
+OR tables. A change that alters CLI output on
 purpose re-records the digests with
 
     PYTHONPATH=src python tests/test_cli_golden.py --capture
@@ -46,9 +49,11 @@ def golden_runs() -> list:
         if name != "latch":
             runs.append(["plan", "--corpus", name, "--method", "h",
                          "--base", "forward"])
-    for name in ("tyreworld_3", "hanoi_5", "stack_12"):
+    for name in ("tyreworld_3", "hanoi_5", "stack_12", "stack_20"):
         for method in ("h", "e"):
             runs.append(["plan", "--corpus", name, "--method", method])
+    runs.append(["analyze", "--corpus", "stack_20", "--method", "e"])
+    runs.append(["graph-dump", "--corpus", "stack_20"])
     return runs
 
 

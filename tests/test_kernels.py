@@ -3,6 +3,8 @@ every output of every step (the achiever lists and masks included) against
 a full recomputation with no incremental mutex rule, and the bitset
 action-mutex rows against a pairwise test."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +16,8 @@ from reference import full_step, pairwise_action_rows
 
 def walk(n_facts, nodes, init, check, max_layers=60):
     """Step the kernel from init until the graph levels off, calling
-    check(layer, fact mask, mutex rows, step result) at every layer."""
+    check(layer, fact mask, mutex rows, step result) at every layer; returns
+    the number of steps taken."""
     kern = GraphKernel(n_facts, nodes)
     fm = sum(1 << f for f in set(init))
     rows = [0] * n_facts
@@ -23,7 +26,7 @@ def walk(n_facts, nodes, init, check, max_layers=60):
         check(layer, fm, rows, result)
         next_fm, next_rows = result[1], result[2]
         if next_fm == fm and next_rows == rows:
-            return
+            return layer + 1
         fm, rows = next_fm, next_rows
     raise AssertionError("graph did not level off")
 
@@ -97,6 +100,41 @@ def test_action_rows_match_pairwise_on_corpus(name):
 @given(random_problem())
 def test_action_rows_match_pairwise_on_random_problems(problem):
     check_action_rows(*problem)
+
+
+# Counts that are not multiples of 4 or 8, so the last nibble and byte of
+# the kernel's OR tables are partial and the masks span several bytes.
+CHUNKY_SIZES = [n for n in range(9, 41) if n % 4]
+
+
+def chunky_problem(seed: int):
+    """A seeded random problem with 9-40 facts and 9-40 actions, counts in
+    CHUNKY_SIZES, a non-empty initial state, and a graph that takes at
+    least three steps to level off."""
+    rng = random.Random(seed)
+    while True:
+        n_facts = rng.choice(CHUNKY_SIZES)
+        nodes = []
+        for _ in range(rng.choice(CHUNKY_SIZES)):
+            pre = sorted(rng.sample(range(n_facts), rng.randint(1, 3)))
+            add = sorted(rng.sample(range(n_facts), rng.randint(1, 3)))
+            dele = sorted(set(rng.sample(range(n_facts), rng.randint(0, 3)))
+                          - set(add))
+            nodes.append((pre, add, dele))
+        init = sorted(rng.sample(range(n_facts),
+                                 rng.randint(1, max(1, n_facts // 4))))
+        if walk(n_facts, nodes, init, lambda *_: None) >= 3:
+            return n_facts, nodes, init
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_backend_parity_across_table_chunks(seed):
+    check_full_step(*chunky_problem(seed))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_action_rows_match_pairwise_across_table_chunks(seed):
+    check_action_rows(*chunky_problem(seed))
 
 
 def test_active_backend_is_named():

@@ -384,6 +384,23 @@ def test_verify_matrix_decides_each_pair_through_the_entry_points(
                      "decide_forced": n * (n - 1)}
 
 
+def test_verify_matrix_scans_the_keep_set_once_per_anchor(load,
+                                                          monkeypatch):
+    """The index keeps each anchor's keep-set, so the n*(n-1) reasonable
+    decisions scan the actions once per anchor goal."""
+    problem = load("diamond")
+    anchors = []
+    original = oracle._keeping
+
+    def counting(problem, a):
+        anchors.append(a)
+        return original(problem, a)
+
+    monkeypatch.setattr(oracle, "_keeping", counting)
+    verify_matrix(problem)
+    assert sorted(anchors) == sorted(problem.goals)
+
+
 @pytest.mark.parametrize("name", ["diamond", "latch", "trap", "blocks3"])
 def test_verify_matrix_r_column_matches_decide_reasonable(load, index_of,
                                                           name):
