@@ -6,6 +6,13 @@ into ordered disjoint goal sets. Goals that participate in no relation form
 the separate set, which is then placed by re-running the analysis at the
 set level; anything the set level leaves disconnected defaults into the
 final entry.
+
+Both levels run one loop (``_node_edges``) over a list of goal sets: the
+atomic goals as singletons, then the entries plus the separate set. Each
+anchor set gets one ``_before_anchor`` call, which computes its one false
+set (``e``) or one fixpoint (``h``) and tests every goal of the other sets
+against it. The three entry points accept the method in either case and
+build the planning graph and the ProblemIndex only when not given them.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .graphplan import AnchorUnreachable, PlanningGraph, build_graph, false_set
-from .model import PlanningProblem
+from .model import PlanningProblem, mask_ids
 from .ordering import ProblemIndex, fixpoint_reduce, possibly_achievable
 
 
@@ -67,55 +74,80 @@ def _before_anchor(problem: PlanningProblem, method: str,
                      if not possibly_achievable(b, view))
 
 
+def _method(method: str) -> str:
+    """The ordering method lowercased; ValueError unless it is e or h."""
+    method = method.lower()
+    if method not in ("e", "h"):
+        raise ValueError(f"unknown ordering method {method!r}")
+    return method
+
+
+def _context(problem: PlanningProblem, method: str, graph: PlanningGraph,
+             index: ProblemIndex):
+    """The planning graph (``e`` only) and the ProblemIndex, each built
+    when the caller passed none."""
+    if method == "e" and graph is None:
+        graph = build_graph(problem, retain_layers=False)
+    return graph, ProblemIndex(problem) if index is None else index
+
+
+def _node_edges(problem: PlanningProblem, method: str,
+                graph: PlanningGraph, index: ProblemIndex, nodes):
+    """One ``_before_anchor`` call per anchor node over the goals of the
+    other nodes: (i, j) is an edge when some goal of node i is ordered
+    before node j. Returns (edges, trivial) as sets of index pairs; the
+    trivial edges are those into an anchor that never enters the graph."""
+    owners: dict = {}  # goal -> indices of the nodes holding it
+    for i, node in enumerate(nodes):
+        for g in node:
+            owners.setdefault(g, []).append(i)
+    goals = frozenset(owners)
+    edges = set()
+    trivial = set()
+    for j, anchor in enumerate(nodes):
+        before = _before_anchor(problem, method, graph, index, anchor,
+                                goals - anchor)
+        if before is None:
+            trivial.update((i, j) for i in range(len(nodes)) if i != j)
+        else:
+            edges.update((i, j) for b in before for i in owners[b])
+    return edges | trivial, trivial
+
+
 def build_goal_graph(problem: PlanningProblem, method: str,
                      graph: PlanningGraph = None,
                      index: ProblemIndex = None) -> GoalGraph:
     """Test every ordered pair of distinct atomic goals with the chosen
     method. The per-anchor artifacts (false set or fixpoint) are computed
     once and shared across all candidate predecessors."""
-    if method not in ("e", "h"):
-        raise ValueError(f"unknown ordering method {method!r}")
+    method = _method(method)
     goals = sorted(problem.goals)
     if not goals:
         raise ValueError("problem has no goals")
-    if method == "e" and graph is None:
-        graph = build_graph(problem, retain_layers=False)
-    if index is None:
-        index = ProblemIndex(problem)
-    edges = set()
-    trivial = set()
-    for a in goals:  # a is the anchor: tests of "<goal> before a"
-        others = [b for b in goals if b != a]
-        before = _before_anchor(problem, method, graph, index, {a}, others)
-        if before is None:
-            before = others
-            trivial.update((b, a) for b in others)
-        edges.update((b, a) for b in before)
-    return GoalGraph(frozenset(goals), frozenset(edges), frozenset(trivial))
+    graph, index = _context(problem, method, graph, index)
+    edges, trivial = _node_edges(problem, method, graph, index,
+                                 [frozenset({g}) for g in goals])
+    return GoalGraph(frozenset(goals),
+                     frozenset((goals[i], goals[j]) for i, j in edges),
+                     frozenset((goals[i], goals[j]) for i, j in trivial))
 
 
 def transitive_closure(g: GoalGraph) -> GoalGraph:
-    """Warshall closure (cubic in |vertices|); self-loops discovered on
-    cycles are dropped, matching the no-self-loop invariant. Idempotent."""
+    """Warshall closure over one bitmask row per vertex (cubic in
+    |vertices| bit operations); self-loops discovered on cycles are
+    dropped, matching the no-self-loop invariant. Idempotent."""
     verts = sorted(g.vertices)
     index = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    reach = [[False] * n for _ in range(n)]
+    reach = [0] * len(verts)
     for a, b in g.edges:
-        reach[index[a]][index[b]] = True
-    for k in range(n):
-        rk = reach[k]
-        for i in range(n):
-            if reach[i][k]:
-                ri = reach[i]
-                for j in range(n):
-                    if rk[j]:
-                        ri[j] = True
-    edges = frozenset(
-        (verts[i], verts[j])
-        for i in range(n) for j in range(n)
-        if i != j and reach[i][j]
-    )
+        reach[index[a]] |= 1 << index[b]
+    for k, row in enumerate(reach):
+        bit = 1 << k
+        for i, ri in enumerate(reach):
+            if ri & bit:
+                reach[i] = ri | row
+    edges = frozenset((verts[i], verts[j]) for i, row in enumerate(reach)
+                      for j in mask_ids(row) if i != j)
     return GoalGraph(g.vertices, edges, g.trivial_edges)
 
 
@@ -143,33 +175,20 @@ def place_gsep(problem: PlanningProblem, entries, gsep, method: str,
                index: ProblemIndex = None) -> Agenda:
     """Order the separate set against the derived entries with the
     set-level relations; disconnected nodes merge into the final entry."""
-    method = method.lower()
-    if method not in ("e", "h"):
-        raise ValueError(f"unknown ordering method {method!r}")
+    method = _method(method)
     entries = [frozenset(e) for e in entries]
     gsep = frozenset(gsep)
     if not gsep:
         return Agenda(tuple(entries), method, gsep=gsep,
                       gsep_placement="empty")
-    if method == "e" and graph is None:
-        graph = build_graph(problem, retain_layers=False)
-
-    nodes = entries + [gsep]
-    if len(nodes) == 1:
+    if not entries:
         return Agenda((gsep,), method, gsep=gsep,
                       gsep_placement="defaulted_last")
-    if index is None:
-        index = ProblemIndex(problem)
 
-    # set-level goal analysis over the derived entries plus the separate
-    # set: node i is before node j when some goal of i is before j
-    node_edges = set()
-    for j, anchor in enumerate(nodes):
-        before = _before_anchor(problem, method, graph, index, anchor,
-                                frozenset().union(*nodes) - anchor)
-        node_edges.update((i, j) for i, node in enumerate(nodes)
-                          if i != j and (before is None or node & before))
-
+    # set-level goal analysis over the derived entries plus the separate set
+    nodes = entries + [gsep]
+    graph, index = _context(problem, method, graph, index)
+    node_edges, _ = _node_edges(problem, method, graph, index, nodes)
     index_graph = GoalGraph(frozenset(range(len(nodes))),
                             frozenset(node_edges))
     closed = transitive_closure(index_graph)
@@ -196,12 +215,10 @@ def compute_agenda(problem: PlanningProblem, method: str = "h",
     """Full pipeline: pairwise orderings, closure, degree partition,
     separate-set placement. Single-goal problems yield one entry; empty goal
     sets yield an empty agenda. One ProblemIndex serves the whole call."""
-    method = method.lower()
+    method = _method(method)
     if not problem.goals:
         return Agenda((), method)
-    if method == "e" and graph is None:
-        graph = build_graph(problem, retain_layers=False)
-    index = ProblemIndex(problem)
+    graph, index = _context(problem, method, graph, None)
     gg = build_goal_graph(problem, method, graph, index=index)
     closure = transitive_closure(gg)
     entries, gsep = degree_partition(closure)

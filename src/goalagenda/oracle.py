@@ -11,10 +11,10 @@ whether the other goal is reachable from each of those states under the
 answers that: it starts from each of those states in discovery order and
 shares its visited states across them, since a state visited by an earlier
 start whose search never found the goal cannot reach it either, and is
-skipped. The reasonable ordering allows the actions that never delete the
-anchor atom, found by one scan over the actions per anchor atom and kept on
-the index; the verification matrix decides every pair through the same two
-entry points.
+skipped. The reasonable ordering bans the actions that delete the anchor
+atom in some effect, read off one deletes record that the enumeration
+builds in one pass over the actions; the forced ordering bans none. The
+verification matrix decides every pair through the same two entry points.
 Also detects deadlocks, and certifies invertibility against the
 transitions: an action that labels no edge never runs and is exempt.
 Everything here is exponential by design; the default state budget keeps it
@@ -26,7 +26,7 @@ the module: witness states, deadlocks and ``ReachabilityIndex.states``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .agenda import build_goal_graph
@@ -53,28 +53,20 @@ class LimitExceeded(PlanningError):
 class ReachabilityIndex:
     """The reachable states in discovery order as int bitmasks (bit i for
     atom i), per atom the ascending indices of the states some transition
-    entered while adding it, and per state its ``(action_id, successor
-    index)`` edges in action-id order. ``states`` is the same states as
+    entered while adding it, per state its ``(action_id, successor
+    index)`` edges in action-id order, and per atom the ids of the actions
+    that delete it in some effect. ``states`` is the same states as
     frozensets of atom ids, built on first read and kept."""
 
     problem: PlanningProblem
     masks: tuple  # tuple[int, ...]
     entered: dict  # atom -> tuple[int, ...]
     edges: tuple  # per state: tuple[(action_id, successor index), ...]
-    _kept: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)  # atom -> keep-set
+    deleters: dict  # atom -> frozenset of action ids
 
     @cached_property
     def states(self) -> tuple:
         return tuple(frozenset(mask_ids(m)) for m in self.masks)
-
-    def keeping(self, a: int) -> frozenset:
-        """Ids of the actions none of whose effects deletes a, scanned on
-        the first read for a and kept."""
-        kept = self._kept.get(a)
-        if kept is None:
-            kept = self._kept[a] = _keeping(self.problem, a)
-        return kept
 
 
 def enumerate_reachable(problem: PlanningProblem,
@@ -117,7 +109,22 @@ def enumerate_reachable(problem: PlanningProblem,
         masks=tuple(masks),
         entered={atom: tuple(sorted(js)) for atom, js in entered.items()},
         edges=tuple(edges),
+        deleters=_deleters(problem),
     )
+
+
+def _deleters(problem: PlanningProblem) -> dict:
+    """Per atom, the ids of the actions that delete it in some effect, by
+    one pass over the actions; atoms no action deletes are absent."""
+    deleters: dict = {}
+    for action_id, action in enumerate(problem.actions):
+        if problem.is_adl:
+            deletes = set().union(*(eff.deletes for eff in action.effects))
+        else:
+            deletes = action.delete
+        for atom in deletes:
+            deleters.setdefault(atom, []).append(action_id)
+    return {atom: frozenset(ids) for atom, ids in deleters.items()}
 
 
 @dataclass(frozen=True)
@@ -137,15 +144,16 @@ def _anchor_states(index: ReachabilityIndex, a: int, b: int):
 
 
 def _decide(index: ReachabilityIndex, relation: str, b: int, a: int,
-            allowed: frozenset) -> OrderingVerdict:
-    """Breadth-first search over the allowed transitions from each anchor
-    state in discovery order, with one ``parents`` map shared by all the
-    searches. A search that ends without finding b has visited everything
-    its states reach, so a state it visited cannot reach b and a later
-    search skips it. The first dequeued state holding b refutes the
-    ordering; the witness is that search's anchor state and the shortest
-    plan read back through ``parents``, the same one a fresh search from
-    that anchor state would find."""
+            banned: frozenset) -> OrderingVerdict:
+    """Breadth-first search over the transitions of the actions not in
+    ``banned``, from each anchor state in discovery order, with one
+    ``parents`` map shared by all the searches. A search that ends
+    without finding b has visited everything its states reach, so a state
+    it visited cannot reach b and a later search skips it. The first
+    dequeued state holding b refutes the ordering; the witness is that
+    search's anchor state and the shortest plan read back through
+    ``parents``, the same one a fresh search from that anchor state would
+    find."""
     anchor_states = _anchor_states(index, a, b)
     if not anchor_states:
         return OrderingVerdict(relation, holds=True, trivial=True)
@@ -165,21 +173,10 @@ def _decide(index: ReachabilityIndex, relation: str, b: int, a: int,
                 return OrderingVerdict(relation, holds=False, trivial=False,
                                        witness=witness)
             for action_id, j in index.edges[i]:
-                if action_id in allowed and j not in parents:
+                if action_id not in banned and j not in parents:
                     parents[j] = (i, action_id)
                     queue.append(j)
     return OrderingVerdict(relation, holds=True, trivial=False)
-
-
-def _keeping(problem: PlanningProblem, a: int) -> frozenset:
-    """Ids of the actions none of whose effects deletes a, by one scan over
-    the actions' delete sets."""
-    if problem.is_adl:
-        return frozenset(i for i, action in enumerate(problem.actions)
-                         if not any(a in eff.deletes
-                                    for eff in action.effects))
-    return frozenset(i for i, action in enumerate(problem.actions)
-                     if a not in action.delete)
 
 
 def decide_reasonable(problem: PlanningProblem, b: int, a: int,
@@ -189,7 +186,7 @@ def decide_reasonable(problem: PlanningProblem, b: int, a: int,
     b false, is b unreachable using only the actions that never delete a?"""
     if index is None:
         index = enumerate_reachable(problem, limit)
-    return _decide(index, "r", b, a, index.keeping(a))
+    return _decide(index, "r", b, a, index.deleters.get(a, frozenset()))
 
 
 def decide_forced(problem: PlanningProblem, b: int, a: int,
@@ -199,8 +196,7 @@ def decide_forced(problem: PlanningProblem, b: int, a: int,
     dead end for b."""
     if index is None:
         index = enumerate_reachable(problem, limit)
-    allowed = frozenset(range(len(problem.actions)))
-    return _decide(index, "f", b, a, allowed)
+    return _decide(index, "f", b, a, frozenset())
 
 
 def find_deadlocks(problem: PlanningProblem,

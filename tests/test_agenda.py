@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from goalagenda import agenda as agenda_module
 from goalagenda.agenda import (
     GoalGraph,
     agenda_to_dict,
@@ -87,6 +88,57 @@ def test_place_gsep_defaults_disconnected_goal_last(load):
         ["goal-a"], ["goal-b"], ["goal-c", "goal-d", "goal-e"]]
     assert names_of(problem, agenda.gsep) == ["goal-e"]
     assert agenda.gsep_placement == "defaulted_last"
+
+
+def diamond_place_gsep(problem, method):
+    """The diamond's separate set placed against its derived entries."""
+    entries = [atoms(problem, "goal-a"), atoms(problem, "goal-b"),
+               atoms(problem, "goal-c", "goal-d")]
+    return place_gsep(problem, entries, atoms(problem, "goal-e"), method)
+
+
+ENTRY_POINTS = {
+    "build_goal_graph": build_goal_graph,
+    "place_gsep": diamond_place_gsep,
+    "compute_agenda": compute_agenda,
+}
+
+
+@pytest.mark.parametrize("method", ["E", "H", "x"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_share_one_method_rule(load, entry, method):
+    """Every entry point reads the method in either case and rejects any
+    other."""
+    call = ENTRY_POINTS[entry]
+    problem = load("diamond")
+    if method == "x":
+        with pytest.raises(ValueError):
+            call(problem, method)
+    else:
+        assert call(problem, method) == call(problem, method.lower())
+
+
+@pytest.mark.parametrize("method", ["e", "h"])
+@pytest.mark.parametrize("name", ["diamond", "tyreworld_2", "hanoi_3"])
+def test_compute_agenda_tests_each_anchor_once(load, monkeypatch, name,
+                                               method):
+    """One _before_anchor call per goal, plus one per derived entry and
+    one for the separate set when both exist."""
+    problem = load(name)
+    entries, gsep = degree_partition(
+        transitive_closure(build_goal_graph(problem, method)))
+    anchors = []
+    original = agenda_module._before_anchor
+
+    def counting(problem, method, graph, index, anchor, candidates):
+        anchors.append(frozenset(anchor))
+        return original(problem, method, graph, index, anchor, candidates)
+
+    monkeypatch.setattr(agenda_module, "_before_anchor", counting)
+    compute_agenda(problem, method)
+    set_level = entries + [gsep] if gsep and entries else []
+    assert anchors == [frozenset({g}) for g in sorted(problem.goals)] + \
+        set_level
 
 
 def test_place_gsep_single_goal(load):

@@ -15,7 +15,7 @@ from goalagenda.model import (
 )
 from goalagenda.oracle import (
     LimitExceeded,
-    _keeping,
+    _deleters,
     check_invertibility,
     decide_forced,
     decide_reasonable,
@@ -384,23 +384,6 @@ def test_verify_matrix_decides_each_pair_through_the_entry_points(
                      "decide_forced": n * (n - 1)}
 
 
-def test_verify_matrix_scans_the_keep_set_once_per_anchor(load,
-                                                          monkeypatch):
-    """The index keeps each anchor's keep-set, so the n*(n-1) reasonable
-    decisions scan the actions once per anchor goal."""
-    problem = load("diamond")
-    anchors = []
-    original = oracle._keeping
-
-    def counting(problem, a):
-        anchors.append(a)
-        return original(problem, a)
-
-    monkeypatch.setattr(oracle, "_keeping", counting)
-    verify_matrix(problem)
-    assert sorted(anchors) == sorted(problem.goals)
-
-
 @pytest.mark.parametrize("name", ["diamond", "latch", "trap", "blocks3"])
 def test_verify_matrix_r_column_matches_decide_reasonable(load, index_of,
                                                           name):
@@ -426,9 +409,13 @@ def test_verify_matrix_single_goal():
     assert matrix["states"] == 2
 
 
-def check_keeping(problem):
+def check_deletes_record(problem):
+    """The actions the deletes record does not ban for an atom are the
+    reference's allowed actions of the reasonable ordering."""
+    deleters = _deleters(problem)
+    every = frozenset(range(len(problem.actions)))
     for a in range(len(problem.atoms)):
-        assert _keeping(problem, a) == \
+        assert every - deleters.get(a, frozenset()) == \
             ref.allowed_actions(problem, "r", a), a
 
 
@@ -510,21 +497,21 @@ def test_direct_ordering_errors_on_corpus(load, name):
 
 @pytest.mark.parametrize("name", corpus.ALL_NAMED)
 def test_keeping_scan_matches_problem_index_on_corpus(load, name):
-    """decide_reasonable's scan for the actions that keep the anchor atom
-    equals the reference's allowed actions."""
-    check_keeping(load(name))
+    """The actions decide_reasonable leaves to each anchor atom are the
+    reference's allowed actions."""
+    check_deletes_record(load(name))
 
 
 @settings(max_examples=200, deadline=None)
 @given(random_problem(max_facts=6, max_actions=8))
 def test_keeping_scan_matches_problem_index_on_random_strips(spec):
-    check_keeping(strips_problem(spec))
+    check_deletes_record(strips_problem(spec))
 
 
 @settings(max_examples=200, deadline=None)
 @given(random_adl_problem(max_atoms=6))
 def test_keeping_scan_matches_problem_index_on_random_adl(problem):
-    check_keeping(problem)
+    check_deletes_record(problem)
 
 
 # --- differential tests against the naive reference ---------------------------
