@@ -14,6 +14,7 @@ off, so a leveled graph can be shared too.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -84,7 +85,7 @@ class StripsAction:
     delete: frozenset
 
     def __post_init__(self):
-        if self.delete & self.add:
+        if not self.delete.isdisjoint(self.add):
             raise ValueError(
                 f"action {self.name!r}: delete and add lists intersect: "
                 f"{sorted(self.delete & self.add)}"
@@ -100,7 +101,7 @@ class ConditionalEffect:
     deletes: frozenset
 
     def __post_init__(self):
-        if self.adds & self.deletes:
+        if not self.adds.isdisjoint(self.deletes):
             raise ValueError(
                 f"conditional effect: adds and deletes intersect: "
                 f"{sorted(self.adds & self.deletes)}"
@@ -143,21 +144,27 @@ class PlanningProblem:
     name: str = "problem"
 
     def __post_init__(self):
-        n = len(self.atoms)
-        kinds = {type(a) for a in self.actions}
-        if len(kinds) > 1:
+        if len(set(map(type, self.actions))) > 1:
             raise ValueError("problem mixes STRIPS and ADL actions")
+        used = frozenset().union(self.init, self.goals,
+                                 *itertools.chain.from_iterable(
+                                     map(_atom_id_sets, self.actions)))
+        if used and (min(used) < 0 or max(used) >= len(self.atoms)):
+            raise ValueError(self._uninterned())
+
+    def _uninterned(self) -> str:
+        """The message naming the first id set that holds an id outside
+        the atom table: init, goals, then each action's sets in order."""
+        n = len(self.atoms)
         for ids in (self.init, self.goals):
             bad = [i for i in ids if not (0 <= i < n)]
             if bad:
-                raise ValueError(f"atom ids not interned: {bad}")
+                return f"atom ids not interned: {bad}"
         for action in self.actions:
             for ids in _atom_id_sets(action):
                 bad = [i for i in ids if not (0 <= i < n)]
                 if bad:
-                    raise ValueError(
-                        f"action {action.name!r} references uninterned ids: {bad}"
-                    )
+                    return f"action {action.name!r} references uninterned ids: {bad}"
 
     @property
     def is_adl(self) -> bool:

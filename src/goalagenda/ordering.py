@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphplan import AnchorUnreachable, PlanningGraph, false_set, graph_nodes
+from .graphplan import AnchorUnreachable, PlanningGraph, false_set
 from .model import AdlAction, PlanningProblem
 
 
@@ -50,39 +50,35 @@ class OrderingDecision:
 class ProblemIndex:
     """Per-problem lookup tables for the ordering layer.
 
-    A *way* is one (action, effect) node of ``graphplan.graph_nodes``; way
-    ids ascend in (action, effect) order, and a STRIPS action is its one
-    effect-0 way. Per way: ``condition`` (action precondition plus effect
-    condition), ``implied_deletes`` and ``adds``. Per atom, as ascending
-    lists keyed only by atoms that occur: ``adders`` (ways adding it),
-    ``implied_deleters`` (ways whose implied deletes hold it) and
-    ``condition_users`` (ways whose condition holds it).
+    A *way* is one (action, effect) pair, as ``graphplan.graph_nodes``
+    lists the nodes; way ids ascend in (action, effect) order, and a STRIPS
+    action is its one effect-0 way. Per way: ``condition`` (action
+    precondition plus effect condition), ``implied_deletes`` and
+    ``adds``. Per atom, as ascending lists keyed only by atoms that
+    occur: ``adders`` (ways adding it), ``implied_deleters`` (ways whose
+    implied deletes hold it) and ``condition_users`` (ways whose
+    condition holds it).
 
     Built once per top-level call and passed down; nothing keeps it after
     the call returns.
     """
 
     def __init__(self, problem: PlanningProblem):
-        nodes = graph_nodes(problem)
-        self.condition = tuple(n.pre for n in nodes)
-        self.adds = tuple(n.add for n in nodes)
         if problem.is_adl:
-            self.implied_deletes = tuple(
-                implied_deletes(problem.actions[n.action_id], n.effect_index)
-                for n in nodes)
+            ways = [(action.pre | eff.condition, eff.adds,
+                     implied_deletes(action, i))
+                    for action in problem.actions
+                    for i, eff in enumerate(action.effects)]
+            self.condition, self.adds, self.implied_deletes = zip(*ways)
         else:
-            self.implied_deletes = tuple(n.delete for n in nodes)
-        self.adders = adders = {}
-        self.implied_deleters = implied_deleters = {}
-        self.condition_users = condition_users = {}
-        for w, node in enumerate(nodes):
-            for p in node.add:
-                adders.setdefault(p, []).append(w)
-            for p in self.implied_deletes[w]:
-                implied_deleters.setdefault(p, []).append(w)
-            for p in node.pre:
-                condition_users.setdefault(p, []).append(w)
-        self.addable = frozenset(adders)
+            self.condition = tuple(a.pre for a in problem.actions)
+            self.adds = tuple(a.add for a in problem.actions)
+            self.implied_deletes = tuple(a.delete for a in problem.actions)
+        n = len(problem.atoms)
+        self.adders = _postings(self.adds, n)
+        self.implied_deleters = _postings(self.implied_deletes, n)
+        self.condition_users = _postings(self.condition, n)
+        self.addable = frozenset(self.adders)
 
     def view(self, anchor, false_atoms=()) -> "UsableActions":
         """The ways usable while the anchor must stay true and the false
@@ -97,6 +93,16 @@ class ProblemIndex:
         for p in false_atoms:
             blocked.update(self.condition_users.get(p, ()))
         return UsableActions(self, blocked)
+
+
+def _postings(sets, n: int) -> dict:
+    """Atom -> the ascending indices of the sets holding it, for each of
+    the ``n`` atoms that some set holds."""
+    lists = [[] for _ in range(n)]
+    for w, atoms in enumerate(sets):
+        for p in atoms:
+            lists[p].append(w)
+    return {p: ways for p, ways in enumerate(lists) if ways}
 
 
 class UsableActions:

@@ -21,11 +21,21 @@ atoms from the remaining preconditions, and compiles negated dynamic
 preconditions into complement ``not-<pred>`` atoms maintained by every
 effect that touches the predicate. The result only ever exposes
 positive-precondition ground actions.
+
+Each operator is compiled once into literal slots: where each argument
+comes from in the instance tuple, whether the literal is static (then the
+argument tuples true in init) and, for a dynamic one, the cache from
+argument tuple to atom id of its name. Atom ids are handed out in the
+order the slots are walked, which fixes every id: per instance, the
+dynamic preconditions in literal order, only up to the first false static
+literal; then each effect literal's own atom, followed by its complement;
+then each ``when`` clause the same way.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -81,32 +91,35 @@ class _Tok(NamedTuple):
 class _List(list):
     """A parenthesised form; ``line`` and ``col`` locate its ``(``."""
 
-    def __init__(self, line: int, col: int):
-        super().__init__()
-        self.line = line
-        self.col = col
+    __slots__ = ("line", "col")
 
 
 def _read_sexprs(text: str):
     """Parse into nested lists of _Tok; returns the top-level forms. Each
     line is scanned by one regex whose matches are a ``;`` comment, a
     parenthesis or a name; the characters between matches (space, tab and
-    ``\\r``) separate tokens."""
+    ``\\r``) separate tokens. Tokens are made by ``tuple.__new__`` and
+    forms get their location as attributes, so no Python-level
+    constructor runs per token."""
     scan = re.compile(r";.*|[()]|[^ \t\r();]+")
+    token = tuple.__new__
     stack: list = [[]]
     for line, chars in enumerate(text.split("\n"), 1):
         for match in scan.finditer(chars):
-            word = match.group()
-            col = match.start() + 1
+            word = match[0]
             if word == "(":
-                stack.append(_List(line, col))
+                form = _List()
+                form.line = line
+                form.col = match.start() + 1
+                stack.append(form)
             elif word == ")":
                 if len(stack) == 1:
-                    raise PddlSyntaxError("unbalanced ')'", line, col)
+                    raise PddlSyntaxError("unbalanced ')'", line,
+                                          match.start() + 1)
                 done = stack.pop()
                 stack[-1].append(done)
             elif word[0] != ";":
-                stack[-1].append(_Tok(word, line, col))
+                stack[-1].append(token(_Tok, (word, line, match.start() + 1)))
     if len(stack) != 1:
         raise PddlSyntaxError("unbalanced '('", stack[-1].line, stack[-1].col)
     return stack[0]
@@ -456,9 +469,15 @@ def ground(domain: DomainFile, problem: ProblemFile) -> PlanningProblem:
     """Instantiate operators over type-consistent object tuples.
 
     Deterministic: objects in declaration order, operators in declaration
-    order, atom ids in first-encounter order (init, complements, goal, then
-    per-action literals, including those of instances a later static
-    literal prunes).
+    order, atom ids in first-encounter order: init, complements, goal, then
+    per instance its preconditions in literal order, the dynamic ones up to
+    the first static literal false in init (so an instance a later static
+    literal prunes still interns the ones before it); then each effect
+    literal's own atom followed by its complement; then each ``when``
+    clause the same way, its effects only when its condition is not
+    statically false. Each operator is compiled once into slots, and an
+    atom's name is formatted and interned only the first time its slot
+    cache meets its argument tuple.
     """
     table = _type_table(domain.types, problem.objects)
     pred_types = dict(domain.predicates)
@@ -482,24 +501,32 @@ def ground(domain: DomainFile, problem: ProblemFile) -> PlanningProblem:
                 effect_preds.update(lit.predicate for lit in item.effects)
             else:
                 effect_preds.add(item.predicate)
-    static = {name for name, _ in domain.predicates} - effect_preds
+    static_preds = {name for name, _ in domain.predicates} - effect_preds
     negated = list(dict.fromkeys(lit.predicate for lit in conditions
                                  if not lit.positive
-                                 and lit.predicate not in static))
+                                 and lit.predicate not in static_preds))
 
     atoms = AtomTable()
+    caches: dict = {}  # name prefix -> {argument tuple: atom id}
 
-    def intern(pred: str, args) -> int:
-        return atoms.intern(f"{pred}({','.join(args)})")
+    def intern(prefix: str, args: tuple) -> int:
+        ids = caches.setdefault(prefix, {})
+        atom = ids.get(args)
+        if atom is None:
+            atom = ids[args] = atoms.intern(f"{prefix}({','.join(args)})")
+        return atom
 
-    init_atoms = set(problem.init)
+    in_init: dict = {}  # predicate -> its argument tuples in init
+    for pred, args in problem.init:
+        in_init.setdefault(pred, set()).add(args)
     init_ids = {intern(pred, args) for pred, args in problem.init}
 
     # Complement atoms for every type-consistent grounding absent from init.
     for pred in negated:
+        true = in_init.get(pred, ())
         for combo in itertools.product(*map(objects_of, pred_types[pred])):
             comp = intern("not-" + pred, combo)
-            if (pred, combo) not in init_atoms:
+            if combo not in true:
                 init_ids.add(comp)
 
     goal_ids = set()
@@ -509,15 +536,59 @@ def ground(domain: DomainFile, problem: ProblemFile) -> PlanningProblem:
                 raise TypeMismatch(f"goal atom {pred}{args}: {arg!r} is not a {ty}")
         goal_ids.add(intern(pred, args))
 
+    def compile_part(condition, effect, position: dict) -> tuple:
+        """Compile one condition and its effect literals, as ``_instance``
+        reads them, over an instance tuple whose entries ``position``
+        locates; an object name not yet there is given the next entry."""
+        def getter(lit):
+            return _getter([position.setdefault(arg, len(position))
+                            for arg in lit.args])
+
+        static, slots = [], []
+        for lit in condition:
+            get = getter(lit)
+            if lit.predicate in static_preds:
+                static.append((get, in_init.get(lit.predicate, ()),
+                               lit.positive, len(slots)))
+            else:
+                prefix = lit.predicate if lit.positive \
+                    else "not-" + lit.predicate
+                slots.append((get, caches.setdefault(prefix, {}), prefix, 0))
+        for lit in effect:
+            get = getter(lit)
+            signs = [(lit.predicate, lit.positive)]
+            if lit.predicate in negated:
+                signs.append(("not-" + lit.predicate, not lit.positive))
+            for prefix, adds in signs:
+                slots.append((get, caches.setdefault(prefix, {}), prefix,
+                              1 if adds else 2))
+        return tuple(static), tuple(slots)
+
     actions = []
     for op in domain.operators:
-        variables = [var for var, _ in op.parameters]
-        for combo in itertools.product(*(objects_of(ty)
-                                         for _, ty in op.parameters)):
-            action = _ground_instance(op, variables, combo, intern,
-                                      init_atoms, static, negated, as_adl)
-            if action is not None:
-                actions.append(action)
+        n = len(op.parameters)
+        position = {var: i for i, (var, _) in enumerate(op.parameters)}
+        first = compile_part(
+            op.precondition, [i for i in op.effect if isinstance(i, Literal)],
+            position)
+        whens = [compile_part(c.conditions, c.effects, position)
+                 for c in op.effect if isinstance(c, WhenClause)]
+        for combo in itertools.product(
+                *(objects_of(ty) for _, ty in op.parameters),
+                *([name] for name in list(position)[n:])):
+            effect = _instance(first, combo, atoms)
+            if effect is None:
+                continue
+            name = f"{op.name}({','.join(combo[:n])})"
+            if not as_adl:
+                actions.append(StripsAction(name, *effect))
+                continue
+            effects = [ConditionalEffect(*effect)]
+            for when in whens:
+                effect = _instance(when, combo, atoms)
+                if effect is not None:  # else statically impossible
+                    effects.append(ConditionalEffect(*effect))
+            actions.append(AdlAction(name, tuple(effects)))
 
     return PlanningProblem(
         atoms=atoms,
@@ -528,46 +599,50 @@ def ground(domain: DomainFile, problem: ProblemFile) -> PlanningProblem:
     )
 
 
-def _ground_instance(op, variables, combo, intern, init_atoms, static,
-                     negated, as_adl):
-    """One ground instance, or None when a static precondition fails."""
-    binding = dict(zip(variables, combo))
+def _getter(index: list):
+    """The argument tuple at positions ``index`` of an instance tuple: a
+    slice when they run consecutively (always, for arity 0 and 1)."""
+    start = index[0] if index else 0
+    if index == list(range(start, start + len(index))):
+        return operator.itemgetter(slice(start, start + len(index)))
+    return operator.itemgetter(*index)
 
-    def evaluate(literals, effect):
-        """An effect's (adds, deletes), or a condition's ids as the first of
-        the pair: None when a static literal is false in init, while a true
-        one is dropped. A negated literal stands for its complement atom."""
-        adds, dels = [], []
-        for lit in literals:
-            pred = lit.predicate
-            args = tuple(map(binding.get, lit.args, lit.args))  # objects stay
-            if effect:
-                (adds if lit.positive else dels).append(intern(pred, args))
-                if pred in negated:
-                    (dels if lit.positive else adds).append(
-                        intern("not-" + pred, args))
-            elif pred in static:
-                if ((pred, args) in init_atoms) != lit.positive:
-                    return None
-            else:
-                adds.append(intern(pred if lit.positive else "not-" + pred,
-                                   args))
-        adds = frozenset(adds)
-        return adds, frozenset(dels) - adds  # add wins within one effect
 
-    pre = evaluate(op.precondition, effect=False)
-    if pre is None:
-        return None
-    name = f"{op.name}({','.join(combo)})"
-    adds, dels = evaluate([i for i in op.effect if isinstance(i, Literal)],
-                          effect=True)
-    if not as_adl:
-        return StripsAction(name, pre[0], adds, dels)
-    effects = [ConditionalEffect(pre[0], adds, dels)]
-    for clause in op.effect:
-        if isinstance(clause, WhenClause):
-            condition = evaluate(clause.conditions, effect=False)
-            if condition is not None:  # else statically impossible
-                effects.append(ConditionalEffect(
-                    condition[0], *evaluate(clause.effects, effect=True)))
-    return AdlAction(name, tuple(effects))
+def _instance(part: tuple, combo: tuple, atoms: AtomTable):
+    """A compiled part's (condition, adds, deletes) for the instance tuple
+    ``combo`` (the parameter values, then the operator's object names).
+
+    A part is one condition with its effect. A static slot ``(get, true,
+    positive, k)`` tests the argument tuple ``get(combo)`` against
+    ``true``, its predicate's argument tuples in init, and sits after the
+    part's first ``k`` dynamic slots; when the literal is false the part
+    is None, and only those ``k`` are interned. A true one is dropped. A
+    dynamic slot ``(get, ids, prefix, to)`` names its atom by ``prefix``,
+    the predicate or its ``not-`` complement, caches argument tuple -> atom
+    id in ``ids``, which every slot of that prefix shares, and puts the id
+    in the condition (``to`` 0), the adds (1) or the deletes (2). The
+    dynamic slots are the condition's literals, then each effect literal's
+    own atom followed by its complement. An add wins over a delete of the
+    same atom."""
+    static, slots = part
+    for get, true, positive, k in static:
+        if (get(combo) in true) is not positive:
+            _ids(slots[:k], combo, atoms)
+            return None
+    condition, adds, deletes = _ids(slots, combo, atoms)
+    adds = frozenset(adds)
+    return frozenset(condition), adds, frozenset(deletes) - adds
+
+
+def _ids(slots: tuple, combo: tuple, atoms: AtomTable) -> tuple:
+    """The atom ids of dynamic slots for the instance ``combo``, as the
+    lists (condition, adds, deletes); a name first seen is formatted and
+    interned, in slot order."""
+    out = ([], [], [])
+    for get, ids, prefix, to in slots:
+        key = get(combo)
+        atom = ids.get(key)
+        if atom is None:
+            atom = ids[key] = atoms.intern(f"{prefix}({','.join(key)})")
+        out[to].append(atom)
+    return out

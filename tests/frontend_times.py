@@ -1,0 +1,75 @@
+"""Print the median parse and ground times of the PDDL frontend per instance.
+
+    python tests/frontend_times.py [--repeats N]
+
+For stack_40, stack_60, stack_80 and tyreworld_3 (the shipped corpus
+texts) it times ``pddl.parse`` and ``pddl.ground`` ``N`` times each
+(default 7) and prints each stage's median. Every time is taken between two
+chunks of the benchmark's reference work (``perfbench/hostspeed.py``,
+imported and left as it is) and divided by the slowdown they show, so the
+medians read at the reference host speed, as the benchmark's end-to-end
+times do. The script only prints; it checks nothing.
+"""
+
+from __future__ import annotations
+
+import argparse
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import hostspeed  # noqa: E402
+from goalagenda import corpus  # noqa: E402
+from goalagenda.pddl import ground, parse  # noqa: E402
+
+INSTANCES = (("stack", 40), ("stack", 60), ("stack", 80), ("tyreworld", 3))
+
+
+def texts(family: str, n: int) -> tuple:
+    generator = getattr(corpus, f"{family}_problem_text")
+    return corpus.domain_text(family), generator(n)
+
+
+def stage_medians(family: str, n: int, repeats: int,
+                  speed: hostspeed.HostSpeed) -> tuple:
+    """The median parse and ground times of one instance, in seconds at
+    the reference host speed."""
+    parse_s, ground_s = [], []
+    after = speed.sample()
+
+    def timed(stage, args, times):
+        nonlocal after
+        before = after
+        t0 = time.perf_counter()
+        out = stage(*args)
+        elapsed = time.perf_counter() - t0
+        after = speed.sample()
+        times.append(elapsed / hostspeed.slowdown(before, after))
+        return out
+
+    for _ in range(repeats):
+        lifted = timed(parse, texts(family, n), parse_s)
+        timed(ground, lifted, ground_s)
+    return statistics.median(parse_s), statistics.median(ground_s)
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=7)
+    args = parser.parse_args(argv)
+    speed = hostspeed.HostSpeed()
+    print(f"{'instance':<14}{'parse_s':>10}{'ground_s':>10}")
+    for family, n in INSTANCES:
+        parse_s, ground_s = stage_medians(family, n, args.repeats, speed)
+        print(f"{family}_{n:<{13 - len(family)}}{parse_s:>10.4f}"
+              f"{ground_s:>10.4f}")
+    print(f"reference chunk median {statistics.median(speed.samples):.4f} s "
+          f"(nominal {hostspeed.NOMINAL_S} s)")
+
+
+if __name__ == "__main__":
+    main()

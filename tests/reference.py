@@ -46,10 +46,18 @@ precondition in every state, with the same goal test and state budget.
 characters, and ``read_sexprs`` nests its tokens as ``pddl._read_sexprs``
 does, with ``(text, line, col)`` tuples for the tokens; the regex scanner
 must yield the same tokens, positions and errors.
+
+``ground`` is the PDDL grounder written per instance: it binds each
+instance's parameters in a dict, maps every literal's arguments through
+it and formats and interns a name for each literal, in the order the
+library's compiled slots must follow (preconditions up to the first false
+static literal, then each effect literal's own atom and its complement,
+then each ``when`` clause the same way).
 """
 
 from __future__ import annotations
 
+import itertools
 import sys
 from collections import deque
 from contextlib import contextmanager
@@ -60,8 +68,12 @@ from goalagenda.graphplan import (
     graph_nodes,
 )
 from goalagenda.model import (
+    AdlAction,
+    AtomTable,
+    ConditionalEffect,
     ConflictingEffects,
     Plan,
+    PlanningProblem,
     ResourceLimit,
     StripsAction,
     Unsolvable,
@@ -69,7 +81,13 @@ from goalagenda.model import (
 )
 from goalagenda.oracle import OrderingVerdict
 from goalagenda.ordering import FixpointResult, implied_deletes
-from goalagenda.pddl import PddlSyntaxError
+from goalagenda.pddl import (
+    Literal,
+    PddlSyntaxError,
+    TypeMismatch,
+    WhenClause,
+    _type_table,
+)
 
 
 @contextmanager
@@ -583,3 +601,108 @@ def read_sexprs(text: str) -> list:
     if len(stack) != 1:
         raise PddlSyntaxError("unbalanced '('", opens[-1][1], opens[-1][2])
     return stack[0]
+
+
+def ground(domain, problem) -> PlanningProblem:
+    """``pddl.ground`` one instance at a time: the same atom ids, init,
+    goals, actions and errors."""
+    table = _type_table(domain.types, problem.objects)
+    pred_types = dict(domain.predicates)
+
+    def objects_of(ty: str) -> list:
+        if ty not in table:
+            raise TypeMismatch(f"parameter type {ty!r} is not declared")
+        return table[ty]
+
+    conditions, effect_preds, as_adl = [], set(), False
+    for op in domain.operators:
+        conditions.extend(op.precondition)
+        for item in op.effect:
+            if isinstance(item, WhenClause):
+                as_adl = True
+                conditions.extend(item.conditions)
+                effect_preds.update(lit.predicate for lit in item.effects)
+            else:
+                effect_preds.add(item.predicate)
+    static = {name for name, _ in domain.predicates} - effect_preds
+    negated = list(dict.fromkeys(lit.predicate for lit in conditions
+                                 if not lit.positive
+                                 and lit.predicate not in static))
+
+    atoms = AtomTable()
+
+    def intern(pred: str, args) -> int:
+        return atoms.intern(f"{pred}({','.join(args)})")
+
+    init_atoms = set(problem.init)
+    init_ids = {intern(pred, args) for pred, args in problem.init}
+    for pred in negated:
+        for combo in itertools.product(*map(objects_of, pred_types[pred])):
+            comp = intern("not-" + pred, combo)
+            if (pred, combo) not in init_atoms:
+                init_ids.add(comp)
+
+    goal_ids = set()
+    for pred, args in problem.goal:
+        for arg, ty in zip(args, pred_types[pred]):
+            if arg not in table.get(ty, ()):
+                raise TypeMismatch(f"goal atom {pred}{args}: {arg!r} is not a {ty}")
+        goal_ids.add(intern(pred, args))
+
+    actions = []
+    for op in domain.operators:
+        variables = [var for var, _ in op.parameters]
+        for combo in itertools.product(*(objects_of(ty)
+                                         for _, ty in op.parameters)):
+            action = _ground_instance(op, variables, combo, intern,
+                                      init_atoms, static, negated, as_adl)
+            if action is not None:
+                actions.append(action)
+    return PlanningProblem(atoms=atoms, actions=tuple(actions),
+                           init=frozenset(init_ids), goals=frozenset(goal_ids),
+                           name=problem.name)
+
+
+def _ground_instance(op, variables, combo, intern, init_atoms, static,
+                     negated, as_adl):
+    """One ground instance, or None when a static precondition fails."""
+    binding = dict(zip(variables, combo))
+
+    def evaluate(literals, effect):
+        """An effect's (adds, deletes), or a condition's ids as the first of
+        the pair: None when a static literal is false in init, while a true
+        one is dropped. A negated literal stands for its complement atom."""
+        adds, dels = [], []
+        for lit in literals:
+            pred = lit.predicate
+            args = tuple(map(binding.get, lit.args, lit.args))  # objects stay
+            if effect:
+                (adds if lit.positive else dels).append(intern(pred, args))
+                if pred in negated:
+                    (dels if lit.positive else adds).append(
+                        intern("not-" + pred, args))
+            elif pred in static:
+                if ((pred, args) in init_atoms) != lit.positive:
+                    return None
+            else:
+                adds.append(intern(pred if lit.positive else "not-" + pred,
+                                   args))
+        adds = frozenset(adds)
+        return adds, frozenset(dels) - adds  # add wins within one effect
+
+    pre = evaluate(op.precondition, effect=False)
+    if pre is None:
+        return None
+    name = f"{op.name}({','.join(combo)})"
+    adds, dels = evaluate([i for i in op.effect if isinstance(i, Literal)],
+                          effect=True)
+    if not as_adl:
+        return StripsAction(name, pre[0], adds, dels)
+    effects = [ConditionalEffect(pre[0], adds, dels)]
+    for clause in op.effect:
+        if isinstance(clause, WhenClause):
+            condition = evaluate(clause.conditions, effect=False)
+            if condition is not None:  # else statically impossible
+                effects.append(ConditionalEffect(
+                    condition[0], *evaluate(clause.effects, effect=True)))
+    return AdlAction(name, tuple(effects))

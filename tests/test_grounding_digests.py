@@ -9,8 +9,9 @@ the atom ids themselves are pinned, not only the names. Inputs that
 
 Covers every PDDL corpus family and inline texts that exercise negated
 dynamic preconditions, ``when`` clauses, a statically impossible ``when``,
-a subtype hierarchy with several parents, and an instance whose dynamic
-literal is interned before a later static literal prunes it. A change to
+a subtype hierarchy with several parents, an instance whose dynamic
+literal is interned before a later static literal prunes it, and an
+action whose delete precedes its add. A change to
 the frontend must leave all of them as they are. A change that alters them
 on purpose re-records the digests with
 
@@ -118,6 +119,24 @@ PRUNE_PROBLEM = """(define (problem prune-3) (:domain prune)
   (:goal (and (seen q) (seen r))))
 """
 
+#: Effect literals intern in literal order, a delete before a later add:
+#: ``p(o1), q(o1), p(o2), q(o2)``. A grounder that interns an action's adds
+#: before its deletes gives ``q(o1), p(o1), ...`` instead.
+EFFECT_ORDER_DOMAIN = """(define (domain effect-order)
+  (:requirements :strips :conditional-effects)
+  (:predicates (r ?x) (p ?x) (q ?x) (s))
+  (:action a
+    :parameters (?x)
+    :precondition (r ?x)
+    :effect (and (not (p ?x)) (q ?x) (when (s) (s)))))
+"""
+
+EFFECT_ORDER_PROBLEM = """(define (problem effect-order-2) (:domain effect-order)
+  (:objects o1 o2)
+  (:init (r o1) (r o2))
+  (:goal (s)))
+"""
+
 #: Inputs that ``ground`` rejects, each with the first error it meets.
 REJECTED_PROBLEMS = {
     "undeclared-object-type": (
@@ -136,6 +155,7 @@ INLINE = {
     "fleet": (FLEET_DOMAIN, FLEET_PROBLEM),
     "valve": (VALVE_DOMAIN, VALVE_PROBLEM),
     "prune": (PRUNE_DOMAIN, PRUNE_PROBLEM),
+    "effect-order": (EFFECT_ORDER_DOMAIN, EFFECT_ORDER_PROBLEM),
 }
 
 

@@ -47,8 +47,50 @@ def test_intern_round_trip():
 
 
 def test_strips_action_rejects_add_delete_overlap():
-    with pytest.raises(ValueError):
-        StripsAction("bad", frozenset(), frozenset({1}), frozenset({1}))
+    with pytest.raises(ValueError) as err:
+        StripsAction("bad", frozenset(), frozenset({1, 2, 3}),
+                     frozenset({2, 1, 4}))
+    assert str(err.value) == \
+        "action 'bad': delete and add lists intersect: [1, 2]"
+
+
+def test_conditional_effect_rejects_add_delete_overlap():
+    with pytest.raises(ValueError) as err:
+        ConditionalEffect(frozenset({0}), frozenset({3, 1}), frozenset({1, 3}))
+    assert str(err.value) == \
+        "conditional effect: adds and deletes intersect: [1, 3]"
+
+
+def _strips(name, pre=(), add=(), delete=()):
+    return StripsAction(name, frozenset(pre), frozenset(add),
+                        frozenset(delete))
+
+
+@pytest.mark.parametrize("init, goals, actions, message", [
+    ({0, 2}, {1}, (), "atom ids not interned: [2]"),
+    ({-1}, {1}, (), "atom ids not interned: [-1]"),
+    ({0}, {5}, (), "atom ids not interned: [5]"),
+    ({7}, {5}, (), "atom ids not interned: [7]"),
+    ({0}, {1}, (_strips("ok", [0], [1]), _strips("far", [0], [1], [9]),
+                _strips("farther", [8])),
+     "action 'far' references uninterned ids: [9]"),
+    ({0}, {4}, (_strips("far", [9]),), "atom ids not interned: [4]"),
+    ({0}, {1}, (AdlAction("flip", (
+        ConditionalEffect(frozenset({0}), frozenset({1}), frozenset()),
+        ConditionalEffect(frozenset({-3}), frozenset(), frozenset({0})))),),
+     "action 'flip' references uninterned ids: [-3]"),
+    ({0}, {1}, (_strips("s", [9]), AdlAction("t", (
+        ConditionalEffect(frozenset({0}), frozenset({1}), frozenset()),))),
+     "problem mixes STRIPS and ADL actions"),
+])
+def test_problem_rejects_ids_outside_its_atom_table(init, goals, actions,
+                                                    message):
+    """The first bad set is named: init, then goals, then each action's
+    sets in order; kinds are checked before ids."""
+    with pytest.raises(ValueError) as err:
+        PlanningProblem(AtomTable(["p", "q"]), actions, frozenset(init),
+                        frozenset(goals))
+    assert str(err.value) == message
 
 
 def test_apply_strips_fires_and_identity():
