@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .graphplan import AnchorUnreachable, PlanningGraph, build_graph, false_set
-from .model import PlanningProblem, mask_ids
+from .model import PlanningProblem
 from .ordering import ProblemIndex, fixpoint_reduce, possibly_achievable
 
 
@@ -146,8 +146,9 @@ def transitive_closure(g: GoalGraph) -> GoalGraph:
         for i, ri in enumerate(reach):
             if ri & bit:
                 reach[i] = ri | row
+    columns = range(len(verts))
     edges = frozenset((verts[i], verts[j]) for i, row in enumerate(reach)
-                      for j in mask_ids(row) if i != j)
+                      for j in columns if row >> j & 1 and i != j)
     return GoalGraph(g.vertices, edges, g.trivial_edges)
 
 

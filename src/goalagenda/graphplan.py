@@ -269,6 +269,35 @@ def graphplan_search(context: GraphContext, init, goals,
     contains an indexed nogood, and so does every set containing it. The
     cuts, the memo at layer n and its count are therefore those of a scan
     of the whole memo.
+
+    Backjumping and explanation nogoods keep the three facts too; they work
+    only at the layers below both n and the horizon:
+
+    - Explanations are sound nogoods. Each conflict source names nodes no
+      plan can hold together with the goals named: a rejected candidate
+      and the chosen node it is mutex with; for a later goal, one node
+      mutex with each of its achievers, so no node can add it; a set of
+      chosen nodes whose preconditions contain a failed set N, and a plan
+      for their preconditions would solve N. When a goal runs out of
+      candidates, each of its achievers is so ruled out given the nodes
+      its conflict names below it, so the conflict holds without the
+      goal's own choice; a choice point it does not name cannot change it,
+      which is why skipping that choice point loses no plan. With no
+      choice point left to name, the explanation holds for every
+      assignment: no plan reaches it at layer t, nor any set containing it.
+    - Cuts below layer n never touch the paths that facts 1-3 reason about.
+      Those paths run through sets at layer n and above, which the search
+      opens, fails and memoizes as it did chronologically. Below n, a set
+      fails exactly when it has no plan, with or without backjumps, since
+      both skip only subtrees without one, and the first plan found is the
+      same. So the sets opened at layers n and up, their memo, its count
+      and the verdicts are those of the chronological search.
+    - An explanation at layer t holds at every horizon. Layers are indexed
+      from the initial state, so fact layer t is the same layer at every
+      horizon, and a set with no plan of t steps has none later either.
+      While level-off is unknown only the layers below the horizon are
+      explained, and those are below n: growth has not yet shown level-off
+      at any layer up to the horizon.
     """
     if context.problem.is_adl:
         raise ValueError("graphplan_search requires a STRIPS problem")
@@ -327,8 +356,9 @@ class _BackwardSearch:
     union are one operation each. The search runs on an explicit stack: one
     entry per open goal set (one per layer below the horizon), each holding
     one choice point per goal that got an achiever, so the horizon is not
-    bounded by the interpreter's recursion limit. A goal set whose search
-    fails is a nogood, memoized by its mask per fact layer.
+    bounded by the interpreter's recursion limit. A goal set that fails is
+    a nogood. The memo maps it, per fact layer and in the order found, to
+    its explanation: a nogood inside it, or the set itself.
 
     Two cuts remove only subtrees that hold no plan, so the search returns
     the first plan of the search without them:
@@ -340,27 +370,80 @@ class _BackwardSearch:
       goal could get no achiever, and a node chosen later that added it
       would be one.
     - Subset nogoods. A goal set that contains a nogood memoized at its
-      fact layer has no plan there either; it fails at once, and is
-      memoized too, so the memo at the leveled layer still grows exactly
-      when a set opened there was not in it (see graphplan_search). The
-      sets the search failed are also indexed per layer by their highest
-      fact, and the test looks only in the buckets of the set's own facts:
-      a nogood inside the set has its highest fact there. A set memoized
+      fact layer has no plan there either: it fails at once, explained by
+      that nogood, and is memoized too. The explanations of the sets the
+      search failed are also indexed per layer by their highest fact, and
+      the test looks only in the buckets of the set's own facts: a nogood
+      inside the set has its highest fact there. It returns the first it
+      finds, by highest fact and then in the order indexed. A set memoized
       by this test stays out of the index; it contains an indexed nogood,
       so any set containing it is still found.
+
+    Below level-off, at fact layers t < leveled_at other than the horizon's
+    top layer (every layer below the top while level-off is unknown), the
+    search also explains its failures and backjumps on the explanations:
+    conflict-directed backjumping with explanation-based nogoods
+    (Kambhampati 2000, "Planning Graph as a (Dynamic) CSP", JAIR 12). A
+    conflict names goals of the set: no assignment that keeps the current
+    achievers of its goals that have one and covers its other goals leads
+    to a plan. Conflicts come from three sources:
+
+    - A candidate the mutex test rejects: its goal, and the goal of the
+      earliest chosen node whose action-mutex row holds the candidate.
+    - A candidate the forward check rejects: its goal, the later goal left
+      without an achiever, and for each achiever of that goal not mutex
+      with the candidate, the goal of the earliest chosen node whose row
+      holds it.
+    - A full assignment whose subgoal set fails with explanation N at layer
+      t-1 (at t = 1, one missing initial fact): for each fact of N, the
+      goal of the earliest chosen node that needs it.
+
+    A goal that runs out of candidates has the union of its candidates'
+    conflicts, itself included. The search jumps back to the newest choice
+    point that conflict names and adds the conflict to it, skipping the
+    choice points between, which it does not name. With no choice point
+    left to name, the set fails, and the conflict, a subset of its goals
+    with no plan at layer t, is its explanation: memoized and indexed in
+    place of the set, which the memo maps to it.
+
+    Culprits are found lazily. Each choice point keeps the ORs of the
+    action-mutex rows and of the preconditions of the nodes chosen below
+    it, so the earliest chosen node that holds a node (or needs a fact) is
+    the one above whose choice point the OR first has it. A failure names
+    the goals at and above its position at once, and keeps the nodes and
+    facts still to blame below it in two masks, held and needed. Stepping
+    back, the search stops at the first choice point that brings one of
+    them in; the rest stay with that choice point until its goal runs out
+    of candidates. The candidates the mutex test rejected are found again
+    then, as the goal's achievers inside the assignment's mutex OR; a
+    forward-check rejection adds its goal and the achievers to blame as it
+    happens. A plain accept and the success path compute nothing extra, and
+    a backjump costs one step per choice point it skips.
+
+    At the horizon's top layer and at every layer from level-off up, the
+    search is chronological: a failure resumes the newest choice point and
+    a failed set is its own explanation, so the memo at the leveled layer
+    grows exactly when a set opened there was not in it (see
+    graphplan_search).
 
     Each visited assignment position (each goal, and the step into the next
     layer) counts one node against max_nodes. A candidate cut by the forward
     check is never visited and counts no node; a goal set that fails by a
-    memo hit, exact or subset, counts none of its own.
+    memo hit, exact or subset, counts none of its own, and neither does a
+    subtree skipped by a backjump. ``backjumps`` counts the choice points
+    skipped.
     """
 
     def __init__(self, graph: PlanningGraph, max_nodes: int):
         self.graph = graph
         self.max_nodes = max_nodes
         self.nodes_used = 0
-        self.memo: dict = {}  # fact layer t -> nogood goal masks
-        # fact layer t -> highest fact -> the searched nogoods with that top
+        self.backjumps = 0
+        # fact layer t -> nogood goal mask -> its explanation, in the order
+        # memoized
+        self.memo: dict = {}
+        # fact layer t -> highest fact -> the explanations of the sets the
+        # search failed, with that top
         self.by_top: dict = {}
         self.init_mask = graph.fact_layers[0]
 
@@ -369,40 +452,49 @@ class _BackwardSearch:
         return any(rows[p] & goals for p in mask_ids(goals))
 
     def _open(self, goals: int, t: int):
-        """Stack entry for the goal set at fact layer t >= 1, or None when it
-        contains a known nogood of layer t; a set that fails only by
-        containing one is memoized too."""
-        nogoods = self.memo.setdefault(t, set())
-        if goals not in nogoods:
+        """Stack entry for the goal set at fact layer t >= 1, or, when it
+        contains a known nogood of layer t, that nogood's explanation as an
+        int; a set that fails only by containing one is memoized too, with
+        that nogood as its explanation."""
+        nogoods = self.memo.setdefault(t, {})
+        nogood = nogoods.get(goals)
+        if nogood is None:
             goal_ids = mask_ids(goals)
-            if not self._contains_nogood(goals, goal_ids, t):
+            nogood = self._contains_nogood(goals, goal_ids, t)
+            if not nogood:
                 layer = self.graph.layer(t - 1)
                 return (t, goals, goal_ids, *self.graph.achievers[layer],
                         self.graph.action_mutex[layer], [])
-            nogoods.add(goals)
-        return None
+            nogoods[goals] = nogood
+        return nogood
 
-    def _contains_nogood(self, goals: int, goal_ids, t: int) -> bool:
-        """Whether the goal set contains a nogood the search failed at fact
-        layer t: such a nogood's highest fact is one of the set's."""
+    def _contains_nogood(self, goals: int, goal_ids, t: int) -> int:
+        """A nogood the search failed at fact layer t inside the goal set,
+        or 0: such a nogood's highest fact is one of the set's."""
         by_top = self.by_top.get(t, {})
         for f in goal_ids:
-            if goals in map(goals.__or__, by_top.get(f, ())):
-                return True
-        return False
+            bucket = by_top.get(f, ())
+            if goals in map(goals.__or__, bucket):
+                return next(n for n in bucket if goals | n == goals)
+        return 0
 
     def search(self, goals: int, t: int):
         """Steps (node-id sets for action layers 0..t-1) achieving the goal
         mask at fact layer t, or None."""
         if t == 0:
             return None if goals & ~self.init_mask else []
+        # fact layers below cut explain their failures
+        leveled = self.graph.leveled_at
+        cut = t if leveled is None else min(leveled, t)
         level = self._open(goals, t)
-        if level is None:
+        if level.__class__ is int:
             return None
         kernel = self.graph.context.kernel
         add_masks, pre_masks = kernel.add_masks, kernel.pre_masks
+        init_mask = self.init_mask
         levels = [level]
         t, _, goal_ids, achievers, amasks, rows, choices = level
+        explain = False  # t is the top layer
         n_goals = len(goal_ids)
         index = added = mutex = pre = 0
         k = None  # next achiever to try at goal `index`; None on arrival
@@ -415,22 +507,28 @@ class _BackwardSearch:
                     if added >> goal_ids[index] & 1:
                         index += 1
                         continue
-                    k = 0
-                elif t == 1:
-                    if not pre & ~self.init_mask:
-                        return [{achievers[goal_ids[i]][k - 1]
-                                 for i, k, *_ in choices}
-                                for _, _, goal_ids, achievers, _, _, choices
-                                in reversed(levels)]
+                    k = conflict = held = needed = 0
                 else:
-                    level = self._open(pre, t - 1)
-                    if level is not None:
-                        levels.append(level)
-                        t, _, goal_ids, achievers, amasks, rows, choices = \
-                            level
-                        n_goals = len(goal_ids)
-                        index = added = mutex = pre = 0
-                        continue
+                    if t == 1:
+                        needed = pre & ~init_mask
+                        if not needed:
+                            return [{achievers[goal_ids[i]][k - 1]
+                                     for i, k, *_ in choices}
+                                    for _, _, goal_ids, achievers, _, _,
+                                    choices in reversed(levels)]
+                        needed &= -needed  # one missing initial fact
+                    else:
+                        level = self._open(pre, t - 1)
+                        if level.__class__ is not int:
+                            levels.append(level)
+                            t, _, goal_ids, achievers, amasks, rows, \
+                                choices = level
+                            explain = t < cut
+                            n_goals = len(goal_ids)
+                            index = added = mutex = pre = 0
+                            continue
+                        needed = level
+                    blame = held = 0
             if k is not None:
                 cands = achievers[goal_ids[index]]
                 later = goal_ids[index + 1:]
@@ -446,27 +544,61 @@ class _BackwardSearch:
                         if not (c_added >> g & 1 or amasks[g] & free):
                             break
                     else:
-                        choices.append((index, j + 1, added, mutex, pre))
+                        choices.append((index, j + 1, added, mutex, pre,
+                                        conflict, held, needed))
                         added = c_added
                         mutex = ~free
                         pre |= pre_masks[c]
                         index += 1
                         k = None
                         break
+                    if explain:
+                        # g conflicts, and so do the culprits of those of
+                        # its achievers that c is not mutex with
+                        conflict |= 1 << g
+                        held |= amasks[g] & ~rows[c]
                 if k is None:
                     continue
-            # backtrack to the newest choice point; exhausted goal sets
-            # popped on the way are nogoods
-            while not choices:
+                if explain:
+                    g = goal_ids[index]
+                    blame = conflict | 1 << g
+                    held |= amasks[g] & mutex  # the mutex test's rejects
+            # back to the newest choice point; below level-off, back to the
+            # newest culprit: the newest choice point whose node brings a
+            # held node into the mutex rows, or a needed fact into the
+            # preconditions, of the assignment. Exhausted goal sets popped
+            # on the way leave nogoods.
+            while True:
+                if not explain:
+                    if choices:
+                        index, k, added, mutex, pre, conflict, held, \
+                            needed = choices.pop()
+                        break
+                else:
+                    while choices and not (held & ~choices[-1][3]
+                                           or needed & ~choices[-1][4]):
+                        choices.pop()
+                        self.backjumps += 1
+                    if choices:
+                        index, k, added, mutex, pre, conflict, h, n = \
+                            choices.pop()
+                        # the culprits below it stay held and needed
+                        conflict |= blame
+                        held = h | held & mutex
+                        needed = n | needed & pre
+                        break
                 t, goals = levels.pop()[:2]
-                self.memo[t].add(goals)
+                nogood = blame if explain else goals
+                self.memo[t][nogood] = self.memo[t][goals] = nogood
                 self.by_top.setdefault(t, {}).setdefault(
-                    goals.bit_length() - 1, []).append(goals)
+                    nogood.bit_length() - 1, []).append(nogood)
                 if not levels:
                     return None
                 t, _, goal_ids, achievers, amasks, rows, choices = levels[-1]
+                explain = t < cut
                 n_goals = len(goal_ids)
-            index, k, added, mutex, pre = choices.pop()
+                blame = held = 0
+                needed = nogood
 
 
 def _extract_plan(context: GraphContext, steps) -> Plan:

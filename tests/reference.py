@@ -7,9 +7,11 @@ bitmasks), so a test can swap it in with monkeypatch and compare results.
 
 ``LinearScanSearch`` is ``graphplan._BackwardSearch`` with its subset-nogood
 test written as a scan over every nogood memoized at the layer, the
-exact-lookup and subset-hit sets included; the indexed test must find
-exactly what it finds, so both visit the same nodes and memoize the same
-sets.
+exact-lookup and subset-hit sets included. It returns the nogood it finds
+with the lowest highest fact, the first memoized among those; the nogood is
+the explanation of the set's failure, so the indexed test must return
+exactly that one, and both visit the same nodes, skip the same choice
+points and memoize the same sets.
 
 ``full_step`` is one planning-graph layer transition recomputed from the
 node triples: action-mutex rows by ``pairwise_action_rows``, which tests
@@ -192,8 +194,9 @@ class RecursiveSearch:
 
 
 class LinearScanSearch(_BackwardSearch):
-    def _contains_nogood(self, goals: int, goal_ids, t: int) -> bool:
-        return goals in map(goals.__or__, self.memo[t])
+    def _contains_nogood(self, goals: int, goal_ids, t: int) -> int:
+        inside = [n for n in self.memo[t] if goals | n == goals]
+        return min(inside, key=int.bit_length) if inside else 0
 
 
 def _with_noops(n_facts, nodes):

@@ -1,5 +1,4 @@
 import inspect
-import itertools
 import random
 import sys
 from dataclasses import replace
@@ -65,12 +64,15 @@ def footprint(search):
 
 def assert_matches_scan(run, search_class=graphplan._BackwardSearch):
     """The indexed subset-nogood test finds exactly the nogoods the linear
-    scan finds: the same result, and search by search the same nodes and
-    memo sizes. Returns the result and the searches of ``search_class``."""
+    scan finds: the same result, and search by search the same nodes,
+    backjumps and memo sizes. Returns the result and the searches of
+    ``search_class``."""
     result, searches = recorded(run, search_class)
     expected, scans = recorded(run, LinearScanSearch)
     assert result == expected
     assert list(map(footprint, searches)) == list(map(footprint, scans))
+    assert [search.backjumps for search in searches] == \
+        [scan.backjumps for scan in scans]
     return result, searches
 
 
@@ -371,13 +373,15 @@ def test_search_matches_reference_on_random_problems(spec, data):
 
 
 @pytest.mark.parametrize("name, nodes", [
-    ("hanoi_4", [1895, 50, 10, 5]),
-    ("tyreworld_3", [15, 51222, 2621, 14, 15, 16, 17]),
+    ("hanoi_4", [1757, 50, 10, 5]),
+    ("tyreworld_3", [15, 5386, 1333, 14, 15, 16, 17]),
 ])
 def test_agenda_search_nodes_are_pinned(load, name, nodes):
     """``plan -m h`` makes one search per agenda episode; the nodes each
     uses were recorded under the linear subset scan, and the scan still
-    agrees search by search."""
+    agrees search by search. The chronological search used 1895 and 51222
+    nodes in the largest episodes; backjumping below level-off cut them to
+    these counts."""
     problem = load(name)
     agenda = compute_agenda(problem, "h", None)
     _, searches = assert_matches_scan(lambda: plan_with_agenda(problem, agenda))
@@ -458,11 +462,28 @@ def test_layers_grown_per_episode_are_pinned(load, name, method, layers,
     assert [g.leveled_at for g in graphs] == leveled
 
 
+def parallel_successors(problem, state):
+    """The states one parallel step leads to from ``state``: each step a
+    non-empty set of pairwise non-interfering actions applicable in it."""
+    applicable = [a for a in problem.actions if a.pre <= state]
+    out = set()
+
+    def extend(start, step, adds, deletes):
+        for i in range(start, len(applicable)):
+            a = applicable[i]
+            if any(a.delete & (b.pre | b.add) or b.delete & (a.pre | a.add)
+                   for b in step):
+                continue
+            out.add((state | adds | a.add) - (deletes | a.delete))
+            extend(i + 1, step + [a], adds | a.add, deletes | a.delete)
+
+    extend(0, [], frozenset(), frozenset())
+    return out
+
+
 def fewest_parallel_steps(problem):
     """Breadth-first search over parallel steps: the fewest steps that reach
-    the goals, each a set of pairwise non-interfering actions applicable in
-    the state the step starts from; None when no reachable state holds the
-    goals."""
+    the goals; None when no reachable state holds the goals."""
     frontier = {problem.init}
     seen = set(frontier)
     steps = 0
@@ -471,33 +492,48 @@ def fewest_parallel_steps(problem):
             return steps
         successors = set()
         for state in frontier:
-            applicable = [a for a in problem.actions if a.pre <= state]
-            for size in range(1, len(applicable) + 1):
-                for step in itertools.combinations(applicable, size):
-                    if any(a.delete & (b.pre | b.add)
-                           or b.delete & (a.pre | a.add)
-                           for a, b in itertools.combinations(step, 2)):
-                        continue
-                    succ = (state | frozenset().union(*(a.add for a in step))
-                            ) - frozenset().union(*(a.delete for a in step))
-                    if succ not in seen:
-                        seen.add(succ)
-                        successors.add(succ)
+            successors |= parallel_successors(problem, state) - seen
+        seen |= successors
         frontier = successors
         steps += 1
     return None
+
+
+def assert_nogoods_sound(problem, searches):
+    """Every goal set memoized at fact layer t, at and below level-off
+    alike, holds in no state reachable from the initial state within t
+    parallel steps (a step may keep the state as it is)."""
+    layers = [{problem.init}]  # the states reachable within t steps
+    successors: dict = {}
+    for search in searches:
+        for t, nogoods in search.memo.items():
+            while len(layers) <= t:
+                within = set(layers[-1])
+                for state in layers[-1]:
+                    if state not in successors:
+                        successors[state] = parallel_successors(problem,
+                                                                state)
+                    within |= successors[state]
+                layers.append(within)
+            for nogood in nogoods:
+                facts = frozenset(mask_ids(nogood))
+                assert not any(facts <= state for state in layers[t]), \
+                    (t, sorted(facts))
 
 
 @settings(max_examples=300, deadline=None)
 @given(random_problem(max_facts=6, max_actions=6), st.data())
 def test_search_is_sound_and_step_optimal_on_random_problems(spec, data):
     """An Unsolvable verdict holds in the exhaustive state space; a plan is
-    valid and has the fewest parallel steps."""
+    valid and has the fewest parallel steps; every memoized set is a
+    nogood."""
     n_facts, nodes, init = spec
     goals = data.draw(st.lists(st.integers(0, n_facts - 1), min_size=1,
                                max_size=4, unique=True))
     problem = problem_of(n_facts, nodes, init, goals)
-    result = graphplan_on(problem)
+    result, searches = recorded(lambda: graphplan_on(problem),
+                                graphplan._BackwardSearch)
+    assert_nogoods_sound(problem, searches)
     fewest = fewest_parallel_steps(problem)
     if isinstance(result, Unsolvable):
         assert not any(problem.goals <= state
@@ -536,10 +572,13 @@ def cycle_problem(draw):
 @given(cycle_problem(), st.integers(1, 60) | st.just(10 ** 7))
 def test_search_proves_cycles_unsolvable_by_memo_exhaustion(spec, max_nodes):
     """Every problem of the family reaches the level-off exhaustion proof,
-    which the exhaustive state space confirms, and the search agrees with
-    the reference under any node budget."""
+    which the exhaustive state space confirms, every memoized set is a
+    nogood, and the search agrees with the reference under any node
+    budget."""
     problem = problem_of(*spec)
-    result = graphplan_on(problem)
+    result, searches = recorded(lambda: graphplan_on(problem),
+                                graphplan._BackwardSearch)
+    assert_nogoods_sound(problem, searches)
     assert isinstance(result, Unsolvable)
     assert "memoized" in result.reason
     assert not any(problem.goals <= state
@@ -598,9 +637,10 @@ class CutProbe(graphplan._BackwardSearch):
     def _open(self, goals, t):
         memoized = goals in self.memo.get(t, ())
         level = super()._open(goals, t)
-        if level is None and not memoized:
-            self.cut.setdefault(t, set()).add(goals)
-        elif level is not None and any(goals | n == n for n in self.memo[t]):
+        if isinstance(level, int):
+            if not memoized:
+                self.cut.setdefault(t, set()).add(goals)
+        elif any(goals | n == n for n in self.memo[t]):
             self.subsets_opened += 1
         return level
 
@@ -608,11 +648,13 @@ class CutProbe(graphplan._BackwardSearch):
 def test_subset_nogoods_on_nested_goal_sets_over_a_bottleneck():
     """Seeded problems whose searches reopen, at one fact layer, both
     supersets of a failed set (cut there) and proper subsets of one (which
-    must be searched). The index holds each set the search failed under its
-    highest fact, and no set that failed by a cut; the search visits what
-    the linear scan visits, agrees with the recursive reference, and its
-    Unsolvable verdicts hold in the exhaustive state space."""
-    cuts = subsets_opened = unsolvable = 0
+    must be searched). The index holds, under its highest fact, the nogood
+    memoized for each set the search failed (the set itself, or below
+    level-off its explanation), and nothing for a set that failed by a cut;
+    every memoized set is a nogood; the search visits what the linear scan
+    visits, agrees with the recursive reference, and its Unsolvable
+    verdicts hold in the exhaustive state space."""
+    cuts = subsets_opened = unsolvable = backjumps = 0
     for seed in range(200):
         rng = random.Random(seed)
         problem = problem_of(*bottleneck_problem(rng))
@@ -620,14 +662,17 @@ def test_subset_nogoods_on_nested_goal_sets_over_a_bottleneck():
             run = lambda: graphplan_on(problem, max_nodes=max_nodes)
             result, searches = assert_matches_scan(run, CutProbe)
             assert_matches_reference(run)
+            assert_nogoods_sound(problem, searches)
         for search in searches:
             for t, nogoods in search.memo.items():
-                failed = nogoods - search.cut.get(t, set())
+                failed = nogoods.keys() - search.cut.get(t, set())
                 indexed = [(f, n) for f, bucket
                            in search.by_top.get(t, {}).items()
                            for n in bucket]
                 assert sorted(indexed) == sorted(
-                    (n.bit_length() - 1, n) for n in failed)
+                    (n.bit_length() - 1, n)
+                    for n in {nogoods[g] for g in failed})
+            backjumps += search.backjumps
             cuts += sum(map(len, search.cut.values()))
             subsets_opened += search.subsets_opened
         if isinstance(result, Unsolvable):
@@ -636,8 +681,8 @@ def test_subset_nogoods_on_nested_goal_sets_over_a_bottleneck():
                            for state in enumerate_reachable(problem).states)
         else:
             assert validate_plan(problem, result).valid
-    assert cuts and subsets_opened and unsolvable, \
-        (cuts, subsets_opened, unsolvable)
+    assert cuts and subsets_opened and unsolvable and backjumps, \
+        (cuts, subsets_opened, unsolvable, backjumps)
 
 
 def test_search_leaves_recursion_limit_alone(load):
