@@ -84,7 +84,7 @@ def problem_to_dict(problem: PlanningProblem) -> dict:
     names = problem.atoms.names
     actions = []
     for action in problem.actions:
-        if isinstance(action, StripsAction):
+        if not problem.is_adl:
             actions.append({
                 "name": action.name,
                 "pre": names(action.pre),

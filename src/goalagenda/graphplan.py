@@ -25,10 +25,11 @@ for the facts that are new or had a partner; the old facts with none get
 their bits by write-back. The kernel's OR tables, built once per context,
 turn a set of facts into its users and a set of nodes into its adds.
 
-ADL actions enter the graph split into one node per conditional effect,
-carrying the action precondition plus the effect condition; no cross-effect
-mutex inference is attempted, which is why the graph-based ordering can be
-weaker than direct analysis on conditional-effect domains.
+ADL actions enter the graph split into one node per conditional effect
+(``model.action_ways``), carrying the action precondition plus the effect
+condition; no cross-effect mutex inference is attempted, which is why the
+graph-based ordering can be weaker than direct analysis on
+conditional-effect domains.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from .model import (
     PlanningError,
     PlanningProblem,
     ResourceLimit,
-    StripsAction,
     Unsolvable,
+    action_ways,
     mask_ids,
     mask_of,
 )
@@ -71,17 +72,11 @@ class GraphNode(NamedTuple):
 
 
 def graph_nodes(problem: PlanningProblem) -> tuple:
-    nodes = []
-    for action_id, action in enumerate(problem.actions):
-        if isinstance(action, StripsAction):
-            nodes.append(GraphNode(action_id, 0, action.pre, action.add,
-                                   action.delete))
-        else:
-            pre0 = action.effects[0].condition
-            for i, eff in enumerate(action.effects):
-                nodes.append(GraphNode(action_id, i, pre0 | eff.condition,
-                                       eff.adds, eff.deletes))
-    return tuple(nodes)
+    """One node per way of each action (``model.action_ways``), in
+    (action, effect) order."""
+    return tuple(GraphNode(action_id, i, *way)
+                 for action_id, action in enumerate(problem.actions)
+                 for i, way in enumerate(action_ways(action)))
 
 
 class GraphContext:

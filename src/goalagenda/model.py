@@ -5,11 +5,16 @@ ids wherever it enters or leaves the package, and an int bitmask (bit i for
 atom i) wherever it is searched or executed. The state-space searches (the
 oracle's enumeration and the forward planner) step through ``transitions``;
 plans run through ``validate_plan``, whose executor the agenda driver
-shares. Every type is an immutable value after construction, so problems
-and plans can be shared freely between threads. All operations here are
-pure functions. A planning graph (``graphplan.PlanningGraph``) is not such
-a value: it is written while it grows, and never again once it has leveled
-off, so a leveled graph can be shared too.
+shares. An action is split into its ways (one per effect, each
+conditioned on the precondition plus the effect's own condition, as IPP
+splits an ADL action) in one place, ``action_ways``: the executor here,
+the planning graph's nodes, the ordering index's ways and the oracle's
+deletes record all read that split. Every type is an immutable value
+after construction, so problems and plans can be shared freely between
+threads. All operations here are pure functions. A planning graph
+(``graphplan.PlanningGraph``) is not such a value: it is written while it
+grows, and never again once it has leveled off, so a leveled graph can be
+shared too.
 """
 
 from __future__ import annotations
@@ -180,16 +185,21 @@ class PlanningProblem:
         raise KeyError(name)
 
 
-def _atom_id_sets(action: Action):
+def action_ways(action: Action) -> tuple:
+    """The ways of an action: per effect, in effect order, ``(condition,
+    adds, deletes)`` as frozensets, where every condition holds the
+    action's precondition. A STRIPS action has one way. This is the one
+    place an action is split into the nodes of a planning graph, the ways
+    of an ordering index and the effects an executor fires."""
     if isinstance(action, StripsAction):
-        yield action.pre
-        yield action.add
-        yield action.delete
-    else:
-        for eff in action.effects:
-            yield eff.condition
-            yield eff.adds
-            yield eff.deletes
+        return ((action.pre, action.add, action.delete),)
+    pre = action.pre
+    return tuple((pre | eff.condition, eff.adds, eff.deletes)
+                 for eff in action.effects)
+
+
+def _atom_id_sets(action: Action):
+    return itertools.chain.from_iterable(action_ways(action))
 
 
 @dataclass(frozen=True)
@@ -235,13 +245,8 @@ def mask_ids(mask: int) -> list:
 
 
 def _effect_masks(action: Action) -> tuple:
-    """Per effect of an action: (condition, adds, deletes) as masks. A
-    STRIPS action has one effect, conditioned on its precondition."""
-    if isinstance(action, StripsAction):
-        return ((mask_of(action.pre), mask_of(action.add),
-                 mask_of(action.delete)),)
-    return tuple((mask_of(eff.condition), mask_of(eff.adds),
-                  mask_of(eff.deletes)) for eff in action.effects)
+    """The ways of an action (``action_ways``) as masks."""
+    return tuple(tuple(map(mask_of, way)) for way in action_ways(action))
 
 
 def _fire(name: str, effects: tuple, state: int):

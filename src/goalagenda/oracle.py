@@ -36,6 +36,7 @@ from .model import (
     PlanningProblem,
     SuccessorTable,
     _unwind,
+    action_ways,
     mask_ids,
     mask_of,
     transitions,
@@ -118,12 +119,9 @@ def _deleters(problem: PlanningProblem) -> dict:
     one pass over the actions; atoms no action deletes are absent."""
     deleters: dict = {}
     for action_id, action in enumerate(problem.actions):
-        if problem.is_adl:
-            deletes = set().union(*(eff.deletes for eff in action.effects))
-        else:
-            deletes = action.delete
-        for atom in deletes:
-            deleters.setdefault(atom, []).append(action_id)
+        for _, _, deletes in action_ways(action):
+            for atom in deletes:
+                deleters.setdefault(atom, []).append(action_id)
     return {atom: frozenset(ids) for atom, ids in deleters.items()}
 
 

@@ -18,22 +18,24 @@ makes it fast and occasionally wrong in both directions; the oracle module
 measures that. The same tests lifted to goal sets, for placing the
 unordered goals, live in ``agenda._before_anchor``.
 
-Both routes read one ``ProblemIndex``: every (action, effect) way with its
-condition and implied deletes, and per atom the ways that add it, the ways
-whose implied deletes hold it and the ways whose condition needs it. An
-action view is the set of ways blocked by the anchor and the false set, so
-every test walks only the achievers of the atom it asks about. Top-level
-calls (``order_e``, ``order_h`` and the agenda and oracle entry points)
-build the index once and pass it down; the lower-level functions take
-``index=None`` and build one on demand.
+Both routes read one ``ProblemIndex``: every way of every action, as
+``model.action_ways`` splits it (the one split, which the planning graph
+shares), with its condition and implied deletes, and per atom the ways
+that add it, the ways whose implied deletes hold it and the ways whose
+condition needs it. An action view is the set of ways blocked by the
+anchor and the false set, so every test walks only the achievers of the
+atom it asks about. Top-level calls (``order_e``, ``order_h`` and the
+agenda and oracle entry points) build the index once and pass it down; the
+lower-level functions take ``index=None`` and build one on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .graphplan import AnchorUnreachable, PlanningGraph, false_set
-from .model import AdlAction, PlanningProblem
+from .model import AdlAction, PlanningProblem, action_ways
 
 
 @dataclass(frozen=True)
@@ -50,30 +52,28 @@ class OrderingDecision:
 class ProblemIndex:
     """Per-problem lookup tables for the ordering layer.
 
-    A *way* is one (action, effect) pair, as ``graphplan.graph_nodes``
-    lists the nodes; way ids ascend in (action, effect) order, and a STRIPS
-    action is its one effect-0 way. Per way: ``condition`` (action
-    precondition plus effect condition), ``implied_deletes`` and
-    ``adds``. Per atom, as ascending lists keyed only by atoms that
-    occur: ``adders`` (ways adding it), ``implied_deleters`` (ways whose
-    implied deletes hold it) and ``condition_users`` (ways whose
-    condition holds it).
+    A *way* is one of the ``model.action_ways`` of an action; way ids
+    ascend in (action, effect) order, and a STRIPS action is its one
+    effect-0 way. ``graphplan.graph_nodes`` reads the same ways in the
+    same order, so way ids equal graph node ids by construction. Per way:
+    ``condition`` (action precondition plus effect condition),
+    ``implied_deletes`` and ``adds``. Per atom, as ascending lists keyed
+    only by atoms that occur: ``adders`` (ways adding it),
+    ``implied_deleters`` (ways whose implied deletes hold it) and
+    ``condition_users`` (ways whose condition holds it).
 
     Built once per top-level call and passed down; nothing keeps it after
     the call returns.
     """
 
     def __init__(self, problem: PlanningProblem):
-        if problem.is_adl:
-            ways = [(action.pre | eff.condition, eff.adds,
-                     implied_deletes(action, i))
-                    for action in problem.actions
-                    for i, eff in enumerate(action.effects)]
-            self.condition, self.adds, self.implied_deletes = zip(*ways)
-        else:
-            self.condition = tuple(a.pre for a in problem.actions)
-            self.adds = tuple(a.add for a in problem.actions)
-            self.implied_deletes = tuple(a.delete for a in problem.actions)
+        ways = chain.from_iterable(map(action_ways, problem.actions))
+        self.condition, self.adds, self.implied_deletes = \
+            tuple(zip(*ways)) or ((), (), ())
+        if problem.is_adl:  # effects i >= 1 imply more than their deletes
+            self.implied_deletes = tuple(
+                implied_deletes(action, i) for action in problem.actions
+                for i in range(len(action.effects)))
         n = len(problem.atoms)
         self.adders = _postings(self.adds, n)
         self.implied_deleters = _postings(self.implied_deletes, n)

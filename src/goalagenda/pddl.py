@@ -477,7 +477,8 @@ def ground(domain: DomainFile, problem: ProblemFile) -> PlanningProblem:
     clause the same way, its effects only when its condition is not
     statically false. Each operator is compiled once into slots, and an
     atom's name is formatted and interned only the first time its slot
-    cache meets its argument tuple.
+    cache meets its argument tuple. An init or goal atom whose argument is
+    not a declared object of its predicate's type raises TypeMismatch.
     """
     table = _type_table(domain.types, problem.objects)
     pred_types = dict(domain.predicates)
@@ -529,12 +530,14 @@ def ground(domain: DomainFile, problem: ProblemFile) -> PlanningProblem:
             if combo not in true:
                 init_ids.add(comp)
 
-    goal_ids = set()
-    for pred, args in problem.goal:
-        for arg, ty in zip(args, pred_types[pred]):
-            if arg not in table.get(ty, ()):
-                raise TypeMismatch(f"goal atom {pred}{args}: {arg!r} is not a {ty}")
-        goal_ids.add(intern(pred, args))
+    members = {ty: set(objs) for ty, objs in table.items()}
+    for kind, atoms_of_kind in (("init", problem.init), ("goal", problem.goal)):
+        for pred, args in atoms_of_kind:
+            for arg, ty in zip(args, pred_types[pred]):
+                if arg not in members.get(ty, ()):
+                    raise TypeMismatch(
+                        f"{kind} atom {pred}{args}: {arg!r} is not a {ty}")
+    goal_ids = {intern(pred, args) for pred, args in problem.goal}
 
     def compile_part(condition, effect, position: dict) -> tuple:
         """Compile one condition and its effect literals, as ``_instance``

@@ -645,6 +645,10 @@ def ground(domain, problem) -> PlanningProblem:
             if (pred, combo) not in init_atoms:
                 init_ids.add(comp)
 
+    for pred, args in problem.init:
+        for arg, ty in zip(args, pred_types[pred]):
+            if arg not in table.get(ty, ()):
+                raise TypeMismatch(f"init atom {pred}{args}: {arg!r} is not a {ty}")
     goal_ids = set()
     for pred, args in problem.goal:
         for arg, ty in zip(args, pred_types[pred]):

@@ -193,6 +193,8 @@ def _ground(**changes):
 
 BLOCKS_DOMAIN = corpus.domain_text("blocks")
 BLOCKS_TWO = corpus.problem_text("blocks", "two")
+GRIPPER_DOMAIN = corpus.domain_text("gripper")
+GRIPPER_TWO = corpus.problem_text("gripper", "two")
 
 
 MALFORMED = [
@@ -229,6 +231,12 @@ MALFORMED = [
     ("object declared twice",
      ["analyze", "--domain", BLOCKS_DOMAIN, "--problem",
       BLOCKS_TWO.replace("(:objects a b)", "(:objects a b a)")]),
+    ("init object undeclared",
+     ["analyze", "--domain", BLOCKS_DOMAIN, "--problem",
+      BLOCKS_TWO.replace("(arm-empty))", "(arm-empty) (clear zzz))")]),
+    ("init object of the wrong type",
+     ["analyze", "--domain", GRIPPER_DOMAIN, "--problem",
+      GRIPPER_TWO.replace("(free left)", "(free ball1)")]),
     ("corpus size not a number", ["analyze", "--corpus", "stack_x"]),
     ("corpus stack too small", ["analyze", "--corpus", "stack_1"]),
     ("corpus hanoi too small", ["analyze", "--corpus", "hanoi_0"]),

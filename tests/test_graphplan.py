@@ -685,6 +685,55 @@ def test_subset_nogoods_on_nested_goal_sets_over_a_bottleneck():
         (cuts, subsets_opened, unsolvable, backjumps)
 
 
+def resource_problem(rng):
+    """Four to six goals that compete for two or three resource facts.
+
+    Facts 0..r-1 are the resources, each added by an action that needs
+    nothing or another resource. Each goal has one or two achievers; each
+    needs one or two resources and may delete resources and, now and then,
+    another goal. Goal sets are large and most achiever pairs interfere
+    through a resource, so below level-off a goal often runs out of
+    achievers because of a choice made several goals back: the search
+    backjumps, and memoizes an explanation smaller than the set."""
+    r = rng.randint(2, 3)
+    m = rng.randint(4, 6)
+    resources = list(range(r))
+    goals = list(range(r, r + m))
+    nodes = [(rng.sample(resources, rng.randint(0, 1)), [f], [])
+             for f in resources]
+    for goal in goals:
+        for _ in range(rng.randint(1, 2)):
+            pre = rng.sample(resources, rng.randint(1, 2))
+            dele = set(rng.sample(resources, rng.randint(0, 2)))
+            if rng.random() < 0.4:
+                dele.add(rng.choice(goals))
+            nodes.append((pre, [goal], sorted(dele - {goal})))
+    rng.shuffle(nodes)
+    return r + m, nodes, rng.sample(resources, rng.randint(0, r)), goals
+
+
+def test_nogoods_sound_on_goals_competing_for_resources():
+    """Seeded problems from ``resource_problem``, a second family besides
+    the bottleneck one, where failures below level-off that backjump are
+    common: every memoized set, explanations included, is a nogood, and the
+    verdicts hold in the exhaustive state space. An explanation that
+    leaves out a forward-check conflict or a goal's accumulated conflict
+    names too few goals, and is not a nogood on many of these problems."""
+    backjumps = 0
+    for seed in range(200):
+        problem = problem_of(*resource_problem(random.Random(seed)))
+        result, searches = recorded(lambda: graphplan_on(problem),
+                                    graphplan._BackwardSearch)
+        assert_nogoods_sound(problem, searches)
+        backjumps += sum(search.backjumps for search in searches)
+        if isinstance(result, Unsolvable):
+            assert not any(problem.goals <= state
+                           for state in enumerate_reachable(problem).states)
+        else:
+            assert validate_plan(problem, result).valid
+    assert backjumps
+
+
 def test_search_leaves_recursion_limit_alone(load):
     before = sys.getrecursionlimit()
     graphplan_on(load("hanoi_3"))

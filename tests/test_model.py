@@ -13,6 +13,7 @@ from goalagenda.model import (
     Plan,
     PlanningProblem,
     StripsAction,
+    action_ways,
     validate_plan,
 )
 
@@ -91,6 +92,22 @@ def test_problem_rejects_ids_outside_its_atom_table(init, goals, actions,
         PlanningProblem(AtomTable(["p", "q"]), actions, frozenset(init),
                         frozenset(goals))
     assert str(err.value) == message
+
+
+def test_action_ways_condition_each_effect_on_the_precondition():
+    """A STRIPS action is one way; an ADL action is one way per effect, in
+    effect order, each condition holding the action's precondition."""
+    s = _strips("s", [0], [1], [2])
+    assert action_ways(s) == ((s.pre, s.add, s.delete),)
+
+    def f(*ids):
+        return frozenset(ids)
+
+    adl = AdlAction("a", (ConditionalEffect(f(0), f(1), f(2)),
+                          ConditionalEffect(f(3), f(2), f()),
+                          ConditionalEffect(f(), f(), f(1))))
+    assert action_ways(adl) == ((f(0), f(1), f(2)), (f(0, 3), f(2), f()),
+                                (f(0), f(), f(1)))
 
 
 def test_apply_strips_fires_and_identity():

@@ -504,13 +504,13 @@ def test_keeping_scan_matches_problem_index_on_corpus(load, name):
 
 @settings(max_examples=200, deadline=None)
 @given(random_problem(max_facts=6, max_actions=8))
-def test_keeping_scan_matches_problem_index_on_random_strips(spec):
+def test_deletes_record_matches_allowed_actions_on_random_strips(spec):
     check_deletes_record(strips_problem(spec))
 
 
 @settings(max_examples=200, deadline=None)
 @given(random_adl_problem(max_atoms=6))
-def test_keeping_scan_matches_problem_index_on_random_adl(problem):
+def test_deletes_record_matches_allowed_actions_on_random_adl(problem):
     check_deletes_record(problem)
 
 
