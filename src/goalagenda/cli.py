@@ -6,7 +6,7 @@ trace), verify (approximations vs the exhaustive oracle), graph-dump
 pair, or a ground-problem JSON file; --corpus NAME loads a shipped instance.
 
 Exit codes: 0 success, 1 unsolvable, 2 resource limit, 3 input error
-(a usage error too).
+(a usage error, or output that cannot be written, too).
 JSON always goes to stdout (or --out) and is byte-deterministic for fixed
 inputs; timings are informational and go to stderr.
 """
@@ -247,6 +247,9 @@ def main(argv=None) -> int:
         return EXIT_RESOURCE
     except PlanningError as exc:
         print(f"goalagenda: error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:  # run catches the input's own; this is the output's
+        print(f"goalagenda: output error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -25,16 +25,16 @@ for the facts that are new or had a partner; the old facts with none get
 their bits by write-back. The kernel's OR tables, built once per context,
 turn a set of facts into its users and a set of nodes into its adds.
 
-ADL actions enter the graph split into one node per conditional effect
-(``model.action_ways``), carrying the action precondition plus the effect
-condition; no cross-effect mutex inference is attempted, which is why the
-graph-based ordering can be weaker than direct analysis on
-conditional-effect domains.
+ADL actions enter the graph split into one node per conditional effect,
+as the problem holds them (``PlanningProblem.ways``), carrying the action
+precondition plus the effect condition; no cross-effect mutex inference
+is attempted, which is why the graph-based ordering can be weaker than
+direct analysis on conditional-effect domains.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from itertools import chain
 
 from .kernel import GraphKernel, backend as kernel_backend
 from .model import (
@@ -45,7 +45,6 @@ from .model import (
     PlanningProblem,
     ResourceLimit,
     Unsolvable,
-    action_ways,
     mask_ids,
     mask_of,
 )
@@ -60,35 +59,18 @@ class AnchorUnreachable(PlanningError):
         super().__init__(f"anchor atom {atom} never appears in the graph")
 
 
-class GraphNode(NamedTuple):
-    """An action-layer node: a ground action, or one conditional effect of
-    one (effect_index >= 1), or implicitly a no-op (not materialized)."""
-
-    action_id: int
-    effect_index: int  # 0 for STRIPS actions and unconditional ADL parts
-    pre: frozenset
-    add: frozenset
-    delete: frozenset
-
-
-def graph_nodes(problem: PlanningProblem) -> tuple:
-    """One node per way of each action (``model.action_ways``), in
-    (action, effect) order."""
-    return tuple(GraphNode(action_id, i, *way)
-                 for action_id, action in enumerate(problem.actions)
-                 for i, way in enumerate(action_ways(action)))
-
-
 class GraphContext:
-    """The layer kernel over the graph nodes of one problem: ids below
-    n_real_nodes are real nodes, n_real_nodes + f is fact f's no-op."""
+    """The layer kernel over the graph nodes of one problem: one node per
+    way of each action (``problem.ways``), in (action, effect) order, so
+    ids below n_real_nodes are real nodes and way ids; n_real_nodes + f is
+    fact f's no-op, which is not materialized."""
 
     def __init__(self, problem: PlanningProblem):
         self.problem = problem
-        nodes = graph_nodes(problem)
+        nodes = [(sorted(pre), sorted(add), sorted(delete))
+                 for pre, add, delete in chain.from_iterable(problem.ways)]
         self.n_real_nodes = len(nodes)
-        self.kernel = GraphKernel(len(problem.atoms), [
-            (sorted(n.pre), sorted(n.add), sorted(n.delete)) for n in nodes])
+        self.kernel = GraphKernel(len(problem.atoms), nodes)
 
 
 class ResourceLimitError(PlanningError):

@@ -7,20 +7,21 @@ oracle's enumeration and the forward planner) step through ``transitions``;
 plans run through ``validate_plan``, whose executor the agenda driver
 shares. An action is split into its ways (one per effect, each
 conditioned on the precondition plus the effect's own condition, as IPP
-splits an ADL action) in one place, ``action_ways``: the executor here,
-the planning graph's nodes, the ordering index's ways and the oracle's
-deletes record all read that split. Every type is an immutable value
-after construction, so problems and plans can be shared freely between
-threads. All operations here are pure functions. A planning graph
-(``graphplan.PlanningGraph``) is not such a value: it is written while it
-grows, and never again once it has leveled off, so a leveled graph can be
-shared too.
+splits an ADL action) by ``action_ways``, once per problem: a
+``PlanningProblem`` holds the split of all its actions as ``ways``, and
+the executor here, the planning graph's nodes, the ordering index's ways
+and the oracle's deletes record all read it from there. Every type is an
+immutable value after construction, so problems and plans can be shared
+freely between threads. All operations here are pure functions. A
+planning graph (``graphplan.PlanningGraph``) is not such a value: it is
+written while it grows, and never again once it has leveled off, so a
+leveled graph can be shared too.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 
@@ -139,7 +140,11 @@ class PlanningProblem:
     """(actions, init, goals) over an interning table.
 
     ``actions[i]`` has action id ``i``. Problems are homogeneous: either all
-    STRIPS or all ADL actions.
+    STRIPS or all ADL actions. ``ways[i]`` holds the ways of ``actions[i]``
+    (``action_ways``): the one split of the problem's actions, made once
+    here, which the planning graph, the ordering index, the oracle and the
+    executor all read. It takes no part in ``==`` or ``repr``, and
+    ``dataclasses.replace`` makes it anew.
     """
 
     atoms: AtomTable
@@ -147,13 +152,15 @@ class PlanningProblem:
     init: frozenset
     goals: frozenset
     name: str = "problem"
+    ways: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(map(type, self.actions))) > 1:
             raise ValueError("problem mixes STRIPS and ADL actions")
-        used = frozenset().union(self.init, self.goals,
-                                 *itertools.chain.from_iterable(
-                                     map(_atom_id_sets, self.actions)))
+        ways = tuple([action_ways(action) for action in self.actions])
+        object.__setattr__(self, "ways", ways)
+        used = frozenset().union(self.init, self.goals, *(
+            ids for split in ways for way in split for ids in way))
         if used and (min(used) < 0 or max(used) >= len(self.atoms)):
             raise ValueError(self._uninterned())
 
@@ -165,8 +172,8 @@ class PlanningProblem:
             bad = [i for i in ids if not (0 <= i < n)]
             if bad:
                 return f"atom ids not interned: {bad}"
-        for action in self.actions:
-            for ids in _atom_id_sets(action):
+        for action, ways in zip(self.actions, self.ways):
+            for ids in itertools.chain.from_iterable(ways):
                 bad = [i for i in ids if not (0 <= i < n)]
                 if bad:
                     return f"action {action.name!r} references uninterned ids: {bad}"
@@ -190,16 +197,13 @@ def action_ways(action: Action) -> tuple:
     adds, deletes)`` as frozensets, where every condition holds the
     action's precondition. A STRIPS action has one way. This is the one
     place an action is split into the nodes of a planning graph, the ways
-    of an ordering index and the effects an executor fires."""
+    of an ordering index and the effects an executor fires;
+    ``PlanningProblem.ways`` holds it per action."""
     if isinstance(action, StripsAction):
         return ((action.pre, action.add, action.delete),)
     pre = action.pre
     return tuple((pre | eff.condition, eff.adds, eff.deletes)
                  for eff in action.effects)
-
-
-def _atom_id_sets(action: Action):
-    return itertools.chain.from_iterable(action_ways(action))
 
 
 @dataclass(frozen=True)
@@ -244,9 +248,9 @@ def mask_ids(mask: int) -> list:
     return ids
 
 
-def _effect_masks(action: Action) -> tuple:
-    """The ways of an action (``action_ways``) as masks."""
-    return tuple(tuple(map(mask_of, way)) for way in action_ways(action))
+def _effect_masks(ways: tuple) -> tuple:
+    """One action's ways (``PlanningProblem.ways``) as masks."""
+    return tuple(tuple(map(mask_of, way)) for way in ways)
 
 
 def _fire(name: str, effects: tuple, state: int):
@@ -285,7 +289,8 @@ class SuccessorTable:
         for action_id, action in enumerate(problem.actions):
             pre = mask_of(action.pre)
             if self.is_adl:
-                entry = (action_id, pre, action.name, _effect_masks(action))
+                entry = (action_id, pre, action.name,
+                         _effect_masks(problem.ways[action_id]))
             else:
                 entry = (action_id, pre, mask_of(action.add),
                          ~mask_of(action.delete))
@@ -406,7 +411,7 @@ def _execute(problem: PlanningProblem, state: int, plan: Plan):
         fired = []  # (action_id, pre, adds, deletes)
         for action_id in sorted(step):
             action = problem.actions[action_id]
-            effects = _effect_masks(action)
+            effects = _effect_masks(problem.ways[action_id])
             pre = effects[0][0]
             if state & pre != pre:
                 issues.append(InapplicableAction(step_index, action_id))

@@ -36,7 +36,6 @@ from .model import (
     PlanningProblem,
     SuccessorTable,
     _unwind,
-    action_ways,
     mask_ids,
     mask_of,
     transitions,
@@ -118,8 +117,8 @@ def _deleters(problem: PlanningProblem) -> dict:
     """Per atom, the ids of the actions that delete it in some effect, by
     one pass over the actions; atoms no action deletes are absent."""
     deleters: dict = {}
-    for action_id, action in enumerate(problem.actions):
-        for _, _, deletes in action_ways(action):
+    for action_id, ways in enumerate(problem.ways):
+        for _, _, deletes in ways:
             for atom in deletes:
                 deleters.setdefault(atom, []).append(action_id)
     return {atom: frozenset(ids) for atom, ids in deleters.items()}

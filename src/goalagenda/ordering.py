@@ -18,15 +18,16 @@ makes it fast and occasionally wrong in both directions; the oracle module
 measures that. The same tests lifted to goal sets, for placing the
 unordered goals, live in ``agenda._before_anchor``.
 
-Both routes read one ``ProblemIndex``: every way of every action, as
-``model.action_ways`` splits it (the one split, which the planning graph
-shares), with its condition and implied deletes, and per atom the ways
-that add it, the ways whose implied deletes hold it and the ways whose
-condition needs it. An action view is the set of ways blocked by the
-anchor and the false set, so every test walks only the achievers of the
-atom it asks about. Top-level calls (``order_e``, ``order_h`` and the
-agenda and oracle entry points) build the index once and pass it down; the
-lower-level functions take ``index=None`` and build one on demand.
+Both routes read one ``ProblemIndex``: every way of every action, as the
+problem holds them (``PlanningProblem.ways``, the one split, which the
+planning graph reads too), with its condition and implied deletes, and
+per atom the ways that add it, the ways whose implied deletes hold it and
+the ways whose condition needs it. An action view is the set of ways
+blocked by the anchor and the false set, so every test walks only the
+achievers of the atom it asks about. Top-level calls (``order_e``,
+``order_h`` and the agenda and oracle entry points) build the index once
+and pass it down; the lower-level functions take ``index=None`` and build
+one on demand.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .graphplan import AnchorUnreachable, PlanningGraph, false_set
-from .model import AdlAction, PlanningProblem, action_ways
+from .model import AdlAction, PlanningProblem
 
 
 @dataclass(frozen=True)
@@ -52,10 +53,11 @@ class OrderingDecision:
 class ProblemIndex:
     """Per-problem lookup tables for the ordering layer.
 
-    A *way* is one of the ``model.action_ways`` of an action; way ids
-    ascend in (action, effect) order, and a STRIPS action is its one
-    effect-0 way. ``graphplan.graph_nodes`` reads the same ways in the
-    same order, so way ids equal graph node ids by construction. Per way:
+    A *way* is one of the ways the problem holds for an action
+    (``PlanningProblem.ways``); way ids ascend in (action, effect) order,
+    and a STRIPS action is its one effect-0 way. ``graphplan.GraphContext``
+    numbers its nodes from the same tuple in the same order, so way ids
+    equal graph node ids by construction. Per way:
     ``condition`` (action precondition plus effect condition),
     ``implied_deletes`` and ``adds``. Per atom, as ascending lists keyed
     only by atoms that occur: ``adders`` (ways adding it),
@@ -67,7 +69,7 @@ class ProblemIndex:
     """
 
     def __init__(self, problem: PlanningProblem):
-        ways = chain.from_iterable(map(action_ways, problem.actions))
+        ways = chain.from_iterable(problem.ways)
         self.condition, self.adds, self.implied_deletes = \
             tuple(zip(*ways)) or ((), (), ())
         if problem.is_adl:  # effects i >= 1 imply more than their deletes

@@ -64,11 +64,7 @@ import sys
 from collections import deque
 from contextlib import contextmanager
 
-from goalagenda.graphplan import (
-    _BackwardSearch,
-    _NodeBudgetExceeded,
-    graph_nodes,
-)
+from goalagenda.graphplan import _BackwardSearch, _NodeBudgetExceeded
 from goalagenda.model import (
     AdlAction,
     AtomTable,
@@ -109,7 +105,9 @@ class RecursiveSearch:
     def __init__(self, graph, max_nodes: int):
         self.graph = graph
         self.context = graph.context
-        self.nodes = graph_nodes(graph.context.problem)
+        # node id -> (condition, adds, deletes), one per way
+        self.nodes = tuple(
+            itertools.chain.from_iterable(graph.context.problem.ways))
         self.max_nodes = max_nodes
         self.nodes_used = 0
         self.memo: dict = {}
@@ -140,7 +138,7 @@ class RecursiveSearch:
             if node_id == noop:
                 out.insert(0, node_id)
             elif node_id < self.context.n_real_nodes \
-                    and fact in self.nodes[node_id].add:
+                    and fact in self.nodes[node_id][1]:
                 out.append(node_id)
         self._achievers_cache[key] = out
         return out
@@ -148,7 +146,7 @@ class RecursiveSearch:
     def _node_pre(self, node_id: int):
         if node_id >= self.context.n_real_nodes:
             return frozenset((node_id - self.context.n_real_nodes,))
-        return self.nodes[node_id].pre
+        return self.nodes[node_id][0]
 
     def search(self, goals: int, t: int):
         with recursion_limit(10_000):
@@ -180,7 +178,7 @@ class RecursiveSearch:
         goal = goals[index]
         for node_id in chosen:
             if node_id < self.context.n_real_nodes \
-                    and goal in self.nodes[node_id].add:
+                    and goal in self.nodes[node_id][1]:
                 return self._assign(goals, index + 1, chosen, t)
         act_rows = self.graph.action_mutex[self._layer(t - 1)]
         for cand in self.achievers(t - 1, goal):

@@ -269,6 +269,21 @@ def test_malformed_input_exits_3(tmp_path, args):
     assert "error" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["analyze", "plan"])
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+def test_unwritable_out_exits_3(tmp_path, capsys, command, target):
+    """An --out path that cannot be written (its directory does not exist,
+    or it is a directory) is an output error: exit 3 with one line on
+    stderr and no traceback."""
+    path = tmp_path / "nonexistent" / "x.json" if target == "missing_dir" \
+        else tmp_path
+    code, out, err = run_cli([command, "--corpus", "blocks3", "--out",
+                              str(path)], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("goalagenda: output error: ")
+    assert err.count("\n") == 1
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "agenda.json"
     code, out, _ = run_cli(["analyze", "--corpus", "trap", "--out",

@@ -318,17 +318,16 @@ def test_graph_dump_shape(load, graph_of):
 
 
 def test_adl_actions_split_into_effect_nodes(load):
-    from goalagenda.graphplan import graph_nodes
     from goalagenda.pddl import ground, parse
-    from goalagenda import corpus as corp
     from test_pddl import ADL_DOMAIN, ADL_PROBLEM
 
     problem = ground(*parse(ADL_DOMAIN, ADL_PROBLEM))
-    nodes = graph_nodes(problem)
-    flip = [n for n in nodes if n.action_id == problem.action_named("flip(s1)")]
+    flip_id = problem.action_named("flip(s1)")
+    flip = problem.ways[flip_id]
     assert len(flip) == 3  # unconditional part plus two when clauses
-    pre0 = problem.actions[flip[0].action_id].effects[0].condition
-    assert all(pre0 <= n.pre for n in flip)
+    pre0 = problem.actions[flip_id].effects[0].condition
+    assert all(pre0 <= condition for condition, _, _ in flip)
+    assert GraphContext(problem).n_real_nodes == sum(map(len, problem.ways))
     graph = build_graph(problem)
     assert graph.fact_layers[graph.leveled_at] >> problem.atom("lit(s1)") & 1
 

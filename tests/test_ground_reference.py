@@ -7,8 +7,10 @@ random typed domains. The family mixes static and dynamic literals in any
 order (so static literals follow dynamic ones), negated dynamic and static
 preconditions, ``when`` clauses whose conditions are static, negated or
 statically false, object names inside operator literals (declared ones and
-one that no object declares), subtypes with several parents, and now and
-then a type that nothing declares, which ``ground`` rejects.
+one that no object declares), subtypes with several parents, init and
+goal atoms whose arguments are objects of the declared types, and now and
+then a type that nothing declares or an init or goal argument of the
+wrong type or of no object, which ``ground`` rejects.
 """
 
 from __future__ import annotations
@@ -53,7 +55,9 @@ def test_ground_matches_reference_on_digest_cases(name):
 @st.composite
 def typed_inputs(draw):
     """A random typed domain and problem, as PDDL text. One input in ten
-    may name the undeclared type ``ghost``."""
+    may name the undeclared type ``ghost``. Init and goal atoms take each
+    argument from the objects of its type, subtypes included; in one input
+    in ten they take any object name or the undeclared ``k``."""
     ghost = draw(st.integers(0, 9)) == 0
 
     def a_type(declared):
@@ -61,11 +65,12 @@ def typed_inputs(draw):
                                else declared)
 
     types = [f"t{i}" for i in range(draw(st.integers(0, 4)))]
-    type_decls = []
-    for i, ty in enumerate(types):  # one or two parents, declared earlier
-        for parent in draw(st.lists(st.sampled_from(types[:i] + ["object"]),
-                                    min_size=1, max_size=2, unique=True)):
-            type_decls.append(f"{ty} - {parent}")
+    parents = {}  # one or two per type, declared earlier
+    for i, ty in enumerate(types):
+        parents[ty] = draw(st.lists(st.sampled_from(types[:i] + ["object"]),
+                                    min_size=1, max_size=2, unique=True))
+    type_decls = [f"{ty} - {parent}"
+                  for ty, tys in parents.items() for parent in tys]
     declared = types + ["object"]
 
     predicates = []  # (name, arg types)
@@ -115,9 +120,31 @@ def typed_inputs(draw):
             f"({' '.join([name] + [f'?x{j} - {ty}' for j, ty in enumerate(tys)])})"
             for name, tys in predicates) + ")",
         *actions, ")"])
-    init = literals(predicates, object_names, 0, 8, negate=False)
-    goal = literals(predicates, object_names[:-1] or ["k"], 0, 3,
-                    negate=False)
+
+    def supertypes(ty):
+        return {ty, "object"}.union(*map(supertypes, parents.get(ty, ())))
+
+    members = {}  # type -> its objects, subtypes included
+    for name, ty in objects:
+        for super_ty in sorted(supertypes(ty)):
+            members.setdefault(super_ty, []).append(name)
+
+    def facts(low, high, untyped):
+        if untyped:
+            return literals(predicates, object_names, low, high, negate=False)
+        typed = [(name, [members[ty] for ty in tys])
+                 for name, tys in predicates
+                 if all(ty in members for ty in tys)]
+        out = []
+        for _ in range(draw(st.integers(low, high)) if typed else 0):
+            name, pools = draw(st.sampled_from(typed))
+            picked = [draw(st.sampled_from(pool)) for pool in pools]
+            out.append(f"({' '.join([name] + picked)})")
+        return " ".join(out)
+
+    untyped = draw(st.integers(0, 9)) == 0
+    init = facts(0, 8, untyped)
+    goal = facts(0, 3, untyped)
     problem = (
         "(define (problem random-typed-1) (:domain random-typed)\n"
         f" (:objects {' '.join(f'{n} - {ty}' for n, ty in objects)})\n"

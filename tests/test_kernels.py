@@ -4,12 +4,12 @@ a full recomputation with no incremental mutex rule, and the bitset
 action-mutex rows against a pairwise test."""
 
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from goalagenda import corpus, kernel_backend
-from goalagenda.graphplan import graph_nodes
 from goalagenda.kernel import GraphKernel
 from reference import full_step, pairwise_action_rows
 
@@ -55,8 +55,8 @@ def check_action_rows(n_facts, nodes, init):
 
 def corpus_graph(name):
     problem = corpus.load(name)
-    nodes = [(sorted(n.pre), sorted(n.add), sorted(n.delete))
-             for n in graph_nodes(problem)]
+    nodes = [(sorted(pre), sorted(add), sorted(delete))
+             for pre, add, delete in chain.from_iterable(problem.ways)]
     return len(problem.atoms), nodes, problem.init
 
 

@@ -1,5 +1,4 @@
 from goalagenda.agenda import _before_anchor
-from goalagenda.graphplan import graph_nodes
 from goalagenda.model import (
     AdlAction,
     AtomTable,
@@ -31,9 +30,9 @@ def test_reduced_actions_three_blocks(load):
     actions that delete the anchor."""
     problem = load("blocks3")
     view = ProblemIndex(problem).view(atoms(problem, "on(b,c)"))
-    nodes = graph_nodes(problem)
-    assert [problem.actions[nodes[w].action_id].name
-            for w in sorted(view.blocked)] == ["unstack(b,c)"]
+    owners = [action for action, ways in zip(problem.actions, problem.ways)
+              for _ in ways]
+    assert [owners[w].name for w in sorted(view.blocked)] == ["unstack(b,c)"]
 
 
 def test_reduced_actions_empty_anchor_keeps_all(load):
@@ -266,15 +265,16 @@ def test_fixpoint_result_invariants(load):
     for name in ("blocks3", "hanoi_3", "tyreworld_1", "trap", "revival",
                  "diamond"):
         problem = load(name)
+        owners = [action for action, ways
+                  in zip(problem.actions, problem.ways) for _ in ways]
         for anchor_atom in sorted(problem.goals):
             anchor = frozenset({anchor_atom})
             fx = fixpoint_reduce(problem, anchor)
             assert fx.f_star <= compute_f_da(problem, anchor)
             assert fx.iterations <= len(compute_f_da(problem, anchor)) + 1
-            for w, node in enumerate(graph_nodes(problem)):
+            for w, action in enumerate(owners):
                 if w in fx.o_star.blocked:
                     continue
-                action = problem.actions[node.action_id]
                 assert not (action.delete & anchor)
                 assert not (action.pre & fx.f_star)
 

@@ -5,12 +5,14 @@ route's test (no usable way adds the atom), on the corpus and on random
 STRIPS and ADL problems; the index's build count; and the linear
 invertibility check against the pairwise inverse search."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference as ref
 from goalagenda import agenda, corpus, oracle, ordering
-from goalagenda.graphplan import AnchorUnreachable, false_set, graph_nodes
+from goalagenda.graphplan import AnchorUnreachable, GraphContext, false_set
 from goalagenda.model import (
     AdlAction,
     AtomTable,
@@ -28,19 +30,19 @@ from goalagenda.ordering import (
 from test_kernels import random_problem
 
 
-def surviving(view, nodes):
+def surviving(view, pairs):
     """A view's surviving ways as the reference's ``ScanView`` holds them:
     per action with a surviving way, the indices of its surviving
-    effects."""
+    effects. ``pairs`` is the (action, effect) pair of each way id."""
     out: dict = {}
-    for w, node in enumerate(nodes):
+    for w, (action_id, effect_index) in enumerate(pairs):
         if w not in view.blocked:
-            out.setdefault(node.action_id, []).append(node.effect_index)
+            out.setdefault(action_id, []).append(effect_index)
     return {a: tuple(effects) for a, effects in out.items()}
 
 
-def check_views(view, ref_view, nodes, atoms):
-    kept = surviving(view, nodes)
+def check_views(view, ref_view, pairs, atoms):
+    kept = surviving(view, pairs)
     assert frozenset(kept) == ref_view.action_ids
     if ref_view.surviving_effects is not None:
         assert kept == ref_view.surviving_effects
@@ -57,22 +59,24 @@ def check_against_scan(problem, anchors, false_sets=()):
     anchor's view, the fixpoint and its view, the view under each given
     false set, and the graph test of every atom against each false set."""
     index = ProblemIndex(problem)
-    nodes = graph_nodes(problem)
+    pairs = [(action_id, effect_index)
+             for action_id, ways in enumerate(problem.ways)
+             for effect_index in range(len(ways))]
     atoms = range(len(problem.atoms))
     for anchor in anchors:
         anchor = frozenset(anchor)
         f_da = compute_f_da(problem, anchor, index)
         assert f_da == ref.compute_f_da(problem, anchor)
         check_views(index.view(anchor),
-                    ref.usable_given(problem, anchor, frozenset()), nodes,
+                    ref.usable_given(problem, anchor, frozenset()), pairs,
                     atoms)
         fx = fixpoint_reduce(problem, anchor, index)
         ref_fx = ref.fixpoint_reduce(problem, anchor)
         assert (fx.f_star, fx.iterations) == (ref_fx.f_star, ref_fx.iterations)
-        check_views(fx.o_star, ref_fx.o_star, nodes, atoms)
+        check_views(fx.o_star, ref_fx.o_star, pairs, atoms)
         for f_set in false_sets:
             check_views(index.view(anchor, f_set),
-                        ref.usable_given(problem, anchor, f_set), nodes,
+                        ref.usable_given(problem, anchor, f_set), pairs,
                         atoms)
         for f_atoms in {f_da, fx.f_star, *false_sets}:
             view = index.view(anchor, f_atoms)
@@ -84,8 +88,18 @@ def check_against_scan(problem, anchors, false_sets=()):
 @pytest.mark.parametrize("name", corpus.ALL_NAMED)
 def test_ordering_layer_matches_scan_on_corpus(load, graph_of, name):
     """Anchors: every goal alone and all goals together; false sets: the
-    planning graph's, as the graph route uses them."""
+    planning graph's, as the graph route uses them. The problem's ways are
+    the graph's nodes and the index's ways, are made anew by ``replace``
+    and take no part in ``==`` or ``repr``."""
     problem = load(name)
+    n_ways = sum(map(len, problem.ways))
+    assert n_ways == GraphContext(problem).n_real_nodes
+    assert n_ways == len(ProblemIndex(problem).condition)
+    assert replace(problem, init=frozenset()).ways == problem.ways
+    twin = replace(problem)
+    object.__setattr__(twin, "ways", ())
+    assert twin == problem
+    assert "ways=" not in repr(problem)
     goals = sorted(problem.goals)
     anchors = [{g} for g in goals] + [goals]
     false_sets = []
