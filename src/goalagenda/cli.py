@@ -42,6 +42,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+def _budget(text: str) -> int:
+    """A resource budget: a non-negative integer, 0 included. Anything else
+    is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--domain", help="PDDL domain file")
     p.add_argument("--problem", help="PDDL problem file")
@@ -59,28 +72,28 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="compute the goal agenda")
     _add_common(analyze)
     analyze.add_argument("--method", choices=("e", "h"), default="h")
-    analyze.add_argument("--max-layers", type=int, default=MAX_LAYERS)
+    analyze.add_argument("--max-layers", type=_budget, default=MAX_LAYERS)
 
     plan = sub.add_parser("plan", help="plan over the goal agenda")
     _add_common(plan)
     plan.add_argument("--method", choices=("e", "h"), default="h")
     plan.add_argument("--base", choices=("graphplan", "forward"))
     plan.add_argument("--linearize-entries", action="store_true")
-    plan.add_argument("--max-layers", type=int, default=MAX_LAYERS)
-    plan.add_argument("--max-nodes", type=int, default=MAX_NODES)
-    plan.add_argument("--max-states", type=int, default=MAX_STATES)
+    plan.add_argument("--max-layers", type=_budget, default=MAX_LAYERS)
+    plan.add_argument("--max-nodes", type=_budget, default=MAX_NODES)
+    plan.add_argument("--max-states", type=_budget, default=MAX_STATES)
     plan.add_argument("--format", dest="fmt", choices=("json", "text"),
                       default="json")
 
     verify = sub.add_parser(
         "verify", help="compare approximations against the exhaustive oracle")
     _add_common(verify)
-    verify.add_argument("--max-states", type=int, default=MAX_STATES)
-    verify.add_argument("--max-layers", type=int, default=MAX_LAYERS)
+    verify.add_argument("--max-states", type=_budget, default=MAX_STATES)
+    verify.add_argument("--max-layers", type=_budget, default=MAX_LAYERS)
 
     dump = sub.add_parser("graph-dump", help="planning-graph layer counts")
     _add_common(dump)
-    dump.add_argument("--max-layers", type=int, default=MAX_LAYERS)
+    dump.add_argument("--max-layers", type=_budget, default=MAX_LAYERS)
     return parser
 
 

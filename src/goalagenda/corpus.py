@@ -50,15 +50,23 @@ def problem_from_dict(data: dict) -> PlanningProblem:
     goals = ids(data["goals"], "goals")
     actions = []
     adl = any("effects" in a for a in objects(data["actions"], "actions"))
+    keys = {"name", "pre", "effects"} if adl else {"name", "pre", "add", "del"}
+    names = set()
     for a in data["actions"]:
-        if "name" not in a:
-            raise GroundFileError("every action needs a name")
+        if not isinstance(a.get("name"), str):
+            raise GroundFileError("every action needs a name string")
+        if a["name"] in names:
+            raise GroundFileError(f"action {a['name']!r} declared twice")
+        names.add(a["name"])
         if adl != ("effects" in a):
             raise GroundFileError("actions must be homogeneous")
+        _known_keys(a, keys, a["name"])
         if adl:
             effects = []
             for i, eff in enumerate(objects(a["effects"],
                                             f"{a['name']} effects")):
+                _known_keys(eff, {"add", "del", "when"},
+                            f"{a['name']} effect {i}")
                 cond = ids(eff.get("when", []), f"{a['name']} effect {i}")
                 if i == 0 and eff.get("when"):
                     raise GroundFileError(
@@ -78,6 +86,12 @@ def problem_from_dict(data: dict) -> PlanningProblem:
     return PlanningProblem(
         atoms=atoms, actions=tuple(actions), init=init, goals=goals,
         name=data.get("name", "ground-problem"))
+
+
+def _known_keys(item: dict, keys: set, where: str) -> None:
+    unknown = sorted(item.keys() - keys)
+    if unknown:
+        raise GroundFileError(f"{where}: unknown keys {unknown}")
 
 
 def problem_to_dict(problem: PlanningProblem) -> dict:

@@ -116,7 +116,7 @@ def _certified(problem: PlanningProblem, max_states: int) -> bool:
         reachable = oracle.enumerate_reachable(problem, max_states)
     except oracle.LimitExceeded:
         return False
-    return oracle.check_invertibility(problem, reachable).certified
+    return oracle.check_invertibility(reachable).certified
 
 
 def plan_with_agenda(problem: PlanningProblem, agenda: Agenda,
@@ -129,8 +129,13 @@ def plan_with_agenda(problem: PlanningProblem, agenda: Agenda,
     carries the invertibility certification status alongside. A STRIPS
     problem is certified against its reachable states, enumerated within
     the ``max_states`` budget; past the budget it stays uncertified.
+    ``limits`` may set ``max_layers``, ``max_nodes`` and ``max_states``;
+    any other key raises ValueError.
     """
     limits = limits or {}
+    unknown = sorted(limits.keys() - {"max_layers", "max_nodes", "max_states"})
+    if unknown:
+        raise ValueError(f"unknown limits {unknown}")
     planner = _base_planner(base, problem, limits)
     entries = list(agenda.entries)
     if linearize_entries:

@@ -4,17 +4,23 @@ Enumerates the reachable state space once per problem as int bitmasks (bit
 i for atom i), expanding each state with ``model.transitions`` over one
 ``SuccessorTable`` (the forward planner's successor function too), and
 records per atom the states some transition entered while adding it.
-The exact ordering questions are answered against it: take the recorded
-states of the anchor atom in which the other goal is false, then ask
-whether the other goal is reachable from each of those states under the
-(possibly reduced) action set. One breadth-first search per ordering
-answers that: it starts from each of those states in discovery order and
-shares its visited states across them, since a state visited by an earlier
-start whose search never found the goal cannot reach it either, and is
-skipped. The reasonable ordering bans the actions that delete the anchor
-atom in some effect, read off one deletes record that the enumeration
-builds in one pass over the actions; the forced ordering bans none. The
-verification matrix decides every pair through the same two entry points.
+Deciding the exact orderings is as hard as planning, so this enumeration
+is the one costly object: the caller builds it once, and every exact test
+(``decide_reasonable``, ``decide_forced``, ``find_deadlocks``,
+``check_invertibility``) takes it as its only input and reads the problem
+off it. The ordering tests answer with ``ordering.OrderingVerdict``, the
+type the approximations answer with too. The exact ordering questions are
+answered against the enumeration: take the recorded states of the anchor
+atom in which the other goal is false, then ask whether the other goal is
+reachable from each of those states under the (possibly reduced) action
+set. One breadth-first search per ordering answers that: it starts from
+each of those states in discovery order and shares its visited states
+across them, since a state visited by an earlier start whose search never
+found the goal cannot reach it either, and is skipped. The reasonable
+ordering bans the actions that delete the anchor atom in some effect, read
+off one deletes record that the enumeration builds in one pass over the
+actions; the forced ordering bans none. The verification matrix decides
+every pair through the same two entry points.
 Also detects deadlocks, and certifies invertibility against the
 transitions: an action that labels no edge never runs and is exempt.
 Everything here is exponential by design; the default state budget keeps it
@@ -40,7 +46,7 @@ from .model import (
     mask_of,
     transitions,
 )
-from .ordering import ProblemIndex
+from .ordering import OrderingVerdict, ProblemIndex
 
 
 class LimitExceeded(PlanningError):
@@ -51,12 +57,13 @@ class LimitExceeded(PlanningError):
 
 @dataclass
 class ReachabilityIndex:
-    """The reachable states in discovery order as int bitmasks (bit i for
-    atom i), per atom the ascending indices of the states some transition
-    entered while adding it, per state its ``(action_id, successor
-    index)`` edges in action-id order, and per atom the ids of the actions
-    that delete it in some effect. ``states`` is the same states as
-    frozensets of atom ids, built on first read and kept."""
+    """The problem enumerated, its reachable states in discovery order as
+    int bitmasks (bit i for atom i), per atom the ascending indices of the
+    states some transition entered while adding it, per state its
+    ``(action_id, successor index)`` edges in action-id order, and per atom
+    the ids of the actions that delete it in some effect. ``states`` is the
+    same states as frozensets of atom ids, built on first read and kept.
+    The exact tests take this record alone and read ``problem`` from it."""
 
     problem: PlanningProblem
     masks: tuple  # tuple[int, ...]
@@ -124,14 +131,6 @@ def _deleters(problem: PlanningProblem) -> dict:
     return {atom: frozenset(ids) for atom, ids in deleters.items()}
 
 
-@dataclass(frozen=True)
-class OrderingVerdict:
-    relation: str  # "r" or "f"
-    holds: bool
-    trivial: bool
-    witness: tuple = None  # (state, Plan) refuting the ordering
-
-
 def _anchor_states(index: ReachabilityIndex, a: int, b: int):
     """Indices of reachable states just entered by a transition that added
     a, with b still false, in discovery order."""
@@ -176,33 +175,23 @@ def _decide(index: ReachabilityIndex, relation: str, b: int, a: int,
     return OrderingVerdict(relation, holds=True, trivial=False)
 
 
-def decide_reasonable(problem: PlanningProblem, b: int, a: int,
-                      index: ReachabilityIndex = None,
-                      limit: int = MAX_STATES) -> OrderingVerdict:
+def decide_reasonable(index: ReachabilityIndex, b: int,
+                      a: int) -> OrderingVerdict:
     """Exact test: from every reachable state where a was just achieved with
     b false, is b unreachable using only the actions that never delete a?"""
-    if index is None:
-        index = enumerate_reachable(problem, limit)
     return _decide(index, "r", b, a, index.deleters.get(a, frozenset()))
 
 
-def decide_forced(problem: PlanningProblem, b: int, a: int,
-                  index: ReachabilityIndex = None,
-                  limit: int = MAX_STATES) -> OrderingVerdict:
+def decide_forced(index: ReachabilityIndex, b: int,
+                  a: int) -> OrderingVerdict:
     """Exact test with the full action set: achieving a with b false is a
     dead end for b."""
-    if index is None:
-        index = enumerate_reachable(problem, limit)
     return _decide(index, "f", b, a, frozenset())
 
 
-def find_deadlocks(problem: PlanningProblem,
-                   index: ReachabilityIndex = None,
-                   limit: int = MAX_STATES):
+def find_deadlocks(index: ReachabilityIndex):
     """Reachable states from which no goal state is reachable, in discovery
     order. An unsolvable problem lists every reachable state."""
-    if index is None:
-        index = enumerate_reachable(problem, limit)
     masks = index.masks
     n = len(masks)
     reverse = [[] for _ in range(n)]
@@ -211,7 +200,7 @@ def find_deadlocks(problem: PlanningProblem,
             reverse[j].append(i)
     can_reach = [False] * n
     queue = deque()
-    goals = mask_of(problem.goals)
+    goals = mask_of(index.problem.goals)
     for i, state in enumerate(masks):
         if state & goals == goals:
             can_reach[i] = True
@@ -233,13 +222,12 @@ class ActionInvertibility:
     action_id: int
     inverse_id: int  # -1 when none found
     delete_within_pre: bool
-    adds_false_when_applicable: bool = None  # None: not exhaustively checked
+    adds_false_when_applicable: bool
 
 
 @dataclass(frozen=True)
 class InvertibilityReport:
     certified: bool
-    semantic_checked: bool
     entries: tuple  # tuple[ActionInvertibility, ...]
     notes: tuple = ()
 
@@ -261,31 +249,28 @@ def _inverse_ids(problem: PlanningProblem) -> list:
     return out
 
 
-def check_invertibility(problem: PlanningProblem,
-                        index: ReachabilityIndex = None) -> InvertibilityReport:
-    """Per action: syntactic inverse search, delete-within-precondition
-    check, and (when an index is available) the exhaustive check that its
+def check_invertibility(index: ReachabilityIndex) -> InvertibilityReport:
+    """Per action of ``index.problem``: syntactic inverse search,
+    delete-within-precondition check, and the exhaustive check that its
     adds are all false in every reachable state it applies in, read off the
     index's edges. Certifies only when all three hold for every action that
     labels some edge: an action applicable in no reachable state never runs
-    and needs no inverse. Without an index the semantic side stays
-    unverified and nothing is certified."""
+    and needs no inverse."""
+    problem = index.problem
     if problem.is_adl:
         raise ValueError("invertibility checking is defined for STRIPS only")
     actions = problem.actions
-    semantic = [None] * len(actions)
+    semantic = [True] * len(actions)
     ran = set()
-    if index is not None:
-        semantic = [True] * len(actions)
-        adds = [mask_of(action.add) for action in actions]
-        for state, out in zip(index.masks, index.edges):
-            for action_id, _ in out:
-                ran.add(action_id)
-                if adds[action_id] & state:
-                    semantic[action_id] = False
+    adds = [mask_of(action.add) for action in actions]
+    for state, out in zip(index.masks, index.edges):
+        for action_id, _ in out:
+            ran.add(action_id)
+            if adds[action_id] & state:
+                semantic[action_id] = False
     entries = []
     notes = []
-    all_ok = index is not None
+    all_ok = True
     inverse_ids = _inverse_ids(problem)
     for action_id, action in enumerate(actions):
         inverse_id = inverse_ids[action_id]
@@ -306,7 +291,6 @@ def check_invertibility(problem: PlanningProblem,
                 and semantic[action_id]
     return InvertibilityReport(
         certified=all_ok,
-        semantic_checked=index is not None,
         entries=tuple(entries),
         notes=tuple(notes),
     )
@@ -356,8 +340,8 @@ def verify_matrix(problem: PlanningProblem, graph=None,
                 "f_trivial": None,
             }
             if index is not None:
-                r = decide_reasonable(problem, b, a, index)
-                f = decide_forced(problem, b, a, index)
+                r = decide_reasonable(index, b, a)
+                f = decide_forced(index, b, a)
                 row.update(r=r.holds, r_trivial=r.trivial,
                            f=f.holds, f_trivial=f.trivial)
             pairs.append(row)

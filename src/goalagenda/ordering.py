@@ -18,6 +18,10 @@ makes it fast and occasionally wrong in both directions; the oracle module
 measures that. The same tests lifted to goal sets, for placing the
 unordered goals, live in ``agenda._before_anchor``.
 
+Every ordering test answers with one ``OrderingVerdict``: these two
+approximations with relation "e" and "h", the oracle's exact reasonable
+and forced tests with "r" and "f" and a witness when they fail.
+
 Both routes read one ``ProblemIndex``: every way of every action, as the
 problem holds them (``PlanningProblem.ways``, the one split, which the
 planning graph reads too), with its condition and implied deletes, and
@@ -40,14 +44,17 @@ from .model import AdlAction, PlanningProblem
 
 
 @dataclass(frozen=True)
-class OrderingDecision:
-    """Outcome of one ordering test; truthiness is `holds`."""
+class OrderingVerdict:
+    """Outcome of one test of "b is ordered before a". ``relation`` names
+    the test: "e" or "h" here, "r" or "f" in the oracle, as in the
+    ``verify_matrix`` columns. ``trivial`` marks an ordering that holds
+    because no state achieves a; ``witness`` is the (state, Plan) that
+    refutes an exact ordering."""
 
+    relation: str
     holds: bool
     trivial: bool = False
-
-    def __bool__(self) -> bool:
-        return self.holds
+    witness: tuple = None
 
 
 class ProblemIndex:
@@ -225,7 +232,7 @@ def fixpoint_reduce(problem: PlanningProblem, anchor,
 # --- atomic orderings --------------------------------------------------------
 
 def order_e(problem: PlanningProblem, graph: PlanningGraph, b: int,
-            a: int, index: ProblemIndex = None) -> OrderingDecision:
+            a: int, index: ProblemIndex = None) -> OrderingVerdict:
     """Graph-based test: b ordered before a iff no way usable while a stays
     true and a's false set stays false adds b (vacuously true with no
     achievers). When the anchor never enters the graph the ordering holds
@@ -235,18 +242,18 @@ def order_e(problem: PlanningProblem, graph: PlanningGraph, b: int,
     try:
         f_atoms = false_set(graph, {a})
     except AnchorUnreachable:
-        return OrderingDecision(True, trivial=True)
+        return OrderingVerdict("e", True, trivial=True)
     if index is None:
         index = ProblemIndex(problem)
-    return OrderingDecision(not index.view({a}, f_atoms).adds(b))
+    return OrderingVerdict("e", not index.view({a}, f_atoms).adds(b))
 
 
 def order_h(problem: PlanningProblem, b: int, a: int,
-            index: ProblemIndex = None) -> OrderingDecision:
+            index: ProblemIndex = None) -> OrderingVerdict:
     """Direct-analysis test: b ordered before a iff b is not one-step
     achievable with the fixpoint's surviving actions. Cannot detect trivial
     orderings (it has no reachability information)."""
     if a == b:
         raise ValueError("ordering needs two distinct goals")
     fx = fixpoint_reduce(problem, {a}, index)
-    return OrderingDecision(not possibly_achievable(b, fx.o_star))
+    return OrderingVerdict("h", not possibly_achievable(b, fx.o_star))

@@ -293,10 +293,17 @@ def parse_domain(text: str) -> DomainFile:
         elif head == ":predicates":
             for pform in section[1:]:
                 pname = _head(pform)
+                if any(pname == known for known, _ in predicates):
+                    raise PddlSyntaxError(
+                        f"predicate {pname!r} declared twice", *_loc(pform))
                 params = _parse_typed_list(pform[1:])
                 predicates.append((pname, tuple(ty for _, ty in params)))
         elif head == ":action":
-            operators.append(_parse_action(section))
+            op = _parse_action(section)
+            if any(op.name == known.name for known in operators):
+                raise PddlSyntaxError(f"action {op.name!r} declared twice",
+                                      *_loc(section[1]))
+            operators.append(op)
         elif head in (":constants", ":functions", ":derived"):
             raise UnsupportedFeature(head, *_loc(section))
         else:

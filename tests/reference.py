@@ -77,8 +77,8 @@ from goalagenda.model import (
     Unsolvable,
     mask_ids,
 )
-from goalagenda.oracle import OrderingVerdict
-from goalagenda.ordering import FixpointResult, implied_deletes
+from goalagenda.ordering import (FixpointResult, OrderingVerdict,
+                                 implied_deletes)
 from goalagenda.pddl import (
     Literal,
     PddlSyntaxError,

@@ -80,13 +80,13 @@ def test_c3_trap_regression(load, index_of):
     assert order_h(problem, b, a).holds          # derived, and wrong
     assert not order_h(problem, a, b).holds      # the real ordering, missed
     index = index_of("trap")
-    assert not decide_forced(problem, b, a, index=index).holds
+    assert not decide_forced(index, b, a).holds
     agenda = compute_agenda(problem, "h")
     result = plan_with_agenda(problem, agenda, base="forward")
     assert result.status == "episode_unsolvable"
     assert result.failed_episode == 2
     assert result.invertibility_certified is False
-    deadlocks = find_deadlocks(problem, index=index)
+    deadlocks = find_deadlocks(index)
     assert [names_of(problem, s) for s in deadlocks] == [["B", "C"]]
     assert time.perf_counter() - t0 < 1.0
 
@@ -101,8 +101,8 @@ def test_c3_trap_regression(load, index_of):
     "exists under the definitions the oracle implements")
 def test_c3_trap_forced_ordering_pin(load, index_of):
     problem = load("trap")
-    verdict = decide_forced(problem, problem.atom("A"), problem.atom("B"),
-                            index=index_of("trap"))
+    verdict = decide_forced(index_of("trap"), problem.atom("A"),
+                            problem.atom("B"))
     assert verdict.holds
 
 
@@ -178,7 +178,7 @@ def test_c6_soundness_sweep(load, graph_of, index_of):
                 if a == b:
                     continue
                 if order_e(problem, graph, b, a).holds:
-                    verdict = decide_reasonable(problem, b, a, index=index)
+                    verdict = decide_reasonable(index, b, a)
                     assert verdict.holds, \
                         f"{name}: unsound graph ordering {b} before {a}"
                     checked += 1
@@ -218,12 +218,12 @@ def test_c8_invertibility_chain(load, index_of):
         if problem.is_adl:
             continue
         index = index_of(name)
-        report = check_invertibility(problem, index=index)
+        report = check_invertibility(index)
         direct = graphplan_on(problem)
         solvable = not isinstance(direct, Unsolvable)
         if report.certified and solvable:
             certified_names.append(name)
-            assert find_deadlocks(problem, index=index) == [], name
+            assert find_deadlocks(index) == [], name
             agenda = compute_agenda(problem, "h")
             result = plan_with_agenda(problem, agenda, base="graphplan")
             assert result.status == "solved", name

@@ -191,6 +191,13 @@ def _ground(**changes):
     return ["--ground", json.dumps(data)]
 
 
+def _adl_ground(effects, **keys):
+    """TWO_ROOMS's ground JSON with one ADL action, carrying ``effects``
+    and any other ``keys``."""
+    return _ground(actions=[{"name": "go(A,B)", "pre": ["atA"],
+                             "effects": effects, **keys}])
+
+
 BLOCKS_DOMAIN = corpus.domain_text("blocks")
 BLOCKS_TWO = corpus.problem_text("blocks", "two")
 GRIPPER_DOMAIN = corpus.domain_text("gripper")
@@ -201,9 +208,9 @@ MALFORMED = [
     ("strips add meets del",
      ["analyze", *_ground(action={"del": ["atA", "atB"]})]),
     ("actions not a list", ["analyze", *_ground(actions=5)]),
-    ("no effects", ["analyze", *_ground(action={"effects": []})]),
+    ("no effects", ["analyze", *_adl_ground([])]),
     ("effect not an object",
-     ["analyze", *_ground(action={"effects": [{"add": ["atB"]}, 5]})]),
+     ["analyze", *_adl_ground([{"add": ["atB"]}, 5])]),
     ("domain without name",
      ["analyze", "--domain", "(define (domain))", "--problem", BLOCKS_TWO]),
     ("problem without name",
@@ -241,6 +248,24 @@ MALFORMED = [
     ("corpus stack too small", ["analyze", "--corpus", "stack_1"]),
     ("corpus hanoi too small", ["analyze", "--corpus", "hanoi_0"]),
     ("non-integer budget", ["plan", "--corpus", "trap", "--max-nodes", "abc"]),
+    ("predicate declared twice",
+     ["analyze", "--domain",
+      BLOCKS_DOMAIN.replace("(arm-empty))", "(arm-empty) (clear ?x))", 1),
+      "--problem", BLOCKS_TWO]),
+    ("action declared twice",
+     ["analyze", "--domain",
+      BLOCKS_DOMAIN.replace("(:action putdown", "(:action pickup", 1),
+      "--problem", BLOCKS_TWO]),
+    ("ground action name not a string",
+     ["analyze", *_ground(action={"name": 5})]),
+    ("ground action name repeated",
+     ["analyze", *_ground(action={"name": "go(B,A)"})]),
+    ("unknown strips action key",
+     ["analyze", *_ground(action={"dels": ["atA"]})]),
+    ("strips key on an adl action",
+     ["analyze", *_adl_ground([{"add": ["atB"]}], add=["atB"])]),
+    ("unknown effect key",
+     ["analyze", *_adl_ground([{"add": ["atB"], "dels": ["atA"]}])]),
     ("no subcommand", []),
 ]
 
@@ -267,6 +292,29 @@ def test_malformed_input_exits_3(tmp_path, args):
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "error" in proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--corpus", "blocks2", "--max-states", "-1"],
+    ["verify", "--corpus", "blocks2", "--max-layers", "-1"],
+    ["plan", "--corpus", "blocks2", "--max-nodes", "-1"],
+    ["plan", "--corpus", "blocks2", "--max-states", "-1"],
+    ["plan", "--corpus", "blocks2", "--max-layers", "-1"],
+    ["analyze", "--corpus", "blocks2", "--method", "e", "--max-layers", "-1"],
+    ["graph-dump", "--corpus", "blocks2", "--max-layers", "-1"],
+], ids=" ".join)
+def test_negative_budget_is_a_usage_error(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    captured = capsys.readouterr()
+    assert exc.value.code == 3 and captured.out == ""
+    assert "expected a non-negative integer, got '-1'" in captured.err
+
+
+def test_zero_budget_is_valid(capsys):
+    code, _, err = run_cli(["plan", "--corpus", "blocks2",
+                            "--max-nodes", "0"], capsys)
+    assert code == 2, err
 
 
 @pytest.mark.parametrize("command", ["analyze", "plan"])

@@ -254,6 +254,17 @@ def test_driver_resource_limit_reported(load):
     assert result.failed_episode == 1
 
 
+def test_misspelled_limit_is_rejected(load):
+    """A budget under a key the planners do not read would leave its
+    default in force, so an unknown key is refused before any search."""
+    problem = load("blocks3")
+    agenda = compute_agenda(problem, "h")
+    with pytest.raises(ValueError, match=r"\['max_node'\]"):
+        plan_with_agenda(problem, agenda, limits={"max_node": 1})
+    result = plan_with_agenda(problem, agenda, limits={"max_nodes": 1})
+    assert result.status == "resource_limit"
+
+
 def test_solved_runs_validate_against_original(load):
     for name in ("blocks3", "stack_4", "hanoi_3", "gripper2", "diamond",
                  "latch"):

@@ -112,9 +112,9 @@ def test_reasonable_orderings_three_blocks(load, index_of):
     problem = load("blocks3")
     index = index_of("blocks3")
     on_bc, on_ab = problem.atom("on(b,c)"), problem.atom("on(a,b)")
-    good = decide_reasonable(problem, on_bc, on_ab, index=index)
+    good = decide_reasonable(index, on_bc, on_ab)
     assert good.holds and not good.trivial
-    bad = decide_reasonable(problem, on_ab, on_bc, index=index)
+    bad = decide_reasonable(index, on_ab, on_bc)
     assert not bad.holds
     state, plan = bad.witness
     assert problem.atom("on(b,c)") in state
@@ -140,7 +140,8 @@ def test_reasonable_ordering_wrapper_with_solvable_core():
     )
     problem = PlanningProblem(table, acts, frozenset({table.id("C")}),
                               frozenset({table.id("A"), table.id("B")}))
-    verdict = decide_reasonable(problem, table.id("B"), table.id("A"))
+    verdict = decide_reasonable(enumerate_reachable(problem), table.id("B"),
+                                table.id("A"))
     assert not verdict.holds
 
 
@@ -148,9 +149,9 @@ def test_forced_orderings_trap(load, index_of):
     problem = load("trap")
     index = index_of("trap")
     a, b = problem.atom("A"), problem.atom("B")
-    backwards = decide_forced(problem, b, a, index=index)
+    backwards = decide_forced(index, b, a)
     assert not backwards.holds  # C persists, op1 can still run
-    forwards = decide_forced(problem, a, b, index=index)
+    forwards = decide_forced(index, a, b)
     # Exhaustive refutation: B can be achieved at {B,C,E} after op2, and A
     # is still reachable from there through op3, op4.
     assert not forwards.holds
@@ -168,8 +169,8 @@ def test_forced_implies_reasonable(load, index_of):
             for b in sorted(problem.goals):
                 if a == b:
                     continue
-                f = decide_forced(problem, b, a, index=index)
-                r = decide_reasonable(problem, b, a, index=index)
+                f = decide_forced(index, b, a)
+                r = decide_reasonable(index, b, a)
                 if f.holds:
                     assert r.holds, (name, b, a)
 
@@ -179,10 +180,10 @@ def test_forced_ordering_on_diamond(load, index_of):
     non-trivial forced ordering, and therefore a deadlock witness."""
     problem = load("diamond")
     index = index_of("diamond")
-    verdict = decide_forced(problem, problem.atom("goal-b"),
-                            problem.atom("goal-c"), index=index)
+    verdict = decide_forced(index, problem.atom("goal-b"),
+                            problem.atom("goal-c"))
     assert verdict.holds and not verdict.trivial
-    assert find_deadlocks(problem, index=index)
+    assert find_deadlocks(index)
 
 
 def test_forced_ordering_on_conditional_fixture(load, index_of):
@@ -191,10 +192,10 @@ def test_forced_ordering_on_conditional_fixture(load, index_of):
     problem = load("latch")
     index = index_of("latch")
     msg, sig = problem.atom("message"), problem.atom("signal")
-    assert decide_reasonable(problem, msg, sig, index=index).holds
-    forced = decide_forced(problem, msg, sig, index=index)
+    assert decide_reasonable(index, msg, sig).holds
+    forced = decide_forced(index, msg, sig)
     assert forced.holds and not forced.trivial
-    assert find_deadlocks(problem, index=index)
+    assert find_deadlocks(index)
 
 
 def test_leveled_mutex_pairs_never_coreachable(load, index_of):
@@ -222,12 +223,12 @@ def test_nontrivial_forced_orderings_imply_deadlocks(load, index_of):
                  "stack_4", "hanoi_3", "latch"):
         problem = load(name)
         index = index_of(name)
-        deadlocks = find_deadlocks(problem, index=index)
+        deadlocks = find_deadlocks(index)
         for a in sorted(problem.goals):
             for b in sorted(problem.goals):
                 if a == b:
                     continue
-                verdict = decide_forced(problem, b, a, index=index)
+                verdict = decide_forced(index, b, a)
                 if verdict.holds and not verdict.trivial:
                     assert deadlocks, (name, b, a)
 
@@ -242,14 +243,13 @@ CERTIFIED = {
 
 
 @pytest.mark.parametrize("name", sorted(CERTIFIED))
-def test_certification_verdicts(load, index_of, name):
+def test_certification_verdicts(index_of, name):
     """Only actions that label some edge must pass. blocks2, blocks3,
     hanoi_3 and hanoi_4 certify through that exemption alone: each has
     failing actions (stack(x,x), a bigger disc onto a smaller one), none of
     which applies in a reachable state."""
-    problem = load(name)
     index = index_of(name)
-    report = check_invertibility(problem, index=index)
+    report = check_invertibility(index)
     assert report.certified is CERTIFIED[name]
     ran = {action_id for out in index.edges for action_id, _ in out}
     failing = {e.action_id for e in report.entries
@@ -265,13 +265,13 @@ def test_invertible_solvable_problems_have_no_forced_orderings(load,
     for name in sorted(n for n in CERTIFIED if CERTIFIED[n]):
         problem = load(name)
         index = index_of(name)
-        assert check_invertibility(problem, index=index).certified
-        assert find_deadlocks(problem, index=index) == [], name
+        assert check_invertibility(index).certified
+        assert find_deadlocks(index) == [], name
         for a in sorted(problem.goals):
             for b in sorted(problem.goals):
                 if a == b:
                     continue
-                verdict = decide_forced(problem, b, a, index=index)
+                verdict = decide_forced(index, b, a)
                 assert not (verdict.holds and not verdict.trivial), \
                     (name, b, a)
 
@@ -279,19 +279,19 @@ def test_invertible_solvable_problems_have_no_forced_orderings(load,
 def test_trivial_verdicts(load, index_of):
     problem = load("trap")
     # nothing ever adds C, so orderings anchored at C are trivial
-    verdict = decide_reasonable(problem, problem.atom("A"), problem.atom("C"),
-                                index=index_of("trap"))
+    verdict = decide_reasonable(index_of("trap"), problem.atom("A"),
+                                problem.atom("C"))
     assert verdict.holds and verdict.trivial
 
 
 def test_deadlocks_trap(load, index_of):
     problem = load("trap")
-    deadlocks = find_deadlocks(problem, index=index_of("trap"))
+    deadlocks = find_deadlocks(index_of("trap"))
     assert [names_of(problem, s) for s in deadlocks] == [["B", "C"]]
 
 
-def test_deadlocks_blocks3_empty(load, index_of):
-    assert find_deadlocks(load("blocks3"), index=index_of("blocks3")) == []
+def test_deadlocks_blocks3_empty(index_of):
+    assert find_deadlocks(index_of("blocks3")) == []
 
 
 def test_deadlocks_unsolvable_problem_lists_everything():
@@ -299,23 +299,22 @@ def test_deadlocks_unsolvable_problem_lists_everything():
     problem = PlanningProblem(table, (), frozenset({table.id("P")}),
                               frozenset({table.id("Z")}))
     index = enumerate_reachable(problem)
-    assert find_deadlocks(problem, index=index) == [problem.init]
+    assert find_deadlocks(index) == [problem.init]
 
 
 def test_invertibility_blocks_pairs(load, index_of):
     problem = load("blocks3")
-    report = check_invertibility(problem, index=index_of("blocks3"))
+    report = check_invertibility(index_of("blocks3"))
     by_id = {e.action_id: e for e in report.entries}
     stack_ab = problem.action_named("stack(a,b)")
     assert by_id[stack_ab].inverse_id == problem.action_named("unstack(a,b)")
     pickup_a = problem.action_named("pickup(a)")
     assert by_id[pickup_a].inverse_id == problem.action_named("putdown(a)")
-    assert report.semantic_checked
 
 
 def test_invertibility_gripper_certified(load, index_of):
     problem = load("gripper2")
-    report = check_invertibility(problem, index=index_of("gripper2"))
+    report = check_invertibility(index_of("gripper2"))
     assert report.certified
     move_ab = problem.action_named("move(roomA,roomB)")
     move_ba = problem.action_named("move(roomB,roomA)")
@@ -324,25 +323,18 @@ def test_invertibility_gripper_certified(load, index_of):
     assert by_id[move_ba].inverse_id == move_ab
 
 
-def test_invertibility_stack_certified(load, index_of):
-    report = check_invertibility(load("stack_4"), index=index_of("stack_4"))
+def test_invertibility_stack_certified(index_of):
+    report = check_invertibility(index_of("stack_4"))
     assert report.certified
 
 
-def test_invertibility_tyreworld_not_certified(load, index_of):
-    problem = load("tyreworld_1")
-    report = check_invertibility(problem, index=index_of("tyreworld_1"))
+def test_invertibility_tyreworld_not_certified(index_of):
+    report = check_invertibility(index_of("tyreworld_1"))
     assert not report.certified
     inflate_notes = [n for n in report.notes if n.startswith("inflate(")]
     assert inflate_notes and "deletes only its own preconditions" in \
         inflate_notes[0]
     assert any(n.startswith("cuss(") for n in report.notes)
-
-
-def test_invertibility_without_index_is_unverified(load):
-    report = check_invertibility(load("gripper2"))
-    assert not report.semantic_checked
-    assert not report.certified
 
 
 def test_verify_matrix_runs_one_fixpoint_per_goal(load, monkeypatch):
@@ -393,8 +385,8 @@ def test_verify_matrix_r_column_matches_decide_reasonable(load, index_of,
     matrix = verify_matrix(problem)
     ids = {problem.atoms.name(g): g for g in problem.goals}
     for row in matrix["pairs"]:
-        verdict = decide_reasonable(problem, ids[row["before"]],
-                                    ids[row["after"]], index=index)
+        verdict = decide_reasonable(index, ids[row["before"]],
+                                    ids[row["after"]])
         assert (row["r"], row["r_trivial"]) == \
             (verdict.holds, verdict.trivial), row
 
@@ -446,7 +438,7 @@ def test_direct_ordering_error_rates_on_random_problems():
             h = agenda._before_anchor(problem, "h", None, problem_index, {a},
                                       others)
             for b in others:
-                r = decide_reasonable(problem, b, a, index=index)
+                r = decide_reasonable(index, b, a)
                 assert b not in e or r.holds, (problem.name, b, a)
                 e_accepted += b in e
                 e_nontrivial += b in e and not r.trivial
@@ -533,7 +525,7 @@ def check_against_naive(problem, index, pairs):
         for relation, decide in (("r", decide_reasonable),
                                  ("f", decide_forced)):
             allowed = ref.allowed_actions(problem, relation, a)
-            verdict = decide(problem, b, a, index=index)
+            verdict = decide(index, b, a)
             assert verdict == ref.naive_decide(index, relation, b, a,
                                                allowed), (relation, b, a)
             if not verdict.holds:
