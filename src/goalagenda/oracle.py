@@ -46,7 +46,7 @@ from .model import (
     mask_of,
     transitions,
 )
-from .ordering import OrderingVerdict, ProblemIndex
+from .ordering import OrderingVerdict, ProblemIndex, check_atom_ids
 
 
 class LimitExceeded(PlanningError):
@@ -149,7 +149,8 @@ def _decide(index: ReachabilityIndex, relation: str, b: int, a: int,
     dequeued state holding b refutes the ordering; the witness is that
     search's anchor state and the shortest plan read back through
     ``parents``, the same one a fresh search from that anchor state would
-    find."""
+    find. ValueError unless b and a are atom ids of the problem."""
+    check_atom_ids(index.problem, b, a)
     anchor_states = _anchor_states(index, a, b)
     if not anchor_states:
         return OrderingVerdict(relation, holds=True, trivial=True)

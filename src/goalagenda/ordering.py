@@ -27,17 +27,19 @@ problem holds them (``PlanningProblem.ways``, the one split, which the
 planning graph reads too), with its condition and implied deletes, and
 per atom the ways that add it, the ways whose implied deletes hold it and
 the ways whose condition needs it. An action view is the set of ways
-blocked by the anchor and the false set, so every test walks only the
-achievers of the atom it asks about. Top-level calls (``order_e``,
-``order_h`` and the agenda and oracle entry points) build the index once
-and pass it down; the lower-level functions take ``index=None`` and build
-one on demand.
+blocked by the anchor and the false set plus the atoms that only blocked
+ways add, so every test is one set test over the achievers of the atom
+it asks about. Top-level calls (``order_e``, ``order_h`` and the agenda
+and oracle entry points) build the index once and pass it down; the
+lower-level functions take ``index=None`` and build one on demand.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
+from itertools import chain, compress
 
 from .graphplan import AnchorUnreachable, PlanningGraph, false_set
 from .model import AdlAction, PlanningProblem
@@ -66,10 +68,15 @@ class ProblemIndex:
     numbers its nodes from the same tuple in the same order, so way ids
     equal graph node ids by construction. Per way:
     ``condition`` (action precondition plus effect condition),
-    ``implied_deletes`` and ``adds``. Per atom, as ascending lists keyed
-    only by atoms that occur: ``adders`` (ways adding it),
+    ``implied_deletes`` and ``adds``. Per atom id, as ascending lists
+    (empty for an atom no way holds): ``adders`` (ways adding it),
     ``implied_deleters`` (ways whose implied deletes hold it) and
-    ``condition_users`` (ways whose condition holds it).
+    ``condition_users`` (ways whose condition holds it); the length of
+    ``adders[p]`` is the adder count a view's lost-atom test compares
+    against. ``addable`` is the set of atoms some way adds, and
+    ``achievers`` keeps of each atom's adders those whose condition lies
+    inside ``addable``: the part of the one-step test that no view
+    changes, checked once per way.
 
     Built once per top-level call and passed down; nothing keeps it after
     the call returns.
@@ -87,7 +94,12 @@ class ProblemIndex:
         self.adders = _postings(self.adds, n)
         self.implied_deleters = _postings(self.implied_deletes, n)
         self.condition_users = _postings(self.condition, n)
-        self.addable = frozenset(self.adders)
+        self.addable = frozenset(compress(range(n), self.adders))
+        # the ways whose condition needs an atom that no way adds
+        dead = set().union(*map(self.condition_users.__getitem__,
+                                set(range(n)) - self.addable))
+        self.achievers = [[w for w in ws if w not in dead]
+                          for ws in self.adders] if dead else self.adders
 
     def view(self, anchor, false_atoms=()) -> "UsableActions":
         """The ways usable while the anchor must stay true and the false
@@ -98,53 +110,54 @@ class ProblemIndex:
         unconditional deletes, so whatever blocks effect 0 blocks it too."""
         blocked: set = set()
         for p in anchor:
-            blocked.update(self.implied_deleters.get(p, ()))
+            blocked.update(self.implied_deleters[p])
         for p in false_atoms:
-            blocked.update(self.condition_users.get(p, ()))
+            blocked.update(self.condition_users[p])
         return UsableActions(self, blocked)
 
 
-def _postings(sets, n: int) -> dict:
-    """Atom -> the ascending indices of the sets holding it, for each of
-    the ``n`` atoms that some set holds."""
+def _postings(sets, n: int) -> list:
+    """Atom id -> the ascending indices of the sets holding it, for each
+    of the ``n`` atoms."""
     lists = [[] for _ in range(n)]
     for w, atoms in enumerate(sets):
         for p in atoms:
             lists[p].append(w)
-    return {p: ways for p, ways in enumerate(lists) if ways}
+    return lists
 
 
 class UsableActions:
     """Action view used by the achievability tests: a set of blocked ways
-    of a ProblemIndex; every other way survives. Caches the union of add
-    effects."""
+    of a ProblemIndex; every other way survives. ``lost`` holds the
+    addable atoms whose every adder is blocked, found by counting the
+    blocked ways' adds per atom against the index's adder counts, with no
+    rescan of any atom's adders; ``unusable`` adds to the blocked ways
+    those whose condition needs a lost atom. Both are computed on first
+    use, so the graph route, which only asks ``adds``, never counts.
+    Every question is then one set test over an atom's posting list."""
 
     def __init__(self, index: ProblemIndex, blocked):
         self.index = index
         self.blocked = frozenset(blocked)
-        self._addable = None
 
     def adds(self, p: int) -> bool:
         """Whether some surviving way adds p."""
-        return any(w not in self.blocked for w in self.index.adders.get(p, ()))
+        return not self.blocked.issuperset(self.index.adders[p])
 
-    def addable_atoms(self) -> frozenset:
-        """Every addable atom, minus those whose adders are all blocked: only
-        the atoms added by blocked ways are rechecked."""
-        if self._addable is None:
-            recheck = set().union(*(self.index.adds[w] for w in self.blocked))
-            self._addable = self.index.addable - {
-                p for p in recheck if not self.adds(p)}
-        return self._addable
+    @cached_property
+    def lost(self) -> frozenset:
+        """The addable atoms that no surviving way adds."""
+        adders = self.index.adders
+        counts = Counter(chain.from_iterable(
+            map(self.index.adds.__getitem__, self.blocked)))
+        return frozenset(p for p, c in counts.items() if c == len(adders[p]))
 
-    def achieving_conditions(self, p: int):
-        """For each surviving way to add p, in ascending (action, effect)
-        order: the full condition set that the one-step test must find
-        achievers for."""
-        index = self.index
-        for w in index.adders.get(p, ()):
-            if w not in self.blocked:
-                yield index.condition[w]
+    @cached_property
+    def unusable(self) -> frozenset:
+        """The blocked ways plus the ways whose condition holds a lost
+        atom: no way here passes the one-step test."""
+        users = self.index.condition_users
+        return self.blocked.union(*(users[p] for p in self.lost))
 
 
 def implied_deletes(action: AdlAction, i: int) -> frozenset:
@@ -173,7 +186,7 @@ def compute_f_da(problem: PlanningProblem, anchor,
         index = ProblemIndex(problem)
     out: set = set()
     for atom in anchor:
-        ways = index.adders.get(atom)
+        ways = index.adders[atom]
         if ways:
             out |= index.implied_deletes[ways[0]].intersection(
                 *(index.implied_deletes[w] for w in ways[1:]))
@@ -189,14 +202,11 @@ class FixpointResult:
 
 def possibly_achievable(p: int, view: UsableActions) -> bool:
     """One-step achievability: some surviving way of adding p whose every
-    condition atom is an add effect of some surviving action. No state test
-    is performed (atoms are assumed absent) and no deeper regression is
-    attempted."""
-    addable = view.addable_atoms()
-    for conditions in view.achieving_conditions(p):
-        if conditions <= addable:
-            return True
-    return False
+    condition atom is an add effect of some surviving way, that is, whose
+    condition lies inside the index's addable atoms and misses the view's
+    lost ones. No state test is performed (atoms are assumed absent) and
+    no deeper regression is attempted."""
+    return not view.unusable.issuperset(view.index.achievers[p])
 
 
 def fixpoint_reduce(problem: PlanningProblem, anchor,
@@ -231,14 +241,29 @@ def fixpoint_reduce(problem: PlanningProblem, anchor,
 
 # --- atomic orderings --------------------------------------------------------
 
+def check_atom_ids(problem: PlanningProblem, *ids) -> None:
+    """ValueError naming the first id that is not an atom id of the
+    problem, that is, not in ``range(len(problem.atoms))``."""
+    n = len(problem.atoms)
+    for p in ids:
+        if not 0 <= p < n:
+            raise ValueError(f"atom id {p!r} out of range: the problem has "
+                             f"{n} atoms")
+
+
+def _check_pair(problem: PlanningProblem, b: int, a: int) -> None:
+    check_atom_ids(problem, b, a)
+    if a == b:
+        raise ValueError("ordering needs two distinct goals")
+
+
 def order_e(problem: PlanningProblem, graph: PlanningGraph, b: int,
             a: int, index: ProblemIndex = None) -> OrderingVerdict:
     """Graph-based test: b ordered before a iff no way usable while a stays
     true and a's false set stays false adds b (vacuously true with no
     achievers). When the anchor never enters the graph the ordering holds
     trivially (no state achieves a)."""
-    if a == b:
-        raise ValueError("ordering needs two distinct goals")
+    _check_pair(problem, b, a)
     try:
         f_atoms = false_set(graph, {a})
     except AnchorUnreachable:
@@ -253,7 +278,6 @@ def order_h(problem: PlanningProblem, b: int, a: int,
     """Direct-analysis test: b ordered before a iff b is not one-step
     achievable with the fixpoint's surviving actions. Cannot detect trivial
     orderings (it has no reachability information)."""
-    if a == b:
-        raise ValueError("ordering needs two distinct goals")
+    _check_pair(problem, b, a)
     fx = fixpoint_reduce(problem, {a}, index)
     return OrderingVerdict("h", not possibly_achievable(b, fx.o_star))

@@ -1,10 +1,12 @@
-"""Print the median parse and ground times of the PDDL frontend per instance.
+"""Print the median parse, ground and direct-analysis times per instance.
 
     python tests/frontend_times.py [--repeats N]
 
 For stack_40, stack_60, stack_80 and tyreworld_3 (the shipped corpus
-texts) it times ``pddl.parse`` and ``pddl.ground`` ``N`` times each
-(default 7) and prints each stage's median. Every time is taken between two
+texts) it times ``pddl.parse``, ``pddl.ground`` and
+``agenda.compute_agenda(problem, "h")`` ``N`` times each (default 7) and
+prints each stage's median. stack_80 is larger than any instance the
+benchmark's ``analyze-direct`` workload runs. Every time is taken between two
 chunks of the benchmark's reference work (``perfbench/hostspeed.py``,
 imported and left as it is) and divided by the slowdown they show, so the
 medians read at the reference host speed, as the benchmark's end-to-end
@@ -24,6 +26,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import hostspeed  # noqa: E402
 from goalagenda import corpus  # noqa: E402
+from goalagenda.agenda import compute_agenda  # noqa: E402
 from goalagenda.pddl import ground, parse  # noqa: E402
 
 INSTANCES = (("stack", 40), ("stack", 60), ("stack", 80), ("tyreworld", 3))
@@ -36,9 +39,9 @@ def texts(family: str, n: int) -> tuple:
 
 def stage_medians(family: str, n: int, repeats: int,
                   speed: hostspeed.HostSpeed) -> tuple:
-    """The median parse and ground times of one instance, in seconds at
-    the reference host speed."""
-    parse_s, ground_s = [], []
+    """The median parse, ground and ``h`` agenda times of one instance, in
+    seconds at the reference host speed."""
+    parse_s, ground_s, agenda_s = [], [], []
     after = speed.sample()
 
     def timed(stage, args, times):
@@ -53,8 +56,9 @@ def stage_medians(family: str, n: int, repeats: int,
 
     for _ in range(repeats):
         lifted = timed(parse, texts(family, n), parse_s)
-        timed(ground, lifted, ground_s)
-    return statistics.median(parse_s), statistics.median(ground_s)
+        problem = timed(ground, lifted, ground_s)
+        timed(compute_agenda, (problem, "h"), agenda_s)
+    return tuple(map(statistics.median, (parse_s, ground_s, agenda_s)))
 
 
 def main(argv=None) -> None:
@@ -62,11 +66,12 @@ def main(argv=None) -> None:
     parser.add_argument("--repeats", type=int, default=7)
     args = parser.parse_args(argv)
     speed = hostspeed.HostSpeed()
-    print(f"{'instance':<14}{'parse_s':>10}{'ground_s':>10}")
+    print(f"{'instance':<14}{'parse_s':>10}{'ground_s':>10}{'agenda_h_s':>12}")
     for family, n in INSTANCES:
-        parse_s, ground_s = stage_medians(family, n, args.repeats, speed)
+        parse_s, ground_s, agenda_s = stage_medians(family, n, args.repeats,
+                                                    speed)
         print(f"{family}_{n:<{13 - len(family)}}{parse_s:>10.4f}"
-              f"{ground_s:>10.4f}")
+              f"{ground_s:>10.4f}{agenda_s:>12.4f}")
     print(f"reference chunk median {statistics.median(speed.samples):.4f} s "
           f"(nominal {hostspeed.NOMINAL_S} s)")
 

@@ -7,10 +7,12 @@ the ADL fixture, always plans forward), and ``plan`` under both methods on
 tyreworld_3 and hanoi_5, the searches that the backward search's cuts
 shorten most, and on stack_12, whose episodes plan at horizons far below
 their graphs' level-off layers. stack_20 adds ``plan`` under both methods,
-``analyze --method e`` and ``graph-dump``: 821 facts and 800 nodes, about
-2.7 times stack_12's, so the layer steps cross many bytes of the kernel's
-OR tables. A change that alters CLI output on
-purpose re-records the digests with
+``analyze`` under both methods and ``graph-dump``: 821 facts and 800 nodes,
+about 2.7 times stack_12's, so the layer steps cross many bytes of the
+kernel's OR tables. ``analyze --method h`` on stack_20 and tyreworld_3
+pins the direct analysis's agendas on instances of the benchmark's size
+(tyreworld_3 is one of its ``analyze`` instances). A change that alters
+CLI output on purpose re-records the digests with
 
     PYTHONPATH=src python tests/test_cli_golden.py --capture
 
@@ -52,6 +54,8 @@ def golden_runs() -> list:
     for name in ("tyreworld_3", "hanoi_5", "stack_12", "stack_20"):
         for method in ("h", "e"):
             runs.append(["plan", "--corpus", name, "--method", method])
+    for name in ("stack_20", "tyreworld_3"):
+        runs.append(["analyze", "--corpus", name, "--method", "h"])
     runs.append(["analyze", "--corpus", "stack_20", "--method", "e"])
     runs.append(["graph-dump", "--corpus", "stack_20"])
     return runs

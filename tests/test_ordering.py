@@ -1,3 +1,5 @@
+import pytest
+
 from goalagenda.agenda import _before_anchor
 from goalagenda.model import (
     AdlAction,
@@ -15,6 +17,8 @@ from goalagenda.ordering import (
     order_h,
     possibly_achievable,
 )
+
+from goalagenda.oracle import decide_forced, decide_reasonable
 
 from conftest import atoms, names_of
 
@@ -308,3 +312,28 @@ def test_ordering_functions_are_pure(load, graph_of):
     assert order_e(problem, graph, on_bc, on_ab) == \
         order_e(problem, graph, on_bc, on_ab)
     assert order_h(problem, on_bc, on_ab) == order_h(problem, on_bc, on_ab)
+
+
+
+@pytest.mark.parametrize("bad", [999, -1])
+@pytest.mark.parametrize("side", ["b", "a"])
+@pytest.mark.parametrize(
+    "test", ["order_e", "order_h", "decide_reasonable", "decide_forced"])
+def test_ordering_tests_reject_ids_that_are_not_atoms(load, graph_of,
+                                                      index_of, test, side,
+                                                      bad):
+    """Every public ordering test raises ValueError naming an id outside
+    ``range(len(problem.atoms))`` (19 on blocks3), on either side, rather
+    than answer with a verdict that means nothing."""
+    problem = load("blocks3")
+    assert len(problem.atoms) == 19
+    graph, reachable = graph_of("blocks3"), index_of("blocks3")
+    call = {
+        "order_e": lambda b, a: order_e(problem, graph, b, a),
+        "order_h": lambda b, a: order_h(problem, b, a),
+        "decide_reasonable": lambda b, a: decide_reasonable(reachable, b, a),
+        "decide_forced": lambda b, a: decide_forced(reachable, b, a),
+    }[test]
+    b, a = (bad, 0) if side == "b" else (0, bad)
+    with pytest.raises(ValueError, match=f"atom id {bad} out of range"):
+        call(b, a)

@@ -42,13 +42,19 @@ def surviving(view, pairs):
 
 
 def check_views(view, ref_view, pairs, atoms):
+    """The surviving ways, the addable atoms (the index's minus the lost
+    ones), each atom's surviving achieving conditions and the one-step
+    test equal the scan's."""
+    index = view.index
     kept = surviving(view, pairs)
     assert frozenset(kept) == ref_view.action_ids
     if ref_view.surviving_effects is not None:
         assert kept == ref_view.surviving_effects
-    assert view.addable_atoms() == ref_view.addable_atoms()
+    assert view.lost <= index.addable
+    assert index.addable - view.lost == ref_view.addable_atoms()
     for p in atoms:
-        assert list(view.achieving_conditions(p)) == \
+        assert [index.condition[w] for w in index.adders[p]
+                if w not in view.blocked] == \
             list(ref_view.achieving_conditions(p)), p
         assert possibly_achievable(p, view) == \
             ref.possibly_achievable(p, ref_view), p
@@ -180,12 +186,50 @@ def test_effect_0_takes_its_conditional_effects_with_it():
     index = ProblemIndex(problem)
     for view in (index.view({i("A")}), index.view((), {i("F")})):
         assert view.blocked == {0, 1}
-        assert view.addable_atoms() == frozenset()
-        assert list(view.achieving_conditions(i("P"))) == []
+        assert view.lost == {i("P")}
         assert not view.adds(i("P"))
+        assert not possibly_achievable(i("P"), view)
     assert index.view(()).blocked == frozenset()
     check_against_scan(problem, [(), {i("A")}],
                        [frozenset({i("F")}), frozenset({i("Q")})])
+
+
+def test_lost_atoms_by_counting_and_the_static_condition_check():
+    """P has two adders in one action, effect 0 and a conditional effect:
+    blocking one (the false set holds Q, which only the conditional
+    effect needs) leaves P addable, so u, which needs P, still achieves R;
+    blocking both (A is the precondition) makes P lost and R
+    unachievable. r needs N, which no way adds, so it never achieves S,
+    although no view blocks it."""
+    table = AtomTable("AQPRNS")
+    i = table.id
+
+    def action(name, condition, adds, *more):
+        return AdlAction(name, (ConditionalEffect(
+            frozenset(map(i, condition)), frozenset(map(i, adds)),
+            frozenset()),) + more)
+
+    problem = PlanningProblem(table, (
+        action("o", "A", "P", ConditionalEffect(
+            frozenset({i("Q")}), frozenset({i("P")}), frozenset())),
+        action("u", "P", "R"),
+        action("r", "N", "S"),
+        action("s", "", "AQ"),
+    ), frozenset(), frozenset())
+    index = ProblemIndex(problem)
+    assert index.adders[i("P")] == [0, 1]
+    assert index.addable == {i("A"), i("Q"), i("P"), i("R"), i("S")}
+    one, both = index.view((), {i("Q")}), index.view((), {i("A")})
+    assert (one.blocked, one.lost) == ({1}, frozenset())
+    assert (both.blocked, both.lost) == ({0, 1}, {i("P")})
+    assert one.adds(i("P")) and not both.adds(i("P"))
+    assert possibly_achievable(i("R"), one)
+    assert not possibly_achievable(i("R"), both)
+    for view in (index.view(()), one, both):
+        assert view.adds(i("S")) and 3 not in view.blocked
+        assert not possibly_achievable(i("S"), view)
+    check_against_scan(problem, [()],
+                       [frozenset({i("Q")}), frozenset({i("A")})])
 
 
 def count_builds(monkeypatch, cls=ProblemIndex):
