@@ -9,19 +9,23 @@ final entry.
 
 Both levels run one loop (``_node_edges``) over a list of goal sets: the
 atomic goals as singletons, then the entries plus the separate set. Each
-anchor set gets one ``_before_anchor`` call, which computes its one false
-set (``e``) or one fixpoint (``h``) and tests every goal of the other sets
-against it. The three entry points accept the method in either case and
-build the planning graph and the ProblemIndex only when not given them.
+anchor set gets one ``ordering.ordered_before`` call, which computes its
+one false set (``e``) or one fixpoint (``h``) and tests every goal of the
+other sets against it. The entry points accept the method in either case;
+below ``compute_agenda`` they take the ProblemIndex their caller built,
+and a planning graph the caller does not pass is built in one place,
+``_graph``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .graphplan import AnchorUnreachable, PlanningGraph, build_graph, false_set
+from .graphplan import PlanningGraph, build_graph
 from .model import PlanningProblem
-from .ordering import ProblemIndex, fixpoint_reduce, possibly_achievable
+from .ordering import ProblemIndex, check_method, ordered_before
+# no longer called here; kept because perfbench/spans.py patches them here
+from .ordering import fixpoint_reduce, possibly_achievable  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -54,46 +58,17 @@ class Agenda:
         return out
 
 
-def _before_anchor(problem: PlanningProblem, method: str,
-                  graph: PlanningGraph, index: ProblemIndex, anchor,
-                  candidates):
-    """The candidate goals ordered before the anchor goal set: those that
-    no way usable under the anchor's one false set adds (``e``), or that
-    are not one-step achievable under its one fixpoint (``h``). None when
-    the anchor never enters the graph, where every ordering before it
-    holds trivially."""
-    if method == "e":
-        try:
-            f_atoms = false_set(graph, anchor)
-        except AnchorUnreachable:
-            return None
-        view = index.view(anchor, f_atoms)
-        return frozenset(b for b in candidates if not view.adds(b))
-    view = fixpoint_reduce(problem, anchor, index).o_star
-    return frozenset(b for b in candidates
-                     if not possibly_achievable(b, view))
-
-
-def _method(method: str) -> str:
-    """The ordering method lowercased; ValueError unless it is e or h."""
-    method = method.lower()
-    if method not in ("e", "h"):
-        raise ValueError(f"unknown ordering method {method!r}")
-    return method
-
-
-def _context(problem: PlanningProblem, method: str, graph: PlanningGraph,
-             index: ProblemIndex):
-    """The planning graph (``e`` only) and the ProblemIndex, each built
-    when the caller passed none."""
+def _graph(index: ProblemIndex, method: str, graph: PlanningGraph):
+    """The planning graph the ``e`` method reads: the caller's, else one
+    built here. ``h`` reads none and gets the caller's as it is."""
     if method == "e" and graph is None:
-        graph = build_graph(problem, retain_layers=False)
-    return graph, ProblemIndex(problem) if index is None else index
+        graph = build_graph(index.problem, retain_layers=False)
+    return graph
 
 
-def _node_edges(problem: PlanningProblem, method: str,
-                graph: PlanningGraph, index: ProblemIndex, nodes):
-    """One ``_before_anchor`` call per anchor node over the goals of the
+def _node_edges(index: ProblemIndex, method: str, graph: PlanningGraph,
+                nodes):
+    """One ``ordered_before`` call per anchor node over the goals of the
     other nodes: (i, j) is an edge when some goal of node i is ordered
     before node j. Returns (edges, trivial) as sets of index pairs; the
     trivial edges are those into an anchor that never enters the graph."""
@@ -105,8 +80,7 @@ def _node_edges(problem: PlanningProblem, method: str,
     edges = set()
     trivial = set()
     for j, anchor in enumerate(nodes):
-        before = _before_anchor(problem, method, graph, index, anchor,
-                                goals - anchor)
+        before = ordered_before(index, method, graph, anchor, goals - anchor)
         if before is None:
             trivial.update((i, j) for i in range(len(nodes)) if i != j)
         else:
@@ -114,18 +88,17 @@ def _node_edges(problem: PlanningProblem, method: str,
     return edges | trivial, trivial
 
 
-def build_goal_graph(problem: PlanningProblem, method: str,
-                     graph: PlanningGraph = None,
-                     index: ProblemIndex = None) -> GoalGraph:
-    """Test every ordered pair of distinct atomic goals with the chosen
-    method. The per-anchor artifacts (false set or fixpoint) are computed
-    once and shared across all candidate predecessors."""
-    method = _method(method)
-    goals = sorted(problem.goals)
+def build_goal_graph(index: ProblemIndex, method: str,
+                     graph: PlanningGraph = None) -> GoalGraph:
+    """Test every ordered pair of distinct atomic goals of
+    ``index.problem`` with the chosen method. The per-anchor artifacts
+    (false set or fixpoint) are computed once and shared across all
+    candidate predecessors."""
+    method = check_method(method)
+    goals = sorted(index.problem.goals)
     if not goals:
         raise ValueError("problem has no goals")
-    graph, index = _context(problem, method, graph, index)
-    edges, trivial = _node_edges(problem, method, graph, index,
+    edges, trivial = _node_edges(index, method, _graph(index, method, graph),
                                  [frozenset({g}) for g in goals])
     return GoalGraph(frozenset(goals),
                      frozenset((goals[i], goals[j]) for i, j in edges),
@@ -171,12 +144,11 @@ def degree_partition(closure: GoalGraph):
     return entries, gsep
 
 
-def place_gsep(problem: PlanningProblem, entries, gsep, method: str,
-               graph: PlanningGraph = None,
-               index: ProblemIndex = None) -> Agenda:
+def place_gsep(index: ProblemIndex, entries, gsep, method: str,
+               graph: PlanningGraph = None) -> Agenda:
     """Order the separate set against the derived entries with the
     set-level relations; disconnected nodes merge into the final entry."""
-    method = _method(method)
+    method = check_method(method)
     entries = [frozenset(e) for e in entries]
     gsep = frozenset(gsep)
     if not gsep:
@@ -188,8 +160,8 @@ def place_gsep(problem: PlanningProblem, entries, gsep, method: str,
 
     # set-level goal analysis over the derived entries plus the separate set
     nodes = entries + [gsep]
-    graph, index = _context(problem, method, graph, index)
-    node_edges, _ = _node_edges(problem, method, graph, index, nodes)
+    node_edges, _ = _node_edges(index, method, _graph(index, method, graph),
+                                nodes)
     index_graph = GoalGraph(frozenset(range(len(nodes))),
                             frozenset(node_edges))
     closed = transitive_closure(index_graph)
@@ -216,14 +188,15 @@ def compute_agenda(problem: PlanningProblem, method: str = "h",
     """Full pipeline: pairwise orderings, closure, degree partition,
     separate-set placement. Single-goal problems yield one entry; empty goal
     sets yield an empty agenda. One ProblemIndex serves the whole call."""
-    method = _method(method)
+    method = check_method(method)
     if not problem.goals:
         return Agenda((), method)
-    graph, index = _context(problem, method, graph, None)
-    gg = build_goal_graph(problem, method, graph, index=index)
+    index = ProblemIndex(problem)
+    graph = _graph(index, method, graph)
+    gg = build_goal_graph(index, method, graph)
     closure = transitive_closure(gg)
     entries, gsep = degree_partition(closure)
-    agenda = place_gsep(problem, entries, gsep, method, graph, index=index)
+    agenda = place_gsep(index, entries, gsep, method, graph)
     return replace(agenda, edges=gg.edges, trivial_edges=gg.trivial_edges)
 
 

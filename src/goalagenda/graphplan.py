@@ -45,6 +45,7 @@ from .model import (
     PlanningProblem,
     ResourceLimit,
     Unsolvable,
+    check_atom_ids,
     mask_ids,
     mask_of,
 )
@@ -162,8 +163,10 @@ def false_set(graph: PlanningGraph, anchor) -> frozenset:
     member at level-off: they never hold together with the anchor.
 
     Raises AnchorUnreachable when an anchor atom never enters the graph;
-    callers treat that as a trivial ordering.
+    callers treat that as a trivial ordering. ValueError names an anchor
+    id that is not an atom.
     """
+    check_atom_ids(graph.context.problem, *anchor)
     facts = graph.fact_layers[graph.leveled_at]
     rows = graph.fact_mutex[graph.leveled_at]
     combined = 0

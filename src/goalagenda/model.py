@@ -206,6 +206,16 @@ def action_ways(action: Action) -> tuple:
                  for eff in action.effects)
 
 
+def check_atom_ids(problem: PlanningProblem, *ids) -> None:
+    """ValueError naming the first id that is not an atom id of the
+    problem, that is, not in ``range(len(problem.atoms))``."""
+    n = len(problem.atoms)
+    for p in ids:
+        if not 0 <= p < n:
+            raise ValueError(f"atom id {p!r} out of range: the problem has "
+                             f"{n} atoms")
+
+
 @dataclass(frozen=True)
 class Plan:
     """Sequence of steps; each step is a set of action ids.

@@ -42,11 +42,12 @@ from .model import (
     PlanningProblem,
     SuccessorTable,
     _unwind,
+    check_atom_ids,
     mask_ids,
     mask_of,
     transitions,
 )
-from .ordering import OrderingVerdict, ProblemIndex, check_atom_ids
+from .ordering import OrderingVerdict, ProblemIndex
 
 
 class LimitExceeded(PlanningError):
@@ -314,14 +315,12 @@ def verify_matrix(problem: PlanningProblem, graph=None,
     goals = sorted(problem.goals)
     if len(goals) >= 2:
         problem_index = ProblemIndex(problem)
-        e_graph = build_goal_graph(problem, "e", graph, index=problem_index)
-        h_graph = build_goal_graph(problem, "h", index=problem_index)
-    index = None
-    limit_hit = False
+        e_graph = build_goal_graph(problem_index, "e", graph)
+        h_graph = build_goal_graph(problem_index, "h")
     try:
         index = enumerate_reachable(problem, limit)
     except LimitExceeded:
-        limit_hit = True
+        index = None
 
     pairs = []
     names = problem.atoms.name
@@ -349,7 +348,7 @@ def verify_matrix(problem: PlanningProblem, graph=None,
     return {
         "problem": problem.name,
         "limit": limit,
-        "limit_exceeded": limit_hit,
-        "states": None if limit_hit else len(index.masks),
+        "limit_exceeded": index is None,
+        "states": None if index is None else len(index.masks),
         "pairs": pairs,
     }

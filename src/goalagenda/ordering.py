@@ -4,10 +4,10 @@ Both routes to "B should be achieved before A" are one rule over a false
 set and one action view: keep the anchor true, make the false set false,
 and order B first when no usable action can (re)achieve B.
 
-* graph route (``order_e``): the false set is the atoms mutually exclusive
+* graph route (``e``): the false set is the atoms mutually exclusive
   with the anchor once the planning graph has leveled off, and B is
   ordered first when no usable way adds it;
-* direct-analysis route (``order_h``): the false set is the atoms every
+* direct-analysis route (``h``): the false set is the atoms every
   anchor achiever deletes, shrunk by a one-step achievability fixpoint,
   and B is ordered first when it is not even one-step achievable with the
   surviving ways.
@@ -15,8 +15,10 @@ and order B first when no usable action can (re)achieve B.
 The direct route is deliberately shallow: achievability regresses exactly
 one level and assumes tested atoms are absent from the state, which is what
 makes it fast and occasionally wrong in both directions; the oracle module
-measures that. The same tests lifted to goal sets, for placing the
-unordered goals, live in ``agenda._before_anchor``.
+measures that. ``ordered_before`` is the one implementation of both: it
+takes an anchor goal set and candidate goals, so the agenda's goal graph
+and separate-set placement call it per anchor, and ``order_e`` and
+``order_h`` are the same call for one pair.
 
 Every ordering test answers with one ``OrderingVerdict``: these two
 approximations with relation "e" and "h", the oracle's exact reasonable
@@ -29,9 +31,9 @@ per atom the ways that add it, the ways whose implied deletes hold it and
 the ways whose condition needs it. An action view is the set of ways
 blocked by the anchor and the false set plus the atoms that only blocked
 ways add, so every test is one set test over the achievers of the atom
-it asks about. Top-level calls (``order_e``, ``order_h`` and the agenda
-and oracle entry points) build the index once and pass it down; the
-lower-level functions take ``index=None`` and build one on demand.
+it asks about. The index keeps its problem, so everything below the
+top-level calls (``order_e``, ``order_h`` and the agenda and oracle entry
+points, which build it once and pass it down) takes the index alone.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from functools import cached_property
 from itertools import chain, compress
 
 from .graphplan import AnchorUnreachable, PlanningGraph, false_set
-from .model import AdlAction, PlanningProblem
+from .model import AdlAction, PlanningProblem, check_atom_ids
 
 
 @dataclass(frozen=True)
@@ -78,11 +80,12 @@ class ProblemIndex:
     inside ``addable``: the part of the one-step test that no view
     changes, checked once per way.
 
-    Built once per top-level call and passed down; nothing keeps it after
-    the call returns.
+    Built once per top-level call and passed down, with the ``problem``
+    it indexes; nothing keeps it after the call returns.
     """
 
     def __init__(self, problem: PlanningProblem):
+        self.problem = problem
         ways = chain.from_iterable(problem.ways)
         self.condition, self.adds, self.implied_deletes = \
             tuple(zip(*ways)) or ((), (), ())
@@ -175,15 +178,13 @@ def implied_deletes(action: AdlAction, i: int) -> frozenset:
     return frozenset(out)
 
 
-def compute_f_da(problem: PlanningProblem, anchor,
-                 index: ProblemIndex = None) -> frozenset:
+def compute_f_da(index: ProblemIndex, anchor) -> frozenset:
     """Atoms that are false whenever an anchor atom has just been achieved:
     per anchor atom, the intersection of the implied deletes of the ways
     that add it; unioned over the anchor. An atom with no achiever
     contributes nothing (an unachievable anchor carries no delete
-    information)."""
-    if index is None:
-        index = ProblemIndex(problem)
+    information). ValueError names an anchor id that is not an atom."""
+    check_atom_ids(index.problem, *anchor)
     out: set = set()
     for atom in anchor:
         ways = index.adders[atom]
@@ -209,20 +210,17 @@ def possibly_achievable(p: int, view: UsableActions) -> bool:
     return not view.unusable.issuperset(view.index.achievers[p])
 
 
-def fixpoint_reduce(problem: PlanningProblem, anchor,
-                    index: ProblemIndex = None) -> FixpointResult:
+def fixpoint_reduce(index: ProblemIndex, anchor) -> FixpointResult:
     """Shrink the always-deleted set by removing atoms the surviving actions
     could re-achieve, rebuilding the view from the index after every
     removal.
 
     Sweeps over a snapshot of the current set in ascending atom order;
     terminates within |F_DA| + 1 sweeps since every continuing sweep removed
-    at least one atom.
+    at least one atom. The anchor ids are checked once, by compute_f_da.
     """
-    if index is None:
-        index = ProblemIndex(problem)
     anchor = frozenset(anchor)
-    f_star = set(compute_f_da(problem, anchor, index))
+    f_star = set(compute_f_da(index, anchor))
     view = index.view(anchor, f_star)
     sweeps = 0
     fixpoint_reached = False
@@ -230,8 +228,6 @@ def fixpoint_reduce(problem: PlanningProblem, anchor,
         sweeps += 1
         fixpoint_reached = True
         for f in sorted(f_star):
-            if f not in f_star:
-                continue
             if possibly_achievable(f, view):
                 f_star.discard(f)
                 view = index.view(anchor, f_star)
@@ -239,45 +235,60 @@ def fixpoint_reduce(problem: PlanningProblem, anchor,
     return FixpointResult(frozenset(f_star), view, sweeps)
 
 
-# --- atomic orderings --------------------------------------------------------
+# --- orderings --------------------------------------------------------------
 
-def check_atom_ids(problem: PlanningProblem, *ids) -> None:
-    """ValueError naming the first id that is not an atom id of the
-    problem, that is, not in ``range(len(problem.atoms))``."""
-    n = len(problem.atoms)
-    for p in ids:
-        if not 0 <= p < n:
-            raise ValueError(f"atom id {p!r} out of range: the problem has "
-                             f"{n} atoms")
+def check_method(method: str) -> str:
+    """The ordering method lowercased; ValueError unless it is e or h."""
+    method = method.lower()
+    if method not in ("e", "h"):
+        raise ValueError(f"unknown ordering method {method!r}")
+    return method
 
 
-def _check_pair(problem: PlanningProblem, b: int, a: int) -> None:
-    check_atom_ids(problem, b, a)
+def ordered_before(index: ProblemIndex, method: str, graph: PlanningGraph,
+                   anchor, candidates):
+    """The candidates ordered before the anchor: those that no way usable
+    under the anchor's one false set adds (``e``, which reads the leveled
+    planning graph), or that are not one-step achievable under its one
+    fixpoint (``h``, which reads no graph). Anchor and candidates are
+    collections of atom ids, each read more than once. None when the
+    anchor never enters the graph (``e`` only), where every ordering
+    before it holds trivially. ValueError names an id that is not an atom,
+    or a method other than e and h (in either case)."""
+    check_atom_ids(index.problem, *anchor, *candidates)
+    if check_method(method) == "e":
+        try:
+            f_atoms = false_set(graph, anchor)
+        except AnchorUnreachable:
+            return None
+        view = index.view(anchor, f_atoms)
+        return frozenset(b for b in candidates if not view.adds(b))
+    view = fixpoint_reduce(index, anchor).o_star
+    return frozenset(b for b in candidates
+                     if not possibly_achievable(b, view))
+
+
+def _order_pair(problem: PlanningProblem, method: str, graph: PlanningGraph,
+                b: int, a: int) -> OrderingVerdict:
+    """``ordered_before`` for the one pair b, a over a new index."""
     if a == b:
         raise ValueError("ordering needs two distinct goals")
+    before = ordered_before(ProblemIndex(problem), method, graph, {a}, {b})
+    return OrderingVerdict(method, before is None or b in before,
+                           trivial=before is None)
 
 
 def order_e(problem: PlanningProblem, graph: PlanningGraph, b: int,
-            a: int, index: ProblemIndex = None) -> OrderingVerdict:
+            a: int) -> OrderingVerdict:
     """Graph-based test: b ordered before a iff no way usable while a stays
     true and a's false set stays false adds b (vacuously true with no
     achievers). When the anchor never enters the graph the ordering holds
     trivially (no state achieves a)."""
-    _check_pair(problem, b, a)
-    try:
-        f_atoms = false_set(graph, {a})
-    except AnchorUnreachable:
-        return OrderingVerdict("e", True, trivial=True)
-    if index is None:
-        index = ProblemIndex(problem)
-    return OrderingVerdict("e", not index.view({a}, f_atoms).adds(b))
+    return _order_pair(problem, "e", graph, b, a)
 
 
-def order_h(problem: PlanningProblem, b: int, a: int,
-            index: ProblemIndex = None) -> OrderingVerdict:
+def order_h(problem: PlanningProblem, b: int, a: int) -> OrderingVerdict:
     """Direct-analysis test: b ordered before a iff b is not one-step
     achievable with the fixpoint's surviving actions. Cannot detect trivial
     orderings (it has no reachability information)."""
-    _check_pair(problem, b, a)
-    fx = fixpoint_reduce(problem, {a}, index)
-    return OrderingVerdict("h", not possibly_achievable(b, fx.o_star))
+    return _order_pair(problem, "h", None, b, a)

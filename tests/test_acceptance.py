@@ -31,7 +31,13 @@ from goalagenda.oracle import (
     decide_reasonable,
     find_deadlocks,
 )
-from goalagenda.ordering import compute_f_da, fixpoint_reduce, order_e, order_h
+from goalagenda.ordering import (
+    ProblemIndex,
+    compute_f_da,
+    fixpoint_reduce,
+    order_e,
+    order_h,
+)
 
 from conftest import atoms, graphplan_on, names_of
 
@@ -47,10 +53,11 @@ def test_c1_blocks_ordering(load, graph_of, index_of):
     assert false_set(graph, {on_bc}) == atoms(
         problem, "clear(c)", "on-table(b)", "holding(c)", "holding(b)",
         "on(a,c)", "on(c,b)", "on(b,a)")
-    assert compute_f_da(problem, {on_bc}) == atoms(problem, "clear(c)",
-                                                   "holding(b)")
-    assert compute_f_da(problem, {on_ab}) == atoms(problem, "clear(b)",
-                                                   "holding(a)")
+    index = ProblemIndex(problem)
+    assert compute_f_da(index, {on_bc}) == atoms(problem, "clear(c)",
+                                                 "holding(b)")
+    assert compute_f_da(index, {on_ab}) == atoms(problem, "clear(b)",
+                                                 "holding(a)")
     assert order_e(problem, graph, on_bc, on_ab).holds
     assert not order_e(problem, graph, on_ab, on_bc).holds
     assert order_h(problem, on_bc, on_ab).holds
@@ -62,13 +69,14 @@ def test_c1_blocks_ordering(load, graph_of, index_of):
 def test_c2_fixpoint_behavior(load):
     t0 = time.perf_counter()
     revival = load("revival")
-    fx = fixpoint_reduce(revival, atoms(revival, "A"))
+    fx = fixpoint_reduce(ProblemIndex(revival), atoms(revival, "A"))
     assert fx.f_star == frozenset()
     assert not order_h(revival, revival.atom("B"), revival.atom("A")).holds
     blocks = load("blocks3")
     anchor = atoms(blocks, "on(b,c)")
-    assert fixpoint_reduce(blocks, anchor).f_star == \
-        compute_f_da(blocks, anchor)
+    blocks_index = ProblemIndex(blocks)
+    assert fixpoint_reduce(blocks_index, anchor).f_star == \
+        compute_f_da(blocks_index, anchor)
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -252,7 +260,8 @@ def test_c9_adl_d_sets():
                               frozenset({i("A")}))
     from goalagenda.ordering import implied_deletes
     assert implied_deletes(action, 1) == frozenset({i("X"), i("Y")})
-    assert compute_f_da(problem, {i("A")}) == frozenset({i("X"), i("Y")})
+    assert compute_f_da(ProblemIndex(problem), {i("A")}) == \
+        frozenset({i("X"), i("Y")})
 
     unconditional = AdlAction("o", (
         ConditionalEffect(frozenset({i("U")}), frozenset({i("W"), i("A")}),
@@ -260,7 +269,8 @@ def test_c9_adl_d_sets():
     ) + tail)
     problem2 = PlanningProblem(table, (unconditional,), frozenset(),
                                frozenset({i("A")}))
-    assert compute_f_da(problem2, {i("A")}) == frozenset({i("X")})
+    assert compute_f_da(ProblemIndex(problem2), {i("A")}) == \
+        frozenset({i("X")})
     assert time.perf_counter() - t0 < 1.0
 
 

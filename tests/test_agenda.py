@@ -11,6 +11,7 @@ from goalagenda.agenda import (
     place_gsep,
     transitive_closure,
 )
+from goalagenda.ordering import ProblemIndex
 
 from conftest import atoms, names_of
 
@@ -23,7 +24,7 @@ def test_goal_graph_rejects_self_loops():
 def test_build_goal_graph_three_blocks(load):
     problem = load("blocks3")
     for method in ("e", "h"):
-        gg = build_goal_graph(problem, method)
+        gg = build_goal_graph(ProblemIndex(problem), method)
         assert gg.edges == frozenset(
             {(problem.atom("on(b,c)"), problem.atom("on(a,b)"))})
 
@@ -74,7 +75,7 @@ def test_degree_partition_cycle_merges():
 def test_place_gsep_identity_when_empty(load):
     problem = load("blocks3")
     entries = [atoms(problem, "on(b,c)"), atoms(problem, "on(a,b)")]
-    agenda = place_gsep(problem, entries, frozenset(), "h")
+    agenda = place_gsep(ProblemIndex(problem), entries, frozenset(), "h")
     assert agenda.entries == tuple(entries)
     assert agenda.gsep_placement == "empty"
 
@@ -94,11 +95,13 @@ def diamond_place_gsep(problem, method):
     """The diamond's separate set placed against its derived entries."""
     entries = [atoms(problem, "goal-a"), atoms(problem, "goal-b"),
                atoms(problem, "goal-c", "goal-d")]
-    return place_gsep(problem, entries, atoms(problem, "goal-e"), method)
+    return place_gsep(ProblemIndex(problem), entries,
+                      atoms(problem, "goal-e"), method)
 
 
 ENTRY_POINTS = {
-    "build_goal_graph": build_goal_graph,
+    "build_goal_graph": lambda problem, method: build_goal_graph(
+        ProblemIndex(problem), method),
     "place_gsep": diamond_place_gsep,
     "compute_agenda": compute_agenda,
 }
@@ -122,19 +125,19 @@ def test_entry_points_share_one_method_rule(load, entry, method):
 @pytest.mark.parametrize("name", ["diamond", "tyreworld_2", "hanoi_3"])
 def test_compute_agenda_tests_each_anchor_once(load, monkeypatch, name,
                                                method):
-    """One _before_anchor call per goal, plus one per derived entry and
+    """One ordered_before call per goal, plus one per derived entry and
     one for the separate set when both exist."""
     problem = load(name)
     entries, gsep = degree_partition(
-        transitive_closure(build_goal_graph(problem, method)))
+        transitive_closure(build_goal_graph(ProblemIndex(problem), method)))
     anchors = []
-    original = agenda_module._before_anchor
+    original = agenda_module.ordered_before
 
-    def counting(problem, method, graph, index, anchor, candidates):
+    def counting(index, method, graph, anchor, candidates):
         anchors.append(frozenset(anchor))
-        return original(problem, method, graph, index, anchor, candidates)
+        return original(index, method, graph, anchor, candidates)
 
-    monkeypatch.setattr(agenda_module, "_before_anchor", counting)
+    monkeypatch.setattr(agenda_module, "ordered_before", counting)
     compute_agenda(problem, method)
     set_level = entries + [gsep] if gsep and entries else []
     assert anchors == [frozenset({g}) for g in sorted(problem.goals)] + \
@@ -223,7 +226,8 @@ def test_agenda_respects_closure_paths(load):
     for name in ("blocks3", "hanoi_4", "stack_6", "tyreworld_2", "diamond"):
         problem = load(name)
         agenda = compute_agenda(problem, "h")
-        closure = transitive_closure(build_goal_graph(problem, "h"))
+        closure = transitive_closure(
+            build_goal_graph(ProblemIndex(problem), "h"))
         position = {}
         for pos, entry in enumerate(agenda.entries):
             for atom in entry:

@@ -133,6 +133,15 @@ def test_false_set_set_anchor_unions_rows(load, graph_of):
     assert both == single - atoms(problem, "on(b,c)", "on(a,b)")
 
 
+@pytest.mark.parametrize("bad", [999, -1])
+def test_false_set_rejects_ids_that_are_not_atoms(graph_of, bad):
+    """An id outside the atom table is a ValueError naming it, neither the
+    unreachable-anchor signal (which means a trivial ordering) nor a
+    negative shift."""
+    with pytest.raises(ValueError, match=f"atom id {bad} out of range"):
+        false_set(graph_of("blocks3"), {0, bad})
+
+
 def test_unreachable_anchor_raises():
     table = AtomTable(["P", "Q", "Z"])
     problem = PlanningProblem(

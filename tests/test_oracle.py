@@ -431,12 +431,12 @@ def test_direct_ordering_error_rates_on_random_problems():
         atoms = range(len(problem.atoms))
         for a in atoms:
             others = [b for b in atoms if b != a]
-            e = agenda._before_anchor(problem, "e", graph, problem_index,
-                                      {a}, others)
+            e = ordering.ordered_before(problem_index, "e", graph, {a},
+                                        others)
             if e is None:  # the anchor never enters the graph
                 e = others
-            h = agenda._before_anchor(problem, "h", None, problem_index, {a},
-                                      others)
+            h = ordering.ordered_before(problem_index, "h", None, {a},
+                                        others)
             for b in others:
                 r = decide_reasonable(index, b, a)
                 assert b not in e or r.holds, (problem.name, b, a)

@@ -1,6 +1,5 @@
 import pytest
 
-from goalagenda.agenda import _before_anchor
 from goalagenda.model import (
     AdlAction,
     AtomTable,
@@ -15,6 +14,7 @@ from goalagenda.ordering import (
     implied_deletes,
     order_e,
     order_h,
+    ordered_before,
     possibly_achievable,
 )
 
@@ -25,7 +25,7 @@ from conftest import atoms, names_of
 
 def before(problem, method, bs, as_, graph=None) -> frozenset:
     """The goals of bs that the set-level test orders before the set as_."""
-    return _before_anchor(problem, method, graph, ProblemIndex(problem),
+    return ordered_before(ProblemIndex(problem), method, graph,
                           frozenset(as_), frozenset(bs))
 
 
@@ -80,8 +80,8 @@ def test_reduced_actions_drops_entailed_effects():
 
 def test_always_deleted_set_of_conditional_achiever():
     table, action, problem = _conditional_example()
-    assert names_of(problem, compute_f_da(problem, {table.id("A")})) == \
-        ["X", "Y"]
+    assert names_of(problem, compute_f_da(ProblemIndex(problem),
+                                          {table.id("A")})) == ["X", "Y"]
     # adding A unconditionally shrinks the set to the common part
     i = table.id
     variant = AdlAction("o", (
@@ -90,14 +90,16 @@ def test_always_deleted_set_of_conditional_achiever():
     ) + action.effects[1:])
     problem2 = PlanningProblem(table, (variant,), frozenset(),
                                frozenset({i("A")}))
-    assert names_of(problem2, compute_f_da(problem2, {i("A")})) == ["X"]
+    assert names_of(problem2, compute_f_da(ProblemIndex(problem2),
+                                           {i("A")})) == ["X"]
 
 
 def test_f_da_three_blocks(load):
     problem = load("blocks3")
-    assert names_of(problem, compute_f_da(problem, atoms(problem, "on(b,c)"))) \
+    index = ProblemIndex(problem)
+    assert names_of(problem, compute_f_da(index, atoms(problem, "on(b,c)"))) \
         == ["clear(c)", "holding(b)"]
-    assert names_of(problem, compute_f_da(problem, atoms(problem, "on(a,b)"))) \
+    assert names_of(problem, compute_f_da(index, atoms(problem, "on(a,b)"))) \
         == ["clear(b)", "holding(a)"]
 
 
@@ -110,34 +112,37 @@ def test_f_da_intersects_over_achievers():
                       frozenset({table.id("D")}))
     problem = PlanningProblem(table, (a1, a2), frozenset(),
                               frozenset({table.id("A")}))
-    assert names_of(problem, compute_f_da(problem, {table.id("A")})) == ["D"]
+    assert names_of(problem, compute_f_da(ProblemIndex(problem),
+                                          {table.id("A")})) == ["D"]
 
 
 def test_f_da_unachievable_anchor_contributes_nothing(load):
     problem = load("trap")
     # nothing adds C
-    assert compute_f_da(problem, atoms(problem, "C")) == frozenset()
+    assert compute_f_da(ProblemIndex(problem),
+                        atoms(problem, "C")) == frozenset()
 
 
 def test_fixpoint_revives_deletions(load):
     problem = load("revival")
-    fx = fixpoint_reduce(problem, atoms(problem, "A"))
+    index = ProblemIndex(problem)
+    fx = fixpoint_reduce(index, atoms(problem, "A"))
     assert fx.f_star == frozenset()
     assert fx.o_star.blocked == frozenset()
-    assert fx.iterations <= len(compute_f_da(problem, atoms(problem, "A"))) + 1
+    assert fx.iterations <= len(compute_f_da(index, atoms(problem, "A"))) + 1
     assert not order_h(problem, problem.atom("B"), problem.atom("A")).holds
 
 
 def test_fixpoint_leaves_blocks_sets_alone(load):
     problem = load("blocks3")
-    fx = fixpoint_reduce(problem, atoms(problem, "on(b,c)"))
+    fx = fixpoint_reduce(ProblemIndex(problem), atoms(problem, "on(b,c)"))
     assert names_of(problem, fx.f_star) == ["clear(c)", "holding(b)"]
     assert fx.iterations == 1
 
 
 def test_fixpoint_empty_f_da(load):
     problem = load("trap")
-    fx = fixpoint_reduce(problem, atoms(problem, "A"))
+    fx = fixpoint_reduce(ProblemIndex(problem), atoms(problem, "A"))
     assert fx.f_star == frozenset()
     assert fx.o_star.blocked == frozenset()
     assert fx.iterations == 1
@@ -145,9 +150,10 @@ def test_fixpoint_empty_f_da(load):
 
 def test_possibly_achievable_blocks(load):
     problem = load("blocks3")
-    view_bc = fixpoint_reduce(problem, atoms(problem, "on(b,c)")).o_star
+    index = ProblemIndex(problem)
+    view_bc = fixpoint_reduce(index, atoms(problem, "on(b,c)")).o_star
     assert possibly_achievable(problem.atom("on(a,b)"), view_bc)
-    view_ab = fixpoint_reduce(problem, atoms(problem, "on(a,b)")).o_star
+    view_ab = fixpoint_reduce(index, atoms(problem, "on(a,b)")).o_star
     assert not possibly_achievable(problem.atom("on(b,c)"), view_ab)
 
 
@@ -211,7 +217,8 @@ def test_orderings_through_conditional_effects(load, graph_of):
     assert not order_e(problem, graph, sig, msg).holds
     assert order_h(problem, msg, sig).holds
     assert not order_h(problem, sig, msg).holds
-    assert compute_f_da(problem, {sig}) == atoms(problem, "latch")
+    assert compute_f_da(ProblemIndex(problem), {sig}) == \
+        atoms(problem, "latch")
 
 
 def test_order_h_trap_regression(load):
@@ -233,6 +240,10 @@ def test_order_sets_degenerate_to_atomic(load, graph_of):
                 problem.atom("on(a,b)")).holds
     assert before(problem, "h", bs, as_)
     assert not before(problem, "h", as_, bs)
+    # the method rule of the agenda's entry points
+    assert before(problem, "H", bs, as_) == before(problem, "h", bs, as_)
+    with pytest.raises(ValueError, match="unknown ordering method"):
+        before(problem, "x", bs, as_)
 
 
 def test_order_sets_tyreworld_families(load):
@@ -269,13 +280,14 @@ def test_fixpoint_result_invariants(load):
     for name in ("blocks3", "hanoi_3", "tyreworld_1", "trap", "revival",
                  "diamond"):
         problem = load(name)
+        index = ProblemIndex(problem)
         owners = [action for action, ways
                   in zip(problem.actions, problem.ways) for _ in ways]
         for anchor_atom in sorted(problem.goals):
             anchor = frozenset({anchor_atom})
-            fx = fixpoint_reduce(problem, anchor)
-            assert fx.f_star <= compute_f_da(problem, anchor)
-            assert fx.iterations <= len(compute_f_da(problem, anchor)) + 1
+            fx = fixpoint_reduce(index, anchor)
+            assert fx.f_star <= compute_f_da(index, anchor)
+            assert fx.iterations <= len(compute_f_da(index, anchor)) + 1
             for w, action in enumerate(owners):
                 if w in fx.o_star.blocked:
                     continue
@@ -337,3 +349,28 @@ def test_ordering_tests_reject_ids_that_are_not_atoms(load, graph_of,
     b, a = (bad, 0) if side == "b" else (0, bad)
     with pytest.raises(ValueError, match=f"atom id {bad} out of range"):
         call(b, a)
+
+
+@pytest.mark.parametrize("bad", [-1, 19])
+@pytest.mark.parametrize(
+    "call", ["compute_f_da", "fixpoint_reduce", "ordered_before e anchor",
+             "ordered_before h candidate"])
+def test_ordering_layer_rejects_ids_that_are_not_atoms(load, graph_of,
+                                                       call, bad):
+    """The index-level functions raise ValueError naming an id outside
+    ``range(len(problem.atoms))`` (19 on blocks3) instead of reading
+    another atom's postings (-1 reads the last atom's) or failing with an
+    IndexError."""
+    problem = load("blocks3")
+    assert len(problem.atoms) == 19
+    index, graph = ProblemIndex(problem), graph_of("blocks3")
+    run = {
+        "compute_f_da": lambda: compute_f_da(index, {0, bad}),
+        "fixpoint_reduce": lambda: fixpoint_reduce(index, {bad}),
+        "ordered_before e anchor":
+            lambda: ordered_before(index, "e", graph, {bad}, {0}),
+        "ordered_before h candidate":
+            lambda: ordered_before(index, "h", None, {0}, {bad}),
+    }[call]
+    with pytest.raises(ValueError, match=f"atom id {bad} out of range"):
+        run()

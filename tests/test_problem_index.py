@@ -71,12 +71,12 @@ def check_against_scan(problem, anchors, false_sets=()):
     atoms = range(len(problem.atoms))
     for anchor in anchors:
         anchor = frozenset(anchor)
-        f_da = compute_f_da(problem, anchor, index)
+        f_da = compute_f_da(index, anchor)
         assert f_da == ref.compute_f_da(problem, anchor)
         check_views(index.view(anchor),
                     ref.usable_given(problem, anchor, frozenset()), pairs,
                     atoms)
-        fx = fixpoint_reduce(problem, anchor, index)
+        fx = fixpoint_reduce(index, anchor)
         ref_fx = ref.fixpoint_reduce(problem, anchor)
         assert (fx.f_star, fx.iterations) == (ref_fx.f_star, ref_fx.iterations)
         check_views(fx.o_star, ref_fx.o_star, pairs, atoms)
@@ -256,7 +256,7 @@ def test_one_index_per_compute_agenda_call(load, monkeypatch, method):
         original = getattr(agenda, name)
 
         def recording(*args, _original=original, _name=name, **kwargs):
-            seen.append((_name, kwargs["index"]))
+            seen.append((_name, args[0]))
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(agenda, name, recording)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from goalagenda import corpus
+from goalagenda.ordering import ProblemIndex
 from goalagenda.pddl import parse
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -36,7 +37,7 @@ CALLS = {
                                          corpus.problem_text("blocks",
                                                              "two"))),
     "graph.build": lambda f, problem: f(problem, retain_layers=False),
-    "ordering.fixpoint": lambda f, problem: f(problem,
+    "ordering.fixpoint": lambda f, problem: f(ProblemIndex(problem),
                                               {min(problem.goals)}),
     "oracle.enumerate": lambda f, problem: f(problem),
 }
