@@ -1,6 +1,6 @@
 """Shipped problem corpus: packaged PDDL domains, problem generators for the
-scalable families, ground-problem JSON fixtures, and the JSON round-trip
-used by the CLI's second input route."""
+scalable families, ground-problem JSON fixtures, and the ground-problem
+JSON reader used by the CLI's second input route."""
 
 from __future__ import annotations
 
@@ -92,36 +92,6 @@ def _known_keys(item: dict, keys: set, where: str) -> None:
     unknown = sorted(item.keys() - keys)
     if unknown:
         raise GroundFileError(f"{where}: unknown keys {unknown}")
-
-
-def problem_to_dict(problem: PlanningProblem) -> dict:
-    names = problem.atoms.names
-    actions = []
-    for action in problem.actions:
-        if not problem.is_adl:
-            actions.append({
-                "name": action.name,
-                "pre": names(action.pre),
-                "add": names(action.add),
-                "del": names(action.delete),
-            })
-        else:
-            effs = []
-            for i, eff in enumerate(action.effects):
-                entry = {"add": names(eff.adds), "del": names(eff.deletes)}
-                entry["when"] = [] if i == 0 else names(eff.condition)
-                effs.append(entry)
-            actions.append({
-                "name": action.name,
-                "pre": names(action.effects[0].condition),
-                "effects": effs,
-            })
-    return {
-        "name": problem.name,
-        "actions": actions,
-        "init": names(problem.init),
-        "goals": names(problem.goals),
-    }
 
 
 def load_ground_json(text: str) -> PlanningProblem:

@@ -3,7 +3,9 @@
 Enumerates the reachable state space once per problem as int bitmasks (bit
 i for atom i), expanding each state with ``model.transitions`` over one
 ``SuccessorTable`` (the forward planner's successor function too), and
-records per atom the states some transition entered while adding it.
+records per state the adds of the transitions that entered it; the states
+some transition entered while adding an atom are read off that record for
+the atoms asked about.
 Deciding the exact orderings is as hard as planning, so this enumeration
 is the one costly object: the caller builds it once, and every exact test
 (``decide_reasonable``, ``decide_forced``, ``find_deadlocks``,
@@ -16,11 +18,15 @@ reachable from each of those states under the (possibly reduced) action
 set. One breadth-first search per ordering answers that: it starts from
 each of those states in discovery order and shares its visited states
 across them, since a state visited by an earlier start whose search never
-found the goal cannot reach it either, and is skipped. The reasonable
-ordering bans the actions that delete the anchor atom in some effect, read
-off one deletes record that the enumeration builds in one pass over the
-actions; the forced ordering bans none. The verification matrix decides
-every pair through the same two entry points.
+found the goal cannot reach it either, and is skipped; the first search
+that finds the goal refutes the ordering, and later anchor states are never
+read. The reasonable ordering bans the actions that delete the anchor atom
+in some effect, read off one deletes record that the enumeration builds in
+one pass over the actions; the forced ordering bans none. The verification
+matrix decides every pair through the same two entry points, the forced
+one only where the reasonable one holds: both start from the same anchor
+states, and the forced search may take every transition the reasonable one
+takes, so a pair reasonable refutes is refuted by forced too.
 Also detects deadlocks, and certifies invertibility against the
 transitions: an action that labels no edge never runs and is exempt.
 Everything here is exponential by design; the default state budget keeps it
@@ -32,8 +38,9 @@ the module: witness states, deadlocks and ``ReachabilityIndex.states``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 
 from .agenda import build_goal_graph
 from .model import (
@@ -59,22 +66,36 @@ class LimitExceeded(PlanningError):
 @dataclass
 class ReachabilityIndex:
     """The problem enumerated, its reachable states in discovery order as
-    int bitmasks (bit i for atom i), per atom the ascending indices of the
-    states some transition entered while adding it, per state its
-    ``(action_id, successor index)`` edges in action-id order, and per atom
-    the ids of the actions that delete it in some effect. ``states`` is the
-    same states as frozensets of atom ids, built on first read and kept.
-    The exact tests take this record alone and read ``problem`` from it."""
+    int bitmasks (bit i for atom i), per state the OR of the adds of the
+    transitions that entered it, per state its ``(action_id, successor
+    index)`` edges in action-id order, and per atom the ids of the actions
+    that delete it in some effect. ``states`` is the same states as
+    frozensets of atom ids, and ``entered(atom)`` the ascending indices of
+    the states some transition entered while adding the atom; both are
+    built on first read and kept. The exact tests take this record alone
+    and read ``problem`` from it; ``verify_matrix`` asks ``decide_forced``
+    only about the pairs ``decide_reasonable`` holds, since forced implies
+    reasonable."""
 
     problem: PlanningProblem
     masks: tuple  # tuple[int, ...]
-    entered: dict  # atom -> tuple[int, ...]
+    entering: tuple  # per state: the OR of the adds that entered it
     edges: tuple  # per state: tuple[(action_id, successor index), ...]
     deleters: dict  # atom -> frozenset of action ids
+    _entered: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     @cached_property
     def states(self) -> tuple:
         return tuple(frozenset(mask_ids(m)) for m in self.masks)
+
+    def entered(self, atom: int) -> tuple:
+        states = self._entered.get(atom)
+        if states is None:
+            entering = self.entering
+            states = self._entered[atom] = tuple(compress(
+                range(len(entering)), map((1 << atom).__and__, entering)))
+        return states
 
 
 def enumerate_reachable(problem: PlanningProblem,
@@ -89,7 +110,7 @@ def enumerate_reachable(problem: PlanningProblem,
     start = mask_of(problem.init)
     masks = [start]
     index_of = {start: 0}
-    entering_adds = [0]  # per state, the OR of the adds that entered it
+    entering = [0]
     edges = []
     for state in masks:  # grows while it is read: breadth-first order
         out = []
@@ -101,21 +122,14 @@ def enumerate_reachable(problem: PlanningProblem,
                     raise LimitExceeded(limit)
                 index_of[succ] = j
                 masks.append(succ)
-                entering_adds.append(0)
+                entering.append(0)
             out.append((action_id, j))
-            entering_adds[j] |= adds
+            entering[j] |= adds
         edges.append(tuple(out))
-    by_adds: dict = {}  # far fewer distinct masks than states
-    for j, adds in enumerate(entering_adds):
-        by_adds.setdefault(adds, []).append(j)
-    entered: dict = {}
-    for adds, js in by_adds.items():
-        for atom in mask_ids(adds):
-            entered.setdefault(atom, []).extend(js)
     return ReachabilityIndex(
         problem=problem,
         masks=tuple(masks),
-        entered={atom: tuple(sorted(js)) for atom, js in entered.items()},
+        entering=tuple(entering),
         edges=tuple(edges),
         deleters=_deleters(problem),
     )
@@ -132,34 +146,26 @@ def _deleters(problem: PlanningProblem) -> dict:
     return {atom: frozenset(ids) for atom, ids in deleters.items()}
 
 
-def _anchor_states(index: ReachabilityIndex, a: int, b: int):
-    """Indices of reachable states just entered by a transition that added
-    a, with b still false, in discovery order."""
-    masks = index.masks
-    bit = 1 << b
-    return [i for i in index.entered.get(a, ()) if not masks[i] & bit]
-
-
 def _decide(index: ReachabilityIndex, relation: str, b: int, a: int,
             banned: frozenset) -> OrderingVerdict:
     """Breadth-first search over the transitions of the actions not in
-    ``banned``, from each anchor state in discovery order, with one
-    ``parents`` map shared by all the searches. A search that ends
+    ``banned``, from each anchor state (a state just entered by a
+    transition that added a, with b still false) in discovery order, with
+    one ``parents`` map shared by all the searches. A search that ends
     without finding b has visited everything its states reach, so a state
     it visited cannot reach b and a later search skips it. The first
-    dequeued state holding b refutes the ordering; the witness is that
-    search's anchor state and the shortest plan read back through
-    ``parents``, the same one a fresh search from that anchor state would
-    find. ValueError unless b and a are atom ids of the problem."""
+    dequeued state holding b refutes the ordering, and the anchor states
+    after it are never read; the witness is that search's anchor state and
+    the shortest plan read back through ``parents``, the same one a fresh
+    search from that anchor state would find. With no anchor state the
+    ordering holds trivially. ValueError unless b and a are atom ids of the
+    problem."""
     check_atom_ids(index.problem, b, a)
-    anchor_states = _anchor_states(index, a, b)
-    if not anchor_states:
-        return OrderingVerdict(relation, holds=True, trivial=True)
     masks = index.masks
     bit = 1 << b
     parents: dict = {}
-    for start in anchor_states:
-        if start in parents:
+    for start in index.entered(a):
+        if masks[start] & bit or start in parents:
             continue
         parents[start] = None
         queue = deque([start])
@@ -174,7 +180,7 @@ def _decide(index: ReachabilityIndex, relation: str, b: int, a: int,
                 if action_id not in banned and j not in parents:
                     parents[j] = (i, action_id)
                     queue.append(j)
-    return OrderingVerdict(relation, holds=True, trivial=False)
+    return OrderingVerdict(relation, holds=True, trivial=not parents)
 
 
 def decide_reasonable(index: ReachabilityIndex, b: int,
@@ -307,7 +313,11 @@ def verify_matrix(problem: PlanningProblem, graph=None,
     The e and h columns are read off the goal graphs, which compute one
     false set or one fixpoint per anchor goal; both share one ProblemIndex.
     The r and f columns are decide_reasonable's and decide_forced's
-    verdicts over one enumeration.
+    verdicts over one enumeration. decide_forced runs only where r holds:
+    a forced ordering is reasonable too, since its search starts from the
+    same anchor states and may take every transition the reasonable
+    search takes, so a refuted r row has f false and f_trivial equal to
+    r_trivial (false).
 
     Oracle columns are null when the state budget is exceeded (unknown,
     never asserted either way).
@@ -341,7 +351,7 @@ def verify_matrix(problem: PlanningProblem, graph=None,
             }
             if index is not None:
                 r = decide_reasonable(index, b, a)
-                f = decide_forced(index, b, a)
+                f = decide_forced(index, b, a) if r.holds else r
                 row.update(r=r.holds, r_trivial=r.trivial,
                            f=f.holds, f_trivial=f.trivial)
             pairs.append(row)

@@ -49,6 +49,9 @@ characters, and ``read_sexprs`` nests its tokens as ``pddl._read_sexprs``
 does, with ``(text, line, col)`` tuples for the tokens; the regex scanner
 must yield the same tokens, positions and errors.
 
+``problem_to_dict`` writes a problem in the ground-problem JSON form that
+``corpus.problem_from_dict`` reads, for the round-trip tests.
+
 ``ground`` is the PDDL grounder written per instance: it binds each
 instance's parameters in a dict, maps every literal's arguments through
 it and formats and interns a name for each literal, in the order the
@@ -711,3 +714,37 @@ def _ground_instance(op, variables, combo, intern, init_atoms, static,
                 effects.append(ConditionalEffect(
                     condition[0], *evaluate(clause.effects, effect=True)))
     return AdlAction(name, tuple(effects))
+
+
+def problem_to_dict(problem: PlanningProblem) -> dict:
+    """The ground-problem JSON form that ``corpus.problem_from_dict`` reads:
+    per action its name, precondition and adds and deletes (STRIPS) or
+    effects with their ``when`` conditions (ADL), then init and goals, all
+    as atom names."""
+    names = problem.atoms.names
+    actions = []
+    for action in problem.actions:
+        if not problem.is_adl:
+            actions.append({
+                "name": action.name,
+                "pre": names(action.pre),
+                "add": names(action.add),
+                "del": names(action.delete),
+            })
+        else:
+            effs = []
+            for i, eff in enumerate(action.effects):
+                entry = {"add": names(eff.adds), "del": names(eff.deletes)}
+                entry["when"] = [] if i == 0 else names(eff.condition)
+                effs.append(entry)
+            actions.append({
+                "name": action.name,
+                "pre": names(action.effects[0].condition),
+                "effects": effs,
+            })
+    return {
+        "name": problem.name,
+        "actions": actions,
+        "init": names(problem.init),
+        "goals": names(problem.goals),
+    }

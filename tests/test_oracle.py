@@ -95,7 +95,7 @@ def test_clashing_effects_in_a_reachable_state_raise():
 def test_entry_adds_recorded(load, index_of):
     problem = load("trap")
     index = index_of("trap")
-    b_entered = index.entered[problem.atom("B")]
+    b_entered = index.entered(problem.atom("B"))
     assert list(b_entered) == sorted(set(b_entered))
     # every state with an incoming op1 transition, self-loops included
     assert sorted(names_of(problem, index.states[i]) for i in b_entered) == \
@@ -161,18 +161,47 @@ def test_forced_orderings_trap(load, index_of):
         ["op3", "op4"]
 
 
+#: seeds of ``test_state_digests.random_problem`` the forced-ordering tests
+#: run over: STRIPS on even seeds, ADL on odd ones
+RANDOM_SEEDS = 3000
+#: ordered atom pairs decide_forced holds over those problems, per family
+FORCED_HELD_ON_RANDOM = {"strips": 15608, "adl": 13544}
+#: verify_matrix rows and rows with r refuted over them, per family
+F_ROWS_ON_RANDOM = {"strips": [1902, 398], "adl": [1888, 647]}
+
+
+def check_forced_implies_reasonable(index, atoms) -> int:
+    """Every ordered pair of ``atoms`` that decide_forced holds is held by
+    decide_reasonable; returns how many pairs forced holds."""
+    held = 0
+    for a in atoms:
+        for b in atoms:
+            if a == b:
+                continue
+            f = decide_forced(index, b, a)
+            r = decide_reasonable(index, b, a)
+            if f.holds:
+                assert r.holds, (index.problem.name, b, a)
+                held += 1
+    return held
+
+
 def test_forced_implies_reasonable(load, index_of):
     for name in ("blocks3", "trap", "revival", "diamond", "gripper2"):
-        problem = load(name)
-        index = index_of(name)
-        for a in sorted(problem.goals):
-            for b in sorted(problem.goals):
-                if a == b:
-                    continue
-                f = decide_forced(index, b, a)
-                r = decide_reasonable(index, b, a)
-                if f.holds:
-                    assert r.holds, (name, b, a)
+        check_forced_implies_reasonable(index_of(name),
+                                        sorted(load(name).goals))
+
+
+def test_forced_implies_reasonable_on_random_problems():
+    """The rule verify_matrix relies on, over every ordered atom pair of the
+    seeded random STRIPS (even seeds) and ADL (odd seeds) problems."""
+    held = {"strips": 0, "adl": 0}
+    for seed in range(RANDOM_SEEDS):
+        problem = test_state_digests.random_problem(seed)
+        held["adl" if seed % 2 else "strips"] += \
+            check_forced_implies_reasonable(enumerate_reachable(problem),
+                                            range(len(problem.atoms)))
+    assert held == FORCED_HELD_ON_RANDOM
 
 
 def test_forced_ordering_on_diamond(load, index_of):
@@ -354,26 +383,40 @@ def test_verify_matrix_runs_one_fixpoint_per_goal(load, monkeypatch):
     assert len(calls) == n
 
 
+#: ordered goal pairs decide_reasonable holds, so that decide_forced
+#: decides them too, per instance (of 20, 56 and 20 pairs)
+REASONABLE_HELD = {"diamond": 3, "tyreworld_1": 8, "stack_6": 4}
+
+
 def test_verify_matrix_decides_each_pair_through_the_entry_points(
-        load, monkeypatch):
+        load, index_of, monkeypatch):
     """verify_matrix decides every ordered goal pair with one
-    decide_reasonable and one decide_forced call, which the traced
-    benchmark run counts as oracle decisions."""
-    problem = load("diamond")
-    calls = {"decide_reasonable": 0, "decide_forced": 0}
-    for name in calls:
-        original = getattr(oracle, name)
+    decide_reasonable call, and calls decide_forced exactly on the pairs
+    whose reasonable verdict holds (a forced ordering is reasonable too);
+    the traced benchmark run counts both as oracle decisions."""
+    calls = {"decide_reasonable": [], "decide_forced": []}
+    for entry in calls:
+        original = getattr(oracle, entry)
 
-        def counting(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+        def recording(reachable, b, a, _entry=entry, _original=original):
+            calls[_entry].append((b, a))
+            return _original(reachable, b, a)
 
-        monkeypatch.setattr(oracle, name, counting)
-    matrix = verify_matrix(problem)
-    n = len(problem.goals)
-    assert n >= 2 and matrix["states"] is not None
-    assert calls == {"decide_reasonable": n * (n - 1),
-                     "decide_forced": n * (n - 1)}
+        monkeypatch.setattr(oracle, entry, recording)
+    for name, n_held in REASONABLE_HELD.items():
+        problem = load(name)
+        index = index_of(name)
+        for made in calls.values():
+            made.clear()
+        matrix = verify_matrix(problem)
+        goals = sorted(problem.goals)
+        pairs = [(b, a) for a in goals for b in goals if a != b]
+        assert matrix["states"] is not None
+        assert calls["decide_reasonable"] == pairs, name
+        held = [(b, a) for b, a in pairs
+                if decide_reasonable(index, b, a).holds]
+        assert calls["decide_forced"] == held, name
+        assert len(held) == n_held, name
 
 
 @pytest.mark.parametrize("name", ["diamond", "latch", "trap", "blocks3"])
@@ -389,6 +432,36 @@ def test_verify_matrix_r_column_matches_decide_reasonable(load, index_of,
                                     ids[row["after"]])
         assert (row["r"], row["r_trivial"]) == \
             (verdict.holds, verdict.trivial), row
+
+
+def check_f_column(problem, index):
+    """Every verify_matrix row's f and f_trivial are decide_forced's;
+    returns the number of rows and of rows whose r is refuted."""
+    rows = verify_matrix(problem)["pairs"]
+    ids = {problem.atoms.name(g): g for g in problem.goals}
+    for row in rows:
+        verdict = decide_forced(index, ids[row["before"]], ids[row["after"]])
+        assert (row["f"], row["f_trivial"]) == \
+            (verdict.holds, verdict.trivial), (problem.name, row)
+    return len(rows), sum(not row["r"] for row in rows)
+
+
+@pytest.mark.parametrize("name", corpus.EXHAUSTIBLE + ("stack_6", "hanoi_4"))
+def test_verify_matrix_f_column_matches_decide_forced(load, index_of, name):
+    check_f_column(load(name), index_of(name))
+
+
+def test_verify_matrix_f_column_matches_decide_forced_on_random_problems():
+    """The same on the seeded random STRIPS (even seeds) and ADL (odd
+    seeds) problems, over their ordered goal pairs."""
+    counts = {"strips": [0, 0], "adl": [0, 0]}
+    for seed in range(RANDOM_SEEDS):
+        problem = test_state_digests.random_problem(seed)
+        rows, refuted = check_f_column(problem, enumerate_reachable(problem))
+        family = counts["adl" if seed % 2 else "strips"]
+        family[0] += rows
+        family[1] += refuted
+    assert counts == F_ROWS_ON_RANDOM
 
 
 def test_verify_matrix_single_goal():
@@ -544,7 +617,14 @@ def check_enumeration(problem, index):
     states, edges, entered = ref.naive_enumerate(problem)
     assert list(index.states) == states
     assert list(index.edges) == edges
-    assert {atom: list(js) for atom, js in index.entered.items()} == entered
+    atoms = range(len(problem.atoms))
+    assert {atom: list(index.entered(atom)) for atom in atoms
+            if index.entered(atom)} == entered
+    entering = [0] * len(states)
+    for atom, js in entered.items():
+        for j in js:
+            entering[j] |= 1 << atom
+    assert list(index.entering) == entering
 
 
 @pytest.mark.parametrize("name", corpus.EXHAUSTIBLE + ("stack_6",))

