@@ -21,9 +21,9 @@ import time
 from . import corpus
 from .agenda import agenda_to_dict, compute_agenda
 from .driver import plan_with_agenda
-from .graphplan import ResourceLimitError, build_graph, graph_dump
-from .model import (MAX_LAYERS, MAX_NODES, MAX_STATES, PlanningError,
-                    PlanningProblem)
+from .graphplan import build_graph, graph_dump
+from .model import (MAX_LAYERS, MAX_NODES, MAX_STATES, LimitExceeded,
+                    PlanningError, PlanningProblem)
 from .oracle import verify_matrix
 from .pddl import ground, parse
 
@@ -255,7 +255,7 @@ def main(argv=None) -> int:
     config = build_parser().parse_args(argv)
     try:
         return run(config)
-    except ResourceLimitError as exc:
+    except LimitExceeded as exc:
         print(f"goalagenda: resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except PlanningError as exc:

@@ -40,6 +40,7 @@ from .kernel import GraphKernel, backend as kernel_backend
 from .model import (
     MAX_LAYERS,
     MAX_NODES,
+    LimitExceeded,
     Plan,
     PlanningError,
     PlanningProblem,
@@ -74,10 +75,6 @@ class GraphContext:
         self.kernel = GraphKernel(len(problem.atoms), nodes)
 
 
-class ResourceLimitError(PlanningError):
-    pass
-
-
 class PlanningGraph:
     """A planning graph over a context, grown from ``init`` one layer per
     call to ``grow``. Per fact layer: ``fact_layers`` holds the fact
@@ -110,11 +107,11 @@ class PlanningGraph:
 
     def grow(self) -> None:
         """Add action layer t and fact layer t + 1, t being the number of
-        action layers so far; ResourceLimitError when that would pass
+        action layers so far; LimitExceeded when that would pass
         max_layers layers without level-off."""
         t = len(self.action_layers)
         if t >= self.max_layers:
-            raise ResourceLimitError(
+            raise LimitExceeded(
                 f"planning graph did not level off within "
                 f"{self.max_layers} layers")
         facts = self.fact_layers[-1]
@@ -149,7 +146,7 @@ class PlanningGraph:
 def build_graph(problem: PlanningProblem, max_layers: int = MAX_LAYERS,
                 retain_layers: bool = True) -> PlanningGraph:
     """Grow the graph until level-off (through leveled_at + 1 layers), or
-    raise ResourceLimitError past max_layers layers; see PlanningGraph for
+    raise LimitExceeded past max_layers layers; see PlanningGraph for
     retain_layers."""
     graph = PlanningGraph(GraphContext(problem), problem.init, max_layers,
                           retain_layers)
@@ -189,11 +186,18 @@ def graphplan_search(context: GraphContext, init, goals,
     possible); remaining ties break by ascending node id, so plans are
     deterministic across runs. max_nodes bounds the nodes visited over all
     horizons; _BackwardSearch says what counts as one. max_layers bounds
-    the layers grown, not the horizon: ResourceLimitError when a horizon
-    needs a layer past it before level-off, so a plan found within it is
-    returned even where the graph would level off later. Horizons past
-    level-off read no new layer and run until a plan, the exhaustion proof
-    or max_nodes ends the search.
+    the layers grown, not the horizon: LimitExceeded propagates when a
+    horizon needs a layer past it before level-off, so a plan found within
+    it is returned even where the graph would level off later. Horizons
+    past level-off read no new layer and run until a plan, the exhaustion
+    proof or max_nodes ends the search; the search's LimitExceeded becomes
+    ResourceLimit("max_nodes").
+
+    Horizons start at 1 and the first one with a plan returns it. Its plan
+    has no step made only of no-ops: dropping that step would give a plan
+    of one step fewer, which the previous horizon would have returned, as
+    the search at each horizon is complete (every cut removes only subtrees
+    without a plan, and a horizon that runs out of nodes ends the search).
 
     The graph grows lazily. Horizon H reads fact layers 0..H and action
     layers 0..H-1, each at its own index while level-off is unknown and at
@@ -299,7 +303,7 @@ def graphplan_search(context: GraphContext, init, goals,
                 not searcher.goals_mutex(layer, goal_mask):
             try:
                 steps = searcher.search(goal_mask, horizon)
-            except _NodeBudgetExceeded:
+            except LimitExceeded:
                 return ResourceLimit("max_nodes", max_nodes)
             if steps is not None:
                 return _extract_plan(context, steps)
@@ -312,10 +316,6 @@ def graphplan_search(context: GraphContext, init, goals,
             if prev_nogood_count is not None and count == prev_nogood_count:
                 return Unsolvable("memoized goal sets prove exhaustion")
             prev_nogood_count = count
-
-
-class _NodeBudgetExceeded(Exception):
-    pass
 
 
 class _BackwardSearch:
@@ -375,8 +375,8 @@ class _BackwardSearch:
       with the candidate, the goal of the earliest chosen node whose row
       holds it.
     - A full assignment whose subgoal set fails with explanation N at layer
-      t-1 (at t = 1, one missing initial fact): for each fact of N, the
-      goal of the earliest chosen node that needs it.
+      t-1: for each fact of N, the goal of the earliest chosen node that
+      needs it.
 
     A goal that runs out of candidates has the union of its candidates'
     conflicts, itself included. The search jumps back to the newest choice
@@ -425,7 +425,6 @@ class _BackwardSearch:
         # fact layer t -> highest fact -> the explanations of the sets the
         # search failed, with that top
         self.by_top: dict = {}
-        self.init_mask = graph.fact_layers[0]
 
     def goals_mutex(self, layer: int, goals: int) -> bool:
         rows = self.graph.fact_mutex[layer]
@@ -460,18 +459,21 @@ class _BackwardSearch:
 
     def search(self, goals: int, t: int):
         """Steps (node-id sets for action layers 0..t-1) achieving the goal
-        mask at fact layer t, or None."""
-        if t == 0:
-            return None if goals & ~self.init_mask else []
+        mask at fact layer t, or None; LimitExceeded past max_nodes.
+
+        t is a horizon, so t >= 1, and the search at horizon t is the first
+        to open a set at fact layer t: earlier horizons open sets only at
+        layers up to their own. So the memo and the nogood index at layer t
+        are still empty, and the goal set opens as a stack entry. At t = 1
+        every full assignment is a plan: each achiever at action layer 0,
+        no-ops included, is applicable in fact layer 0, the initial state.
+        """
         # fact layers below cut explain their failures
         leveled = self.graph.leveled_at
         cut = t if leveled is None else min(leveled, t)
         level = self._open(goals, t)
-        if level.__class__ is int:
-            return None
         kernel = self.graph.context.kernel
         add_masks, pre_masks = kernel.add_masks, kernel.pre_masks
-        init_mask = self.init_mask
         levels = [level]
         t, _, goal_ids, achievers, amasks, rows, choices = level
         explain = False  # t is the top layer
@@ -482,32 +484,29 @@ class _BackwardSearch:
             if k is None:
                 self.nodes_used += 1
                 if self.nodes_used > self.max_nodes:
-                    raise _NodeBudgetExceeded
+                    raise LimitExceeded(
+                        f"search node budget of {self.max_nodes} exceeded")
                 if index < n_goals:
                     if added >> goal_ids[index] & 1:
                         index += 1
                         continue
                     k = conflict = held = needed = 0
+                elif t == 1:
+                    return [{achievers[goal_ids[i]][k - 1]
+                             for i, k, *_ in choices}
+                            for _, _, goal_ids, achievers, _, _, choices
+                            in reversed(levels)]
                 else:
-                    if t == 1:
-                        needed = pre & ~init_mask
-                        if not needed:
-                            return [{achievers[goal_ids[i]][k - 1]
-                                     for i, k, *_ in choices}
-                                    for _, _, goal_ids, achievers, _, _,
-                                    choices in reversed(levels)]
-                        needed &= -needed  # one missing initial fact
-                    else:
-                        level = self._open(pre, t - 1)
-                        if level.__class__ is not int:
-                            levels.append(level)
-                            t, _, goal_ids, achievers, amasks, rows, \
-                                choices = level
-                            explain = t < cut
-                            n_goals = len(goal_ids)
-                            index = added = mutex = pre = 0
-                            continue
-                        needed = level
+                    level = self._open(pre, t - 1)
+                    if level.__class__ is not int:
+                        levels.append(level)
+                        t, _, goal_ids, achievers, amasks, rows, \
+                            choices = level
+                        explain = t < cut
+                        n_goals = len(goal_ids)
+                        index = added = mutex = pre = 0
+                        continue
+                    needed = level
                     blame = held = 0
             if k is not None:
                 cands = achievers[goal_ids[index]]
@@ -582,12 +581,9 @@ class _BackwardSearch:
 
 
 def _extract_plan(context: GraphContext, steps) -> Plan:
-    out = []  # the search is STRIPS-only, so node i is action i
-    for step in steps:
-        real = frozenset(n for n in step if n < context.n_real_nodes)
-        if real:
-            out.append(real)
-    return Plan(tuple(out))
+    # node i is action i (STRIPS); no step is all no-ops (graphplan_search)
+    return Plan(tuple(frozenset(n for n in step if n < context.n_real_nodes)
+                      for step in steps))
 
 
 def graph_dump(graph: PlanningGraph) -> dict:

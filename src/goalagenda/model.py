@@ -13,6 +13,9 @@ the executor here, the planning graph's nodes, the ordering index's ways
 and the oracle's deletes record all read it from there. Every type is an
 immutable value after construction, so problems and plans can be shared
 freely between threads. All operations here are pure functions. A
+budget that runs out raises ``LimitExceeded``, the one exception for
+every budget of the package; the base planners report their own budgets
+as a ``ResourceLimit`` result instead. A
 planning graph (``graphplan.PlanningGraph``) is not such a value: it is
 written while it grows, and never again once it has leveled off, so a
 leveled graph can be shared too.
@@ -27,6 +30,11 @@ from typing import Iterable, Union
 
 class PlanningError(Exception):
     """Base class for errors raised by this package."""
+
+
+class LimitExceeded(PlanningError):
+    """A budget ran out: planning-graph layers, backward-search nodes or
+    reachable states. The one exception every exhausted budget raises."""
 
 
 class ConflictingEffects(PlanningError):
@@ -234,9 +242,6 @@ class Plan:
 
     def action_count(self) -> int:
         return sum(len(s) for s in self.steps)
-
-    def __len__(self) -> int:
-        return len(self.steps)
 
 
 def mask_of(ids: Iterable[int]) -> int:

@@ -31,6 +31,8 @@ Also detects deadlocks, and certifies invertibility against the
 transitions: an action that labels no edge never runs and is exempt.
 Everything here is exponential by design; the default state budget keeps it
 at desk scale, and verdicts past the budget are "unknown", never false.
+An enumeration past its budget raises ``model.LimitExceeded``, the one
+exception every exhausted budget raises.
 Every search reads the masks; states become frozensets only where they leave
 the module: witness states, deadlocks and ``ReachabilityIndex.states``.
 """
@@ -45,7 +47,7 @@ from itertools import compress
 from .agenda import build_goal_graph
 from .model import (
     MAX_STATES,
-    PlanningError,
+    LimitExceeded,
     PlanningProblem,
     SuccessorTable,
     _unwind,
@@ -55,12 +57,6 @@ from .model import (
     transitions,
 )
 from .ordering import OrderingVerdict, ProblemIndex
-
-
-class LimitExceeded(PlanningError):
-    def __init__(self, limit: int):
-        self.limit = limit
-        super().__init__(f"reachable-state budget of {limit} exceeded")
 
 
 @dataclass
@@ -104,7 +100,8 @@ def enumerate_reachable(problem: PlanningProblem,
 
     Self-loops are kept: an applicable action that changes nothing still
     enters its state with its adds, which matters for the anchor states of
-    the exact orderings below.
+    the exact orderings below. LimitExceeded when the states would pass
+    limit.
     """
     table = SuccessorTable(problem)
     start = mask_of(problem.init)
@@ -119,7 +116,8 @@ def enumerate_reachable(problem: PlanningProblem,
             if j is None:
                 j = len(masks)
                 if j >= limit:
-                    raise LimitExceeded(limit)
+                    raise LimitExceeded(
+                        f"reachable-state budget of {limit} exceeded")
                 index_of[succ] = j
                 masks.append(succ)
                 entering.append(0)

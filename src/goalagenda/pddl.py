@@ -380,12 +380,15 @@ def _check_domain(domain: DomainFile) -> None:
                 _check_literal(item, arities, op.name, params)
 
 
-def _check_literal(lit: Literal, arities, op_name=None, params=()) -> None:
+def _check_literal(lit: Literal, arities, op_name=None, params=(),
+                   loc=()) -> None:
     """Check a literal of operator ``op_name`` over its ``params``, or,
-    without an operator, a ground atom of the problem."""
+    without an operator, a ground atom of the problem, whose form starts at
+    ``loc`` (line, col)."""
     where = f" in operator {op_name!r}" if op_name else ""
     if lit.predicate not in arities:
-        raise PddlSyntaxError(f"unknown predicate {lit.predicate!r}{where}")
+        raise PddlSyntaxError(f"unknown predicate {lit.predicate!r}{where}",
+                              *loc)
     if len(lit.args) != arities[lit.predicate]:
         raise ArityMismatch(
             f"{lit.predicate} expects {arities[lit.predicate]} args, "
@@ -394,7 +397,7 @@ def _check_literal(lit: Literal, arities, op_name=None, params=()) -> None:
         if arg.startswith("?") and arg not in params:
             raise PddlSyntaxError(
                 f"variable {arg} of {op_name!r} is not a parameter" if op_name
-                else f"variable {arg} in a ground atom")
+                else f"variable {arg} in a ground atom", *loc)
 
 
 def parse_problem(text: str, domain: DomainFile) -> ProblemFile:
@@ -413,7 +416,7 @@ def parse_problem(text: str, domain: DomainFile) -> ProblemFile:
         elif head == ":init":
             for form in section[1:]:
                 lit = _parse_literal(form, allow_negated=False, context="init")
-                _check_literal(lit, arities)
+                _check_literal(lit, arities, loc=_loc(form))
                 init.append((lit.predicate, lit.args))
         elif head == ":goal":
             if len(section) != 2:
@@ -421,9 +424,9 @@ def parse_problem(text: str, domain: DomainFile) -> ProblemFile:
                                       *_loc(section))
             for form in _flatten_and(section[1]):
                 if isinstance(form, list) and not form:
-                    continue  # (and) is the empty conjunction
+                    continue  # () is an empty conjunction, as (and) is
                 lit = _parse_literal(form, allow_negated=False, context="goal")
-                _check_literal(lit, arities)
+                _check_literal(lit, arities, loc=_loc(form))
                 goal.append((lit.predicate, lit.args))
         else:
             raise PddlSyntaxError(f"unknown problem section {head!r}",

@@ -18,6 +18,12 @@ TWO_ROOMS = {
     "goals": ["atB", "X"],
 }
 
+#: TWO_ROOMS with ADL actions: each move is one unconditional effect.
+TWO_ROOMS_ADL = dict(TWO_ROOMS, actions=[
+    {"name": a["name"], "pre": a["pre"],
+     "effects": [{"add": a["add"], "del": a["del"]}]}
+    for a in TWO_ROOMS["actions"]])
+
 _problems: dict = {}
 _indexes: dict = {}
 _graphs: dict = {}

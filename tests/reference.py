@@ -67,12 +67,13 @@ import sys
 from collections import deque
 from contextlib import contextmanager
 
-from goalagenda.graphplan import _BackwardSearch, _NodeBudgetExceeded
+from goalagenda.graphplan import _BackwardSearch
 from goalagenda.model import (
     AdlAction,
     AtomTable,
     ConditionalEffect,
     ConflictingEffects,
+    LimitExceeded,
     Plan,
     PlanningProblem,
     ResourceLimit,
@@ -170,7 +171,7 @@ class RecursiveSearch:
     def _assign(self, goals, index, chosen, t):
         self.nodes_used += 1
         if self.nodes_used > self.max_nodes:
-            raise _NodeBudgetExceeded
+            raise LimitExceeded("node budget exceeded")
         if index == len(goals):
             subgoals = frozenset().union(*(self._node_pre(n) for n in chosen)) \
                 if chosen else frozenset()

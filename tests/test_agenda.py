@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from goalagenda import agenda as agenda_module
 from goalagenda.agenda import (
+    Agenda,
     GoalGraph,
     agenda_to_dict,
     build_goal_graph,
@@ -11,14 +12,39 @@ from goalagenda.agenda import (
     place_gsep,
     transitive_closure,
 )
+from goalagenda.corpus import problem_from_dict
 from goalagenda.ordering import ProblemIndex
 
-from conftest import atoms, names_of
+from conftest import TWO_ROOMS, atoms, names_of
 
 
 def test_goal_graph_rejects_self_loops():
     with pytest.raises(ValueError):
         GoalGraph(frozenset({1, 2}), frozenset({(1, 1)}))
+
+
+def test_goal_graph_rejects_edges_off_its_vertices():
+    with pytest.raises(ValueError, match="edge endpoints must be vertices"):
+        GoalGraph(frozenset({1, 2}), frozenset({(1, 3)}))
+
+
+@pytest.mark.parametrize("method", ["e", "h"])
+def test_goal_less_problem(method):
+    """A problem without goals has the empty agenda, and no goal graph."""
+    problem = problem_from_dict(dict(TWO_ROOMS, goals=[]))
+    assert compute_agenda(problem, method) == Agenda((), method)
+    with pytest.raises(ValueError, match="problem has no goals"):
+        build_goal_graph(ProblemIndex(problem), method)
+
+
+def test_place_gsep_merges_what_no_edge_orders_into_one_entry(load):
+    """gripper2's two goals are not ordered either way, so an entry of one
+    and a separate set of the other merge into a single entry."""
+    problem = load("gripper2")
+    first, second = sorted(problem.goals)
+    agenda = place_gsep(ProblemIndex(problem), [{first}], {second}, "h")
+    assert agenda.entries == (frozenset({first, second}),)
+    assert agenda.gsep_placement == "defaulted_last"
 
 
 def test_build_goal_graph_three_blocks(load):

@@ -247,6 +247,8 @@ MALFORMED = [
     ("corpus size not a number", ["analyze", "--corpus", "stack_x"]),
     ("corpus stack too small", ["analyze", "--corpus", "stack_1"]),
     ("corpus hanoi too small", ["analyze", "--corpus", "hanoi_0"]),
+    ("corpus tyreworld too small", ["analyze", "--corpus", "tyreworld_0"]),
+    ("domain without problem", ["analyze", "--domain", BLOCKS_DOMAIN]),
     ("non-integer budget", ["plan", "--corpus", "trap", "--max-nodes", "abc"]),
     ("predicate declared twice",
      ["analyze", "--domain",
@@ -266,15 +268,25 @@ MALFORMED = [
      ["analyze", *_adl_ground([{"add": ["atB"]}], add=["atB"])]),
     ("unknown effect key",
      ["analyze", *_adl_ground([{"add": ["atB"], "dels": ["atA"]}])]),
+    ("ground problem not an object", ["analyze", "--ground", "[]"]),
+    ("init not a list of names", ["analyze", *_ground(init="atA")]),
+    ("strips and adl actions mixed",
+     ["analyze", *_ground(actions=[
+         TWO_ROOMS["actions"][0],
+         {"name": "go(B,A)", "pre": ["atB"], "effects": [{"add": ["atA"]}]}])]),
+    ("condition on effect 0",
+     ["analyze", *_adl_ground([{"add": ["atB"], "when": ["atA"]}])]),
+    # the model refuses to fire an add and a delete of one atom at once
+    ("conflicting effects fired by plan",
+     ["plan", "--base", "forward",
+      *_adl_ground([{"add": ["atB"], "del": ["atA"]}, {"del": ["atB"]}])]),
     ("no subcommand", []),
 ]
 
 
-@pytest.mark.parametrize("args", [pytest.param(args, id=case)
-                                  for case, args in MALFORMED])
-def test_malformed_input_exits_3(tmp_path, args):
-    """Each malformed input is an input error: exit 3 with a message and no
-    traceback. File arguments are written to files first."""
+def _argv(tmp_path, args):
+    """``args`` with each file argument written to a file and replaced by
+    its path."""
     argv = []
     for i, arg in enumerate(args):
         if i and args[i - 1] in ("--ground", "--domain", "--problem"):
@@ -282,6 +294,18 @@ def test_malformed_input_exits_3(tmp_path, args):
             path.write_text(arg)
             arg = str(path)
         argv.append(arg)
+    return argv
+
+
+@pytest.mark.parametrize("args", [pytest.param(args, id=case)
+                                  for case, args in MALFORMED])
+def test_malformed_input_exits_3(tmp_path, capsys, args):
+    """Each malformed input is an input error: exit 3 with a message and no
+    traceback. File arguments are written to files first. The same inputs
+    then go through ``main`` in this process, where a line trace of the
+    tests (``tests/line_coverage.py``) sees the code that rejects them:
+    exit 3, nothing on stdout and an error message on stderr."""
+    argv = _argv(tmp_path, args)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [
@@ -292,6 +316,14 @@ def test_malformed_input_exits_3(tmp_path, args):
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "error" in proc.stderr
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # a usage error, from the argument parser
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith(("goalagenda: ", "usage: ")), captured.err
+    assert "error: " in captured.err
 
 
 @pytest.mark.parametrize("args", [

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference as ref
-from goalagenda import corpus
-from goalagenda.agenda import compute_agenda
+from goalagenda import corpus, driver
+from goalagenda.agenda import Agenda, compute_agenda
 from goalagenda.corpus import problem_from_dict
 from goalagenda.driver import (
     InvalidPlanError,
@@ -22,7 +22,8 @@ from goalagenda.model import (
     validate_plan,
 )
 
-from conftest import TWO_ROOMS, atoms, forward_on, graphplan_on, names_of
+from conftest import (TWO_ROOMS, TWO_ROOMS_ADL, atoms, forward_on,
+                      graphplan_on, names_of)
 from test_kernels import random_problem
 from test_oracle import strips_problem
 from test_problem_index import count_builds, random_adl_problem, subsets
@@ -224,6 +225,48 @@ def test_unsolvable_invertible_problem_is_certified():
         assert result.status == "episode_unsolvable"
         assert result.failed_episode == 1
         assert result.invertibility_certified is True
+
+
+def test_adl_problem_is_never_certified():
+    """TWO_ROOMS in ADL form fails the same episode, but certification is
+    defined for STRIPS only, so the verdict stays uncertified."""
+    problem = problem_from_dict(TWO_ROOMS_ADL)
+    result = plan_with_agenda(problem, compute_agenda(problem, "h"),
+                              base="forward")
+    assert result.status == "episode_unsolvable"
+    assert result.failed_episode == 1
+    assert result.invertibility_certified is False
+
+
+def _empty_plans(name, problem, limits):
+    """A base planner that returns the empty plan for every episode."""
+    return lambda state, goals: Plan(())
+
+
+@pytest.mark.parametrize("case, error, message", [
+    ("unknown base", ValueError, "unknown base planner 'astar'"),
+    ("episode plan misses its goals", InvalidPlanError,
+     "episode 1 ended without its cumulative goals"),
+    ("agenda misses a goal", InvalidPlanError,
+     "concatenated plan failed validation"),
+])
+def test_plan_with_agenda_refuses(load, monkeypatch, case, error, message):
+    """An unknown base is refused before any search. A plan that does not
+    reach its episode's goals is refused after that episode, and a run
+    whose agenda leaves a goal out fails the final validation (every
+    episode plan executes and reaches its own goals, so only the problem's
+    goals can be missed)."""
+    problem = load("blocks3")
+    agenda = compute_agenda(problem, "h")
+    base = "graphplan"
+    if case == "unknown base":
+        base = "astar"
+    elif case == "episode plan misses its goals":
+        monkeypatch.setattr(driver, "_base_planner", _empty_plans)
+    else:
+        agenda = Agenda(agenda.entries[:-1], agenda.method)
+    with pytest.raises(error, match=message):
+        plan_with_agenda(problem, agenda, base=base)
 
 
 def test_certification_past_the_state_budget_is_false():

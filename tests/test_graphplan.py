@@ -13,7 +13,6 @@ from goalagenda.driver import AgendaPlanResult, plan_with_agenda
 from goalagenda.graphplan import (
     AnchorUnreachable,
     GraphContext,
-    ResourceLimitError,
     build_graph,
     false_set,
     graph_dump,
@@ -21,6 +20,7 @@ from goalagenda.graphplan import (
 )
 from goalagenda.model import (
     AtomTable,
+    LimitExceeded,
     PlanningProblem,
     ResourceLimit,
     StripsAction,
@@ -31,7 +31,7 @@ from goalagenda.model import (
 )
 from goalagenda.oracle import enumerate_reachable
 
-from conftest import atoms, graphplan_on, names_of
+from conftest import TWO_ROOMS_ADL, atoms, graphplan_on, names_of
 from reference import LinearScanSearch, RecursiveSearch
 from test_kernels import random_problem
 
@@ -296,7 +296,7 @@ def test_max_layers_bounds_the_layers_grown_not_the_horizon(load):
     plan = graphplan_on(problem)
     assert len(plan.steps) == 7 and build_graph(problem).leveled_at == 5
     assert graphplan_on(problem, max_layers=6) == plan
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(LimitExceeded):
         graphplan_on(problem, max_layers=5)
 
 
@@ -339,6 +339,12 @@ def test_adl_actions_split_into_effect_nodes(load):
     assert GraphContext(problem).n_real_nodes == sum(map(len, problem.ways))
     graph = build_graph(problem)
     assert graph.fact_layers[graph.leveled_at] >> problem.atom("lit(s1)") & 1
+
+
+def test_search_requires_a_strips_problem():
+    problem = corpus.problem_from_dict(TWO_ROOMS_ADL)
+    with pytest.raises(ValueError, match="requires a STRIPS problem"):
+        graphplan_on(problem)
 
 
 @pytest.mark.parametrize("method", ["h", "e"])

@@ -94,6 +94,17 @@ def test_problem_rejects_ids_outside_its_atom_table(init, goals, actions,
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("make, error, message", [
+    (lambda load: AdlAction("a", ()), ValueError, "needs an effect at index 0"),
+    (lambda load: load("blocks2").action_named("fly"), KeyError, "fly"),
+], ids=["adl action without effects", "unknown action name"])
+def test_model_rejects_what_does_not_exist(load, make, error, message):
+    """An ADL action needs effect 0, which carries its precondition; a
+    problem names only the actions it has."""
+    with pytest.raises(error, match=message):
+        make(load)
+
+
 def test_action_ways_condition_each_effect_on_the_precondition():
     """A STRIPS action is one way; an ADL action is one way per effect, in
     effect order, each condition holding the action's precondition."""

@@ -25,7 +25,7 @@ from goalagenda.oracle import (
 )
 from goalagenda.ordering import ProblemIndex
 
-from conftest import forward_on, names_of
+from conftest import TWO_ROOMS_ADL, forward_on, names_of
 from test_kernels import random_problem
 from test_problem_index import random_adl_problem, subsets
 
@@ -366,6 +366,12 @@ def test_invertibility_tyreworld_not_certified(index_of):
     assert any(n.startswith("cuss(") for n in report.notes)
 
 
+def test_invertibility_is_defined_for_strips_only():
+    index = enumerate_reachable(corpus.problem_from_dict(TWO_ROOMS_ADL))
+    with pytest.raises(ValueError, match="defined for STRIPS only"):
+        check_invertibility(index)
+
+
 def test_verify_matrix_runs_one_fixpoint_per_goal(load, monkeypatch):
     problem = load("diamond")
     calls = []
@@ -561,7 +567,7 @@ def test_direct_ordering_errors_on_corpus(load, name):
 
 
 @pytest.mark.parametrize("name", corpus.ALL_NAMED)
-def test_keeping_scan_matches_problem_index_on_corpus(load, name):
+def test_deletes_record_matches_allowed_actions_on_corpus(load, name):
     """The actions decide_reasonable leaves to each anchor atom are the
     reference's allowed actions."""
     check_deletes_record(load(name))

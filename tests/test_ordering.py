@@ -374,3 +374,15 @@ def test_ordering_layer_rejects_ids_that_are_not_atoms(load, graph_of,
     }[call]
     with pytest.raises(ValueError, match=f"atom id {bad} out of range"):
         run()
+
+
+@pytest.mark.parametrize("test", ["order_e", "order_h"])
+def test_ordering_needs_two_distinct_goals(load, graph_of, test):
+    problem = load("blocks3")
+    goal = min(problem.goals)
+    call = {
+        "order_e": lambda: order_e(problem, graph_of("blocks3"), goal, goal),
+        "order_h": lambda: order_h(problem, goal, goal),
+    }[test]
+    with pytest.raises(ValueError, match="two distinct goals"):
+        call()

@@ -148,6 +148,124 @@ def test_define_form_error_carries_location(kind, text, message, at):
     assert (err.value.line, err.value.col) == at
 
 
+def _domain(sections, requirements=":strips", predicates="(p ?x) (q ?x)"):
+    """A domain whose third line starts at ``sections`` (column 3)."""
+    return (f"(define (domain d) (:requirements {requirements})\n"
+            f"  (:predicates {predicates})\n  {sections})")
+
+
+def _problem(init="(p o)", goal="(:goal (q o))"):
+    """A problem of ``_domain`` whose second line starts at ``(:init``."""
+    return (f"(define (problem i) (:domain d) (:objects o)\n"
+            f"  (:init {init}) {goal})")
+
+
+ACTION = "(:action a :parameters (?x) :precondition (p ?x) :effect (q ?x))"
+CONDITIONAL = ":strips :conditional-effects"
+
+#: (id, domain, problem, error, message, (line, col) or None): every
+#: rejected form that the other tests here do not reach.
+MALFORMED_PDDL = [
+    ("action without a name", _domain("(:action)"), _problem(),
+     PddlSyntaxError, "expected an action name", (3, 4)),
+    ("typed-list item not a name", _domain("(:types (t))"), _problem(),
+     PddlSyntaxError, "expected a name in typed list", (3, 12)),
+    ("no type after '-'", _domain("(:types t -)"), _problem(),
+     PddlSyntaxError, "expected a type after '-'", (3, 13)),
+    ("atom not a list", _domain(ACTION), _problem(init="o"),
+     PddlSyntaxError, "expected an atom in init", (2, 10)),
+    ("'not' with two arguments",
+     _domain("(:action a :parameters (?x)"
+             " :precondition (not (p ?x) (q ?x)) :effect (q ?x))",
+             requirements=":strips :negative-preconditions"), _problem(),
+     PddlSyntaxError, "'not' takes one argument", (3, 46)),
+    ("negated init atom", _domain(ACTION), _problem(init="(not (p o))"),
+     UnsupportedFeature, "unsupported construct 'not'", (2, 11)),
+    ("nested argument", _domain(ACTION), _problem(init="(p (o))"),
+     PddlSyntaxError, "atom arguments must be names", (2, 14)),
+    ("requirement :adl", _domain(ACTION, requirements=":strips :adl"),
+     _problem(), UnsupportedFeature, "unsupported construct ':adl'", (1, 43)),
+    ("predicate declared twice",
+     _domain(ACTION, predicates="(p ?x) (q ?x) (p ?y)"), _problem(),
+     PddlSyntaxError, "predicate 'p' declared twice", (2, 31)),
+    ("action declared twice", _domain(f"{ACTION} {ACTION}"), _problem(),
+     PddlSyntaxError, "action 'a' declared twice", (3, 77)),
+    ("constants", _domain("(:constants c)"), _problem(),
+     UnsupportedFeature, "unsupported construct ':constants'", (3, 4)),
+    ("functions", _domain("(:functions (f))"), _problem(),
+     UnsupportedFeature, "unsupported construct ':functions'", (3, 4)),
+    ("derived", _domain("(:derived (p ?x) (q ?x))"), _problem(),
+     UnsupportedFeature, "unsupported construct ':derived'", (3, 4)),
+    ("unknown domain section", _domain("(:foo)"), _problem(),
+     PddlSyntaxError, "unknown domain section ':foo'", (3, 4)),
+    ("action key not a keyword", _domain("(:action a foo (p ?x))"),
+     _problem(), PddlSyntaxError,
+     "expected :parameters/:precondition/:effect", (3, 14)),
+    ("action key without a value",
+     _domain("(:action a :parameters (?x) :effect)"), _problem(),
+     PddlSyntaxError, "missing value for :effect", (3, 31)),
+    ("parameters not a list",
+     _domain("(:action a :parameters ?x :effect (p ?x))"), _problem(),
+     PddlSyntaxError, "expected a parameter list", (3, 26)),
+    ("duration", _domain("(:action a :duration 5)"), _problem(),
+     UnsupportedFeature, "unsupported construct ':duration'", (3, 14)),
+    ("'when' without its effect",
+     _domain("(:action a :parameters (?x) :effect (when (p ?x)))",
+             requirements=CONDITIONAL), _problem(),
+     PddlSyntaxError, "'when' takes condition and effect", (3, 40)),
+    ("negative when-condition",
+     _domain("(:action a :parameters (?x)"
+             " :effect (when (not (p ?x)) (q ?x)))",
+             requirements=CONDITIONAL), _problem(),
+     UnsupportedFeature, "unsupported construct 'negative when-condition in a'",
+     None),
+    ("operator atom of an unknown predicate",
+     _domain("(:action a :parameters (?x) :effect (r ?x))"), _problem(),
+     PddlSyntaxError, "unknown predicate 'r' in operator 'a'", None),
+    ("operator variable not a parameter",
+     _domain("(:action a :parameters (?x) :effect (q ?y))"), _problem(),
+     PddlSyntaxError, "variable ?y of 'a' is not a parameter", None),
+    ("init atom of an unknown predicate", _domain(ACTION),
+     _problem(init="(p o) (r o)"),
+     PddlSyntaxError, "unknown predicate 'r'", (2, 17)),
+    ("init atom with a variable", _domain(ACTION), _problem(init="(p ?x)"),
+     PddlSyntaxError, "variable ?x in a ground atom", (2, 11)),
+    ("goal atom of an unknown predicate", _domain(ACTION),
+     _problem(goal="(:goal (and (q o) (r o)))"),
+     PddlSyntaxError, "unknown predicate 'r'", (2, 36)),
+    ("goal atom with a variable", _domain(ACTION),
+     _problem(goal="(:goal (q ?x))"),
+     PddlSyntaxError, "variable ?x in a ground atom", (2, 25)),
+    ("goal without a formula", _domain(ACTION), _problem(goal="(:goal)"),
+     PddlSyntaxError, "expected (:goal FORMULA)", (2, 18)),
+    ("unknown problem section", _domain(ACTION),
+     _problem(goal="(:goal (q o)) (:foo)"),
+     PddlSyntaxError, "unknown problem section ':foo'", (2, 32)),
+    ("domain name mismatch", _domain(ACTION),
+     _problem().replace("(:domain d)", "(:domain e)"), PddlSyntaxError,
+     "problem 'i' references domain 'e', parsed domain is 'd'", None),
+]
+
+
+@pytest.mark.parametrize("domain, problem, error, message, at", [
+    pytest.param(*case[1:], id=case[0]) for case in MALFORMED_PDDL])
+def test_malformed_pddl_is_rejected(domain, problem, error, message, at):
+    """Each malformed form raises its error with the form's location where
+    one is known: an init or goal atom is located at its first token, an
+    operator's atom and a domain-name mismatch are not located."""
+    with pytest.raises(error) as err:
+        parse(domain, problem)
+    where = f" (line {at[0]}, col {at[1]})" if at else ""
+    assert str(err.value) == message + where
+    if error is PddlSyntaxError:
+        assert (err.value.line, err.value.col) == (at or (None, None))
+
+
+def test_empty_list_goal_is_the_empty_conjunction():
+    _, problem = parse(_domain(ACTION), _problem(goal="(:goal ())"))
+    assert problem.goal == ()
+
+
 def _read(read, text):
     """The forms ``read`` makes of ``text`` (a token compares equal to its
     ``(text, line, col)`` tuple), or the syntax error it raises."""
