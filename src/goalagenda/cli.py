@@ -61,6 +61,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ground", help="ground-problem JSON file")
     p.add_argument("--corpus", help="shipped corpus instance name")
     p.add_argument("--out", help="write output here instead of stdout")
+    p.add_argument("--max-layers", type=_budget, default=MAX_LAYERS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,14 +73,12 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="compute the goal agenda")
     _add_common(analyze)
     analyze.add_argument("--method", choices=("e", "h"), default="h")
-    analyze.add_argument("--max-layers", type=_budget, default=MAX_LAYERS)
 
     plan = sub.add_parser("plan", help="plan over the goal agenda")
     _add_common(plan)
     plan.add_argument("--method", choices=("e", "h"), default="h")
     plan.add_argument("--base", choices=("graphplan", "forward"))
     plan.add_argument("--linearize-entries", action="store_true")
-    plan.add_argument("--max-layers", type=_budget, default=MAX_LAYERS)
     plan.add_argument("--max-nodes", type=_budget, default=MAX_NODES)
     plan.add_argument("--max-states", type=_budget, default=MAX_STATES)
     plan.add_argument("--format", dest="fmt", choices=("json", "text"),
@@ -89,11 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="compare approximations against the exhaustive oracle")
     _add_common(verify)
     verify.add_argument("--max-states", type=_budget, default=MAX_STATES)
-    verify.add_argument("--max-layers", type=_budget, default=MAX_LAYERS)
 
-    dump = sub.add_parser("graph-dump", help="planning-graph layer counts")
-    _add_common(dump)
-    dump.add_argument("--max-layers", type=_budget, default=MAX_LAYERS)
+    _add_common(sub.add_parser("graph-dump",
+                               help="planning-graph layer counts"))
     return parser
 
 
@@ -241,9 +238,7 @@ def run(config: argparse.Namespace) -> int:
         return EXIT_OK
 
     if config.command == "graph-dump":
-        graph = build_graph(problem, max_layers=config.max_layers,
-                            retain_layers=False)
-        _emit(config, _json(graph_dump(graph)))
+        _emit(config, _json(graph_dump(graph_for("e"))))
         print(f"goalagenda: graph {time.perf_counter() - t0:.3f}s",
               file=sys.stderr)
         return EXIT_OK

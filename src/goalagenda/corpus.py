@@ -124,6 +124,15 @@ def micro_text(name: str) -> str:
 
 # --- generators --------------------------------------------------------------
 
+def _problem_text(name: str, domain: str, objects: str, init: list,
+                  goals: list) -> str:
+    """A generated problem: ``objects`` as written, the init atoms and the
+    goal conjunction each on one line."""
+    return (f"(define (problem {name})\n  (:domain {domain})\n"
+            f"  (:objects {objects})\n  (:init {' '.join(init)})\n"
+            f"  (:goal (and {' '.join(goals)}))\n)\n")
+
+
 def stack_problem_text(n: int) -> str:
     """n table blocks to be piled into one tower (b1 topmost)."""
     if n < 2:
@@ -133,12 +142,7 @@ def stack_problem_text(n: int) -> str:
     init.append("(arm-empty)")
     init.extend(f"(diff {x} {y})" for x in blocks for y in blocks if x != y)
     goals = [f"(on b{i} b{i + 1})" for i in range(1, n)]
-    return (
-        f"(define (problem stack-{n})\n  (:domain stack)\n"
-        f"  (:objects {' '.join(blocks)})\n"
-        f"  (:init {' '.join(init)})\n"
-        f"  (:goal (and {' '.join(goals)}))\n)\n"
-    )
+    return _problem_text(f"stack-{n}", "stack", " ".join(blocks), init, goals)
 
 
 def hanoi_problem_text(n: int) -> str:
@@ -161,12 +165,7 @@ def hanoi_problem_text(n: int) -> str:
     init.extend(["(clear d1)", "(clear peg2)", "(clear peg3)"])
     goals = [f"(on d{n} peg3)"]
     goals.extend(f"(on d{i} d{i + 1})" for i in range(n - 1, 0, -1))
-    return (
-        f"(define (problem hanoi-{n})\n  (:domain hanoi)\n"
-        f"  (:objects {' '.join(objs)})\n"
-        f"  (:init {' '.join(init)})\n"
-        f"  (:goal (and {' '.join(goals)}))\n)\n"
-    )
+    return _problem_text(f"hanoi-{n}", "hanoi", " ".join(objs), init, goals)
 
 
 def tyreworld_problem_text(n: int) -> str:
@@ -205,12 +204,7 @@ def tyreworld_problem_text(n: int) -> str:
         ])
     goals.extend(["(in pump boot)", "(in jack boot)", "(in wrench boot)",
                   "(closed boot)"])
-    return (
-        f"(define (problem fixit-{n})\n  (:domain tyreworld)\n"
-        f"  (:objects {objects})\n"
-        f"  (:init {' '.join(init)})\n"
-        f"  (:goal (and {' '.join(goals)}))\n)\n"
-    )
+    return _problem_text(f"fixit-{n}", "tyreworld", objects, init, goals)
 
 
 # --- named corpus ------------------------------------------------------------

@@ -5,9 +5,18 @@ Accepted requirements: :strips, :typing, :negative-preconditions,
 effects are conjunctions of literals plus (with :conditional-effects)
 ``when`` clauses whose antecedent and consequent are again conjunctions of
 literals. Anything else (quantifiers, disjunction, equality, numeric
-fluents) is rejected with UnsupportedFeature; negated preconditions need
-:negative-preconditions. Every malformed text raises PddlSyntaxError,
-with a source location where one is known.
+fluents) is rejected with UnsupportedFeature, as is a negated precondition
+or when-condition without :negative-preconditions and a ``when`` without
+:conditional-effects. Every other malformed text raises PddlSyntaxError,
+or its subclass ArityMismatch for an atom with the wrong number of
+arguments.
+
+Each literal is checked once, where it is read: its predicate is
+declared, with as many arguments, and each variable is a parameter of its
+operator (an init or goal atom has none). A domain's actions are read
+after its other sections, and an action's precondition and effect after
+its keys, so neither needs a fixed order. Every error ``parse`` raises on
+a text with a form carries the ``line`` and ``col`` of the form at fault.
 
 The reader is one regular expression: newlines, spaces, tabs, carriage
 returns and ``;`` comments separate tokens, parentheses are tokens of their
@@ -68,6 +77,8 @@ class PddlSyntaxError(PlanningError):
 class UnsupportedFeature(PlanningError):
     def __init__(self, construct, line=None, col=None):
         self.construct = construct
+        self.line = line
+        self.col = col
         where = f" (line {line}, col {col})" if line is not None else ""
         super().__init__(f"unsupported construct {construct!r}{where}")
 
@@ -76,7 +87,7 @@ class TypeMismatch(PlanningError):
     pass
 
 
-class ArityMismatch(PlanningError):
+class ArityMismatch(PddlSyntaxError):
     pass
 
 
@@ -224,16 +235,23 @@ def _parse_typed_list(forms, unique: bool = False):
     return out
 
 
-def _parse_literal(form, allow_negated, context):
+def _parse_literal(form, scope, context, negation="not"):
+    """A literal, checked where it is read against ``scope``, the triple
+    (predicate arities, operator name, operator parameters); an init or
+    goal atom's scope has no operator and no parameters. Its predicate
+    must be declared, with as many arguments, and each variable must be a
+    parameter. A negated literal is read only where ``negation`` is None;
+    elsewhere ``negation`` names the construct UnsupportedFeature reports.
+    Every error is located at the form."""
     if not isinstance(form, list) or not form:
         raise PddlSyntaxError(f"expected an atom in {context}", *_loc(form))
     head = _head(form)
     if head == "not":
         if len(form) != 2:
             raise PddlSyntaxError("'not' takes one argument", *_loc(form))
-        inner = _parse_literal(form[1], allow_negated=False, context=context)
-        if not allow_negated:
-            raise UnsupportedFeature("not", *_loc(form))
+        if negation is not None:
+            raise UnsupportedFeature(negation, *_loc(form))
+        inner = _parse_literal(form[1], scope, context)
         return Literal(False, inner.predicate, inner.args)
     if head in ("and", "or", "exists", "forall", "imply", "when", "=", "increase",
                 "decrease", "assign"):
@@ -243,6 +261,19 @@ def _parse_literal(form, allow_negated, context):
         if not isinstance(part, _Tok):
             raise PddlSyntaxError("atom arguments must be names", *_loc(part))
         args.append(part.text)
+    arities, op_name, params = scope
+    if arities.get(head) != len(args):
+        where = f" in operator {op_name!r}" if op_name else ""
+        if head not in arities:
+            raise PddlSyntaxError(f"unknown predicate {head!r}{where}",
+                                  *_loc(form))
+        raise ArityMismatch(f"{head} expects {arities[head]} args, got "
+                            f"{len(args)}{where}", *_loc(form))
+    for arg in args:
+        if arg[0] == "?" and arg not in params:
+            raise PddlSyntaxError(
+                f"variable {arg} of {op_name!r} is not a parameter" if op_name
+                else f"variable {arg} in a ground atom", *_loc(form))
     return Literal(True, head, tuple(args))
 
 
@@ -251,8 +282,8 @@ def _flatten_and(form):
     return form[1:] if _is_form(form, "and") else [form]
 
 
-def _conjunction(form, context):
-    return tuple(_parse_literal(f, allow_negated=True, context=context)
+def _conjunction(form, scope, context, negation=None):
+    return tuple(_parse_literal(f, scope, context, negation)
                  for f in _flatten_and(form))
 
 
@@ -271,11 +302,14 @@ def _define(text: str, kind: str):
 
 
 def parse_domain(text: str) -> DomainFile:
+    """The sections may come in any order; the actions are read after the
+    others, so each literal is checked against the declared predicates
+    and requirements as it is read."""
     name, sections = _define(text, "domain")
     requirements: list = [":strips"]
     types: list = []
     predicates: list = []
-    operators: list = []
+    actions: list = []
     for section in sections:
         head = _head(section)
         if head == ":requirements":
@@ -299,28 +333,30 @@ def parse_domain(text: str) -> DomainFile:
                 params = _parse_typed_list(pform[1:])
                 predicates.append((pname, tuple(ty for _, ty in params)))
         elif head == ":action":
-            op = _parse_action(section)
-            if any(op.name == known.name for known in operators):
-                raise PddlSyntaxError(f"action {op.name!r} declared twice",
-                                      *_loc(section[1]))
-            operators.append(op)
+            actions.append(section)
         elif head in (":constants", ":functions", ":derived"):
             raise UnsupportedFeature(head, *_loc(section))
         else:
             raise PddlSyntaxError(f"unknown domain section {head!r}", *_loc(section))
-    domain = DomainFile(name, tuple(requirements), tuple(types),
-                        tuple(predicates), tuple(operators))
-    _check_domain(domain)
-    return domain
+    arities = {pname: len(tys) for pname, tys in predicates}
+    operators: list = []
+    for section in actions:
+        op_name = _name(section, "an action name")
+        if any(op_name == known.name for known in operators):
+            raise PddlSyntaxError(f"action {op_name!r} declared twice",
+                                  *_loc(section[1]))
+        operators.append(
+            _parse_action(section, op_name, arities, requirements))
+    return DomainFile(name, tuple(requirements), tuple(types),
+                      tuple(predicates), tuple(operators))
 
 
-def _parse_action(section) -> LiftedOperator:
-    name = _name(section, "an action name")
+def _parse_action(section, name, arities, requirements) -> LiftedOperator:
+    """The keys may come in any order; the precondition and the effect are
+    read after the key loop, once the parameters are known."""
     params: tuple = ()
-    precondition: tuple = ()
-    effect: tuple = ()
-    i = 2
-    while i < len(section):
+    body = []
+    for i in range(2, len(section), 2):
         key = section[i]
         if not isinstance(key, _Tok) or not key.text.startswith(":"):
             raise PddlSyntaxError("expected :parameters/:precondition/:effect",
@@ -333,90 +369,56 @@ def _parse_action(section) -> LiftedOperator:
             if not isinstance(value, list):
                 raise PddlSyntaxError("expected a parameter list", *_loc(value))
             params = tuple(_parse_typed_list(value, unique=True))
-        elif key_kw == ":precondition":
-            precondition = _conjunction(value, "precondition")
-        elif key_kw == ":effect":
-            effect = tuple(_parse_effect_item(f) for f in _flatten_and(value))
+        elif key_kw in (":precondition", ":effect"):
+            body.append((key_kw, value))
         else:
             raise UnsupportedFeature(key_kw, key.line, key.col)
-        i += 2
+    scope = (arities, name, {var for var, _ in params})
+    negation = None if ":negative-preconditions" in requirements else \
+        f"negative precondition in {name} (requires :negative-preconditions)"
+    precondition: tuple = ()
+    effect: tuple = ()
+    for key_kw, value in body:
+        if key_kw == ":precondition":
+            precondition = _conjunction(value, scope, "precondition", negation)
+        else:
+            effect = tuple(_parse_effect_item(f, scope, requirements)
+                           for f in _flatten_and(value))
     return LiftedOperator(name, params, precondition, effect)
 
 
-def _parse_effect_item(form):
-    if _is_form(form, "when"):
-        if len(form) != 3:
-            raise PddlSyntaxError("'when' takes condition and effect", *_loc(form))
-        return WhenClause(_conjunction(form[1], "when condition"),
-                          _conjunction(form[2], "when effect"))
-    return _parse_literal(form, allow_negated=True, context="effect")
-
-
-def _check_domain(domain: DomainFile) -> None:
-    arities = {name: len(tys) for name, tys in domain.predicates}
-    neg_ok = ":negative-preconditions" in domain.requirements
-    cond_ok = ":conditional-effects" in domain.requirements
-    for op in domain.operators:
-        params = {v for v, _ in op.parameters}
-        for lit in op.precondition:
-            _check_literal(lit, arities, op.name, params)
-            if not lit.positive and not neg_ok:
-                raise UnsupportedFeature(
-                    f"negative precondition in {op.name} "
-                    "(requires :negative-preconditions)")
-        for item in op.effect:
-            if isinstance(item, WhenClause):
-                if not cond_ok:
-                    raise UnsupportedFeature(
-                        f"when clause in {op.name} (requires :conditional-effects)")
-                for lit in item.conditions:
-                    _check_literal(lit, arities, op.name, params)
-                    if not lit.positive and not neg_ok:
-                        raise UnsupportedFeature(
-                            f"negative when-condition in {op.name}")
-                for lit in item.effects:
-                    _check_literal(lit, arities, op.name, params)
-            else:
-                _check_literal(item, arities, op.name, params)
-
-
-def _check_literal(lit: Literal, arities, op_name=None, params=(),
-                   loc=()) -> None:
-    """Check a literal of operator ``op_name`` over its ``params``, or,
-    without an operator, a ground atom of the problem, whose form starts at
-    ``loc`` (line, col)."""
-    where = f" in operator {op_name!r}" if op_name else ""
-    if lit.predicate not in arities:
-        raise PddlSyntaxError(f"unknown predicate {lit.predicate!r}{where}",
-                              *loc)
-    if len(lit.args) != arities[lit.predicate]:
-        raise ArityMismatch(
-            f"{lit.predicate} expects {arities[lit.predicate]} args, "
-            f"got {len(lit.args)}{where}")
-    for arg in lit.args:
-        if arg.startswith("?") and arg not in params:
-            raise PddlSyntaxError(
-                f"variable {arg} of {op_name!r} is not a parameter" if op_name
-                else f"variable {arg} in a ground atom", *loc)
+def _parse_effect_item(form, scope, requirements):
+    if not _is_form(form, "when"):
+        return _parse_literal(form, scope, "effect", None)
+    if len(form) != 3:
+        raise PddlSyntaxError("'when' takes condition and effect", *_loc(form))
+    if ":conditional-effects" not in requirements:
+        raise UnsupportedFeature(
+            f"when clause in {scope[1]} (requires :conditional-effects)",
+            *_loc(form))
+    negation = None if ":negative-preconditions" in requirements else \
+        f"negative when-condition in {scope[1]}"
+    return WhenClause(_conjunction(form[1], scope, "when condition", negation),
+                      _conjunction(form[2], scope, "when effect"))
 
 
 def parse_problem(text: str, domain: DomainFile) -> ProblemFile:
     name, sections = _define(text, "problem")
-    domain_name = ""
+    domain_tok = None
     objects: list = []
     init: list = []
     goal: list = []
-    arities = {pname: len(tys) for pname, tys in domain.predicates}
+    scope = ({pname: len(tys) for pname, tys in domain.predicates}, None, ())
     for section in sections:
         head = _head(section)
         if head == ":domain":
-            domain_name = _name(section, "(:domain NAME)")
+            _name(section, "(:domain NAME)")
+            domain_tok = section[1]
         elif head == ":objects":
             objects = _parse_typed_list(section[1:], unique=True)
         elif head == ":init":
             for form in section[1:]:
-                lit = _parse_literal(form, allow_negated=False, context="init")
-                _check_literal(lit, arities, loc=_loc(form))
+                lit = _parse_literal(form, scope, "init")
                 init.append((lit.predicate, lit.args))
         elif head == ":goal":
             if len(section) != 2:
@@ -425,18 +427,17 @@ def parse_problem(text: str, domain: DomainFile) -> ProblemFile:
             for form in _flatten_and(section[1]):
                 if isinstance(form, list) and not form:
                     continue  # () is an empty conjunction, as (and) is
-                lit = _parse_literal(form, allow_negated=False, context="goal")
-                _check_literal(lit, arities, loc=_loc(form))
+                lit = _parse_literal(form, scope, "goal")
                 goal.append((lit.predicate, lit.args))
         else:
             raise PddlSyntaxError(f"unknown problem section {head!r}",
                                   *_loc(section))
-    if domain_name and domain_name != domain.name:
+    if domain_tok is not None and domain_tok.text != domain.name:
         raise PddlSyntaxError(
-            f"problem {name!r} references domain {domain_name!r}, "
-            f"parsed domain is {domain.name!r}")
-    return ProblemFile(name, domain_name or domain.name, tuple(objects),
-                       tuple(init), tuple(goal))
+            f"problem {name!r} references domain {domain_tok.text!r}, "
+            f"parsed domain is {domain.name!r}", domain_tok.line, domain_tok.col)
+    return ProblemFile(name, domain.name, tuple(objects), tuple(init),
+                       tuple(goal))
 
 
 def parse(domain_text: str, problem_text: str):

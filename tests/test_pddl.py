@@ -1,9 +1,10 @@
 import random
+import re
 
 import pytest
 
 from goalagenda import corpus
-from goalagenda.model import AdlAction
+from goalagenda.model import AdlAction, PlanningError
 from goalagenda.pddl import (
     ArityMismatch,
     PddlSyntaxError,
@@ -163,7 +164,7 @@ def _problem(init="(p o)", goal="(:goal (q o))"):
 ACTION = "(:action a :parameters (?x) :precondition (p ?x) :effect (q ?x))"
 CONDITIONAL = ":strips :conditional-effects"
 
-#: (id, domain, problem, error, message, (line, col) or None): every
+#: (id, domain, problem, error, message, (line, col)): every
 #: rejected form that the other tests here do not reach.
 MALFORMED_PDDL = [
     ("action without a name", _domain("(:action)"), _problem(),
@@ -218,24 +219,42 @@ MALFORMED_PDDL = [
              " :effect (when (not (p ?x)) (q ?x)))",
              requirements=CONDITIONAL), _problem(),
      UnsupportedFeature, "unsupported construct 'negative when-condition in a'",
-     None),
+     (3, 46)),
+    ("negated precondition without the requirement",
+     _domain("(:action a :parameters (?x)"
+             " :precondition (not (p ?x)) :effect (q ?x))"), _problem(),
+     UnsupportedFeature, "unsupported construct 'negative precondition in a"
+     " (requires :negative-preconditions)'", (3, 46)),
+    ("'when' without the requirement",
+     _domain("(:action a :parameters (?x) :effect (when (p ?x) (q ?x)))"),
+     _problem(), UnsupportedFeature,
+     "unsupported construct 'when clause in a"
+     " (requires :conditional-effects)'", (3, 40)),
     ("operator atom of an unknown predicate",
      _domain("(:action a :parameters (?x) :effect (r ?x))"), _problem(),
-     PddlSyntaxError, "unknown predicate 'r' in operator 'a'", None),
+     PddlSyntaxError, "unknown predicate 'r' in operator 'a'", (3, 40)),
+    ("operator atom of the wrong arity",
+     _domain("(:action a :parameters (?x) :effect (q ?x ?x))"), _problem(),
+     ArityMismatch, "q expects 1 args, got 2 in operator 'a'", (3, 40)),
     ("operator variable not a parameter",
      _domain("(:action a :parameters (?x) :effect (q ?y))"), _problem(),
-     PddlSyntaxError, "variable ?y of 'a' is not a parameter", None),
+     PddlSyntaxError, "variable ?y of 'a' is not a parameter", (3, 40)),
     ("init atom of an unknown predicate", _domain(ACTION),
      _problem(init="(p o) (r o)"),
      PddlSyntaxError, "unknown predicate 'r'", (2, 17)),
     ("init atom with a variable", _domain(ACTION), _problem(init="(p ?x)"),
      PddlSyntaxError, "variable ?x in a ground atom", (2, 11)),
+    ("init atom of the wrong arity", _domain(ACTION), _problem(init="(p o o)"),
+     ArityMismatch, "p expects 1 args, got 2", (2, 11)),
     ("goal atom of an unknown predicate", _domain(ACTION),
      _problem(goal="(:goal (and (q o) (r o)))"),
      PddlSyntaxError, "unknown predicate 'r'", (2, 36)),
     ("goal atom with a variable", _domain(ACTION),
      _problem(goal="(:goal (q ?x))"),
      PddlSyntaxError, "variable ?x in a ground atom", (2, 25)),
+    ("goal atom of the wrong arity", _domain(ACTION),
+     _problem(goal="(:goal (q))"),
+     ArityMismatch, "q expects 1 args, got 0", (2, 25)),
     ("goal without a formula", _domain(ACTION), _problem(goal="(:goal)"),
      PddlSyntaxError, "expected (:goal FORMULA)", (2, 18)),
     ("unknown problem section", _domain(ACTION),
@@ -243,22 +262,84 @@ MALFORMED_PDDL = [
      PddlSyntaxError, "unknown problem section ':foo'", (2, 32)),
     ("domain name mismatch", _domain(ACTION),
      _problem().replace("(:domain d)", "(:domain e)"), PddlSyntaxError,
-     "problem 'i' references domain 'e', parsed domain is 'd'", None),
+     "problem 'i' references domain 'e', parsed domain is 'd'", (1, 30)),
 ]
 
 
 @pytest.mark.parametrize("domain, problem, error, message, at", [
     pytest.param(*case[1:], id=case[0]) for case in MALFORMED_PDDL])
 def test_malformed_pddl_is_rejected(domain, problem, error, message, at):
-    """Each malformed form raises its error with the form's location where
-    one is known: an init or goal atom is located at its first token, an
-    operator's atom and a domain-name mismatch are not located."""
+    """Each malformed form raises its error located at the form: an atom
+    of an init, a goal or an operator, and a negation or a ``when`` a
+    requirement does not allow, at its first token; a domain-name mismatch
+    at the name in (:domain NAME)."""
     with pytest.raises(error) as err:
         parse(domain, problem)
-    where = f" (line {at[0]}, col {at[1]})" if at else ""
-    assert str(err.value) == message + where
-    if error is PddlSyntaxError:
-        assert (err.value.line, err.value.col) == (at or (None, None))
+    assert type(err.value) is error
+    assert str(err.value) == f"{message} (line {at[0]}, col {at[1]})"
+    assert (err.value.line, err.value.col) == at
+
+
+ORDERED_DOMAIN = """(define (domain o)
+  (:requirements :strips :typing :negative-preconditions :conditional-effects)
+  (:types t) (:predicates (p ?x - t) (q ?x - t))
+  (:action a :parameters (?x - t) :precondition (not (p ?x))
+    :effect (and (p ?x) (when (q ?x) (not (q ?x))))))"""
+
+REORDERED_DOMAIN = """(define (domain o)
+  (:action a :precondition (not (p ?x))
+    :effect (and (p ?x) (when (q ?x) (not (q ?x)))) :parameters (?x - t))
+  (:predicates (p ?x - t) (q ?x - t)) (:types t)
+  (:requirements :strips :typing :negative-preconditions :conditional-effects))"""
+
+
+def test_sections_and_action_keys_may_come_in_any_order():
+    """Actions are read after the other sections, and an action's
+    precondition and effect after its parameters, wherever they stand."""
+    assert repr(parse_domain(REORDERED_DOMAIN)) == \
+        repr(parse_domain(ORDERED_DOMAIN))
+
+
+#: Domain/problem pairs of five corpus families, the texts the location
+#: test mutates.
+CORPUS_PAIRS = [(corpus.domain_text(family), problem) for family, problem in (
+    ("blocks", corpus.problem_text("blocks", "three")),
+    ("gripper", corpus.problem_text("gripper", "two")),
+    ("stack", corpus.stack_problem_text(4)),
+    ("hanoi", corpus.hanoi_problem_text(3)),
+    ("tyreworld", corpus.tyreworld_problem_text(2)),
+)]
+
+
+def _mutate_token(text, rng):
+    """``text`` with one token deleted, duplicated or replaced by another
+    token of the same text."""
+    tokens = list(re.finditer(r"[()]|[^\s();]+", text))
+    start, end = rng.choice(tokens).span()
+    kind = rng.randrange(3)
+    if kind == 0:
+        return text[:start] + text[end:]
+    if kind == 1:
+        return text[:end] + " " + text[start:end] + text[end:]
+    return text[:start] + rng.choice(tokens)[0] + text[end:]
+
+
+def test_every_parse_error_is_located():
+    """Every error ``parse`` raises on a token mutation of a corpus pair
+    carries the line and column of the form at fault."""
+    rng = random.Random(28)
+    rejected = 0
+    for _ in range(1000):
+        texts = list(rng.choice(CORPUS_PAIRS))
+        side = rng.randrange(2)
+        texts[side] = _mutate_token(texts[side], rng)
+        try:
+            parse(*texts)
+        except PlanningError as exc:
+            rejected += 1
+            assert getattr(exc, "line", None) is not None, (texts[side], exc)
+            assert getattr(exc, "col", None) is not None, (texts[side], exc)
+    assert rejected > 500
 
 
 def test_empty_list_goal_is_the_empty_conjunction():
