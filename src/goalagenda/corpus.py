@@ -14,6 +14,7 @@ from .model import (
     PlanningError,
     PlanningProblem,
     StripsAction,
+    set_table,
 )
 from .pddl import ground, parse
 
@@ -26,19 +27,21 @@ class GroundFileError(PlanningError):
 
 def problem_from_dict(data: dict) -> PlanningProblem:
     """Build a PlanningProblem from the ground JSON form. Atom interning
-    order: init, goals, then per-action literals."""
+    order: init, goals, then per-action literals. Equal atom sets are one
+    frozenset (``model.set_table``)."""
     if not isinstance(data, dict):
         raise GroundFileError("ground problem must be a JSON object")
     for key in ("actions", "init", "goals"):
         if key not in data:
             raise GroundFileError(f"ground problem lacks {key!r}")
     atoms = AtomTable()
+    shared = set_table()
 
     def ids(names, where):
         if not isinstance(names, list) or not all(isinstance(n, str)
                                                   for n in names):
             raise GroundFileError(f"{where} must be a list of atom names")
-        return frozenset(atoms.intern(n) for n in names)
+        return shared(atoms.intern(n) for n in names)
 
     def objects(items, where):
         if not isinstance(items, list) or not all(isinstance(item, dict)

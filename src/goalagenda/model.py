@@ -10,9 +10,14 @@ conditioned on the precondition plus the effect's own condition, as IPP
 splits an ADL action) by ``action_ways``, once per problem: a
 ``PlanningProblem`` holds the split of all its actions as ``ways``, and
 the executor here, the planning graph's nodes, the ordering index's ways
-and the oracle's deletes record all read it from there. Every type is an
-immutable value after construction, so problems and plans can be shared
-freely between threads. All operations here are pure functions. A
+and the oracle's deletes record all read it from there. The atom sets of a
+problem are hash-consed: every distinct set among its actions' fields
+and its ways is one frozenset object. The builders (``pddl.ground``,
+``corpus.problem_from_dict`` and the way split of ``PlanningProblem``)
+make them through ``set_table``, whose table lives only while one problem
+is built; no table is kept at module level. Every type is an immutable
+value after construction, so problems and plans can be shared freely
+between threads. All operations here are pure functions. A
 budget that runs out raises ``LimitExceeded``, the one exception for
 every budget of the package; the base planners report their own budgets
 as a ``ResourceLimit`` result instead. A
@@ -88,7 +93,7 @@ class AtomTable:
         return iter(self._names)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StripsAction:
     """``pre -> ADD add DEL delete`` over atom ids, with add and delete
     disjoint (enforced here; grounding simplifies overlaps away first)."""
@@ -106,7 +111,7 @@ class StripsAction:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConditionalEffect:
     """One effect of an ADL action: fires when ``condition`` holds."""
 
@@ -122,7 +127,7 @@ class ConditionalEffect:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdlAction:
     """Action with conditional effects. ``effects[0]`` always exists and
     carries the unconditional part: its condition is the action precondition
@@ -153,6 +158,13 @@ class PlanningProblem:
     here, which the planning graph, the ordering index, the oracle and the
     executor all read. It takes no part in ``==`` or ``repr``, and
     ``dataclasses.replace`` makes it anew.
+
+    Invariant: equal atom sets among the actions' fields and ``ways`` are
+    one frozenset object, when the actions come from ``pddl.ground`` or
+    ``corpus.problem_from_dict``. Each builds its sets through its own
+    ``set_table``, and this constructor shares each new way condition
+    with an equal set of the actions; the tables live only while the
+    problem is built.
     """
 
     atoms: AtomTable
@@ -165,7 +177,14 @@ class PlanningProblem:
     def __post_init__(self):
         if len(set(map(type, self.actions))) > 1:
             raise ValueError("problem mixes STRIPS and ADL actions")
-        ways = tuple([action_ways(action) for action in self.actions])
+        shared = set_table()
+        if self.is_adl:  # the table first holds the actions' own sets
+            for action in self.actions:
+                for effect in action.effects:
+                    shared(effect.condition)
+                    shared(effect.adds)
+                    shared(effect.deletes)
+        ways = tuple([action_ways(action, shared) for action in self.actions])
         object.__setattr__(self, "ways", ways)
         used = frozenset().union(self.init, self.goals, *(
             ids for split in ways for way in split for ids in way))
@@ -200,18 +219,37 @@ class PlanningProblem:
         raise KeyError(name)
 
 
-def action_ways(action: Action) -> tuple:
+def action_ways(action: Action, shared) -> tuple:
     """The ways of an action: per effect, in effect order, ``(condition,
     adds, deletes)`` as frozensets, where every condition holds the
     action's precondition. A STRIPS action has one way. This is the one
     place an action is split into the nodes of a planning graph, the ways
     of an ordering index and the effects an executor fires;
-    ``PlanningProblem.ways`` holds it per action."""
+    ``PlanningProblem.ways`` holds it per action. A way holds the
+    action's own sets, except the condition of an ADL effect after the
+    first, which is the union ``shared`` (from ``set_table``) returns."""
     if isinstance(action, StripsAction):
         return ((action.pre, action.add, action.delete),)
     pre = action.pre
-    return tuple((pre | eff.condition, eff.adds, eff.deletes)
-                 for eff in action.effects)
+    return tuple((shared(pre | eff.condition) if i else pre, eff.adds,
+                  eff.deletes) for i, eff in enumerate(action.effects))
+
+
+def set_table():
+    """A hash-consing table for the atom sets of one problem under
+    construction (Filliatre & Conchon 2006, "Type-safe modular
+    hash-consing"): the function returned takes an iterable of ids and
+    returns the first frozenset equal to it that went through the table,
+    so equal sets are one object. A builder makes one table per problem
+    and drops it when the problem is built; no table outlives the problem
+    it built."""
+    table: dict = {}
+
+    def shared(ids) -> frozenset:
+        ids = frozenset(ids)
+        return table.setdefault(ids, ids)
+
+    return shared
 
 
 def check_atom_ids(problem: PlanningProblem, *ids) -> None:

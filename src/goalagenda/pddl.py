@@ -15,8 +15,10 @@ Each literal is checked once, where it is read: its predicate is
 declared, with as many arguments, and each variable is a parameter of its
 operator (an init or goal atom has none). A domain's actions are read
 after its other sections, and an action's precondition and effect after
-its keys, so neither needs a fixed order. Every error ``parse`` raises on
-a text with a form carries the ``line`` and ``col`` of the form at fault.
+its keys, so neither needs a fixed order; every section but ``:action``,
+and every action key, may appear once. Every error ``parse`` raises
+carries the ``line`` and ``col`` of the form at fault, or of the end of a
+text that holds no form.
 
 The reader is one regular expression: newlines, spaces, tabs, carriage
 returns and ``;`` comments separate tokens, parentheses are tokens of their
@@ -56,6 +58,7 @@ from .model import (
     PlanningError,
     PlanningProblem,
     StripsAction,
+    set_table,
 )
 
 SUPPORTED_REQUIREMENTS = {
@@ -289,10 +292,12 @@ def _conjunction(form, scope, context, negation=None):
 
 def _define(text: str, kind: str):
     """The name and the sections of the one (define (KIND NAME) ...) form
-    of ``text``; a stray second form is located at its start."""
+    of ``text``; a stray second form is located at its start, and a
+    missing one at the end of the text."""
     forms = _read_sexprs(text)
     if len(forms) != 1 or _head(forms[0]) != "define":
-        where = _loc(forms[1 if len(forms) > 1 else 0]) if forms else ()
+        where = _loc(forms[1 if len(forms) > 1 else 0]) if forms else \
+            (text.count("\n") + 1, len(text) - text.rfind("\n"))
         raise PddlSyntaxError(f"expected a single (define ({kind} ...)) form",
                               *where)
     body = forms[0][1:]
@@ -301,17 +306,29 @@ def _define(text: str, kind: str):
     return _name(body[0], f"({kind} NAME)"), body[1:]
 
 
+def _section_head(section, seen: set) -> str:
+    """A section's head, lowercased. A section other than ``:action``
+    met a second time, whose head is in ``seen``, is an error there."""
+    head = _head(section)
+    if head in seen:
+        raise PddlSyntaxError(f"section {head!r} repeated", *_loc(section))
+    if head != ":action":
+        seen.add(head)
+    return head
+
+
 def parse_domain(text: str) -> DomainFile:
-    """The sections may come in any order; the actions are read after the
-    others, so each literal is checked against the declared predicates
-    and requirements as it is read."""
+    """The sections may come in any order, and each but ``:action`` once;
+    the actions are read after the others, so each literal is checked
+    against the declared predicates and requirements as it is read."""
     name, sections = _define(text, "domain")
     requirements: list = [":strips"]
     types: list = []
     predicates: list = []
     actions: list = []
+    seen: set = set()
     for section in sections:
-        head = _head(section)
+        head = _section_head(section, seen)
         if head == ":requirements":
             requirements = []
             for tok in section[1:]:
@@ -352,10 +369,11 @@ def parse_domain(text: str) -> DomainFile:
 
 
 def _parse_action(section, name, arities, requirements) -> LiftedOperator:
-    """The keys may come in any order; the precondition and the effect are
-    read after the key loop, once the parameters are known."""
+    """The keys may come in any order, each once; the precondition and the
+    effect are read after the key loop, once the parameters are known."""
     params: tuple = ()
     body = []
+    seen = set()
     for i in range(2, len(section), 2):
         key = section[i]
         if not isinstance(key, _Tok) or not key.text.startswith(":"):
@@ -365,6 +383,11 @@ def _parse_action(section, name, arities, requirements) -> LiftedOperator:
             raise PddlSyntaxError(f"missing value for {key.text}", key.line, key.col)
         value = section[i + 1]
         key_kw = key.text.lower()
+        if key_kw in seen:
+            raise PddlSyntaxError(
+                f"key {key_kw!r} repeated in action {name!r}", key.line,
+                key.col)
+        seen.add(key_kw)
         if key_kw == ":parameters":
             if not isinstance(value, list):
                 raise PddlSyntaxError("expected a parameter list", *_loc(value))
@@ -409,8 +432,9 @@ def parse_problem(text: str, domain: DomainFile) -> ProblemFile:
     init: list = []
     goal: list = []
     scope = ({pname: len(tys) for pname, tys in domain.predicates}, None, ())
+    seen: set = set()
     for section in sections:
-        head = _head(section)
+        head = _section_head(section, seen)
         if head == ":domain":
             _name(section, "(:domain NAME)")
             domain_tok = section[1]
@@ -488,8 +512,10 @@ def ground(domain: DomainFile, problem: ProblemFile) -> PlanningProblem:
     clause the same way, its effects only when its condition is not
     statically false. Each operator is compiled once into slots, and an
     atom's name is formatted and interned only the first time its slot
-    cache meets its argument tuple. An init or goal atom whose argument is
-    not a declared object of its predicate's type raises TypeMismatch.
+    cache meets its argument tuple. Every set of a part goes through one
+    ``model.set_table``, so equal sets are one frozenset. An init or goal
+    atom whose argument is not a declared object of its predicate's type
+    raises TypeMismatch.
     """
     table = _type_table(domain.types, problem.objects)
     pred_types = dict(domain.predicates)
@@ -519,6 +545,7 @@ def ground(domain: DomainFile, problem: ProblemFile) -> PlanningProblem:
                                  and lit.predicate not in static_preds))
 
     atoms = AtomTable()
+    shared = set_table()
     caches: dict = {}  # name prefix -> {argument tuple: atom id}
 
     def intern(prefix: str, args: tuple) -> int:
@@ -590,7 +617,7 @@ def ground(domain: DomainFile, problem: ProblemFile) -> PlanningProblem:
         for combo in itertools.product(
                 *(objects_of(ty) for _, ty in op.parameters),
                 *([name] for name in list(position)[n:])):
-            effect = _instance(first, combo, atoms)
+            effect = _instance(first, combo, atoms, shared)
             if effect is None:
                 continue
             name = f"{op.name}({','.join(combo[:n])})"
@@ -599,7 +626,7 @@ def ground(domain: DomainFile, problem: ProblemFile) -> PlanningProblem:
                 continue
             effects = [ConditionalEffect(*effect)]
             for when in whens:
-                effect = _instance(when, combo, atoms)
+                effect = _instance(when, combo, atoms, shared)
                 if effect is not None:  # else statically impossible
                     effects.append(ConditionalEffect(*effect))
             actions.append(AdlAction(name, tuple(effects)))
@@ -622,7 +649,7 @@ def _getter(index: list):
     return operator.itemgetter(*index)
 
 
-def _instance(part: tuple, combo: tuple, atoms: AtomTable):
+def _instance(part: tuple, combo: tuple, atoms: AtomTable, shared):
     """A compiled part's (condition, adds, deletes) for the instance tuple
     ``combo`` (the parameter values, then the operator's object names).
 
@@ -637,15 +664,16 @@ def _instance(part: tuple, combo: tuple, atoms: AtomTable):
     in the condition (``to`` 0), the adds (1) or the deletes (2). The
     dynamic slots are the condition's literals, then each effect literal's
     own atom followed by its complement. An add wins over a delete of the
-    same atom."""
+    same atom. The three sets are those ``shared`` (``model.set_table``)
+    returns."""
     static, slots = part
     for get, true, positive, k in static:
         if (get(combo) in true) is not positive:
             _ids(slots[:k], combo, atoms)
             return None
     condition, adds, deletes = _ids(slots, combo, atoms)
-    adds = frozenset(adds)
-    return frozenset(condition), adds, frozenset(deletes) - adds
+    adds = shared(adds)
+    return shared(condition), adds, shared(frozenset(deletes) - adds)
 
 
 def _ids(slots: tuple, combo: tuple, atoms: AtomTable) -> tuple:

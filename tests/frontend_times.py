@@ -1,11 +1,16 @@
-"""Print the median parse, ground and direct-analysis times per instance.
+"""Print the median parse, ground and direct-analysis times per instance,
+and the size of each grounded problem.
 
     python tests/frontend_times.py [--repeats N]
 
 For stack_40, stack_60, stack_80 and tyreworld_3 (the shipped corpus
 texts) it times ``pddl.parse``, ``pddl.ground`` and
 ``agenda.compute_agenda(problem, "h")`` ``N`` times each (default 7) and
-prints each stage's median. stack_80 is larger than any instance the
+prints each stage's median. After the timed repeats, so that no median is
+traced, one more ``ground`` call runs under ``tracemalloc``: ``ground_mb``
+is the memory its problem holds, and ``set fields/objects`` counts the
+problem's atom set fields against the frozenset objects behind them
+(``reference.set_counts``). stack_80 is larger than any instance the
 benchmark's ``analyze-direct`` workload runs. Every time is taken between two
 chunks of the benchmark's reference work (``perfbench/hostspeed.py``,
 imported and left as it is) and divided by the slowdown they show, so the
@@ -19,6 +24,7 @@ import argparse
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,6 +34,7 @@ import hostspeed  # noqa: E402
 from goalagenda import corpus  # noqa: E402
 from goalagenda.agenda import compute_agenda  # noqa: E402
 from goalagenda.pddl import ground, parse  # noqa: E402
+from reference import set_counts  # noqa: E402
 
 INSTANCES = (("stack", 40), ("stack", 60), ("stack", 80), ("tyreworld", 3))
 
@@ -61,17 +68,34 @@ def stage_medians(family: str, n: int, repeats: int,
     return tuple(map(statistics.median, (parse_s, ground_s, agenda_s)))
 
 
+def grounded_size(family: str, n: int) -> tuple:
+    """The MB one ``ground`` call's problem holds (tracemalloc), and its
+    set fields and set objects."""
+    lifted = parse(*texts(family, n))
+    tracemalloc.start()
+    try:
+        problem = ground(*lifted)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    fields, objects, _ = set_counts(problem)
+    return held / 2 ** 20, fields, objects
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=7)
     args = parser.parse_args(argv)
     speed = hostspeed.HostSpeed()
-    print(f"{'instance':<14}{'parse_s':>10}{'ground_s':>10}{'agenda_h_s':>12}")
+    print(f"{'instance':<14}{'parse_s':>10}{'ground_s':>10}{'agenda_h_s':>12}"
+          f"{'ground_mb':>11}{'set fields/objects':>20}")
     for family, n in INSTANCES:
         parse_s, ground_s, agenda_s = stage_medians(family, n, args.repeats,
                                                     speed)
+        held_mb, fields, objects = grounded_size(family, n)
         print(f"{family}_{n:<{13 - len(family)}}{parse_s:>10.4f}"
-              f"{ground_s:>10.4f}{agenda_s:>12.4f}")
+              f"{ground_s:>10.4f}{agenda_s:>12.4f}{held_mb:>11.2f}"
+              f"{f'{fields}/{objects}':>20}")
     print(f"reference chunk median {statistics.median(speed.samples):.4f} s "
           f"(nominal {hostspeed.NOMINAL_S} s)")
 

@@ -52,6 +52,10 @@ must yield the same tokens, positions and errors.
 ``problem_to_dict`` writes a problem in the ground-problem JSON form that
 ``corpus.problem_from_dict`` reads, for the round-trip tests.
 
+``set_counts`` counts a problem's atom set fields, the frozenset objects
+among them and its ways, and their distinct values; hash-consing makes
+the last two equal.
+
 ``ground`` is the PDDL grounder written per instance: it binds each
 instance's parameters in a dict, maps every literal's arguments through
 it and formats and interns a name for each literal, in the order the
@@ -749,3 +753,17 @@ def problem_to_dict(problem: PlanningProblem) -> dict:
         "init": names(problem.init),
         "goals": names(problem.goals),
     }
+
+
+def set_counts(problem: PlanningProblem) -> tuple:
+    """``(fields, objects, values)``: the atom set fields of the problem's
+    actions (three per STRIPS action or ADL effect), the frozenset objects
+    among those fields and the sets of ``problem.ways``, and the distinct
+    values among them."""
+    fields = [ids for action in problem.actions for ids in (
+        (action.pre, action.add, action.delete)
+        if isinstance(action, StripsAction) else itertools.chain.from_iterable(
+            (e.condition, e.adds, e.deletes) for e in action.effects))]
+    sets = fields + [ids for ways in problem.ways for way in ways
+                     for ids in way]
+    return len(fields), len({id(ids) for ids in sets}), len(set(sets))

@@ -1,6 +1,7 @@
 """``pddl.ground`` against ``reference.ground``, the grounder written one
 instance at a time: the same atom table in id order, init, goals and
-actions, or the same error class and message.
+actions, or the same error class and message. Where it grounds, each
+distinct atom set of the problem ``ground`` makes must be one frozenset.
 
 The inputs are every case of the grounding digests and a seeded family of
 random typed domains. The family mixes static and dynamic literals in any
@@ -41,9 +42,14 @@ def grounded(grounder, domain, problem) -> dict:
 
 
 def assert_same_grounding(domain_text: str, problem_text: str) -> dict:
+    """The two grounders agree, and ``ground`` makes each distinct atom
+    set of its problem one frozenset."""
     domain, problem = parse(domain_text, problem_text)
     expected = grounded(reference.ground, domain, problem)
     assert grounded(ground, domain, problem) == expected
+    if "error" not in expected:
+        _, objects, values = reference.set_counts(ground(domain, problem))
+        assert objects == values
     return expected
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 import reference as ref
 import test_state_digests
+from goalagenda import corpus
 from goalagenda.driver import InvalidPlanError, next_initial_state
 from goalagenda.model import (
     AdlAction,
@@ -14,6 +15,7 @@ from goalagenda.model import (
     PlanningProblem,
     StripsAction,
     action_ways,
+    set_table,
     validate_plan,
 )
 
@@ -107,9 +109,11 @@ def test_model_rejects_what_does_not_exist(load, make, error, message):
 
 def test_action_ways_condition_each_effect_on_the_precondition():
     """A STRIPS action is one way; an ADL action is one way per effect, in
-    effect order, each condition holding the action's precondition."""
+    effect order, each condition holding the action's precondition.
+    Effect 0's condition is the precondition object itself, and a union
+    equal to a set already in the table is that set."""
     s = _strips("s", [0], [1], [2])
-    assert action_ways(s) == ((s.pre, s.add, s.delete),)
+    assert action_ways(s, set_table()) == ((s.pre, s.add, s.delete),)
 
     def f(*ids):
         return frozenset(ids)
@@ -117,8 +121,35 @@ def test_action_ways_condition_each_effect_on_the_precondition():
     adl = AdlAction("a", (ConditionalEffect(f(0), f(1), f(2)),
                           ConditionalEffect(f(3), f(2), f()),
                           ConditionalEffect(f(), f(), f(1))))
-    assert action_ways(adl) == ((f(0), f(1), f(2)), (f(0, 3), f(2), f()),
-                                (f(0), f(), f(1)))
+    shared = set_table()
+    ways = action_ways(adl, shared)
+    assert ways == ((f(0), f(1), f(2)), (f(0, 3), f(2), f()),
+                    (f(0), f(), f(1)))
+    assert ways[0][0] is adl.pre and ways[2][0] is not adl.pre
+    assert ways[1][0] is shared(f(3, 0))
+    held = f(0)
+    shared = set_table()
+    assert shared(held) is held
+    assert action_ways(adl, shared)[2][0] is held
+
+
+#: (set fields, set objects) of three grounded corpus instances.
+SHARED_SETS = {"stack_8": (384, 128), "tyreworld_3": (324, 211),
+               "hanoi_4": (270, 202)}
+
+
+@pytest.mark.parametrize("name", dict.fromkeys(corpus.ALL_NAMED + tuple(
+    SHARED_SETS)))
+def test_equal_atom_sets_are_one_object(name):
+    """Every distinct atom set among a problem's action fields and ways is
+    one frozenset object, for the PDDL members grounded by ``ground`` and
+    the micro fixtures read by ``load_ground_json``.
+    ``test_ground_reference`` checks the same on its random typed
+    domains."""
+    fields, objects, values = ref.set_counts(corpus.load(name))
+    assert objects == values
+    if name in SHARED_SETS:
+        assert (fields, objects) == SHARED_SETS[name]
 
 
 def test_apply_strips_fires_and_identity():

@@ -136,11 +136,13 @@ def test_empty_form_error_carries_location(section, message, at):
      (2, 4)),
     ("problem", "(foo)", "single", (1, 2)),
     ("problem", "(define (domain p))", r"\(problem NAME\)", (1, 2)),
+    ("domain", "", "single", (1, 1)),
+    ("domain", "; nothing\n", "single", (2, 1)),
 ])
 def test_define_form_error_carries_location(kind, text, message, at):
     """A stray second top-level form is located at its start; a wrong
     single form, or a wrong (domain ...) or (problem ...) head, at the
-    form's start."""
+    form's start; a text with no form at its end."""
     with pytest.raises(PddlSyntaxError, match=message) as err:
         if kind == "domain":
             parse_domain(text)
@@ -263,6 +265,36 @@ MALFORMED_PDDL = [
     ("domain name mismatch", _domain(ACTION),
      _problem().replace("(:domain d)", "(:domain e)"), PddlSyntaxError,
      "problem 'i' references domain 'e', parsed domain is 'd'", (1, 30)),
+    ("precondition given twice",
+     _domain("(:action a :parameters (?x) :precondition (p ?x)"
+             " :precondition (q ?x) :effect (q ?x))"), _problem(),
+     PddlSyntaxError, "key ':precondition' repeated in action 'a'", (3, 52)),
+    ("effect given twice",
+     _domain("(:action a :parameters (?x) :effect (p ?x) :effect (q ?x))"),
+     _problem(), PddlSyntaxError, "key ':effect' repeated in action 'a'",
+     (3, 46)),
+    ("parameters given twice",
+     _domain("(:action a :parameters (?x) :parameters (?y) :effect (q ?x))"),
+     _problem(), PddlSyntaxError, "key ':parameters' repeated in action 'a'",
+     (3, 31)),
+    ("requirements section twice",
+     _domain(f"(:requirements :strips) {ACTION}"), _problem(), PddlSyntaxError, "section ':requirements' repeated", (3, 4)),
+    ("types section twice", _domain(f"(:types t) {ACTION} (:types u)"),
+     _problem(), PddlSyntaxError, "section ':types' repeated", (3, 80)),
+    ("predicates section twice", _domain(f"(:predicates (r ?x)) {ACTION}"),
+     _problem(), PddlSyntaxError, "section ':predicates' repeated", (3, 4)),
+    ("objects section twice", _domain(ACTION),
+     _problem(goal="(:goal (q o)) (:objects p)"),
+     PddlSyntaxError, "section ':objects' repeated", (2, 32)),
+    ("init section twice", _domain(ACTION),
+     _problem(goal="(:goal (q o)) (:init (p o))"),
+     PddlSyntaxError, "section ':init' repeated", (2, 32)),
+    ("goal section twice", _domain(ACTION),
+     _problem(goal="(:goal (q o)) (:goal (p o))"),
+     PddlSyntaxError, "section ':goal' repeated", (2, 32)),
+    ("domain section twice", _domain(ACTION),
+     _problem(goal="(:goal (q o)) (:domain d)"),
+     PddlSyntaxError, "section ':domain' repeated", (2, 32)),
 ]
 
 
