@@ -34,7 +34,9 @@ direct analysis on conditional-effect domains.
 
 from __future__ import annotations
 
-from itertools import chain
+import re
+from functools import cached_property
+from itertools import chain, combinations
 
 from .kernel import GraphKernel, backend as kernel_backend
 from .model import (
@@ -65,7 +67,10 @@ class GraphContext:
     """The layer kernel over the graph nodes of one problem: one node per
     way of each action (``problem.ways``), in (action, effect) order, so
     ids below n_real_nodes are real nodes and way ids; n_real_nodes + f is
-    fact f's no-op, which is not materialized."""
+    fact f's no-op, which is not materialized.
+
+    ``symmetries`` is found on first use, from the problem alone, so the
+    searches that read it may run in any order."""
 
     def __init__(self, problem: PlanningProblem):
         self.problem = problem
@@ -73,6 +78,126 @@ class GraphContext:
                  for pre, add, delete in chain.from_iterable(problem.ways)]
         self.n_real_nodes = len(nodes)
         self.kernel = GraphKernel(len(problem.atoms), nodes)
+
+    @cached_property
+    def symmetries(self) -> tuple:
+        """Generators of a group of atom permutations, each mapping the
+        problem's init, its goals and its set of (pre, add, delete) node
+        triples onto themselves, as (moved atoms mask, atom -> image list)
+        pairs; see _object_symmetries."""
+        return _object_symmetries(self.problem)
+
+
+# --- object symmetry ---------------------------------------------------------
+
+_ATOM_NAME = re.compile(r"([^()]+)\(([^()]*)\)")
+
+
+def _object_symmetries(problem: PlanningProblem) -> tuple:
+    """Symmetry generators from object swaps (after Fox & Long 1999, "The
+    Detection and Exploitation of Symmetry in Planning Problems", IJCAI).
+
+    Objects are read off the atom names the grounder formats,
+    ``pred(a1,...,ak)``; when a name does not parse there are none, which
+    is the case for most ground-JSON problems. Two objects can be swapped
+    only when they occur equally often at each (init or goal, predicate,
+    argument position). For each such pair not yet in one orbit, the swap
+    is extended along the init and goal facts (_extend_swap), and the atom
+    permutation it induces is kept only when it maps every atom name to an
+    atom, init and goals onto themselves and the node triples onto
+    themselves."""
+    atoms = []
+    for name in problem.atoms:
+        match = _ATOM_NAME.fullmatch(name)
+        if match is None:
+            return ()
+        pred, args = match.groups()
+        atoms.append((pred, tuple(args.split(",")) if args else ()))
+    facts: dict = {}  # (init 0 or goal 1, predicate) -> argument tuples
+    holding: dict = {}  # object -> the (kind, predicate, args) holding it
+    for kind, ids in enumerate((problem.init, problem.goals)):
+        for pred, args in map(atoms.__getitem__, sorted(ids)):
+            facts.setdefault((kind, pred), set()).add(args)
+            for obj in args:
+                holding.setdefault(obj, []).append((kind, pred, args))
+    groups: dict = {}
+    for obj in holding:
+        signature = sorted((kind, pred, args.index(obj))
+                           for kind, pred, args in holding[obj])
+        groups.setdefault(tuple(signature), []).append(obj)
+    if all(len(group) < 2 for group in groups.values()):
+        return ()
+
+    ids = {atom: i for i, atom in enumerate(atoms)}
+    init, goals = mask_of(problem.init), mask_of(problem.goals)
+    triples = {tuple(map(mask_of, way))
+               for way in chain.from_iterable(problem.ways)}
+    orbit = {obj: {obj} for obj in holding}  # object -> its orbit so far
+    generators = []
+    for group in groups.values():
+        for a, b in combinations(group, 2):
+            if b in orbit[a]:
+                continue
+            swap = _extend_swap(a, b, holding, facts)
+            if swap is None:
+                continue
+            perm = [ids.get((pred, tuple(swap.get(obj, obj) for obj in args)),
+                            -1) for pred, args in atoms]
+            moved = mask_of(i for i, j in enumerate(perm) if i != j)
+            generator = (moved, perm)
+            # a bijection that maps each triple it moves to a triple maps
+            # the triples onto themselves
+            if -1 in perm or _image(generator, init) != init or \
+                    _image(generator, goals) != goals or not all(
+                        (_image(generator, pre), _image(generator, add),
+                         _image(generator, delete)) in triples
+                        for pre, add, delete in triples
+                        if (pre | add | delete) & moved):
+                continue
+            generators.append(generator)
+            for x, y in swap.items():
+                merged = orbit[x] | orbit[y]
+                for obj in merged:
+                    orbit[obj] = merged
+    return tuple(generators)
+
+
+def _extend_swap(a, b, holding, facts):
+    """The object involution that swaps a and b and maps each init and
+    goal fact holding a moved object onto a fact of its kind, or None.
+    A fact whose image is not one is mapped onto the one fact of its kind
+    and predicate that agrees with the swap so far and holds unmoved
+    objects elsewhere, swapping those objects in turn; with none, or more
+    than one, the extension gives up."""
+    swap = {a: b, b: a}
+    queue = [a, b]
+    while queue:
+        for kind, pred, args in holding[queue.pop()]:
+            same = facts[kind, pred]
+            if tuple(swap.get(obj, obj) for obj in args) in same:
+                continue
+            fits = [other for other in same if all(
+                image == swap[obj] if obj in swap else image not in swap
+                for obj, image in zip(args, other))]
+            if len(fits) != 1:
+                return None
+            for obj, image in zip(args, fits[0]):
+                if swap.get(obj, obj) == image:
+                    continue
+                if obj in swap or image in swap:
+                    return None
+                swap[obj], swap[image] = image, obj
+                queue += (obj, image)
+    return swap
+
+
+def _image(generator, mask: int) -> int:
+    """The image of an atom mask under a generator."""
+    moved, perm = generator
+    image = mask & ~moved
+    for i in mask_ids(mask & moved):
+        image |= 1 << perm[i]
+    return image
 
 
 class PlanningGraph:
@@ -214,25 +339,38 @@ def graphplan_search(context: GraphContext, init, goals,
     nogoods memoized at layer n as the horizon before. Every fact layer
     above n takes its achievers from the same action layer, so horizon H
     follows paths of H - n full assignments from the goals down to a set at
-    layer n. Call a set covered when it contains a set memoized at layer n.
-    Three facts carry the proof:
+    layer n. The search's symmetries are the atom permutations that its
+    generators compose to, the identity included (see _BackwardSearch).
+    Each fixes the initial state and the goals and maps the node triples
+    onto themselves, so it maps every layer of the graph with its mutexes,
+    every full assignment and every path from the goals onto themselves,
+    and a plan for a set onto a plan for the set's image. Call a set
+    covered up to symmetry, or covered, when it contains the image under a
+    symmetry of a set memoized at layer n. Three facts carry the proof:
 
     1. A memoized set has no plan from its layer, and neither has a covered
-       set at layer n: a plan for a set solves each of its subsets.
+       set at layer n: a plan for a set solves each of its subsets, and the
+       inverse symmetry maps a plan for an image onto one for the memoized
+       set.
     2. After horizon H, every path of H - n full assignments from the goals
        ends in a covered set. Either the horizon opened the path's last set
        at layer n, which memoizes it, or it cut the path at a set above n
        that contains a nogood N of that layer. By induction on when N was
        memoized, every path from N down to layer n ends in a covered set,
        and the cut path continues through supersets of the sets of one of
-       them (see below).
-    3. A set is memoized at layer n only when a horizon opens it there, at
-       the end of such a path.
+       them (see below). When N is the image of a failed set F under a
+       generator, the paths from N are the images of the paths from F, and
+       the image of a covered set is covered.
+    3. A set memoized at layer n is the image, under a symmetry, of a set
+       that some horizon opened there at the end of such a path. The
+       symmetry maps that path onto a path of the same length from the
+       goals to the image.
 
     Monotonicity links them: the achievers that a full assignment of a
     superset of M picks include a full assignment of M, so each child set
-    of the superset contains a child set of M. Now let horizon H + 1
-    memoize nothing new at layer n. A set memoized there ends a path of
+    of the superset contains a child set of M; and the child sets of an
+    image are the images of the child sets. Now let horizon H + 1 memoize
+    nothing new at layer n. A set memoized there ends a path of
     k <= H - n assignments (by 3), so its child sets end paths of
     k + 1 <= H + 1 - n and are covered (by 2); by monotonicity every child
     set of a covered set is covered. By induction on the path length, every
@@ -243,16 +381,17 @@ def graphplan_search(context: GraphContext, init, goals,
     removes only partial assignments that no achiever completes, so the
     full assignments, and with them the paths and the sets opened, are
     those of the search without it. A set that contains a nogood of its
-    layer fails at once and is memoized as an opened set, so an unchanged
-    count still means that every set opened at layer n was already there.
-    The test for such a nogood reads an index of the sets the search
-    failed, each under its highest fact, not the whole memo, and finds the
-    same sets. A nogood inside a set has its highest fact in the set, so
-    the buckets of the set's facts hold every indexed nogood it contains.
-    A set memoized by the test itself stays out of the index, but it
-    contains an indexed nogood, and so does every set containing it. The
-    cuts, the memo at layer n and its count are therefore those of a scan
-    of the whole memo.
+    layer fails at once and is memoized as an opened set, and the memo
+    gains images only when a set opened there fails, so an unchanged count
+    still means that every set opened at layer n was already there. The
+    test for such a nogood reads an index of the nogoods of the sets the
+    search failed and of their images, each under its highest fact, not
+    the whole memo, and finds the same sets. A nogood inside a set has its
+    highest fact in the set, so the buckets of the set's facts hold every
+    indexed nogood it contains. A set memoized by the test itself stays out
+    of the index, but it contains an indexed nogood, and so does every set
+    containing it. The cuts, the memo at layer n and its count are
+    therefore those of a scan of the whole memo.
 
     Backjumping and explanation nogoods keep the three facts too; they work
     only at the layers below both n and the horizon:
@@ -268,7 +407,8 @@ def graphplan_search(context: GraphContext, init, goals,
       goal's own choice; a choice point it does not name cannot change it,
       which is why skipping that choice point loses no plan. With no
       choice point left to name, the explanation holds for every
-      assignment: no plan reaches it at layer t, nor any set containing it.
+      assignment: no plan reaches it at layer t, nor any set containing it,
+      nor any image of it under a symmetry.
     - Cuts below layer n never touch the paths that facts 1-3 reason about.
       Those paths run through sets at layer n and above, which the search
       opens, fails and memoizes as it did chronologically. Below n, a set
@@ -352,12 +492,24 @@ class _BackwardSearch:
     - Subset nogoods. A goal set that contains a nogood memoized at its
       fact layer has no plan there either: it fails at once, explained by
       that nogood, and is memoized too. The explanations of the sets the
-      search failed are also indexed per layer by their highest fact, and
-      the test looks only in the buckets of the set's own facts: a nogood
-      inside the set has its highest fact there. It returns the first it
-      finds, by highest fact and then in the order indexed. A set memoized
-      by this test stays out of the index; it contains an indexed nogood,
-      so any set containing it is still found.
+      search failed, and their images, are also indexed per layer by their
+      highest fact, and the test looks only in the buckets of the set's own
+      facts: a nogood inside the set has its highest fact there. It returns
+      the first it finds, by highest fact and then in the order indexed. A
+      set memoized by this test stays out of the index; it contains an
+      indexed nogood, so any set containing it is still found.
+
+    Symmetric nogoods (after Fox & Long 1999). At its first failure the
+    search keeps, as ``generators``, the context's symmetries
+    (GraphContext.symmetries) that fix its initial state and its goals.
+    Such a generator maps the graph it grows onto itself, so the image of
+    a nogood is a nogood of the same layer. Each nogood memoized and
+    indexed on a failure, the set itself or its explanation, is memoized
+    and indexed together with its image under each generator, unless the
+    memo already maps the image to itself: a set is indexed exactly when
+    the memo maps it to itself. Images of images are left to the failures
+    that find them, so the memo grows with the number of generators, not
+    with the order of the group. ``images`` counts the images memoized.
 
     Below level-off, at fact layers t < leveled_at other than the horizon's
     top layer (every layer below the top while level-off is unknown), the
@@ -410,8 +562,8 @@ class _BackwardSearch:
     layer) counts one node against max_nodes. A candidate cut by the forward
     check is never visited and counts no node; a goal set that fails by a
     memo hit, exact or subset, counts none of its own, and neither does a
-    subtree skipped by a backjump. ``backjumps`` counts the choice points
-    skipped.
+    subtree skipped by a backjump, and an image costs none. ``backjumps``
+    counts the choice points skipped.
     """
 
     def __init__(self, graph: PlanningGraph, max_nodes: int):
@@ -425,6 +577,8 @@ class _BackwardSearch:
         # fact layer t -> highest fact -> the explanations of the sets the
         # search failed, with that top
         self.by_top: dict = {}
+        self.generators = None  # set at the first failure (_memoize)
+        self.images = 0  # images memoized and indexed
 
     def goals_mutex(self, layer: int, goals: int) -> bool:
         rows = self.graph.fact_mutex[layer]
@@ -457,6 +611,28 @@ class _BackwardSearch:
                 return next(n for n in bucket if goals | n == goals)
         return 0
 
+    def _memoize(self, t: int, goals: int, nogood: int, root: int) -> None:
+        """Memoize a goal set that failed at fact layer t with its nogood,
+        and memoize and index the nogood and its images under the
+        generators. The generators are the context's symmetries that fix
+        the initial state and the root goals, kept at the first failure."""
+        if self.generators is None:
+            init = self.graph.fact_layers[0]
+            self.generators = [
+                g for g in self.graph.context.symmetries
+                if _image(g, init) == init and _image(g, root) == root]
+        memo = self.memo[t]
+        by_top = self.by_top.setdefault(t, {})
+        memo[nogood] = memo[goals] = nogood
+        by_top.setdefault(nogood.bit_length() - 1, []).append(nogood)
+        for generator in self.generators:
+            image = _image(generator, nogood)
+            # a set is indexed exactly when the memo maps it to itself
+            if memo.get(image) != image:
+                memo[image] = image
+                by_top.setdefault(image.bit_length() - 1, []).append(image)
+                self.images += 1
+
     def search(self, goals: int, t: int):
         """Steps (node-id sets for action layers 0..t-1) achieving the goal
         mask at fact layer t, or None; LimitExceeded past max_nodes.
@@ -471,6 +647,7 @@ class _BackwardSearch:
         # fact layers below cut explain their failures
         leveled = self.graph.leveled_at
         cut = t if leveled is None else min(leveled, t)
+        root = goals
         level = self._open(goals, t)
         kernel = self.graph.context.kernel
         add_masks, pre_masks = kernel.add_masks, kernel.pre_masks
@@ -568,9 +745,7 @@ class _BackwardSearch:
                         break
                 t, goals = levels.pop()[:2]
                 nogood = blame if explain else goals
-                self.memo[t][nogood] = self.memo[t][goals] = nogood
-                self.by_top.setdefault(t, {}).setdefault(
-                    nogood.bit_length() - 1, []).append(nogood)
+                self._memoize(t, goals, nogood, root)
                 if not levels:
                     return None
                 t, _, goal_ids, achievers, amasks, rows, choices = levels[-1]

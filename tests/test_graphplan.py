@@ -1,7 +1,10 @@
+import importlib.util
 import inspect
 import random
 import sys
 from dataclasses import replace
+from itertools import chain
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -30,6 +33,7 @@ from goalagenda.model import (
     validate_plan,
 )
 from goalagenda.oracle import enumerate_reachable
+from goalagenda.pddl import ground, parse
 
 from conftest import TWO_ROOMS_ADL, atoms, graphplan_on, names_of
 from reference import LinearScanSearch, RecursiveSearch
@@ -327,7 +331,6 @@ def test_graph_dump_shape(load, graph_of):
 
 
 def test_adl_actions_split_into_effect_nodes(load):
-    from goalagenda.pddl import ground, parse
     from test_pddl import ADL_DOMAIN, ADL_PROBLEM
 
     problem = ground(*parse(ADL_DOMAIN, ADL_PROBLEM))
@@ -388,14 +391,16 @@ def test_search_matches_reference_on_random_problems(spec, data):
 
 @pytest.mark.parametrize("name, nodes", [
     ("hanoi_4", [1757, 50, 10, 5]),
-    ("tyreworld_3", [15, 5386, 1333, 14, 15, 16, 17]),
+    ("tyreworld_3", [15, 2883, 968, 14, 15, 16, 17]),
 ])
 def test_agenda_search_nodes_are_pinned(load, name, nodes):
     """``plan -m h`` makes one search per agenda episode; the nodes each
     uses were recorded under the linear subset scan, and the scan still
     agrees search by search. The chronological search used 1895 and 51222
     nodes in the largest episodes; backjumping below level-off cut them to
-    these counts."""
+    1757 and 5386. Symmetric nogoods, which count no nodes, then cut
+    tyreworld_3's episodes 2 and 3 from 5386 and 1333 nodes to 2883 and
+    968; hanoi_4 has no symmetry, and its counts stayed."""
     problem = load(name)
     agenda = compute_agenda(problem, "h", None)
     _, searches = assert_matches_scan(lambda: plan_with_agenda(problem, agenda))
@@ -515,11 +520,13 @@ def fewest_parallel_steps(problem):
 
 def assert_nogoods_sound(problem, searches):
     """Every goal set memoized at fact layer t, at and below level-off
-    alike, holds in no state reachable from the initial state within t
-    parallel steps (a step may keep the state as it is)."""
-    layers = [{problem.init}]  # the states reachable within t steps
+    alike, holds in no state reachable from the search's initial state
+    within t parallel steps (a step may keep the state as it is)."""
     successors: dict = {}
+    reached: dict = {}  # initial state -> the states reachable within t steps
     for search in searches:
+        init = frozenset(mask_ids(search.graph.fact_layers[0]))
+        layers = reached.setdefault(init, [{init}])
         for t, nogoods in search.memo.items():
             while len(layers) <= t:
                 within = set(layers[-1])
@@ -746,6 +753,220 @@ def test_nogoods_sound_on_goals_competing_for_resources():
         else:
             assert validate_plan(problem, result).valid
     assert backjumps
+
+
+def object_swaps(problem, generator):
+    """The object pairs a symmetry generator swaps, read off the names of
+    the atoms it moves."""
+    def args(atom):
+        name = problem.atoms.name(atom)
+        return name[name.index("(") + 1:-1].split(",")
+
+    moved, perm = generator
+    return sorted({tuple(sorted(pair)) for i in mask_ids(moved)
+                   for pair in zip(args(i), args(perm[i]))
+                   if pair[0] != pair[1]})
+
+
+def tires(i, j):
+    return [(f"hub{i}", f"hub{j}"), (f"n{i}", f"n{j}"), (f"r{i}", f"r{j}"),
+            (f"w{i}", f"w{j}")]
+
+
+SYMMETRIES = {
+    "gripper2": [[("ball1", "ball2")], [("left", "right")]],
+    "tyreworld_2": [tires(1, 2)],
+    "tyreworld_3": [tires(1, 2), tires(1, 3)],
+}
+
+
+@pytest.mark.parametrize("name", corpus.ALL_NAMED + ("tyreworld_3",
+                                                     "stack_8"))
+def test_object_symmetries_are_pinned(load, name):
+    """The generators each corpus instance gets, as object swaps; hanoi,
+    blocks, the stack goal towers and the ground-JSON fixtures get none.
+    Each maps init, the goals and the set of (pre, add, delete) ways onto
+    themselves, checked here over frozensets."""
+    problem = load(name)
+    symmetries = GraphContext(problem).symmetries
+    assert [object_swaps(problem, g) for g in symmetries] == \
+        SYMMETRIES.get(name, [])
+    ways = set(chain.from_iterable(problem.ways))
+    for moved, perm in symmetries:
+        def image(ids):
+            return frozenset(perm[i] for i in ids)
+
+        assert moved == mask_of(i for i, j in enumerate(perm) if i != j)
+        assert image(problem.init) == problem.init
+        assert image(problem.goals) == problem.goals
+        assert {tuple(map(image, way)) for way in ways} == ways
+
+
+def test_swaps_that_fail_a_check_are_dropped(load):
+    """A swap is dropped when its atom map leaves the atom table, when it
+    does not map the ways onto themselves, or when it cannot be extended
+    along the init and goal facts."""
+    gripper = load("gripper2")
+
+    def swaps(problem):
+        return [object_swaps(problem, g)
+                for g in GraphContext(problem).symmetries]
+
+    # marked(ball2) is no atom
+    marked = replace(gripper, atoms=AtomTable([*gripper.atoms,
+                                               "marked(ball1)"]))
+    assert swaps(marked) == [[("left", "right")]]
+    # neither swap maps pick(ball2,roomA,right) to an action
+    lopsided = replace(gripper, actions=tuple(
+        a for a in gripper.actions if a.name != "pick(ball2,roomA,right)"))
+    assert swaps(lopsided) == []
+    # s(a,e,e) would map onto s(b,f,g), and e onto both f and g
+    clash = corpus.problem_from_dict({
+        "name": "clash", "actions": [],
+        "init": ["r(a)", "r(b)", "s(a,e,e)", "s(b,f,g)"],
+        "goals": ["r(a)", "r(b)"]})
+    assert swaps(clash) == []
+
+
+@pytest.mark.parametrize("name, method, detections", [
+    ("stack_8", "e", 0),
+    ("tyreworld_3", "h", 1),
+])
+def test_symmetries_are_found_once_and_only_at_a_failure(load, name, method,
+                                                         detections):
+    """Detection runs at the first goal set a search on the context fails,
+    and once per context: stack_8's episodes fail none, and tyreworld_3's
+    episodes 2 and 3 both fail sets."""
+    problem = load(name)
+    graph = build_graph(problem, retain_layers=False) if method == "e" \
+        else None
+    agenda = compute_agenda(problem, method, graph)
+    with mock.patch.object(graphplan, "_object_symmetries",
+                           wraps=graphplan._object_symmetries) as detect:
+        result = plan_with_agenda(problem, agenda)
+    assert result.status == "solved"
+    assert detect.call_count == detections
+
+
+def test_unparsed_names_get_no_symmetries(load):
+    """tyreworld_3 with atom names that do not parse as ``pred(args)`` gets
+    no generators, and its searches use the nodes they used before
+    symmetric nogoods."""
+    problem = load("tyreworld_3")
+    renamed = replace(problem, atoms=AtomTable(
+        name.replace("(", "[") for name in problem.atoms))
+    assert GraphContext(renamed).symmetries == ()
+    agenda = compute_agenda(renamed, "h", None)
+    _, searches = recorded(lambda: plan_with_agenda(renamed, agenda),
+                           graphplan._BackwardSearch)
+    assert [search.nodes_used for search in searches] == \
+        [15, 5386, 1333, 14, 15, 16, 17]
+    assert not any(search.images for search in searches)
+
+
+_INPUTS_SPEC = importlib.util.spec_from_file_location(
+    "perfbench_inputs",
+    Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py")
+perfbench_inputs = importlib.util.module_from_spec(_INPUTS_SPEC)
+sys.modules[_INPUTS_SPEC.name] = perfbench_inputs  # read by its dataclass
+_INPUTS_SPEC.loader.exec_module(perfbench_inputs)
+
+
+@pytest.mark.parametrize("name, seed, images", [
+    ("gripper2", 1, [0]),
+    ("tyreworld_2", 1, [0] * 7),
+    ("tyreworld_2", 2, [0] * 7),
+    ("tyreworld_2", 3, [0] * 7),
+    ("tyreworld_3", 1, [0, 106, 14, 0, 0, 0, 0]),
+])
+def test_symmetric_nogoods_on_benchmark_texts(name, seed, images):
+    """``plan -m h`` on the benchmark's renamed and reordered texts: the
+    reference's plans in no more nodes, the scan's nodes and memo, and the
+    images memoized per episode."""
+    instance = perfbench_inputs.make(name, seed, corpus)
+    problem = ground(*parse(corpus.domain_text(instance.domain),
+                            instance.text))
+    agenda = compute_agenda(problem, "h", None)
+    run = lambda: plan_with_agenda(problem, agenda)  # noqa: E731
+    _, searches = assert_matches_scan(run)
+    assert_matches_reference(run)
+    assert [search.images for search in searches] == images
+
+
+def block_problem(rng):
+    """Two or three interchangeable blocks of objects o1, o2, ... that
+    compete for one shared fact, with seeded facts that break the symmetry.
+
+    free() is shared: an action with no precondition adds it. Each block x
+    has a chain c1(x)..cr(x), each link added by an action that needs the
+    one before and may need and delete free(), and a goal goal(x), added
+    by one or two actions that each need free() and a prefix of the chain
+    and delete free(). Every block gets the same actions, so the blocks
+    are interchangeable, until the initial state gives c1(x) to some
+    blocks and not to others."""
+    def maybe(items, p=0.5):
+        return items if rng.random() < p else []
+
+    r = rng.randint(1, 2)
+    template = [([("c", j - 1)] if j > 1 else maybe(["free"]), [("c", j)],
+                 maybe(["free"])) for j in range(1, r + 1)]
+    for j in rng.sample(range(r + 1), rng.randint(1, min(2, r + 1))):
+        template.append((["free"] + [("c", i) for i in range(1, j + 1)],
+                         ["goal"], ["free"] + maybe([("c", 1)], 0.3)))
+    blocks = [f"o{i}" for i in range(1, rng.randint(2, 3) + 1)]
+
+    def name(fact, x):
+        if fact in ("free", "goal"):
+            return f"{fact}({x if fact == 'goal' else ''})"
+        return f"c{fact[1]}({x})"
+
+    table = AtomTable(["free()"] + [
+        name(fact, x) for x in blocks
+        for fact in [("c", j) for j in range(1, r + 1)] + ["goal"]])
+
+    def ids(facts, x):
+        return frozenset(table.id(name(fact, x)) for fact in facts)
+
+    actions = [StripsAction("release()", frozenset(), ids(["free"], ""),
+                            frozenset())]
+    actions += [StripsAction(f"a{i}({x})", ids(pre, x), ids(add, x),
+                             ids(dele, x) - ids(add, x))
+                for x in blocks for i, (pre, add, dele) in enumerate(template)]
+    rng.shuffle(actions)
+    init = ids(maybe(["free"]), "").union(*(
+        ids([("c", 1)], x) for x in blocks if rng.random() < 0.25))
+    return PlanningProblem(table, tuple(actions), init,
+                           frozenset().union(*(ids(["goal"], x)
+                                               for x in blocks)))
+
+
+def test_symmetric_nogoods_on_interchangeable_blocks():
+    """Seeded problems from ``block_problem``, each planned plainly, over
+    its ``h`` agenda, and from its initial state with one fact flipped,
+    those searches sharing one context: the reference's plans and verdicts
+    in no more nodes, the scan's nodes and memo, and every memoized set,
+    images included, a nogood from the search's own initial state. A
+    search whose initial state a generator does not fix drops it; keeping
+    it memoizes images that are not nogoods on some of these problems."""
+    images = dropped = 0
+    for seed in range(40):
+        problem = block_problem(random.Random(seed))
+        agenda = compute_agenda(problem, "h", None)
+        context = GraphContext(problem)
+        flipped = [problem.init ^ {f} for f in range(len(problem.atoms))]
+        for run in (lambda: graphplan_on(problem),
+                    lambda: plan_with_agenda(problem, agenda),
+                    lambda: [graphplan_search(context, init, problem.goals)
+                             for init in flipped]):
+            _, searches = assert_matches_scan(run)
+            assert_matches_reference(run)
+            assert_nogoods_sound(problem, searches)
+            for search in searches:
+                images += search.images
+                if search.generators is not None:
+                    dropped += len(search.graph.context.symmetries) - \
+                        len(search.generators)
+    assert images and dropped, (images, dropped)
 
 
 def test_search_leaves_recursion_limit_alone(load):
