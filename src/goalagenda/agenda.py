@@ -19,7 +19,8 @@ and a planning graph the caller does not pass is built in one place,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphplan import PlanningGraph, build_graph
 from .model import PlanningProblem
@@ -42,8 +43,7 @@ class GoalGraph:
                 raise ValueError("edge endpoints must be vertices")
 
 
-@dataclass(frozen=True)
-class Agenda:
+class Agenda(NamedTuple):
     entries: tuple  # tuple[frozenset, ...]
     method: str
     edges: frozenset = frozenset()
@@ -197,7 +197,7 @@ def compute_agenda(problem: PlanningProblem, method: str = "h",
     closure = transitive_closure(gg)
     entries, gsep = degree_partition(closure)
     agenda = place_gsep(index, entries, gsep, method, graph)
-    return replace(agenda, edges=gg.edges, trivial_edges=gg.trivial_edges)
+    return agenda._replace(edges=gg.edges, trivial_edges=gg.trivial_edges)
 
 
 def agenda_to_dict(problem: PlanningProblem, agenda: Agenda) -> dict:

@@ -9,8 +9,8 @@ problem before being returned.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from . import oracle
 from .agenda import Agenda
@@ -74,8 +74,7 @@ def forward_search(table: SuccessorTable, init, goals,
     return Unsolvable("state space exhausted")
 
 
-@dataclass(frozen=True)
-class PlanEpisode:
+class PlanEpisode(NamedTuple):
     index: int  # 1-based agenda position
     initial: frozenset
     goals: frozenset
@@ -83,8 +82,7 @@ class PlanEpisode:
     outcome: str  # solved | unsolvable | resource_limit
 
 
-@dataclass(frozen=True)
-class AgendaPlanResult:
+class AgendaPlanResult(NamedTuple):
     status: str  # solved | episode_unsolvable | resource_limit
     plan: Plan
     episodes: tuple  # tuple[PlanEpisode, ...]

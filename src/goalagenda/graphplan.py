@@ -6,9 +6,12 @@ in a GraphContext. What is per episode is built over it: a PlanningGraph
 grows from the episode's initial state one layer at a time, keeping each
 fact layer as the kernel's bitmask and the achiever lists that the kernel
 returns per action layer, and the backward search keeps its nogood memo.
-No search writes to a context, so one serves every episode of an agenda,
-in any order. The graph levels off at the first layer t whose fact set and
-mutex relation equal layer t+1's; every layer from t on equals layer t.
+A search writes to a context only the first time it reads its
+``symmetries``, which are computed from the problem alone, so a race
+between two first reads computes equal values, and one context serves
+every episode of an agenda, in any order. The graph levels off at the
+first layer t whose fact set and mutex relation equal layer t+1's; every
+layer from t on equals layer t.
 build_graph grows to level-off, for the orderings and the dumps; a leveled
 graph is never written again. The backward search, as in GraphPlan and
 IPP, grows only the layers its horizons read: layer H+1 once the search at

@@ -15,9 +15,10 @@ problem are hash-consed: every distinct set among its actions' fields
 and its ways is one frozenset object. The builders (``pddl.ground``,
 ``corpus.problem_from_dict`` and the way split of ``PlanningProblem``)
 make them through ``set_table``, whose table lives only while one problem
-is built; no table is kept at module level. Every type is an immutable
-value after construction, so problems and plans can be shared freely
-between threads. All operations here are pure functions. A
+is built; no table is kept at module level. Every type but
+``AtomTable``, which the builders extend through ``intern`` while a
+problem is built, is an immutable value after construction, so problems
+and plans can be shared freely between threads. All operations here are pure functions. A
 budget that runs out raises ``LimitExceeded``, the one exception for
 every budget of the package; the base planners report their own budgets
 as a ``ResourceLimit`` result instead. A
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 
 class PlanningError(Exception):
@@ -262,8 +263,7 @@ def check_atom_ids(problem: PlanningProblem, *ids) -> None:
                              f"{n} atoms")
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(NamedTuple):
     """Sequence of steps; each step is a set of action ids.
 
     Parallel steps come from the layered planner: every action of a step
@@ -402,15 +402,13 @@ MAX_NODES = 10 ** 7
 MAX_STATES = 200_000
 
 
-@dataclass(frozen=True)
-class Unsolvable:
+class Unsolvable(NamedTuple):
     """Definitive non-answer: exhaustion proved there is no plan."""
 
     reason: str = ""
 
 
-@dataclass(frozen=True)
-class ResourceLimit:
+class ResourceLimit(NamedTuple):
     """Non-answer: a resource budget was hit before an answer was proved."""
 
     limit: str
@@ -419,25 +417,21 @@ class ResourceLimit:
 
 # --- plan validation -------------------------------------------------------
 
-@dataclass(frozen=True)
-class InapplicableAction:
+class InapplicableAction(NamedTuple):
     step: int
     action_id: int
 
 
-@dataclass(frozen=True)
-class GoalsUnmet:
+class GoalsUnmet(NamedTuple):
     missing: frozenset
 
 
-@dataclass(frozen=True)
-class StepConflict:
+class StepConflict(NamedTuple):
     step: int
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     valid: bool
     issues: tuple
     final_state: frozenset

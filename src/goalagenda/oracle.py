@@ -43,6 +43,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
+from typing import NamedTuple
 
 from .agenda import build_goal_graph
 from .model import (
@@ -223,16 +224,14 @@ def find_deadlocks(index: ReachabilityIndex):
 
 # --- invertibility -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class ActionInvertibility:
+class ActionInvertibility(NamedTuple):
     action_id: int
     inverse_id: int  # -1 when none found
     delete_within_pre: bool
     adds_false_when_applicable: bool
 
 
-@dataclass(frozen=True)
-class InvertibilityReport:
+class InvertibilityReport(NamedTuple):
     certified: bool
     entries: tuple  # tuple[ActionInvertibility, ...]
     notes: tuple = ()

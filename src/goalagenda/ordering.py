@@ -39,16 +39,15 @@ points, which build it once and pass it down) takes the index alone.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
+from typing import NamedTuple
 
 from .graphplan import AnchorUnreachable, PlanningGraph, false_set
 from .model import AdlAction, PlanningProblem, check_atom_ids
 
 
-@dataclass(frozen=True)
-class OrderingVerdict:
+class OrderingVerdict(NamedTuple):
     """Outcome of one test of "b is ordered before a". ``relation`` names
     the test: "e" or "h" here, "r" or "f" in the oracle, as in the
     ``verify_matrix`` columns. ``trivial`` marks an ordering that holds
@@ -194,8 +193,7 @@ def compute_f_da(index: ProblemIndex, anchor) -> frozenset:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class FixpointResult:
+class FixpointResult(NamedTuple):
     f_star: frozenset
     o_star: UsableActions
     iterations: int

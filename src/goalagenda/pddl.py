@@ -48,7 +48,6 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .model import (
@@ -170,29 +169,25 @@ def _name(form, what: str) -> str:
 
 # --- lifted structures ------------------------------------------------------
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(NamedTuple):
     positive: bool
     predicate: str
     args: tuple  # variable names (?x) or object names
 
 
-@dataclass(frozen=True)
-class WhenClause:
+class WhenClause(NamedTuple):
     conditions: tuple  # tuple[Literal, ...]
     effects: tuple  # tuple[Literal, ...]
 
 
-@dataclass(frozen=True)
-class LiftedOperator:
+class LiftedOperator(NamedTuple):
     name: str
     parameters: tuple  # tuple[(var, type), ...]
     precondition: tuple  # tuple[Literal, ...]
     effect: tuple  # tuple[Literal | WhenClause, ...]
 
 
-@dataclass(frozen=True)
-class DomainFile:
+class DomainFile(NamedTuple):
     name: str
     requirements: tuple
     types: tuple  # tuple[(type, parent), ...] in declaration order
@@ -200,8 +195,7 @@ class DomainFile:
     operators: tuple  # tuple[LiftedOperator, ...]
 
 
-@dataclass(frozen=True)
-class ProblemFile:
+class ProblemFile(NamedTuple):
     name: str
     domain_name: str
     objects: tuple  # tuple[(name, type), ...] in declaration order

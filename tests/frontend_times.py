@@ -11,9 +11,16 @@ traced, one more ``ground`` call runs under ``tracemalloc``: ``ground_mb``
 is the memory its problem holds, and ``set fields/objects`` counts the
 problem's atom set fields against the frozenset objects behind them
 (``reference.set_counts``). stack_80 is larger than any instance the
-benchmark's ``analyze-direct`` workload runs. Every time is taken between two
-chunks of the benchmark's reference work (``perfbench/hostspeed.py``,
-imported and left as it is) and divided by the slowdown they show, so the
+benchmark's ``analyze-direct`` workload runs. ``import_s`` is the median
+time of a fresh import of ``goalagenda`` and its submodules, made by the
+benchmark's own set-up code (``perfbench/run.py`` ``import_package``,
+which drops every ``goalagenda`` module from ``sys.modules`` and imports
+them again): the import share of the benchmark's ``setup_s``, apart from
+parse and ground. It is printed with ``sys.dont_write_bytecode``, since
+compiling the sources is most of it when no bytecode is cached. Every
+time is taken between two chunks of the benchmark's reference work
+(``perfbench/hostspeed.py``; it and ``run.py`` are imported and left as
+they are) and divided by the slowdown they show, so the
 medians read at the reference host speed, as the benchmark's end-to-end
 times do. The script only prints; it checks nothing.
 """
@@ -31,6 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import hostspeed  # noqa: E402
+import run  # noqa: E402
 from goalagenda import corpus  # noqa: E402
 from goalagenda.agenda import compute_agenda  # noqa: E402
 from goalagenda.pddl import ground, parse  # noqa: E402
@@ -68,6 +76,22 @@ def stage_medians(family: str, n: int, repeats: int,
     return tuple(map(statistics.median, (parse_s, ground_s, agenda_s)))
 
 
+def import_median(repeats: int, speed: hostspeed.HostSpeed) -> float:
+    """The median time of the benchmark set-up's fresh import of the
+    package (``run.import_package``), in seconds at the reference host
+    speed."""
+    times = []
+    after = speed.sample()
+    for _ in range(repeats):
+        before = after
+        t0 = time.perf_counter()
+        run.import_package()
+        elapsed = time.perf_counter() - t0
+        after = speed.sample()
+        times.append(elapsed / hostspeed.slowdown(before, after))
+    return statistics.median(times)
+
+
 def grounded_size(family: str, n: int) -> tuple:
     """The MB one ``ground`` call's problem holds (tracemalloc), and its
     set fields and set objects."""
@@ -96,6 +120,9 @@ def main(argv=None) -> None:
         print(f"{family}_{n:<{13 - len(family)}}{parse_s:>10.4f}"
               f"{ground_s:>10.4f}{agenda_s:>12.4f}{held_mb:>11.2f}"
               f"{f'{fields}/{objects}':>20}")
+    # last: the modules imported above stay as they are for the stages
+    print(f"import_s {import_median(args.repeats, speed):.4f} "
+          f"(sys.dont_write_bytecode={sys.dont_write_bytecode})")
     print(f"reference chunk median {statistics.median(speed.samples):.4f} s "
           f"(nominal {hostspeed.NOMINAL_S} s)")
 

@@ -1,22 +1,47 @@
+import dataclasses
+import importlib
+import pkgutil
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+import goalagenda
 import reference as ref
 import test_state_digests
 from goalagenda import corpus
-from goalagenda.driver import InvalidPlanError, next_initial_state
+from goalagenda.agenda import Agenda
+from goalagenda.driver import (
+    AgendaPlanResult,
+    InvalidPlanError,
+    PlanEpisode,
+    next_initial_state,
+)
 from goalagenda.model import (
     AdlAction,
     AtomTable,
     ConditionalEffect,
+    GoalsUnmet,
+    InapplicableAction,
     Plan,
     PlanningProblem,
+    ResourceLimit,
+    StepConflict,
     StripsAction,
+    Unsolvable,
+    ValidationReport,
     action_ways,
     set_table,
     validate_plan,
+)
+from goalagenda.oracle import ActionInvertibility, InvertibilityReport
+from goalagenda.ordering import FixpointResult, OrderingVerdict
+from goalagenda.pddl import (
+    DomainFile,
+    LiftedOperator,
+    Literal,
+    ProblemFile,
+    WhenClause,
 )
 
 from conftest import atoms
@@ -373,3 +398,72 @@ def test_inverse_application_restores_state(load, index_of):
                     problem, state, Plan.sequential([i, inverses[i]])) == state
                 checked += 1
     assert checked > 0
+
+
+RECORDS = (
+    Agenda((frozenset({1}),), "h"),
+    PlanEpisode(1, frozenset(), frozenset({1}), Plan(()), "solved"),
+    AgendaPlanResult("solved", Plan(()), ()),
+    Plan((frozenset({0}),)),
+    Unsolvable("x"),
+    ResourceLimit("max_states", 3),
+    InapplicableAction(0, 1),
+    GoalsUnmet(frozenset({2})),
+    StepConflict(0, "0 vs 1"),
+    ValidationReport(True, (), frozenset()),
+    ActionInvertibility(0, 1, True, True),
+    InvertibilityReport(True, ()),
+    OrderingVerdict("e", True),
+    FixpointResult(frozenset(), None, 1),
+    Literal(True, "on", ("a", "b")),
+    WhenClause((), ()),
+    LiftedOperator("op", (), (), ()),
+    DomainFile("d", (), (), (), ()),
+    ProblemFile("p", "d", (), (), ()),
+)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_are_immutable_values(record):
+    """A result record is a NamedTuple: its fields cannot be assigned, it
+    compares and hashes by its fields, and ``_replace`` makes a new one."""
+    field = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, "other")
+    twin = type(record)(*record)
+    assert twin == record and hash(twin) == hash(record)
+    replaced = record._replace(**{field: "other"})
+    assert getattr(replaced, field) == "other"
+    assert replaced != record and record == twin
+
+
+@pytest.mark.parametrize("record, text", [
+    (Unsolvable("x"), "Unsolvable(reason='x')"),
+    (ResourceLimit("max_states", 3),
+     "ResourceLimit(limit='max_states', value=3)"),
+    (Plan.sequential([0]), "Plan(steps=(frozenset({0}),))"),
+    (OrderingVerdict("e", True),
+     "OrderingVerdict(relation='e', holds=True, trivial=False, "
+     "witness=None)"),
+])
+def test_record_repr_is_the_dataclass_text(record, text):
+    assert repr(record) == text
+
+
+def test_only_validating_or_writable_classes_are_dataclasses():
+    """Every other record of the package is a NamedTuple: creating a frozen
+    dataclass costs about 0.5 ms of import (it compiles six generated
+    methods), a NamedTuple about 0.08 ms (timeit, Python 3.11 on a
+    2-vCPU Xeon VM). These six stay dataclasses: the three action classes
+    and ``GoalGraph`` check their fields in ``__post_init__``, which a
+    NamedTuple cannot override; ``PlanningProblem`` computes its ``ways``
+    field and is copied with ``dataclasses.replace``; ``ReachabilityIndex``
+    writes its memo after construction and has a ``cached_property``."""
+    found = set()
+    for info in pkgutil.iter_modules(goalagenda.__path__):
+        module = importlib.import_module(f"goalagenda.{info.name}")
+        found.update(name for name, value in vars(module).items()
+                     if dataclasses.is_dataclass(value)
+                     and value.__module__ == module.__name__)
+    assert found == {"StripsAction", "ConditionalEffect", "AdlAction",
+                     "GoalGraph", "PlanningProblem", "ReachabilityIndex"}

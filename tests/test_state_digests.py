@@ -57,7 +57,7 @@ def _ids(atoms) -> tuple:
 def _outcome(result):
     if isinstance(result, Plan):
         return ("plan", tuple(_ids(step) for step in result.steps))
-    return (type(result).__name__, vars(result))
+    return (type(result).__name__, result._asdict())
 
 
 def _verdict(verdict):
@@ -97,8 +97,7 @@ def records(problem, all_pairs: bool) -> dict:
         # recorded; it was True in every record, since each one passes an
         # enumeration, so the pinned digests stay as they are
         out["invertibility"] = (report.certified, True,
-                                [tuple(vars(e).values())
-                                 for e in report.entries],
+                                [tuple(e) for e in report.entries],
                                 report.notes)
     return out
 
