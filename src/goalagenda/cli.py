@@ -61,7 +61,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ground", help="ground-problem JSON file")
     p.add_argument("--corpus", help="shipped corpus instance name")
     p.add_argument("--out", help="write output here instead of stdout")
-    p.add_argument("--max-layers", type=_budget, default=MAX_LAYERS)
+    p.add_argument("--max-layers", type=_budget, default=MAX_LAYERS, help=(
+        "planning-graph layers grown by the e ordering, verify, graph-dump "
+        "and each episode of the graphplan base planner"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,15 +81,19 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--method", choices=("e", "h"), default="h")
     plan.add_argument("--base", choices=("graphplan", "forward"))
     plan.add_argument("--linearize-entries", action="store_true")
-    plan.add_argument("--max-nodes", type=_budget, default=MAX_NODES)
-    plan.add_argument("--max-states", type=_budget, default=MAX_STATES)
+    plan.add_argument("--max-nodes", type=_budget, default=MAX_NODES, help=(
+        "backward-search nodes per episode of the graphplan base planner"))
+    plan.add_argument("--max-states", type=_budget, default=MAX_STATES, help=(
+        "states held by one episode of the forward base planner, and by the "
+        "enumeration certifying invertibility after an unsolvable episode"))
     plan.add_argument("--format", dest="fmt", choices=("json", "text"),
                       default="json")
 
     verify = sub.add_parser(
         "verify", help="compare approximations against the exhaustive oracle")
     _add_common(verify)
-    verify.add_argument("--max-states", type=_budget, default=MAX_STATES)
+    verify.add_argument("--max-states", type=_budget, default=MAX_STATES,
+                        help="reachable states the oracle enumerates")
 
     _add_common(sub.add_parser("graph-dump",
                                help="planning-graph layer counts"))

@@ -76,16 +76,12 @@ def problem_from_dict(data: dict) -> PlanningProblem:
                         f"{a['name']}: effect 0 carries the precondition in "
                         "'pre', not 'when'")
                 effects.append(ConditionalEffect(
-                    condition=cond if i else ids(a.get("pre", []), "pre"),
-                    adds=ids(eff.get("add", []), "add"),
-                    deletes=ids(eff.get("del", []), "del")))
+                    cond if i else ids(a.get("pre", []), "pre"),
+                    *(ids(eff.get(key, []), key) for key in ("add", "del"))))
             actions.append(AdlAction(a["name"], tuple(effects)))
         else:
-            actions.append(StripsAction(
-                a["name"],
-                ids(a.get("pre", []), "pre"),
-                ids(a.get("add", []), "add"),
-                ids(a.get("del", []), "del")))
+            actions.append(StripsAction(a["name"], *(
+                ids(a.get(key, []), key) for key in ("pre", "add", "del"))))
     return PlanningProblem(
         atoms=atoms, actions=tuple(actions), init=init, goals=goals,
         name=data.get("name", "ground-problem"))
@@ -102,7 +98,7 @@ def load_ground_json(text: str) -> PlanningProblem:
         return problem_from_dict(json.loads(text))
     except json.JSONDecodeError as exc:
         raise GroundFileError(f"invalid JSON: {exc}") from exc
-    except ValueError as exc:  # a form the model's constructors reject
+    except ValueError as exc:  # a form the model rejects as it splits it
         raise GroundFileError(str(exc)) from exc
 
 

@@ -37,7 +37,6 @@ direct analysis on conditional-effect domains.
 
 from __future__ import annotations
 
-import re
 from functools import cached_property
 from itertools import chain, combinations
 
@@ -51,6 +50,7 @@ from .model import (
     PlanningProblem,
     ResourceLimit,
     Unsolvable,
+    atom_args,
     check_atom_ids,
     mask_ids,
     mask_of,
@@ -93,29 +93,22 @@ class GraphContext:
 
 # --- object symmetry ---------------------------------------------------------
 
-_ATOM_NAME = re.compile(r"([^()]+)\(([^()]*)\)")
-
-
 def _object_symmetries(problem: PlanningProblem) -> tuple:
     """Symmetry generators from object swaps (after Fox & Long 1999, "The
     Detection and Exploitation of Symmetry in Planning Problems", IJCAI).
 
     Objects are read off the atom names the grounder formats,
-    ``pred(a1,...,ak)``; when a name does not parse there are none, which
-    is the case for most ground-JSON problems. Two objects can be swapped
-    only when they occur equally often at each (init or goal, predicate,
-    argument position). For each such pair not yet in one orbit, the swap
-    is extended along the init and goal facts (_extend_swap), and the atom
-    permutation it induces is kept only when it maps every atom name to an
-    atom, init and goals onto themselves and the node triples onto
-    themselves."""
-    atoms = []
-    for name in problem.atoms:
-        match = _ATOM_NAME.fullmatch(name)
-        if match is None:
-            return ()
-        pred, args = match.groups()
-        atoms.append((pred, tuple(args.split(",")) if args else ()))
+    ``pred(a1,...,ak)`` (``model.atom_args``); when a name does not parse
+    there are none, which is the case for most ground-JSON problems. Two
+    objects can be swapped only when they occur equally often at each
+    (init or goal, predicate, argument position). For each such pair not
+    yet in one orbit, the swap is extended along the init and goal facts
+    (_extend_swap), and the atom permutation it induces is kept only when
+    it maps every atom name to an atom, init and goals onto themselves and
+    the node triples onto themselves."""
+    atoms = list(map(atom_args, problem.atoms))
+    if None in atoms:
+        return ()
     facts: dict = {}  # (init 0 or goal 1, predicate) -> argument tuples
     holding: dict = {}  # object -> the (kind, predicate, args) holding it
     for kind, ids in enumerate((problem.init, problem.goals)):

@@ -5,31 +5,32 @@ ids wherever it enters or leaves the package, and an int bitmask (bit i for
 atom i) wherever it is searched or executed. The state-space searches (the
 oracle's enumeration and the forward planner) step through ``transitions``;
 plans run through ``validate_plan``, whose executor the agenda driver
-shares. An action is split into its ways (one per effect, each
-conditioned on the precondition plus the effect's own condition, as IPP
-splits an ADL action) by ``action_ways``, once per problem: a
-``PlanningProblem`` holds the split of all its actions as ``ways``, and
-the executor here, the planning graph's nodes, the ordering index's ways
-and the oracle's deletes record all read it from there. The atom sets of a
-problem are hash-consed: every distinct set among its actions' fields
-and its ways is one frozenset object. The builders (``pddl.ground``,
-``corpus.problem_from_dict`` and the way split of ``PlanningProblem``)
-make them through ``set_table``, whose table lives only while one problem
-is built; no table is kept at module level. Every type but
-``AtomTable``, which the builders extend through ``intern`` while a
-problem is built, is an immutable value after construction, so problems
-and plans can be shared freely between threads. All operations here are pure functions. A
-budget that runs out raises ``LimitExceeded``, the one exception for
-every budget of the package; the base planners report their own budgets
-as a ``ResourceLimit`` result instead. A
-planning graph (``graphplan.PlanningGraph``) is not such a value: it is
-written while it grows, and never again once it has leveled off, so a
-leveled graph can be shared too.
+shares. An action is split into its ways (one per effect, each conditioned
+on the precondition plus the effect's own condition, as IPP splits an ADL
+action) by ``action_ways``, once per problem, which also checks it: a
+``PlanningProblem`` holds the split of all its actions as ``ways``, and the
+executor here, the planning graph's nodes, the ordering index's ways and the
+oracle's deletes record all read it from there. The atom sets of a problem
+are hash-consed: every distinct set among its actions' fields and its ways
+is one frozenset object. The builders (``pddl.ground``,
+``corpus.problem_from_dict`` and the way split of ``PlanningProblem``) make
+them through ``set_table``, whose table lives only while one problem is
+built; no table is kept at module level. Every type but ``AtomTable``, which
+the builders extend through ``intern`` while a problem is built, is an
+immutable value after construction, so problems and plans can be shared
+freely between threads. All operations here are pure functions. A budget
+that runs out raises ``LimitExceeded``, the one exception for every budget
+of the package; the base planners report their own budgets as a
+``ResourceLimit`` result instead. A planning graph
+(``graphplan.PlanningGraph``) is not such a value: it is written while it
+grows, and never again once it has leveled off, so a leveled graph can be
+shared too.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Union
 
@@ -94,52 +95,53 @@ class AtomTable:
         return iter(self._names)
 
 
-@dataclass(frozen=True, slots=True)
-class StripsAction:
-    """``pre -> ADD add DEL delete`` over atom ids, with add and delete
-    disjoint (enforced here; grounding simplifies overlaps away first)."""
+_ATOM_NAME = re.compile(r"([^()]+)\(([^()]*)\)")
+
+
+def atom_name(head: str, args) -> str:
+    """The name ``pddl.ground`` gives an atom or an action:
+    ``head(a1,...,ak)``."""
+    return f"{head}({','.join(args)})"
+
+
+def atom_args(name: str):
+    """``(head, args)`` of a name as ``atom_name`` formats it, ``args`` a
+    tuple of strings; None for a name that does not parse so."""
+    match = _ATOM_NAME.fullmatch(name)
+    if match is None:
+        return None
+    return match[1], tuple(match[2].split(",")) if match[2] else ()
+
+
+class StripsAction(NamedTuple):
+    """``pre -> ADD add DEL delete`` over atom ids. No problem holds one
+    whose add and delete meet (``action_ways`` checks; grounding
+    simplifies overlaps away first)."""
 
     name: str
     pre: frozenset
     add: frozenset
     delete: frozenset
 
-    def __post_init__(self):
-        if not self.delete.isdisjoint(self.add):
-            raise ValueError(
-                f"action {self.name!r}: delete and add lists intersect: "
-                f"{sorted(self.delete & self.add)}"
-            )
 
-
-@dataclass(frozen=True, slots=True)
-class ConditionalEffect:
-    """One effect of an ADL action: fires when ``condition`` holds."""
+class ConditionalEffect(NamedTuple):
+    """One effect of an ADL action: fires when ``condition`` holds. No
+    problem holds one whose adds and deletes meet (``action_ways``
+    checks)."""
 
     condition: frozenset
     adds: frozenset
     deletes: frozenset
 
-    def __post_init__(self):
-        if not self.adds.isdisjoint(self.deletes):
-            raise ValueError(
-                f"conditional effect: adds and deletes intersect: "
-                f"{sorted(self.adds & self.deletes)}"
-            )
 
-
-@dataclass(frozen=True, slots=True)
-class AdlAction:
-    """Action with conditional effects. ``effects[0]`` always exists and
-    carries the unconditional part: its condition is the action precondition
-    and its adds/deletes are the unconditional effects."""
+class AdlAction(NamedTuple):
+    """Action with conditional effects. ``effects[0]`` carries the
+    unconditional part: its condition is the action precondition and its
+    adds/deletes are the unconditional effects. No problem holds one
+    without it (``action_ways`` checks)."""
 
     name: str
     effects: tuple  # tuple[ConditionalEffect, ...]
-
-    def __post_init__(self):
-        if not self.effects:
-            raise ValueError(f"action {self.name!r}: needs an effect at index 0")
 
     @property
     def pre(self) -> frozenset:
@@ -157,7 +159,8 @@ class PlanningProblem:
     STRIPS or all ADL actions. ``ways[i]`` holds the ways of ``actions[i]``
     (``action_ways``): the one split of the problem's actions, made once
     here, which the planning graph, the ordering index, the oracle and the
-    executor all read. It takes no part in ``==`` or ``repr``, and
+    executor all read, and which raises ValueError for an action no
+    problem may hold. It takes no part in ``==`` or ``repr``, and
     ``dataclasses.replace`` makes it anew.
 
     Invariant: equal atom sets among the actions' fields and ``ways`` are
@@ -182,9 +185,8 @@ class PlanningProblem:
         if self.is_adl:  # the table first holds the actions' own sets
             for action in self.actions:
                 for effect in action.effects:
-                    shared(effect.condition)
-                    shared(effect.adds)
-                    shared(effect.deletes)
+                    for ids in effect:  # condition, adds, deletes
+                        shared(ids)
         ways = tuple([action_ways(action, shared) for action in self.actions])
         object.__setattr__(self, "ways", ways)
         used = frozenset().union(self.init, self.goals, *(
@@ -228,9 +230,23 @@ def action_ways(action: Action, shared) -> tuple:
     of an ordering index and the effects an executor fires;
     ``PlanningProblem.ways`` holds it per action. A way holds the
     action's own sets, except the condition of an ADL effect after the
-    first, which is the union ``shared`` (from ``set_table``) returns."""
+    first, which is the union ``shared`` (from ``set_table``) returns.
+    It is also the one place an action is checked, since every problem
+    splits each of its actions here: ValueError when a STRIPS action's
+    add and delete meet, when an effect's adds and deletes meet, or when
+    an ADL action has no effect 0."""
     if isinstance(action, StripsAction):
-        return ((action.pre, action.add, action.delete),)
+        name, pre, add, delete = action
+        if not delete.isdisjoint(add):
+            raise ValueError(f"action {name!r}: delete and add lists "
+                             f"intersect: {sorted(delete & add)}")
+        return ((pre, add, delete),)
+    if not action.effects:
+        raise ValueError(f"action {action.name!r}: needs an effect at index 0")
+    for eff in action.effects:
+        if not eff.adds.isdisjoint(eff.deletes):
+            raise ValueError(f"conditional effect: adds and deletes "
+                             f"intersect: {sorted(eff.adds & eff.deletes)}")
     pre = action.pre
     return tuple((shared(pre | eff.condition) if i else pre, eff.adds,
                   eff.deletes) for i, eff in enumerate(action.effects))

@@ -57,6 +57,7 @@ from .model import (
     PlanningError,
     PlanningProblem,
     StripsAction,
+    atom_name,
     set_table,
 )
 
@@ -546,7 +547,7 @@ def ground(domain: DomainFile, problem: ProblemFile) -> PlanningProblem:
         ids = caches.setdefault(prefix, {})
         atom = ids.get(args)
         if atom is None:
-            atom = ids[args] = atoms.intern(f"{prefix}({','.join(args)})")
+            atom = ids[args] = atoms.intern(atom_name(prefix, args))
         return atom
 
     in_init: dict = {}  # predicate -> its argument tuples in init
@@ -614,7 +615,7 @@ def ground(domain: DomainFile, problem: ProblemFile) -> PlanningProblem:
             effect = _instance(first, combo, atoms, shared)
             if effect is None:
                 continue
-            name = f"{op.name}({','.join(combo[:n])})"
+            name = atom_name(op.name, combo[:n])
             if not as_adl:
                 actions.append(StripsAction(name, *effect))
                 continue
@@ -675,10 +676,11 @@ def _ids(slots: tuple, combo: tuple, atoms: AtomTable) -> tuple:
     lists (condition, adds, deletes); a name first seen is formatted and
     interned, in slot order."""
     out = ([], [], [])
+    name = atom_name
     for get, ids, prefix, to in slots:
         key = get(combo)
         atom = ids.get(key)
         if atom is None:
-            atom = ids[key] = atoms.intern(f"{prefix}({','.join(key)})")
+            atom = ids[key] = atoms.intern(name(prefix, key))
         out[to].append(atom)
     return out

@@ -25,7 +25,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from goalagenda import corpus, graphplan  # noqa: E402
 from goalagenda.agenda import compute_agenda  # noqa: E402
 from goalagenda.driver import plan_with_agenda  # noqa: E402
-from goalagenda.model import mask_ids  # noqa: E402
+from goalagenda.model import atom_args, mask_ids  # noqa: E402
 
 INSTANCES = ("tyreworld_2", "tyreworld_3", "hanoi_4", "hanoi_5", "stack_16")
 
@@ -48,8 +48,7 @@ def episode_searches(problem):
 def swaps(problem, generator) -> str:
     """The objects a generator swaps, read off the atoms it moves."""
     def args(atom):
-        name = problem.atoms.name(atom)
-        return name[name.index("(") + 1:-1].split(",")
+        return atom_args(problem.atoms.name(atom))[1]
 
     moved, perm = generator
     pairs = {tuple(sorted(pair)) for i in mask_ids(moved)

@@ -2,6 +2,7 @@
 stated tolerance (exact set equality unless noted) and time budget. The
 terminal summary prints one line per criterion."""
 
+import json
 import time
 
 import pytest
@@ -14,6 +15,7 @@ from goalagenda.agenda import (
     transitive_closure,
 )
 from goalagenda.cli import main as cli_main
+from goalagenda.corpus import problem_from_dict
 from goalagenda.driver import plan_with_agenda
 from goalagenda.graphplan import AnchorUnreachable, build_graph, false_set
 from goalagenda.model import (
@@ -29,6 +31,7 @@ from goalagenda.oracle import (
     check_invertibility,
     decide_forced,
     decide_reasonable,
+    enumerate_reachable,
     find_deadlocks,
 )
 from goalagenda.ordering import (
@@ -89,6 +92,14 @@ def test_c3_trap_regression(load, index_of):
     assert not order_h(problem, a, b).holds      # the real ordering, missed
     index = index_of("trap")
     assert not decide_forced(index, b, a).holds
+    # nor is A forced before B: in {B, C, E}, just entered by op1 with A
+    # false, the long route still runs (op3, op4)
+    verdict = decide_forced(index, a, b)
+    assert not verdict.holds
+    state, plan = verdict.witness
+    assert names_of(problem, state) == ["B", "C", "E"]
+    assert [problem.actions[i].name for step in plan.steps for i in step] \
+        == ["op3", "op4"]
     agenda = compute_agenda(problem, "h")
     result = plan_with_agenda(problem, agenda, base="forward")
     assert result.status == "episode_unsolvable"
@@ -99,19 +110,31 @@ def test_c3_trap_regression(load, index_of):
     assert time.perf_counter() - t0 < 1.0
 
 
-@pytest.mark.criterion("3-pinned", "forced ordering of the trap's long goal")
-@pytest.mark.xfail(
-    strict=True,
-    reason="exhaustive enumeration refutes the pinned expectation: the state "
-    "{B,C,E} is reachable via op2 then op1, enters with B added and A false, "
-    "and still reaches A through op3, op4; the fixture is even solvable with "
-    "B strictly first (op2, op1, op3, op4), so no such forced ordering "
-    "exists under the definitions the oracle implements")
-def test_c3_trap_forced_ordering_pin(load, index_of):
-    problem = load("trap")
-    verdict = decide_forced(index_of("trap"), problem.atom("A"),
-                            problem.atom("B"))
-    assert verdict.holds
+@pytest.mark.criterion("3-pinned", "forced ordering once op1 closes the "
+                      "long route")
+def test_c3_trap_forced_ordering_pin():
+    """The trap with op1 deleting E and F too: once B is in, the long route
+    to A is gone for good, so A is forced before B. Both orderings see it,
+    and the agenda it gives plans."""
+    data = json.loads(corpus.micro_text("trap"))
+    data["actions"][0]["del"] = ["D", "E", "F"]
+    problem = problem_from_dict(data)
+    a, b = problem.atom("A"), problem.atom("B")
+    index = enumerate_reachable(problem)
+    forced = decide_forced(index, a, b)
+    assert forced.holds and not forced.trivial
+    assert decide_reasonable(index, a, b).holds
+    assert not decide_forced(index, b, a).holds
+    graph = build_graph(problem, retain_layers=False)
+    assert order_e(problem, graph, a, b).holds
+    assert not order_e(problem, graph, b, a).holds
+    agenda = compute_agenda(problem, "e", graph)
+    assert [names_of(problem, e) for e in agenda.entries] == [["A"], ["B"]]
+    result = plan_with_agenda(problem, agenda, base="forward")
+    assert result.status == "solved"
+    assert validate_plan(problem, result.plan).valid
+    assert [names_of(problem, s) for s in find_deadlocks(index)] == \
+        [["B", "C"]]
 
 
 @pytest.mark.criterion(4, "closure, degrees and separate set on the diamond")

@@ -209,6 +209,9 @@ MALFORMED = [
      ["analyze", *_ground(action={"del": ["atA", "atB"]})]),
     ("actions not a list", ["analyze", *_ground(actions=5)]),
     ("no effects", ["analyze", *_adl_ground([])]),
+    ("adl effect adds meet dels",
+     ["analyze", *_adl_ground([
+         {"add": ["atB"]}, {"when": ["atB"], "add": ["X"], "del": ["X"]}])]),
     ("effect not an object",
      ["analyze", *_adl_ground([{"add": ["atB"]}, 5])]),
     ("domain without name",
@@ -324,6 +327,30 @@ def test_malformed_input_exits_3(tmp_path, capsys, args):
     assert code == 3 and captured.out == ""
     assert captured.err.startswith(("goalagenda: ", "usage: ")), captured.err
     assert "error: " in captured.err
+
+
+@pytest.mark.parametrize("command, texts", [
+    ("analyze", ["--max-layers MAX_LAYERS planning-graph layers grown"]),
+    ("plan", ["--max-layers MAX_LAYERS planning-graph layers grown",
+              "--max-nodes MAX_NODES backward-search nodes per episode",
+              "--max-states MAX_STATES states held by one episode of the "
+              "forward base planner, and by the enumeration certifying "
+              "invertibility after an unsolvable episode"]),
+    ("verify", ["--max-layers MAX_LAYERS planning-graph layers grown",
+                "--max-states MAX_STATES reachable states the oracle "
+                "enumerates"]),
+    ("graph-dump", ["--max-layers MAX_LAYERS planning-graph layers grown"]),
+])
+def test_budget_flags_say_what_they_bound(command, texts, capsys):
+    """Each budget flag's help says what it bounds; ``plan --max-states``
+    names both budgets its one value sets."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    # argparse wraps to the terminal's width, at spaces and after hyphens
+    out = "".join(capsys.readouterr().out.split())
+    for text in texts:
+        assert "".join(text.split()) in out
 
 
 @pytest.mark.parametrize("args", [

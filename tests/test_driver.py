@@ -322,3 +322,45 @@ def test_solved_runs_validate_against_original(load):
             # the agenda is what makes this solvable: the signal must wait
             assert [names_of(problem, e) for e in agenda.entries] == \
                 [["message"], ["signal"]]
+
+
+def _agendas(problem, graph):
+    """The one-entry agenda (every goal at once) and the ``h`` and ``e``
+    agendas of a problem."""
+    return {"one": Agenda((problem.goals,), "h"),
+            "h": compute_agenda(problem, "h"),
+            "e": compute_agenda(problem, "e", graph)}
+
+
+@pytest.mark.parametrize("name", ["stack_8", "stack_10", "tyreworld_2"])
+def test_agenda_plans_where_one_entry_runs_out(load, graph_of, name):
+    """The paper's claim at small scale, as counts: under a budget of 1,000
+    backward-search nodes per episode the one-entry run runs out in its
+    one episode, while the ``h`` and ``e`` agendas both plan."""
+    problem = load(name)
+    for label, agenda in _agendas(problem, graph_of(name)).items():
+        result = plan_with_agenda(problem, agenda,
+                                  limits={"max_nodes": 1000})
+        if label == "one":
+            assert (result.status, result.failed_episode) == \
+                ("resource_limit", 1)
+        else:
+            assert result.status == "solved", label
+            assert validate_plan(problem, result.plan).valid, label
+
+
+@pytest.mark.parametrize("name, runs", [
+    ("tyreworld_2", {"one": (30, 18), "h": (32, 24), "e": (32, 23)}),
+    ("stack_10", {"h": (18, 18), "e": (18, 18)}),
+])
+def test_agenda_plan_lengths_are_pinned(load, graph_of, name, runs):
+    """Plan actions and steps at the default budgets: the one-entry run's
+    plan is step-optimal, an agenda's is a concatenation of per-episode
+    plans, so it may be longer (tyreworld_2)."""
+    problem = load(name)
+    agendas = _agendas(problem, graph_of(name))
+    for label, (actions, steps) in runs.items():
+        result = plan_with_agenda(problem, agendas[label])
+        assert result.status == "solved", label
+        assert (result.plan.action_count(), len(result.plan.steps)) == \
+            (actions, steps), label

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import json
 import pkgutil
 import random
 
@@ -31,6 +32,8 @@ from goalagenda.model import (
     Unsolvable,
     ValidationReport,
     action_ways,
+    atom_args,
+    atom_name,
     set_table,
     validate_plan,
 )
@@ -74,19 +77,102 @@ def test_intern_round_trip():
     assert len(table) == 3
 
 
+@pytest.mark.parametrize("head, args, name", [
+    ("on", ("a", "b"), "on(a,b)"),
+    ("arm-empty", (), "arm-empty()"),
+    ("not-at", ("r1",), "not-at(r1)"),
+])
+def test_atom_names_round_trip(head, args, name):
+    """The one name format of ground atoms and actions, both ways."""
+    assert atom_name(head, args) == name
+    assert atom_args(name) == (head, args)
+
+
+@pytest.mark.parametrize("name", ["A", "p(a", "p(a)b", "p(a(b))", "(a)"])
+def test_names_of_another_form_do_not_parse(name):
+    assert atom_args(name) is None
+
+
+def _holding(*actions):
+    """A problem over five atoms holding ``actions``."""
+    return PlanningProblem(AtomTable("abcde"), actions, frozenset(),
+                           frozenset())
+
+
 def test_strips_action_rejects_add_delete_overlap():
+    """An action is a plain record; the problem that holds it checks it,
+    where ``action_ways`` splits it."""
+    bad = StripsAction("bad", frozenset(), frozenset({1, 2, 3}),
+                       frozenset({2, 1, 4}))
     with pytest.raises(ValueError) as err:
-        StripsAction("bad", frozenset(), frozenset({1, 2, 3}),
-                     frozenset({2, 1, 4}))
+        _holding(bad)
     assert str(err.value) == \
         "action 'bad': delete and add lists intersect: [1, 2]"
 
 
 def test_conditional_effect_rejects_add_delete_overlap():
+    bad = ConditionalEffect(frozenset({0}), frozenset({3, 1}),
+                            frozenset({1, 3}))
+    fine = ConditionalEffect(frozenset({0}), frozenset({1}), frozenset())
+    for effects in ((bad,), (fine, bad)):
+        with pytest.raises(ValueError) as err:
+            _holding(AdlAction("a", effects))
+        assert str(err.value) == \
+            "conditional effect: adds and deletes intersect: [1, 3]"
+
+
+def _ground_json(actions):
+    return {"init": ["p"], "goals": ["q"], "actions": actions}
+
+
+@pytest.mark.parametrize("actions, message", [
+    ([{"name": "go", "pre": ["p"], "add": ["q", "r"], "del": ["r", "p"]}],
+     "action 'go': delete and add lists intersect: [2]"),
+    ([{"name": "go", "pre": ["p"], "effects": [
+        {"add": ["q"]}, {"when": ["q"], "add": ["p"], "del": ["p"]}]}],
+     "conditional effect: adds and deletes intersect: [0]"),
+    ([{"name": "first", "pre": ["p"], "add": ["q"], "del": ["q"]},
+      {"name": "second", "pre": ["p"], "add": ["p"], "del": ["p"]}],
+     "action 'first': delete and add lists intersect: [1]"),
+], ids=["strips", "adl effect", "first action first"])
+def test_ground_json_rejects_actions_that_add_what_they_delete(actions,
+                                                               message):
+    """Ground JSON is the one outside input that can hold such an action:
+    ``problem_from_dict`` raises the model's ValueError, and
+    ``load_ground_json`` turns it into a GroundFileError with the same
+    text."""
+    data = _ground_json(actions)
     with pytest.raises(ValueError) as err:
-        ConditionalEffect(frozenset({0}), frozenset({3, 1}), frozenset({1, 3}))
-    assert str(err.value) == \
-        "conditional effect: adds and deletes intersect: [1, 3]"
+        corpus.problem_from_dict(data)
+    assert str(err.value) == message
+    with pytest.raises(corpus.GroundFileError) as err:
+        corpus.load_ground_json(json.dumps(data))
+    assert str(err.value) == message
+
+
+def test_ground_json_form_errors_come_before_action_checks():
+    """The form of every action is read before the problem checks any of
+    them, so a malformed action is reported even after one that adds
+    what it deletes."""
+    data = _ground_json([
+        {"name": "first", "pre": ["p"], "add": ["q"], "del": ["q"]},
+        {"name": "second", "pre": ["p"], "dels": ["p"]}])
+    with pytest.raises(corpus.GroundFileError,
+                       match=r"^second: unknown keys \['dels'\]$"):
+        corpus.problem_from_dict(data)
+
+
+def test_action_records_check_nothing_until_a_problem_holds_them():
+    """Building a bad action raises nothing; the first problem that holds
+    it raises, before any id of it is checked against the atom table."""
+    empty = AdlAction("a", ())
+    with pytest.raises(ValueError, match="'a': needs an effect at index 0"):
+        _holding(AdlAction("ok", (ConditionalEffect(
+            frozenset({9}), frozenset(), frozenset()),)), empty)
+    overlap = StripsAction("s", frozenset({9}), frozenset({7}),
+                           frozenset({7}))
+    with pytest.raises(ValueError, match="'s': delete and add lists"):
+        _holding(overlap)
 
 
 def _strips(name, pre=(), add=(), delete=()):
@@ -122,7 +208,8 @@ def test_problem_rejects_ids_outside_its_atom_table(init, goals, actions,
 
 
 @pytest.mark.parametrize("make, error, message", [
-    (lambda load: AdlAction("a", ()), ValueError, "needs an effect at index 0"),
+    (lambda load: _holding(AdlAction("a", ())), ValueError,
+     "needs an effect at index 0"),
     (lambda load: load("blocks2").action_named("fly"), KeyError, "fly"),
 ], ids=["adl action without effects", "unknown action name"])
 def test_model_rejects_what_does_not_exist(load, make, error, message):
@@ -420,6 +507,10 @@ RECORDS = (
     LiftedOperator("op", (), (), ()),
     DomainFile("d", (), (), (), ()),
     ProblemFile("p", "d", (), (), ()),
+    StripsAction("a", frozenset({0}), frozenset({1}), frozenset({0})),
+    ConditionalEffect(frozenset({0}), frozenset({1}), frozenset()),
+    AdlAction("a", (ConditionalEffect(frozenset(), frozenset({1}),
+                                      frozenset()),)),
 )
 
 
@@ -451,19 +542,21 @@ def test_record_repr_is_the_dataclass_text(record, text):
 
 
 def test_only_validating_or_writable_classes_are_dataclasses():
-    """Every other record of the package is a NamedTuple: creating a frozen
-    dataclass costs about 0.5 ms of import (it compiles six generated
-    methods), a NamedTuple about 0.08 ms (timeit, Python 3.11 on a
-    2-vCPU Xeon VM). These six stay dataclasses: the three action classes
-    and ``GoalGraph`` check their fields in ``__post_init__``, which a
-    NamedTuple cannot override; ``PlanningProblem`` computes its ``ways``
-    field and is copied with ``dataclasses.replace``; ``ReachabilityIndex``
-    writes its memo after construction and has a ``cached_property``."""
+    """Every other record of the package, the ground actions included, is
+    a NamedTuple: creating a frozen dataclass costs about 0.5 ms of import
+    (it compiles six generated methods), a NamedTuple about 0.08 ms
+    (timeit, Python 3.11 on a 2-vCPU Xeon VM). The actions' checks live in
+    ``action_ways``, which every problem runs on each of its actions.
+    These three stay dataclasses: ``PlanningProblem`` checks its fields
+    and computes its ``ways`` field in ``__post_init__``, which a
+    NamedTuple cannot override, and is copied with ``dataclasses.replace``;
+    ``agenda.GoalGraph`` checks in ``__post_init__`` that its edges join
+    two distinct vertices; ``ReachabilityIndex`` writes its memo after
+    construction and has a ``cached_property``."""
     found = set()
     for info in pkgutil.iter_modules(goalagenda.__path__):
         module = importlib.import_module(f"goalagenda.{info.name}")
         found.update(name for name, value in vars(module).items()
                      if dataclasses.is_dataclass(value)
                      and value.__module__ == module.__name__)
-    assert found == {"StripsAction", "ConditionalEffect", "AdlAction",
-                     "GoalGraph", "PlanningProblem", "ReachabilityIndex"}
+    assert found == {"GoalGraph", "PlanningProblem", "ReachabilityIndex"}
