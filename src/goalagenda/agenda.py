@@ -62,7 +62,7 @@ def _graph(index: ProblemIndex, method: str, graph: PlanningGraph):
     """The planning graph the ``e`` method reads: the caller's, else one
     built here. ``h`` reads none and gets the caller's as it is."""
     if method == "e" and graph is None:
-        graph = build_graph(index.problem, retain_layers=False)
+        graph = build_graph(index.problem)
     return graph
 
 

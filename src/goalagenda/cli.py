@@ -183,8 +183,7 @@ def run(config: argparse.Namespace) -> int:
     def graph_for(method):
         if method != "e":
             return None
-        return build_graph(problem, max_layers=config.max_layers,
-                           retain_layers=False)
+        return build_graph(problem, max_layers=config.max_layers)
 
     t0 = time.perf_counter()
     if config.command == "analyze":

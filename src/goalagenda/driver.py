@@ -27,6 +27,7 @@ from .model import (
     Unsolvable,
     _execute,
     _unwind,
+    check_atom_ids,
     mask_ids,
     mask_of,
     transitions,
@@ -128,12 +129,14 @@ def plan_with_agenda(problem: PlanningProblem, agenda: Agenda,
     problem is certified against its reachable states, enumerated within
     the ``max_states`` budget; past the budget it stays uncertified.
     ``limits`` may set ``max_layers``, ``max_nodes`` and ``max_states``;
-    any other key raises ValueError.
+    any other key raises ValueError, and so does an agenda goal that is not
+    an atom id of the problem, before any episode runs.
     """
     limits = limits or {}
     unknown = sorted(limits.keys() - {"max_layers", "max_nodes", "max_states"})
     if unknown:
         raise ValueError(f"unknown limits {unknown}")
+    check_atom_ids(problem, *agenda.goal_union())
     planner = _base_planner(base, problem, limits)
     entries = list(agenda.entries)
     if linearize_entries:

@@ -46,7 +46,6 @@ from .model import (
     MAX_NODES,
     LimitExceeded,
     Plan,
-    PlanningError,
     PlanningProblem,
     ResourceLimit,
     Unsolvable,
@@ -57,30 +56,19 @@ from .model import (
 )
 
 
-class AnchorUnreachable(PlanningError):
-    """An anchor atom never enters the planning graph: the ordering against
-    it holds trivially (there is no state achieving it at all)."""
-
-    def __init__(self, atom: int):
-        self.atom = atom
-        super().__init__(f"anchor atom {atom} never appears in the graph")
-
-
 class GraphContext:
     """The layer kernel over the graph nodes of one problem: one node per
     way of each action (``problem.ways``), in (action, effect) order, so
-    ids below n_real_nodes are real nodes and way ids; n_real_nodes + f is
-    fact f's no-op, which is not materialized.
+    ids below ``kernel.n_actions`` are real nodes and way ids;
+    ``kernel.n_actions + f`` is fact f's no-op, which is not materialized.
 
     ``symmetries`` is found on first use, from the problem alone, so the
     searches that read it may run in any order."""
 
     def __init__(self, problem: PlanningProblem):
         self.problem = problem
-        nodes = [(sorted(pre), sorted(add), sorted(delete))
-                 for pre, add, delete in chain.from_iterable(problem.ways)]
-        self.n_real_nodes = len(nodes)
-        self.kernel = GraphKernel(len(problem.atoms), nodes)
+        self.kernel = GraphKernel(len(problem.atoms),
+                                  list(chain.from_iterable(problem.ways)))
 
     @cached_property
     def symmetries(self) -> tuple:
@@ -209,7 +197,8 @@ class PlanningGraph:
     With retain_layers=False the action-layer tables are not kept and the
     fact-mutex rows are kept only at the leveled layer, which is all the
     false-set computation needs; the backward search grows with retention.
-    The layers, node ids and pair counts are kept either way.
+    The layers, node ids and pair counts are kept either way. Every table
+    holds the lists the kernel returned, which nothing writes afterwards.
     """
 
     def __init__(self, context: GraphContext, init, max_layers: int,
@@ -220,7 +209,7 @@ class PlanningGraph:
         self._rows = [0] * len(context.problem.atoms)
         self.fact_layers = [mask_of(init)]
         self.action_layers = []
-        self.fact_mutex = [tuple(self._rows) if retain_layers else None]
+        self.fact_mutex = [self._rows if retain_layers else None]
         self.action_mutex = []
         self.achievers = []
         self.mutex_counts = [0]
@@ -239,14 +228,13 @@ class PlanningGraph:
         applicable, mask, rows, act_rows, achievers, ach_masks = \
             self.context.kernel.step(facts, self._rows)
         leveled = mask == facts and rows == self._rows
-        self.action_layers.append(tuple(applicable))
+        self.action_layers.append(applicable)
         retain = self.retain_layers
-        self.action_mutex.append(tuple(act_rows) if retain else None)
+        self.action_mutex.append(act_rows if retain else None)
         self.achievers.append((achievers, ach_masks) if retain else None)
         self.fact_layers.append(mask)
         self.mutex_counts.append(sum(r.bit_count() for r in rows) // 2)
-        keep = retain or leveled
-        self.fact_mutex.append(tuple(rows) if keep else None)
+        self.fact_mutex.append(rows if retain or leveled else None)
         if leveled:
             self.leveled_at = t
             # the leveled layer's rows equal its successor's
@@ -265,9 +253,10 @@ class PlanningGraph:
 
 
 def build_graph(problem: PlanningProblem, max_layers: int = MAX_LAYERS,
-                retain_layers: bool = True) -> PlanningGraph:
+                retain_layers: bool = False) -> PlanningGraph:
     """Grow the graph until level-off (through leveled_at + 1 layers), or
-    raise LimitExceeded past max_layers layers; see PlanningGraph for
+    raise LimitExceeded past max_layers layers. By default only what the
+    false sets and the dumps read is kept; see PlanningGraph for
     retain_layers."""
     graph = PlanningGraph(GraphContext(problem), problem.init, max_layers,
                           retain_layers)
@@ -276,21 +265,21 @@ def build_graph(problem: PlanningProblem, max_layers: int = MAX_LAYERS,
     return graph
 
 
-def false_set(graph: PlanningGraph, anchor) -> frozenset:
+def false_set(graph: PlanningGraph, anchor) -> frozenset | None:
     """Atoms outside the anchor that are mutex with at least one anchor
     member at level-off: they never hold together with the anchor.
 
-    Raises AnchorUnreachable when an anchor atom never enters the graph;
-    callers treat that as a trivial ordering. ValueError names an anchor
-    id that is not an atom.
+    None when an anchor atom never enters the graph, where every ordering
+    into the anchor holds trivially. ValueError names an anchor id that is
+    not an atom.
     """
     check_atom_ids(graph.context.problem, *anchor)
     facts = graph.fact_layers[graph.leveled_at]
     rows = graph.fact_mutex[graph.leveled_at]
     combined = 0
-    for atom in sorted(anchor):
+    for atom in anchor:
         if not facts >> atom & 1:
-            raise AnchorUnreachable(atom)
+            return None
         combined |= rows[atom]
     return frozenset(mask_ids(combined & ~mask_of(anchor)))
 
@@ -301,7 +290,8 @@ def graphplan_search(context: GraphContext, init, goals,
                      max_layers: int = MAX_LAYERS, max_nodes: int = MAX_NODES):
     """GraphPlan backward search from the state init to the goals:
     step-optimal parallel plan, Unsolvable with a level-off + memoization
-    exhaustion proof, or ResourceLimit.
+    exhaustion proof, or ResourceLimit. ValueError names an init or goal
+    id that is not an atom id of the problem.
 
     No-ops are preferred achievers (goals already true stay true when
     possible); remaining ties break by ascending node id, so plans are
@@ -422,6 +412,7 @@ def graphplan_search(context: GraphContext, init, goals,
     if context.problem.is_adl:
         raise ValueError("graphplan_search requires a STRIPS problem")
     goals = frozenset(goals)
+    check_atom_ids(context.problem, *init, *goals)
     if goals <= init:
         return Plan(())
 
@@ -753,7 +744,8 @@ class _BackwardSearch:
 
 def _extract_plan(context: GraphContext, steps) -> Plan:
     # node i is action i (STRIPS); no step is all no-ops (graphplan_search)
-    return Plan(tuple(frozenset(n for n in step if n < context.n_real_nodes)
+    n_actions = context.kernel.n_actions
+    return Plan(tuple(frozenset(n for n in step if n < n_actions)
                       for step in steps))
 
 

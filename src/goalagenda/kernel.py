@@ -28,8 +28,17 @@ the OR of the chunk's masks for each of its 16 subsets. One table over the
 facts' user masks gives the users of a mutex row, whose no-op users are
 one shift of the row; one over the nodes' add masks gives reach(p). A
 lookup reads the id mask's bytes and ORs two table entries per non-zero
-byte. Chunks of 4 bits rather than 8 keep the tables 8 times smaller and
-cheap to build for the small graphs of one agenda episode.
+byte. The tables are built once per GraphContext: once per build_graph,
+and once per plan_with_agenda call with the graphplan base, shared by
+every episode. Chunks of 4 bits rather than 8 keep them 8 times smaller
+and cheaper to build, at two lookups per byte instead of one. Measured by
+timeit on a 2-vCPU Xeon VM, Python 3.11.7: GraphContext(problem) takes
+0.55 ms on stack_8, 0.41 ms on tyreworld_3 and 9.3 ms on stack_30, of
+which the two tables take 0.12, 0.16 and 1.9 ms at 4 bits and 0.41, 0.45
+and 13.6 ms at 8. With 8-bit chunks build_graph runs 3% to 22% faster on
+those three, as a step does half the lookups, but stack_30's add table
+holds 11 MB at 8 bits against 1.3 MB at 4, and stack_60's takes 17.7 MB
+at 4 bits already.
 
 The achiever lists and masks that the step builds are also returned, in the
 order the backward search tries them, so the kernel is the one place that
@@ -81,8 +90,9 @@ class GraphKernel:
     """Layer stepper over graph nodes.
 
     Nodes 0..n_actions-1 are the problem's ground actions (or ADL effect
-    splits), given as (pre, add, delete) fact-id triples; node n_actions+f
-    is the no-op for fact f.
+    splits), given as (pre, add, delete) triples of fact-id collections,
+    whose element order does not matter; node n_actions+f is the no-op
+    for fact f.
     """
 
     def __init__(self, n_facts: int, nodes):

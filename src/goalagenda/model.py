@@ -461,18 +461,23 @@ def _execute(problem: PlanningProblem, state: int, plan: Plan):
     mask and the issues met, in step order.
 
     The parallel-step rule: every action of a step reads the state before
-    the step. Its precondition must hold there, else it is reported
-    (InapplicableAction) and changes nothing; an ADL action fires the
-    effects whose conditions hold there, and a fired add meeting a fired
-    delete is reported (StepConflict) and changes nothing. Each pair of
-    actions in the step where one's fired deletes meet the other's
-    precondition or fired adds is reported (StepConflict). Then the fired
-    effects of the whole step apply together, deletes before adds.
+    the step. Its id must be one of the problem's actions and its
+    precondition must hold there, else it is reported (InapplicableAction)
+    and changes nothing; an ADL action fires the effects whose conditions
+    hold there, and a fired add meeting a fired delete is reported
+    (StepConflict) and changes nothing. Each pair of actions in the step
+    where one's fired deletes meet the other's precondition or fired adds
+    is reported (StepConflict). Then the fired effects of the whole step
+    apply together, deletes before adds.
     """
     issues: list = []
+    action_ids = range(len(problem.actions))
     for step_index, step in enumerate(plan.steps):
         fired = []  # (action_id, pre, adds, deletes)
         for action_id in sorted(step):
+            if action_id not in action_ids:
+                issues.append(InapplicableAction(step_index, action_id))
+                continue
             action = problem.actions[action_id]
             effects = _effect_masks(problem.ways[action_id])
             pre = effects[0][0]
@@ -504,7 +509,8 @@ def validate_plan(problem: PlanningProblem, plan: Plan) -> ValidationReport:
     (and, for an ADL action, every effect condition) is read in the state
     before the step, no action may delete a precondition or fired add of
     another in the same step, and the step's fired effects apply together.
-    Never raises: an inapplicable action changes nothing and is reported as
+    Never raises: an inapplicable action, or an id outside
+    ``range(len(problem.actions))``, changes nothing and is reported as
     InapplicableAction, interference and clashing effects as StepConflict,
     and goals false at the end as GoalsUnmet.
     """

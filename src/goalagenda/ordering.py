@@ -43,7 +43,7 @@ from functools import cached_property
 from itertools import chain, compress
 from typing import NamedTuple
 
-from .graphplan import AnchorUnreachable, PlanningGraph, false_set
+from .graphplan import PlanningGraph, false_set
 from .model import AdlAction, PlanningProblem, check_atom_ids
 
 
@@ -255,9 +255,8 @@ def ordered_before(index: ProblemIndex, method: str, graph: PlanningGraph,
     or a method other than e and h (in either case)."""
     check_atom_ids(index.problem, *anchor, *candidates)
     if check_method(method) == "e":
-        try:
-            f_atoms = false_set(graph, anchor)
-        except AnchorUnreachable:
+        f_atoms = false_set(graph, anchor)
+        if f_atoms is None:
             return None
         view = index.view(anchor, f_atoms)
         return frozenset(b for b in candidates if not view.adds(b))

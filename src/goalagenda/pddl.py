@@ -111,11 +111,13 @@ class _List(list):
 def _read_sexprs(text: str):
     """Parse into nested lists of _Tok; returns the top-level forms. Each
     line is scanned by one regex whose matches are a ``;`` comment, a
-    parenthesis or a name; the characters between matches (space, tab and
-    ``\\r``) separate tokens. Tokens are made by ``tuple.__new__`` and
-    forms get their location as attributes, so no Python-level
-    constructor runs per token."""
-    scan = re.compile(r";.*|[()]|[^ \t\r();]+")
+    parenthesis, a comma or a name; the characters between matches (space,
+    tab and ``\\r``) separate tokens. A comma outside a comment is an
+    error: PDDL names have none, and ``model.atom_name`` joins arguments
+    with it, so ``(on a b,c)`` and ``(on a,b c)`` would name one atom.
+    Tokens are made by ``tuple.__new__`` and forms get their location as
+    attributes, so no Python-level constructor runs per token."""
+    scan = re.compile(r";.*|[(),]|[^ \t\r(),;]+")
     token = tuple.__new__
     stack: list = [[]]
     for line, chars in enumerate(text.split("\n"), 1):
@@ -132,8 +134,11 @@ def _read_sexprs(text: str):
                                           match.start() + 1)
                 done = stack.pop()
                 stack[-1].append(done)
-            elif word[0] != ";":
+            elif word[0] not in ";,":
                 stack[-1].append(token(_Tok, (word, line, match.start() + 1)))
+            elif word == ",":
+                raise PddlSyntaxError("unexpected ','", line,
+                                      match.start() + 1)
     if len(stack) != 1:
         raise PddlSyntaxError("unbalanced '('", stack[-1].line, stack[-1].col)
     return stack[0]

@@ -140,20 +140,20 @@ class RecursiveSearch:
         if cached is not None:
             return cached
         layer = self._layer(action_layer)
-        noop = self.context.n_real_nodes + fact
+        noop = self.context.kernel.n_actions + fact
         out = []
         for node_id in self.graph.action_layers[layer]:
             if node_id == noop:
                 out.insert(0, node_id)
-            elif node_id < self.context.n_real_nodes \
+            elif node_id < self.context.kernel.n_actions \
                     and fact in self.nodes[node_id][1]:
                 out.append(node_id)
         self._achievers_cache[key] = out
         return out
 
     def _node_pre(self, node_id: int):
-        if node_id >= self.context.n_real_nodes:
-            return frozenset((node_id - self.context.n_real_nodes,))
+        if node_id >= self.context.kernel.n_actions:
+            return frozenset((node_id - self.context.kernel.n_actions,))
         return self.nodes[node_id][0]
 
     def search(self, goals: int, t: int):
@@ -185,7 +185,7 @@ class RecursiveSearch:
             return rest + [set(chosen)]
         goal = goals[index]
         for node_id in chosen:
-            if node_id < self.context.n_real_nodes \
+            if node_id < self.context.kernel.n_actions \
                     and goal in self.nodes[node_id][1]:
                 return self._assign(goals, index + 1, chosen, t)
         act_rows = self.graph.action_mutex[self._layer(t - 1)]
@@ -557,9 +557,10 @@ def naive_forward_search(problem, max_states: int = 200_000):
 
 
 def tokenize(text: str):
-    """``(text, line, col)`` for every token: a parenthesis or a run of
-    characters other than parentheses, ``;``, space, tab, ``\\r`` and
-    ``\\n``. A ``;`` starts a comment that runs to the end of the line."""
+    """``(text, line, col)`` for every token: a parenthesis, a comma or a
+    run of characters other than parentheses, commas, ``;``, space, tab,
+    ``\\r`` and ``\\n``. A ``;`` starts a comment that runs to the end of
+    the line."""
     line, col = 1, 1
     i, n = 0, len(text)
     while i < n:
@@ -577,14 +578,14 @@ def tokenize(text: str):
             col += 1
             i += 1
             continue
-        if ch in "()":
+        if ch in "(),":
             yield (ch, line, col)
             col += 1
             i += 1
             continue
         start = i
         start_col = col
-        while i < n and text[i] not in " \t\r\n();":
+        while i < n and text[i] not in " \t\r\n(),;":
             i += 1
             col += 1
         yield (text[start:i], line, start_col)
@@ -592,7 +593,7 @@ def tokenize(text: str):
 
 def read_sexprs(text: str) -> list:
     """The top-level forms of ``text`` as nested lists of ``tokenize``'s
-    tuples."""
+    tuples; a comma token is an error."""
     stack: list = [[]]
     opens: list = []
     for tok in tokenize(text):
@@ -605,6 +606,8 @@ def read_sexprs(text: str) -> list:
             done = stack.pop()
             opens.pop()
             stack[-1].append(done)
+        elif tok[0] == ",":
+            raise PddlSyntaxError("unexpected ','", tok[1], tok[2])
         else:
             stack[-1].append(tok)
     if len(stack) != 1:

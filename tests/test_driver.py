@@ -29,6 +29,17 @@ from test_oracle import strips_problem
 from test_problem_index import count_builds, random_adl_problem, subsets
 
 
+@pytest.mark.parametrize("base", ["graphplan", "forward"])
+@pytest.mark.parametrize("bad", [999, -1])
+def test_plan_with_agenda_rejects_goals_that_are_not_atoms(load, base, bad):
+    """An agenda goal outside the atom table is a ValueError naming it,
+    before any episode runs, for either base planner."""
+    problem = load("blocks3")
+    agenda = Agenda((problem.goals, frozenset({bad})), "h")
+    with pytest.raises(ValueError, match=f"atom id {bad} out of range"):
+        plan_with_agenda(problem, agenda, base=base)
+
+
 def test_forward_search_goals_already_true(load):
     problem = load("blocks3")
     trivial = PlanningProblem(problem.atoms, problem.actions, problem.init,

@@ -14,7 +14,6 @@ from goalagenda import corpus, graphplan
 from goalagenda.agenda import compute_agenda
 from goalagenda.driver import AgendaPlanResult, plan_with_agenda
 from goalagenda.graphplan import (
-    AnchorUnreachable,
     GraphContext,
     build_graph,
     false_set,
@@ -146,14 +145,29 @@ def test_false_set_rejects_ids_that_are_not_atoms(graph_of, bad):
         false_set(graph_of("blocks3"), {0, bad})
 
 
-def test_unreachable_anchor_raises():
+@pytest.mark.parametrize("bad", [999, -1])
+def test_graphplan_search_rejects_ids_that_are_not_atoms(load, bad):
+    """An init or goal id outside the atom table is a ValueError naming it,
+    neither an Unsolvable verdict nor a negative shift."""
+    problem = load("blocks3")
+    context = GraphContext(problem)
+    message = f"atom id {bad} out of range"
+    with pytest.raises(ValueError, match=message):
+        graphplan_search(context, problem.init, problem.goals | {bad})
+    with pytest.raises(ValueError, match=message):
+        graphplan_search(context, problem.init | {bad}, problem.goals)
+
+
+def test_unreachable_anchor_has_no_false_set():
+    """An anchor atom that never enters the graph gives None, the trivial
+    ordering, also beside a reachable anchor atom."""
     table = AtomTable(["P", "Q", "Z"])
     problem = PlanningProblem(
         table, (strips(table, "a", ["P"], ["Q"], []),),
         frozenset({table.id("P")}), frozenset({table.id("Z")}))
     graph = build_graph(problem)
-    with pytest.raises(AnchorUnreachable):
-        false_set(graph, {table.id("Z")})
+    assert false_set(graph, {table.id("Z")}) is None
+    assert false_set(graph, {table.id("P"), table.id("Z")}) is None
 
 
 def test_no_action_problem_levels_off_immediately():
@@ -197,11 +211,12 @@ def test_level_off_bound(load):
 
 
 def test_light_retention_keeps_leveled_rows(load):
-    """Light retention drops the mutex rows below level-off and the action
-    tables, and keeps what graph-dump and the benchmark counters read: the
-    layers, their node ids, their pair counts and the level-off layer."""
+    """Light retention, build_graph's default, drops the mutex rows below
+    level-off and the action tables, and keeps what graph-dump and the
+    benchmark counters read: the layers, their node ids, their pair counts
+    and the level-off layer."""
     for name in corpus.ALL_NAMED:
-        graph = build_graph(load(name), retain_layers=False)
+        graph = build_graph(load(name))
         leveled = graph.leveled_at
         assert graph.fact_mutex[leveled] is not None
         assert all(rows is None for rows in graph.fact_mutex[:leveled])
@@ -320,7 +335,7 @@ def test_episodes_share_one_context(load, name):
         if episode.outcome == "solved":
             assert outcome == episode.plan
     fresh = GraphContext(problem)
-    assert shared.n_real_nodes == fresh.n_real_nodes
+    assert shared.kernel.n_actions == fresh.kernel.n_actions
     assert vars(shared.kernel) == vars(fresh.kernel)
 
 
@@ -339,7 +354,8 @@ def test_adl_actions_split_into_effect_nodes(load):
     assert len(flip) == 3  # unconditional part plus two when clauses
     pre0 = problem.actions[flip_id].effects[0].condition
     assert all(pre0 <= condition for condition, _, _ in flip)
-    assert GraphContext(problem).n_real_nodes == sum(map(len, problem.ways))
+    assert GraphContext(problem).kernel.n_actions == \
+        sum(map(len, problem.ways))
     graph = build_graph(problem)
     assert graph.fact_layers[graph.leveled_at] >> problem.atom("lit(s1)") & 1
 
@@ -419,7 +435,8 @@ def assert_grown_layers_match_build(graph):
     equals the layer of the same index in the graph built to level-off from
     that state, and growth saw level-off where it reached it."""
     init = frozenset(mask_ids(graph.fact_layers[0]))
-    full = build_graph(replace(graph.context.problem, init=init))
+    full = build_graph(replace(graph.context.problem, init=init),
+                       retain_layers=True)
     grown = len(graph.action_layers)
     if graph.leveled_at is None:
         assert grown <= full.leveled_at

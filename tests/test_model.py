@@ -428,6 +428,25 @@ def test_parallel_step_reads_the_state_before_it():
     assert validate_plan(problem, Plan.sequential([0, 1])).valid
 
 
+@pytest.mark.parametrize("action_id", [1, 999, -1])
+def test_action_ids_outside_the_problem_are_inapplicable(action_id):
+    """An id that names no action of the problem changes nothing and is
+    reported, beside the one real action, as InapplicableAction; -1 does
+    not read the last action. Chaining such a plan raises."""
+    problem = make_problem([("a", ["P"], ["G"], [])], ["P"], ["G"],
+                           ["P", "G"])
+    step_plan = Plan((frozenset({action_id}),))
+    report = validate_plan(problem, step_plan)
+    assert report.issues == (InapplicableAction(0, action_id),
+                             GoalsUnmet(problem.goals))
+    assert report.final_state == problem.init
+    both = validate_plan(problem, Plan((frozenset({0, action_id}),)))
+    assert both.issues == (InapplicableAction(0, action_id),)
+    assert both.final_state == atoms(problem, "P", "G")
+    with pytest.raises(InvalidPlanError, match="does not execute"):
+        next_initial_state(problem, problem.init, step_plan)
+
+
 def test_validate_plan_happy_path(load):
     problem = load("blocks3")
     plan = Plan.sequential(problem.action_named(n) for n in

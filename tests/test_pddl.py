@@ -295,6 +295,8 @@ MALFORMED_PDDL = [
     ("domain section twice", _domain(ACTION),
      _problem(goal="(:goal (q o)) (:domain d)"),
      PddlSyntaxError, "section ':domain' repeated", (2, 32)),
+    ("comma in a name", _domain(ACTION), _problem(init="(p o,o)"),
+     PddlSyntaxError, "unexpected ','", (2, 14)),
 ]
 
 
@@ -377,6 +379,30 @@ def test_every_parse_error_is_located():
 def test_empty_list_goal_is_the_empty_conjunction():
     _, problem = parse(_domain(ACTION), _problem(goal="(:goal ())"))
     assert problem.goal == ()
+
+
+COMMA_DOMAIN = """(define (domain d) (:requirements :strips)
+  (:predicates (p) (on ?x ?y ?z))
+  (:action a :parameters () :precondition (p) :effect (p)))"""
+
+COMMA_PROBLEM = """(define (problem i) (:domain d) (:objects a,b c a b,c x)
+  (:init (p) (on a b,c x)) (:goal (on a,b c x)))"""
+
+
+def test_names_with_a_comma_are_rejected():
+    """``(on a b,c x)`` and ``(on a,b c x)`` would both be the atom
+    ``on(a,b,c,x)``, so the goal would hold in init; the reader stops at
+    the first comma, in the objects. A comma in a comment is fine."""
+    with pytest.raises(PddlSyntaxError) as err:
+        parse(COMMA_DOMAIN, COMMA_PROBLEM)
+    assert str(err.value) == "unexpected ',' (line 1, col 44)"
+    parse(_domain(ACTION) + " ; a, b", _problem())
+
+
+@pytest.mark.parametrize("text", [
+    ",", "a,b", "(a ,b)", "(a\n b,)", "; x,y\n(a)", "(,", "(a);,\n,"])
+def test_reader_matches_reference_scanner_on_commas(text):
+    assert _read(_read_sexprs, text) == _read(reference.read_sexprs, text)
 
 
 def _read(read, text):
