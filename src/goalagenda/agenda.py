@@ -51,11 +51,11 @@ class Agenda(NamedTuple):
     gsep: frozenset = frozenset()
     gsep_placement: str = "empty"  # empty | ordered | defaulted_last
 
-    def goal_union(self) -> frozenset:
-        out: frozenset = frozenset()
-        for entry in self.entries:
-            out |= entry
-        return out
+    def linearized(self) -> "Agenda":
+        """The same agenda with one goal per entry: each entry's goals in
+        ascending id order, the entries in their order."""
+        return self._replace(entries=tuple(
+            frozenset([g]) for entry in self.entries for g in sorted(entry)))
 
 
 def _graph(index: ProblemIndex, method: str, graph: PlanningGraph):

@@ -203,10 +203,11 @@ def run(config: argparse.Namespace) -> int:
         t_analyze = time.perf_counter()
         agenda = compute_agenda(problem, config.method,
                                 graph_for(config.method))
+        if config.linearize_entries:
+            agenda = agenda.linearized()
         t_search = time.perf_counter()
         result = plan_with_agenda(
             problem, agenda, base=base,
-            linearize_entries=config.linearize_entries,
             limits={"max_layers": config.max_layers,
                     "max_nodes": config.max_nodes,
                     "max_states": config.max_states})

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 from importlib import resources
+from pathlib import Path
 
 from .model import (
     AdlAction,
@@ -215,7 +216,9 @@ def _pddl_problem(domain: str, problem_src: str) -> PlanningProblem:
 
 def load(name: str) -> PlanningProblem:
     """Named corpus instance: fixed files, generated families (stack_N,
-    hanoi_N, tyreworld_N, e.g. stack_20), or micro JSON fixtures."""
+    hanoi_N, tyreworld_N, e.g. stack_20), or micro JSON fixtures. KeyError
+    for any other name, and for one that is not a bare file name (such as
+    ``../micro/trap``)."""
     fixed = {
         "blocks3": lambda: _pddl_problem("blocks", problem_text("blocks", "three")),
         "blocks2": lambda: _pddl_problem("blocks", problem_text("blocks", "two")),
@@ -235,10 +238,12 @@ def load(name: str) -> PlanningProblem:
                 raise PlanningError(f"corpus problem {name!r}: {exc}") \
                     from None
             return _pddl_problem(domain, text)
-    try:
-        return load_ground_json(micro_text(name))
-    except FileNotFoundError:
-        raise KeyError(f"unknown corpus problem {name!r}") from None
+    if Path(name).name == name:  # a bare file name: nothing outside micro/
+        try:
+            return load_ground_json(micro_text(name))
+        except FileNotFoundError:
+            pass
+    raise KeyError(f"unknown corpus problem {name!r}")
 
 
 #: Problems small enough for exhaustive oracle runs, used across the test

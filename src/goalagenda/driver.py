@@ -27,7 +27,7 @@ from .model import (
     Unsolvable,
     _execute,
     _unwind,
-    check_atom_ids,
+    atom_set,
     mask_ids,
     mask_of,
     transitions,
@@ -43,8 +43,10 @@ def next_initial_state(problem: PlanningProblem, state: frozenset,
                        plan: Plan) -> frozenset:
     """Execute a plan from ``state`` under validate_plan's parallel-step
     rule. Raises on any issue: episode plans must never contain an
-    inapplicable action or a conflicting step."""
-    state, issues = _execute(problem, mask_of(state), plan)
+    inapplicable action or a conflicting step. ValueError names a state id
+    that is not an atom id of the problem."""
+    state, issues = _execute(problem, mask_of(atom_set(problem, state)),
+                             plan)
     if issues:
         raise InvalidPlanError(f"episode plan does not execute: {issues}")
     return frozenset(mask_ids(state))
@@ -54,9 +56,10 @@ def forward_search(table: SuccessorTable, init, goals,
                    max_states: int = MAX_STATES):
     """Breadth-first search with duplicate detection from init to the goals,
     over states as int bitmasks: shortest sequential plan, complete on
-    finite state spaces within the state budget."""
-    goals = mask_of(goals)
-    start = mask_of(init)
+    finite state spaces within the state budget. ValueError names an init
+    or goal id that is not an atom id of the problem."""
+    goals = mask_of(atom_set(table.problem, goals))
+    start = mask_of(atom_set(table.problem, init))
     if start & goals == goals:
         return Plan(())
     parents: dict = {start: None}
@@ -119,9 +122,10 @@ def _certified(problem: PlanningProblem, max_states: int) -> bool:
 
 
 def plan_with_agenda(problem: PlanningProblem, agenda: Agenda,
-                     base: str = "graphplan", linearize_entries: bool = False,
+                     base: str = "graphplan",
                      limits: dict = None) -> AgendaPlanResult:
-    """Run the base planner over incrementally growing goal sets.
+    """Run the base planner over the agenda's entries as given, on
+    incrementally growing goal sets.
 
     An unsolvable episode aborts the run; that verdict is definitive for the
     whole problem only when the problem is deadlock-free, so the result
@@ -129,18 +133,20 @@ def plan_with_agenda(problem: PlanningProblem, agenda: Agenda,
     problem is certified against its reachable states, enumerated within
     the ``max_states`` budget; past the budget it stays uncertified.
     ``limits`` may set ``max_layers``, ``max_nodes`` and ``max_states``;
-    any other key raises ValueError, and so does an agenda goal that is not
-    an atom id of the problem, before any episode runs.
+    any other key raises ValueError, and so do an agenda goal that is not
+    an atom id of the problem and an agenda that leaves out a goal of the
+    problem, before any episode runs.
     """
     limits = limits or {}
     unknown = sorted(limits.keys() - {"max_layers", "max_nodes", "max_states"})
     if unknown:
         raise ValueError(f"unknown limits {unknown}")
-    check_atom_ids(problem, *agenda.goal_union())
+    entries = [atom_set(problem, entry) for entry in agenda.entries]
+    missing = problem.goals.difference(*entries)
+    if missing:
+        raise ValueError(f"the agenda leaves out the goals "
+                         f"{problem.atoms.names(missing)}")
     planner = _base_planner(base, problem, limits)
-    entries = list(agenda.entries)
-    if linearize_entries:
-        entries = [frozenset([g]) for entry in entries for g in sorted(entry)]
 
     episodes = []
     all_steps: list = []

@@ -50,7 +50,7 @@ from .model import (
     ResourceLimit,
     Unsolvable,
     atom_args,
-    check_atom_ids,
+    atom_set,
     mask_ids,
     mask_of,
 )
@@ -273,7 +273,7 @@ def false_set(graph: PlanningGraph, anchor) -> frozenset | None:
     into the anchor holds trivially. ValueError names an anchor id that is
     not an atom.
     """
-    check_atom_ids(graph.context.problem, *anchor)
+    anchor = atom_set(graph.context.problem, anchor)
     facts = graph.fact_layers[graph.leveled_at]
     rows = graph.fact_mutex[graph.leveled_at]
     combined = 0
@@ -411,8 +411,8 @@ def graphplan_search(context: GraphContext, init, goals,
     """
     if context.problem.is_adl:
         raise ValueError("graphplan_search requires a STRIPS problem")
-    goals = frozenset(goals)
-    check_atom_ids(context.problem, *init, *goals)
+    init = atom_set(context.problem, init)
+    goals = atom_set(context.problem, goals)
     if goals <= init:
         return Plan(())
 

@@ -1,13 +1,14 @@
 """Ground planning model: interned atoms, states, actions, plans, execution.
 
-Frozensets at the API, masks inside: a state is a frozenset of dense atom
-ids wherever it enters or leaves the package, and an int bitmask (bit i for
-atom i) wherever it is searched or executed. The state-space searches (the
-oracle's enumeration and the forward planner) step through ``transitions``;
-plans run through ``validate_plan``, whose executor the agenda driver
-shares. An action is split into its ways (one per effect, each conditioned
-on the precondition plus the effect's own condition, as IPP splits an ADL
-action) by ``action_ways``, once per problem, which also checks it: a
+Frozensets at the API, masks inside: atom ids (a state, goals, an anchor)
+enter the package as any iterable, read once through ``atom_set``, and
+leave it as frozensets; wherever they are searched or executed they are an
+int bitmask (bit i for atom i). The state-space searches (the oracle's
+enumeration and the forward planner) step through ``transitions``; plans
+run through ``validate_plan``, whose executor the agenda driver shares.
+An action is split into its ways (one per effect, each conditioned on the
+precondition plus the effect's own condition, as IPP splits an ADL action)
+by ``action_ways``, once per problem, which also checks it: a
 ``PlanningProblem`` holds the split of all its actions as ``ways``, and the
 executor here, the planning graph's nodes, the ordering index's ways and the
 oracle's deletes record all read it from there. The atom sets of a problem
@@ -269,14 +270,17 @@ def set_table():
     return shared
 
 
-def check_atom_ids(problem: PlanningProblem, *ids) -> None:
-    """ValueError naming the first id that is not an atom id of the
-    problem, that is, not in ``range(len(problem.atoms))``."""
+def atom_set(problem: PlanningProblem, ids: Iterable[int]) -> frozenset:
+    """The atom ids of any iterable, read once, as a frozenset: the one way
+    an entry point takes ids. ValueError names the lowest id that is not an
+    atom id of the problem, that is, not in ``range(len(problem.atoms))``."""
+    ids = frozenset(ids)
     n = len(problem.atoms)
-    for p in ids:
-        if not 0 <= p < n:
-            raise ValueError(f"atom id {p!r} out of range: the problem has "
-                             f"{n} atoms")
+    bad = [p for p in ids if not 0 <= p < n]
+    if bad:
+        raise ValueError(f"atom id {min(bad)!r} out of range: the problem "
+                         f"has {n} atoms")
+    return ids
 
 
 class Plan(NamedTuple):
@@ -347,11 +351,13 @@ class SuccessorTable:
     a state tests only the actions whose highest precondition holds in it
     (a flat form of Fast Downward's successor generator, Helmert 2006):
     ``buckets`` maps that atom's bit to its actions, ``keys`` is the mask
-    of those atoms, and actions with no precondition are in ``free``."""
+    of those atoms, and actions with no precondition are in ``free``.
+    ``problem`` is the problem the table was built from."""
 
-    __slots__ = ("is_adl", "free", "keys", "buckets")
+    __slots__ = ("problem", "is_adl", "free", "keys", "buckets")
 
     def __init__(self, problem: PlanningProblem):
+        self.problem = problem
         self.is_adl = problem.is_adl
         self.free = []
         self.buckets = {}

@@ -52,7 +52,7 @@ from .model import (
     PlanningProblem,
     SuccessorTable,
     _unwind,
-    check_atom_ids,
+    atom_set,
     mask_ids,
     mask_of,
     transitions,
@@ -157,9 +157,10 @@ def _decide(index: ReachabilityIndex, relation: str, b: int, a: int,
     after it are never read; the witness is that search's anchor state and
     the shortest plan read back through ``parents``, the same one a fresh
     search from that anchor state would find. With no anchor state the
-    ordering holds trivially. ValueError unless b and a are atom ids of the
-    problem."""
-    check_atom_ids(index.problem, b, a)
+    ordering holds trivially. ValueError unless b and a are two distinct
+    atom ids of the problem, as for the approximations."""
+    if len(atom_set(index.problem, (b, a))) < 2:
+        raise ValueError("ordering needs two distinct goals")
     masks = index.masks
     bit = 1 << b
     parents: dict = {}

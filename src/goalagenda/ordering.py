@@ -44,7 +44,7 @@ from itertools import chain, compress
 from typing import NamedTuple
 
 from .graphplan import PlanningGraph, false_set
-from .model import AdlAction, PlanningProblem, check_atom_ids
+from .model import AdlAction, PlanningProblem, atom_set
 
 
 class OrderingVerdict(NamedTuple):
@@ -183,7 +183,7 @@ def compute_f_da(index: ProblemIndex, anchor) -> frozenset:
     that add it; unioned over the anchor. An atom with no achiever
     contributes nothing (an unachievable anchor carries no delete
     information). ValueError names an anchor id that is not an atom."""
-    check_atom_ids(index.problem, *anchor)
+    anchor = atom_set(index.problem, anchor)
     out: set = set()
     for atom in anchor:
         ways = index.adders[atom]
@@ -215,9 +215,9 @@ def fixpoint_reduce(index: ProblemIndex, anchor) -> FixpointResult:
 
     Sweeps over a snapshot of the current set in ascending atom order;
     terminates within |F_DA| + 1 sweeps since every continuing sweep removed
-    at least one atom. The anchor ids are checked once, by compute_f_da.
+    at least one atom. ValueError names an anchor id that is not an atom.
     """
-    anchor = frozenset(anchor)
+    anchor = atom_set(index.problem, anchor)
     f_star = set(compute_f_da(index, anchor))
     view = index.view(anchor, f_star)
     sweeps = 0
@@ -248,12 +248,12 @@ def ordered_before(index: ProblemIndex, method: str, graph: PlanningGraph,
     """The candidates ordered before the anchor: those that no way usable
     under the anchor's one false set adds (``e``, which reads the leveled
     planning graph), or that are not one-step achievable under its one
-    fixpoint (``h``, which reads no graph). Anchor and candidates are
-    collections of atom ids, each read more than once. None when the
-    anchor never enters the graph (``e`` only), where every ordering
-    before it holds trivially. ValueError names an id that is not an atom,
-    or a method other than e and h (in either case)."""
-    check_atom_ids(index.problem, *anchor, *candidates)
+    fixpoint (``h``, which reads no graph). None when the anchor never
+    enters the graph (``e`` only), where every ordering before it holds
+    trivially. ValueError names an id that is not an atom, or a method
+    other than e and h (in either case)."""
+    anchor = atom_set(index.problem, anchor)
+    candidates = atom_set(index.problem, candidates)
     if check_method(method) == "e":
         f_atoms = false_set(graph, anchor)
         if f_atoms is None:

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from goalagenda import corpus
-from goalagenda.cli import main
+from goalagenda.agenda import compute_agenda
+from goalagenda.cli import _json, _plan_json, main
+from goalagenda.driver import plan_with_agenda
 
 from conftest import TWO_ROOMS
 
@@ -180,6 +182,36 @@ def test_input_errors(tmp_path, capsys):
     code, _, _ = run_cli(["analyze", "--corpus", "trap",
                           "--ground", str(bad)], capsys)
     assert code == 3
+
+
+@pytest.mark.parametrize("name", ["../micro/trap", "./trap",
+                                  "../micro/../micro/trap"])
+def test_corpus_names_stay_inside_the_corpus(capsys, name):
+    """A corpus name is a bare file name: a path, even one that leads to a
+    shipped fixture, is an unknown name and an input error."""
+    with pytest.raises(KeyError, match="unknown corpus problem"):
+        corpus.load(name)
+    code, out, err = run_cli(["analyze", "--corpus", name], capsys)
+    assert code == 3 and out == ""
+    assert "unknown corpus problem" in err
+
+
+@pytest.mark.parametrize("name, base", [("tyreworld_3", "graphplan"),
+                                        ("gripper2", "forward")])
+def test_plan_linearize_entries_runs_the_linearized_agenda(capsys, name,
+                                                           base):
+    """``plan --linearize-entries`` prints the plan JSON of a driver run
+    over ``Agenda.linearized()``: the split lives in the CLI alone, and
+    each episode adds one goal."""
+    problem = corpus.load(name)
+    result = plan_with_agenda(
+        problem, compute_agenda(problem, "h").linearized(), base=base)
+    code, out, _ = run_cli(["plan", "--corpus", name, "--base", base,
+                            "--linearize-entries"], capsys)
+    assert code == 0
+    assert out == _json(_plan_json(problem, result))
+    assert [len(ep["goals"]) for ep in json.loads(out)["episodes"]] == \
+        list(range(1, len(problem.goals) + 1))
 
 
 def _ground(**changes):

@@ -1,3 +1,4 @@
+import re
 from collections import deque
 
 import pytest
@@ -258,26 +259,32 @@ def _empty_plans(name, problem, limits):
     ("unknown base", ValueError, "unknown base planner 'astar'"),
     ("episode plan misses its goals", InvalidPlanError,
      "episode 1 ended without its cumulative goals"),
-    ("agenda misses a goal", InvalidPlanError,
-     "concatenated plan failed validation"),
+    ("agenda misses a goal", ValueError,
+     "the agenda leaves out the goals ['on(a,b)']"),
+    ("empty agenda", ValueError,
+     "the agenda leaves out the goals ['on(a,b)', 'on(b,c)']"),
 ])
 def test_plan_with_agenda_refuses(load, monkeypatch, case, error, message):
     """An unknown base is refused before any search. A plan that does not
-    reach its episode's goals is refused after that episode, and a run
-    whose agenda leaves a goal out fails the final validation (every
-    episode plan executes and reaches its own goals, so only the problem's
-    goals can be missed)."""
+    reach its episode's goals is refused after that episode. An agenda
+    that leaves a goal of the problem out is refused before any base
+    planner is made or runs."""
     problem = load("blocks3")
     agenda = compute_agenda(problem, "h")
     base = "graphplan"
+    made = []
     if case == "unknown base":
         base = "astar"
     elif case == "episode plan misses its goals":
         monkeypatch.setattr(driver, "_base_planner", _empty_plans)
     else:
-        agenda = Agenda(agenda.entries[:-1], agenda.method)
-    with pytest.raises(error, match=message):
+        monkeypatch.setattr(driver, "_base_planner",
+                            lambda *args: made.append(args))
+        entries = agenda.entries[:-1] if case == "agenda misses a goal" else ()
+        agenda = Agenda(entries, agenda.method)
+    with pytest.raises(error, match=re.escape(message)):
         plan_with_agenda(problem, agenda, base=base)
+    assert made == []
 
 
 def test_certification_past_the_state_budget_is_false():
@@ -290,12 +297,21 @@ def test_certification_past_the_state_budget_is_false():
 
 
 def test_linearize_entries_splits_singletons(load):
+    """``Agenda.linearized`` splits gripper2's one entry into its two goals
+    in ascending id order, keeps the rest of the record, and the driver
+    runs the result as given: one episode per goal."""
     problem = load("gripper2")
     agenda = compute_agenda(problem, "h")
-    result = plan_with_agenda(problem, agenda, base="graphplan",
-                              linearize_entries=True)
+    linear = agenda.linearized()
+    assert [names_of(problem, e) for e in agenda.entries] == \
+        [["at(ball1,roomB)", "at(ball2,roomB)"]]
+    assert [names_of(problem, e) for e in linear.entries] == \
+        [["at(ball1,roomB)"], ["at(ball2,roomB)"]]
+    assert linear._replace(entries=agenda.entries) == agenda
+    result = plan_with_agenda(problem, linear, base="graphplan")
     assert result.status == "solved"
-    assert len(result.episodes) == len(problem.goals)
+    assert [names_of(problem, ep.goals) for ep in result.episodes] == \
+        [["at(ball1,roomB)"], ["at(ball1,roomB)", "at(ball2,roomB)"]]
     assert result.validation.valid
 
 
@@ -375,3 +391,24 @@ def test_agenda_plan_lengths_are_pinned(load, graph_of, name, runs):
         assert result.status == "solved", label
         assert (result.plan.action_count(), len(result.plan.steps)) == \
             (actions, steps), label
+
+
+@pytest.mark.parametrize("name, lengths", [("tyreworld_3", (47, 41)),
+                                           ("tyreworld_4", (60, 52))])
+def test_linearized_agendas_plan_where_agendas_run_out(load, graph_of, name,
+                                                      lengths):
+    """ROADMAP item 1's next rows, as counts: at 1,000 backward-search nodes
+    per episode the one-entry run and both agendas as computed run out
+    (``h`` in episode 2, ``e`` in episode 1), while both agendas
+    linearized plan at the default budget, with the same plan length."""
+    problem = load(name)
+    for label, agenda in _agendas(problem, graph_of(name)).items():
+        result = plan_with_agenda(problem, agenda,
+                                  limits={"max_nodes": 1000})
+        assert (result.status, result.failed_episode) == \
+            ("resource_limit", {"one": 1, "h": 2, "e": 1}[label]), label
+        if label != "one":
+            result = plan_with_agenda(problem, agenda.linearized())
+            assert result.status == "solved", label
+            assert (result.plan.action_count(), len(result.plan.steps)) == \
+                lengths, label

@@ -16,8 +16,11 @@ from goalagenda.driver import (
     AgendaPlanResult,
     InvalidPlanError,
     PlanEpisode,
+    forward_search,
     next_initial_state,
+    plan_with_agenda,
 )
+from goalagenda.graphplan import GraphContext, false_set, graphplan_search
 from goalagenda.model import (
     AdlAction,
     AtomTable,
@@ -29,16 +32,25 @@ from goalagenda.model import (
     ResourceLimit,
     StepConflict,
     StripsAction,
+    SuccessorTable,
     Unsolvable,
     ValidationReport,
     action_ways,
     atom_args,
+    atom_set,
     atom_name,
     set_table,
     validate_plan,
 )
 from goalagenda.oracle import ActionInvertibility, InvertibilityReport
-from goalagenda.ordering import FixpointResult, OrderingVerdict
+from goalagenda.ordering import (
+    FixpointResult,
+    OrderingVerdict,
+    ProblemIndex,
+    compute_f_da,
+    fixpoint_reduce,
+    ordered_before,
+)
 from goalagenda.pddl import (
     DomainFile,
     LiftedOperator,
@@ -217,6 +229,73 @@ def test_model_rejects_what_does_not_exist(load, make, error, message):
     problem names only the actions it has."""
     with pytest.raises(error, match=message):
         make(load)
+
+
+def test_atom_set_names_the_lowest_id_that_is_not_an_atom():
+    """The message does not depend on set order: of 999, 19 and -1 (blocks3
+    has 19 atoms), -1 is named. Good ids come back as one frozenset."""
+    problem = corpus.load("blocks3")
+    with pytest.raises(ValueError, match="atom id -1 out of range: the "
+                                         "problem has 19 atoms"):
+        atom_set(problem, [999, 0, 19, -1])
+    assert atom_set(problem, iter([3, 0, 3])) == frozenset({0, 3})
+
+
+def _entry_points(problem, graph):
+    """Every public function that takes atom ids, on blocks3 (goals on(a,b)
+    and on(b,c)): per function and argument, the ids given there and a
+    call on those ids in any form, reduced to a comparable answer."""
+    index, context = ProblemIndex(problem), GraphContext(problem)
+    table = SuccessorTable(problem)
+    init, goals = sorted(problem.init), sorted(problem.goals)
+    a, b = goals
+    return {
+        "false_set anchor": ([a], lambda ids: false_set(graph, ids)),
+        "compute_f_da anchor": ([a], lambda ids: compute_f_da(index, ids)),
+        "fixpoint_reduce anchor": (
+            [a], lambda ids: fixpoint_reduce(index, ids).f_star),
+        "ordered_before e anchor": (
+            [a], lambda ids: ordered_before(index, "e", graph, ids, [b])),
+        "ordered_before h anchor": (
+            [a], lambda ids: ordered_before(index, "h", None, ids, [b])),
+        "ordered_before h candidates": (
+            [b], lambda ids: ordered_before(index, "h", None, [a], ids)),
+        "graphplan_search init": (
+            init, lambda ids: graphplan_search(context, ids, goals)),
+        "graphplan_search goals": (
+            goals, lambda ids: graphplan_search(context, init, ids)),
+        "forward_search init": (
+            init, lambda ids: forward_search(table, ids, goals)),
+        "forward_search goals": (
+            goals, lambda ids: forward_search(table, init, ids)),
+        "plan_with_agenda entry": (
+            goals, lambda ids: plan_with_agenda(problem, Agenda((ids,), "h"))),
+        "next_initial_state state": (
+            init, lambda ids: next_initial_state(problem, ids, Plan(()))),
+    }
+
+
+FORMS = {"frozenset": frozenset, "list": list, "tuple": tuple,
+         "generator": lambda ids: (i for i in ids)}
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("entry", [
+    "false_set anchor", "compute_f_da anchor", "fixpoint_reduce anchor",
+    "ordered_before e anchor", "ordered_before h anchor",
+    "ordered_before h candidates", "graphplan_search init",
+    "graphplan_search goals", "forward_search init", "forward_search goals",
+    "plan_with_agenda entry", "next_initial_state state"])
+def test_entry_points_read_atom_ids_once(load, graph_of, entry, form):
+    """Each entry point reads its ids through ``atom_set``: any iterable,
+    one-shot ones included, gives the frozenset's answer, and an id outside
+    the atom table is a ValueError naming it."""
+    ids, call = _entry_points(load("blocks3"), graph_of("blocks3"))[entry]
+    make = FORMS[form]
+    assert call(make(ids)) == call(frozenset(ids))
+    for bad in (999, -1):
+        with pytest.raises(ValueError, match=f"atom id {bad} out of range"):
+            call(make(ids + [bad]))
 
 
 def test_action_ways_condition_each_effect_on_the_precondition():

@@ -376,13 +376,19 @@ def test_ordering_layer_rejects_ids_that_are_not_atoms(load, graph_of,
         run()
 
 
-@pytest.mark.parametrize("test", ["order_e", "order_h"])
-def test_ordering_needs_two_distinct_goals(load, graph_of, test):
+@pytest.mark.parametrize("test", ["order_e", "order_h", "decide_reasonable",
+                                  "decide_forced"])
+def test_ordering_needs_two_distinct_goals(load, graph_of, index_of, test):
+    """The approximations and the exact tests alike refuse a pair whose two
+    goals are one atom."""
     problem = load("blocks3")
     goal = min(problem.goals)
     call = {
         "order_e": lambda: order_e(problem, graph_of("blocks3"), goal, goal),
         "order_h": lambda: order_h(problem, goal, goal),
+        "decide_reasonable":
+            lambda: decide_reasonable(index_of("blocks3"), goal, goal),
+        "decide_forced": lambda: decide_forced(index_of("blocks3"), goal, goal),
     }[test]
     with pytest.raises(ValueError, match="two distinct goals"):
         call()
