@@ -320,94 +320,36 @@ def graphplan_search(context: GraphContext, init, goals,
     counting at the same horizon, and every count, memo and verdict are
     those of the graph built first.
 
-    The exhaustion proof (Blum & Furst 1997, AIJ 90): from the leveled fact
-    layer n on, the goals are Unsolvable once a horizon ends with as many
-    nogoods memoized at layer n as the horizon before. Every fact layer
-    above n takes its achievers from the same action layer, so horizon H
-    follows paths of H - n full assignments from the goals down to a set at
-    layer n. The search's symmetries are the atom permutations that its
-    generators compose to, the identity included (see _BackwardSearch).
-    Each fixes the initial state and the goals and maps the node triples
-    onto themselves, so it maps every layer of the graph with its mutexes,
-    every full assignment and every path from the goals onto themselves,
-    and a plan for a set onto a plan for the set's image. Call a set
-    covered up to symmetry, or covered, when it contains the image under a
-    symmetry of a set memoized at layer n. Three facts carry the proof:
+    The exhaustion proof. From the leveled fact layer n on, a horizon that
+    ends with as many nogoods memoized at layer n as the horizon before
+    (the count of Blum & Furst 1997, AIJ 90) runs a closure check
+    (_BackwardSearch.closed_nogood_in). The check takes every nogood
+    memoized at a fact layer t >= n. Each has no plan of t steps, so none
+    of n steps: a shorter plan pads out with no-op steps. Every fact layer
+    above n takes its achievers from the leveled action layer n. The check
+    drops a nogood when it has a full assignment there, by the search's
+    rule, whose precondition union contains no nogood left, and repeats
+    until it drops none. The goals are Unsolvable when they contain a
+    survivor; otherwise the next horizon is searched. The count only says
+    when to look; the verdict rests on the check alone.
 
-    1. A memoized set has no plan from its layer, and neither has a covered
-       set at layer n: a plan for a set solves each of its subsets, and the
-       inverse symmetry maps a plan for an image onto one for the memoized
-       set.
-    2. After horizon H, every path of H - n full assignments from the goals
-       ends in a covered set. Either the horizon opened the path's last set
-       at layer n, which memoizes it, or it cut the path at a set above n
-       that contains a nogood N of that layer. By induction on when N was
-       memoized, every path from N down to layer n ends in a covered set,
-       and the cut path continues through supersets of the sets of one of
-       them (see below). When N is the image of a failed set F under a
-       generator, the paths from N are the images of the paths from F, and
-       the image of a covered set is covered.
-    3. A set memoized at layer n is the image, under a symmetry, of a set
-       that some horizon opened there at the end of such a path. The
-       symmetry maps that path onto a path of the same length from the
-       goals to the image.
+    No survivor has a plan of any length, by induction on the length L.
+    With L <= n, it has none of n steps, so none of L. With L > n, take the
+    plan's last step, with the no-ops of the facts it keeps: pairwise
+    non-mutex nodes of action layer L-1, the leveled one. Giving each goal
+    not yet added, in the search's order, the step's node that adds it is
+    a full assignment by the search's rule (the forward check drops only
+    partial assignments that no achiever completes), and its precondition
+    union holds after L-1 steps of the plan. The check kept the survivor,
+    so that union contains a survivor, which then has a plan of L-1 steps.
+    So goals that contain a survivor have no plan at any horizon.
 
-    Monotonicity links them: the achievers that a full assignment of a
-    superset of M picks include a full assignment of M, so each child set
-    of the superset contains a child set of M; and the child sets of an
-    image are the images of the child sets. Now let horizon H + 1 memoize
-    nothing new at layer n. A set memoized there ends a path of
-    k <= H - n assignments (by 3), so its child sets end paths of
-    k + 1 <= H + 1 - n and are covered (by 2); by monotonicity every child
-    set of a covered set is covered. By induction on the path length, every
-    path from the goals ends in a covered set, so no horizon has a plan
-    (by 1).
-
-    The cuts in _BackwardSearch keep the three facts. Forward checking
-    removes only partial assignments that no achiever completes, so the
-    full assignments, and with them the paths and the sets opened, are
-    those of the search without it. A set that contains a nogood of its
-    layer fails at once and is memoized as an opened set, and the memo
-    gains images only when a set opened there fails, so an unchanged count
-    still means that every set opened at layer n was already there. The
-    test for such a nogood reads an index of the nogoods of the sets the
-    search failed and of their images, each under its highest fact, not
-    the whole memo, and finds the same sets. A nogood inside a set has its
-    highest fact in the set, so the buckets of the set's facts hold every
-    indexed nogood it contains. A set memoized by the test itself stays out
-    of the index, but it contains an indexed nogood, and so does every set
-    containing it. The cuts, the memo at layer n and its count are
-    therefore those of a scan of the whole memo.
-
-    Backjumping and explanation nogoods keep the three facts too; they work
-    only at the layers below both n and the horizon:
-
-    - Explanations are sound nogoods. Each conflict source names nodes no
-      plan can hold together with the goals named: a rejected candidate
-      and the chosen node it is mutex with; for a later goal, one node
-      mutex with each of its achievers, so no node can add it; a set of
-      chosen nodes whose preconditions contain a failed set N, and a plan
-      for their preconditions would solve N. When a goal runs out of
-      candidates, each of its achievers is so ruled out given the nodes
-      its conflict names below it, so the conflict holds without the
-      goal's own choice; a choice point it does not name cannot change it,
-      which is why skipping that choice point loses no plan. With no
-      choice point left to name, the explanation holds for every
-      assignment: no plan reaches it at layer t, nor any set containing it,
-      nor any image of it under a symmetry.
-    - Cuts below layer n never touch the paths that facts 1-3 reason about.
-      Those paths run through sets at layer n and above, which the search
-      opens, fails and memoizes as it did chronologically. Below n, a set
-      fails exactly when it has no plan, with or without backjumps, since
-      both skip only subtrees without one, and the first plan found is the
-      same. So the sets opened at layers n and up, their memo, its count
-      and the verdicts are those of the chronological search.
-    - An explanation at layer t holds at every horizon. Layers are indexed
-      from the initial state, so fact layer t is the same layer at every
-      horizon, and a set with no plan of t steps has none later either.
-      While level-off is unknown only the layers below the horizon are
-      explained, and those are below n: growth has not yet shown level-off
-      at any layer up to the horizon.
+    The proof asks of the search only that every set it memoizes at fact
+    layer t has no plan of t steps, and _BackwardSearch says why each of
+    its cuts keeps that: forward checking, subset nogoods, symmetric
+    images, and explanations with backjumping. A nogood at layer t holds at
+    every horizon: layers are indexed from the initial state, so fact
+    layer t is the same layer at every horizon.
     """
     if context.problem.is_adl:
         raise ValueError("graphplan_search requires a STRIPS problem")
@@ -440,7 +382,8 @@ def graphplan_search(context: GraphContext, init, goals,
         leveled = graph.leveled_at
         if leveled is not None and horizon >= leveled:
             count = len(searcher.memo.get(leveled, ()))
-            if prev_nogood_count is not None and count == prev_nogood_count:
+            if count == prev_nogood_count and \
+                    searcher.closed_nogood_in(goal_mask, leveled):
                 return Unsolvable("memoized goal sets prove exhaustion")
             prev_nogood_count = count
 
@@ -465,10 +408,12 @@ class _BackwardSearch:
     one choice point per goal that got an achiever, so the horizon is not
     bounded by the interpreter's recursion limit. A goal set that fails is
     a nogood. The memo maps it, per fact layer and in the order found, to
-    its explanation: a nogood inside it, or the set itself.
+    its explanation, a nogood inside it (see below).
 
-    Two cuts remove only subtrees that hold no plan, so the search returns
-    the first plan of the search without them:
+    Every cut below removes only subtrees that hold no plan, so the search
+    returns the first plan of the search without cuts, and every set it
+    memoizes at fact layer t has no plan of t steps, which is all that the
+    exhaustion proof in graphplan_search asks of it:
 
     - Forward checking. A candidate achiever that passes the mutex test is
       rejected when some later goal of the set is neither added by the
@@ -490,22 +435,21 @@ class _BackwardSearch:
     search keeps, as ``generators``, the context's symmetries
     (GraphContext.symmetries) that fix its initial state and its goals.
     Such a generator maps the graph it grows onto itself, so the image of
-    a nogood is a nogood of the same layer. Each nogood memoized and
-    indexed on a failure, the set itself or its explanation, is memoized
-    and indexed together with its image under each generator, unless the
-    memo already maps the image to itself: a set is indexed exactly when
-    the memo maps it to itself. Images of images are left to the failures
-    that find them, so the memo grows with the number of generators, not
-    with the order of the group. ``images`` counts the images memoized.
+    a nogood is a nogood of the same layer. The explanation memoized and
+    indexed on a failure is memoized and indexed together with its image
+    under each generator, unless the memo already maps the image to
+    itself: a set is indexed exactly when the memo maps it to itself.
+    Images of images are left to the failures that find them, so the memo
+    grows with the number of generators, not with the order of the group.
+    ``images`` counts the images memoized.
 
-    Below level-off, at fact layers t < leveled_at other than the horizon's
-    top layer (every layer below the top while level-off is unknown), the
-    search also explains its failures and backjumps on the explanations:
-    conflict-directed backjumping with explanation-based nogoods
-    (Kambhampati 2000, "Planning Graph as a (Dynamic) CSP", JAIR 12). A
-    conflict names goals of the set: no assignment that keeps the current
-    achievers of its goals that have one and covers its other goals leads
-    to a plan. Conflicts come from three sources:
+    On every fact layer, below level-off and above it, the horizon's top
+    included, the search explains its failures and backjumps on the
+    explanations: conflict-directed backjumping with explanation-based
+    nogoods (Kambhampati 2000, "Planning Graph as a (Dynamic) CSP", JAIR
+    12). A conflict names goals of the set: no assignment that keeps the
+    current achievers of its goals that have one and covers its other
+    goals leads to a plan. Conflicts come from three sources:
 
     - A candidate the mutex test rejects: its goal, and the goal of the
       earliest chosen node whose action-mutex row holds the candidate.
@@ -525,6 +469,19 @@ class _BackwardSearch:
     with no plan at layer t, is its explanation: memoized and indexed in
     place of the set, which the memo maps to it.
 
+    Explanations are sound nogoods. Each conflict source names nodes no
+    plan can hold together with the goals named: a rejected candidate and
+    the chosen node it is mutex with; for a later goal, one node mutex with
+    each of its achievers, so no node can add it; a set of chosen nodes
+    whose preconditions contain a nogood N of layer t-1, and a plan for
+    their preconditions would solve N. When a goal runs out of candidates,
+    each of its achievers is so ruled out given the nodes its conflict
+    names below it, so the conflict holds without the goal's own choice; a
+    choice point it does not name cannot change it, which is why skipping
+    that choice point loses no plan. With no choice point left to name, the
+    explanation holds for every assignment: no plan reaches it at layer t,
+    nor any set containing it, nor any image of it under a symmetry.
+
     Culprits are found lazily. Each choice point keeps the ORs of the
     action-mutex rows and of the preconditions of the nodes chosen below
     it, so the earliest chosen node that holds a node (or needs a fact) is
@@ -539,18 +496,13 @@ class _BackwardSearch:
     happens. A plain accept and the success path compute nothing extra, and
     a backjump costs one step per choice point it skips.
 
-    At the horizon's top layer and at every layer from level-off up, the
-    search is chronological: a failure resumes the newest choice point and
-    a failed set is its own explanation, so the memo at the leveled layer
-    grows exactly when a set opened there was not in it (see
-    graphplan_search).
-
     Each visited assignment position (each goal, and the step into the next
     layer) counts one node against max_nodes. A candidate cut by the forward
     check is never visited and counts no node; a goal set that fails by a
     memo hit, exact or subset, counts none of its own, and neither does a
-    subtree skipped by a backjump, and an image costs none. ``backjumps``
-    counts the choice points skipped.
+    subtree skipped by a backjump, and an image costs none; nor do the
+    closure check's assignments (closed_nogood_in). ``backjumps`` counts
+    the choice points skipped.
     """
 
     def __init__(self, graph: PlanningGraph, max_nodes: int):
@@ -620,6 +572,34 @@ class _BackwardSearch:
                 by_top.setdefault(image.bit_length() - 1, []).append(image)
                 self.images += 1
 
+    def closed_nogood_in(self, goals: int, n: int) -> bool:
+        """Whether the goals contain a nogood that the closure check keeps:
+        of the nogoods memoized at fact layers n (the leveled layer) and
+        up, drop each that has a full assignment at the leveled action
+        layer whose precondition union contains no nogood left, until none
+        is dropped. Assignments follow the search's rule, forward check
+        included, and count no node."""
+        achievers, amasks = self.graph.achievers[n]
+        rows = self.graph.action_mutex[n]
+        kernel = self.graph.context.kernel
+        add_masks, pre_masks = kernel.add_masks, kernel.pre_masks
+        nogoods = set().union(*(m for t, m in self.memo.items() if t >= n))
+        while True:
+            by_top: dict = {}
+            for nogood in nogoods:
+                by_top.setdefault(nogood.bit_length() - 1, []).append(nogood)
+
+            def covered(facts: int) -> bool:
+                return any(facts in map(facts.__or__, by_top.get(f, ()))
+                           for f in mask_ids(facts))
+
+            dropped = {nogood for nogood in nogoods if _open_assignment(
+                mask_ids(nogood), achievers, amasks, rows, add_masks,
+                pre_masks, covered)}
+            if not dropped:
+                return covered(goals)
+            nogoods -= dropped
+
     def search(self, goals: int, t: int):
         """Steps (node-id sets for action layers 0..t-1) achieving the goal
         mask at fact layer t, or None; LimitExceeded past max_nodes.
@@ -631,16 +611,12 @@ class _BackwardSearch:
         every full assignment is a plan: each achiever at action layer 0,
         no-ops included, is applicable in fact layer 0, the initial state.
         """
-        # fact layers below cut explain their failures
-        leveled = self.graph.leveled_at
-        cut = t if leveled is None else min(leveled, t)
         root = goals
         level = self._open(goals, t)
         kernel = self.graph.context.kernel
         add_masks, pre_masks = kernel.add_masks, kernel.pre_masks
         levels = [level]
         t, _, goal_ids, achievers, amasks, rows, choices = level
-        explain = False  # t is the top layer
         n_goals = len(goal_ids)
         index = added = mutex = pre = 0
         k = None  # next achiever to try at goal `index`; None on arrival
@@ -666,7 +642,6 @@ class _BackwardSearch:
                         levels.append(level)
                         t, _, goal_ids, achievers, amasks, rows, \
                             choices = level
-                        explain = t < cut
                         n_goals = len(goal_ids)
                         index = added = mutex = pre = 0
                         continue
@@ -695,51 +670,67 @@ class _BackwardSearch:
                         index += 1
                         k = None
                         break
-                    if explain:
-                        # g conflicts, and so do the culprits of those of
-                        # its achievers that c is not mutex with
-                        conflict |= 1 << g
-                        held |= amasks[g] & ~rows[c]
+                    # g conflicts, and so do the culprits of those of its
+                    # achievers that c is not mutex with
+                    conflict |= 1 << g
+                    held |= amasks[g] & ~rows[c]
                 if k is None:
                     continue
-                if explain:
-                    g = goal_ids[index]
-                    blame = conflict | 1 << g
-                    held |= amasks[g] & mutex  # the mutex test's rejects
-            # back to the newest choice point; below level-off, back to the
-            # newest culprit: the newest choice point whose node brings a
-            # held node into the mutex rows, or a needed fact into the
-            # preconditions, of the assignment. Exhausted goal sets popped
-            # on the way leave nogoods.
+                g = goal_ids[index]
+                blame = conflict | 1 << g
+                held |= amasks[g] & mutex  # the mutex test's rejects
+            # back to the newest culprit: the newest choice point whose node
+            # brings a held node into the mutex rows, or a needed fact into
+            # the preconditions, of the assignment. Exhausted goal sets
+            # popped on the way leave their explanations as nogoods.
             while True:
-                if not explain:
-                    if choices:
-                        index, k, added, mutex, pre, conflict, held, \
-                            needed = choices.pop()
-                        break
-                else:
-                    while choices and not (held & ~choices[-1][3]
-                                           or needed & ~choices[-1][4]):
+                while choices and not (held & ~choices[-1][3]
+                                       or needed & ~choices[-1][4]):
+                    choices.pop()
+                    self.backjumps += 1
+                if choices:
+                    index, k, added, mutex, pre, conflict, h, n = \
                         choices.pop()
-                        self.backjumps += 1
-                    if choices:
-                        index, k, added, mutex, pre, conflict, h, n = \
-                            choices.pop()
-                        # the culprits below it stay held and needed
-                        conflict |= blame
-                        held = h | held & mutex
-                        needed = n | needed & pre
-                        break
+                    # the culprits below it stay held and needed
+                    conflict |= blame
+                    held = h | held & mutex
+                    needed = n | needed & pre
+                    break
                 t, goals = levels.pop()[:2]
-                nogood = blame if explain else goals
-                self._memoize(t, goals, nogood, root)
+                self._memoize(t, goals, blame, root)
                 if not levels:
                     return None
                 t, _, goal_ids, achievers, amasks, rows, choices = levels[-1]
-                explain = t < cut
                 n_goals = len(goal_ids)
+                needed = blame
                 blame = held = 0
-                needed = nogood
+
+
+def _open_assignment(goal_ids, achievers, amasks, rows, add_masks,
+                     pre_masks, covered) -> bool:
+    """Whether the goals have a full assignment, by the search's rule, whose
+    precondition union is not ``covered``. A partial assignment whose
+    union is covered is not extended: every completion's union contains
+    it."""
+    stack = [(0, 0, 0, 0)]  # goal index, added, mutex OR, precondition OR
+    while stack:
+        index, added, mutex, pre = stack.pop()
+        while index < len(goal_ids) and added >> goal_ids[index] & 1:
+            index += 1
+        if index == len(goal_ids):
+            return True
+        later = goal_ids[index + 1:]
+        for c in reversed(achievers[goal_ids[index]]):  # no-op popped first
+            if mutex >> c & 1:
+                continue
+            c_pre = pre | pre_masks[c]
+            if c_pre != pre and covered(c_pre):
+                continue
+            c_added = added | add_masks[c]
+            free = ~(mutex | rows[c])
+            if all(c_added >> g & 1 or amasks[g] & free for g in later):
+                stack.append((index + 1, c_added, ~free, c_pre))
+    return False
 
 
 def _extract_plan(context: GraphContext, steps) -> Plan:

@@ -83,8 +83,11 @@ class AtomTable:
         return self._names[atom_id]
 
     def names(self, atom_ids: Iterable[int]) -> list[str]:
-        """Names for a set of ids, in ascending id order."""
-        return [self._names[i] for i in sorted(atom_ids)]
+        """Names for a set of ids, in ascending id order; the ValueError of
+        atom_set for an id that is not an atom id."""
+        ids = sorted(atom_ids)
+        _check_range(ids, len(self._names))
+        return [self._names[i] for i in ids]
 
     def __contains__(self, name: str) -> bool:
         return name in self._ids
@@ -275,12 +278,16 @@ def atom_set(problem: PlanningProblem, ids: Iterable[int]) -> frozenset:
     an entry point takes ids. ValueError names the lowest id that is not an
     atom id of the problem, that is, not in ``range(len(problem.atoms))``."""
     ids = frozenset(ids)
-    n = len(problem.atoms)
+    _check_range(ids, len(problem.atoms))
+    return ids
+
+
+def _check_range(ids, n: int) -> None:
+    """ValueError naming the lowest of the ids outside ``range(n)``."""
     bad = [p for p in ids if not 0 <= p < n]
     if bad:
         raise ValueError(f"atom id {min(bad)!r} out of range: the problem "
                          f"has {n} atoms")
-    return ids
 
 
 class Plan(NamedTuple):

@@ -68,8 +68,9 @@ class ReachabilityIndex:
     index)`` edges in action-id order, and per atom the ids of the actions
     that delete it in some effect. ``states`` is the same states as
     frozensets of atom ids, and ``entered(atom)`` the ascending indices of
-    the states some transition entered while adding the atom; both are
-    built on first read and kept. The exact tests take this record alone
+    the states some transition entered while adding the atom (atom_set's
+    ValueError for an id that is not an atom id); both are built on first
+    read and kept. The exact tests take this record alone
     and read ``problem`` from it; ``verify_matrix`` asks ``decide_forced``
     only about the pairs ``decide_reasonable`` holds, since forced implies
     reasonable."""
@@ -89,6 +90,7 @@ class ReachabilityIndex:
     def entered(self, atom: int) -> tuple:
         states = self._entered.get(atom)
         if states is None:
+            [atom] = atom_set(self.problem, (atom,))
             entering = self.entering
             states = self._entered[atom] = tuple(compress(
                 range(len(entering)), map((1 << atom).__and__, entering)))

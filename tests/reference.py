@@ -124,6 +124,12 @@ class RecursiveSearch:
     def _layer(self, t: int) -> int:
         return self.graph.layer(t)
 
+    def closed_nogood_in(self, goals: int, n: int) -> bool:
+        """True: this search is chronological and memoizes each failed set
+        itself, so an unchanged count of the sets memoized at the leveled
+        layer n proves exhaustion (Blum & Furst 1997, AIJ 90)."""
+        return True
+
     def goals_mutex(self, layer: int, goals: int) -> bool:
         rows = self.graph.fact_mutex[layer]
         gs = mask_ids(goals)

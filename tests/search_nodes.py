@@ -3,7 +3,8 @@
     python tests/search_nodes.py [NAME ...]
 
 For ``plan -m h`` with GraphPlan on each named corpus instance (default
-tyreworld_2, tyreworld_3, hanoi_4, hanoi_5 and stack_16) it prints, per
+tyreworld_2, tyreworld_3, tyreworld_4, hanoi_4, hanoi_5 and stack_16;
+tyreworld_4's episode 2 is the largest search of them) it prints, per
 agenda episode, the episode's outcome, the nodes the search visited, the
 choice points it skipped by backjumping, the symmetric images it memoized
 and the size of its nogood memo per fact layer, and below it the symmetry
@@ -27,7 +28,8 @@ from goalagenda.agenda import compute_agenda  # noqa: E402
 from goalagenda.driver import plan_with_agenda  # noqa: E402
 from goalagenda.model import atom_args, mask_ids  # noqa: E402
 
-INSTANCES = ("tyreworld_2", "tyreworld_3", "hanoi_4", "hanoi_5", "stack_16")
+INSTANCES = ("tyreworld_2", "tyreworld_3", "tyreworld_4", "hanoi_4",
+             "hanoi_5", "stack_16")
 
 
 def episode_searches(problem):

@@ -287,6 +287,47 @@ def test_search_unsolvable_by_memo_exhaustion():
             lambda: graphplan_on(problem, max_nodes=max_nodes))
 
 
+def test_closure_check_drops_a_set_planned_one_step_past_level_off(load):
+    """hanoi_3's graph levels off at n = 5 and its goals take 7 steps, so
+    the state one move before them, d1 still on peg1, takes 6 = n + 1: a
+    set with no plan of n steps, as a memoized nogood at layer n has. The
+    closure check drops it, so it gives no verdict for it, and keeps a pair
+    mutex at level-off, which has no assignment at all."""
+    problem = load("hanoi_3")
+    before_last = atoms(problem, "on(d1,peg1)", "on(d2,d3)", "on(d3,peg3)")
+    plan = graphplan_on(replace(problem, goals=before_last))
+    assert len(plan.steps) == 6
+    graph = graphplan.PlanningGraph(GraphContext(problem), problem.init, 128)
+    graph.grow_to(128)
+    n = graph.leveled_at
+    assert n == 5
+    search = graphplan._BackwardSearch(graph, 10 ** 7)
+    unmet, mutex = mask_of(before_last), mask_of(atoms(
+        problem, "on(d1,peg1)", "on(d1,peg2)"))
+    search.memo[n] = {unmet: unmet, mutex: mutex}
+    search.memo[n + 1] = {unmet: unmet}
+    assert not search.closed_nogood_in(unmet, n)
+    assert search.closed_nogood_in(unmet | mutex, n)
+
+
+def test_closure_check_finds_a_plan_the_count_alone_misses():
+    """A seeded random problem: five facts, all of them goals, from fact 0.
+    Its graph levels off at layer 2 and horizon 3 memoizes no new nogood
+    there. With explanations memoized at and above level-off, the count
+    alone, the proof of the chronological search, would call the goals
+    Unsolvable; the closure check drops the nogoods, and horizon 4 has a
+    plan."""
+    problem = problem_of(5, [
+        ([], [3], [2, 4]), ([3], [2, 4], [3]), ([0, 1], [0, 3], [2, 4]),
+        ([2], [3, 4], [0, 1]), ([1, 4], [0], [3]), ([3], [3, 4], [0, 2]),
+        ([], [2, 4], []), ([0, 2, 4], [0], [1, 3]), ([], [1, 3], [0])],
+        [0], range(5))
+    assert build_graph(problem).leveled_at == 2
+    plan = graphplan_on(problem)
+    assert validate_plan(problem, plan).valid and len(plan.steps) == 4
+    assert_matches_reference(lambda: graphplan_on(problem))
+
+
 def test_search_resource_limit(load):
     result = graphplan_on(load("blocks3"), max_nodes=3)
     assert isinstance(result, ResourceLimit)
@@ -406,21 +447,29 @@ def test_search_matches_reference_on_random_problems(spec, data):
 
 
 @pytest.mark.parametrize("name, nodes", [
-    ("hanoi_4", [1757, 50, 10, 5]),
-    ("tyreworld_3", [15, 2883, 968, 14, 15, 16, 17]),
+    ("hanoi_4", {"h": [1757, 50, 10, 5]}),
+    ("tyreworld_3", {"h": [15, 1429, 907, 14, 15, 16, 17]}),
+    ("tyreworld_4", {"h": [18, 151890, 7317, 18, 19, 20, 21],
+                     "e": [132909, 19, 8977, 19, 20, 21]}),
 ])
 def test_agenda_search_nodes_are_pinned(load, name, nodes):
-    """``plan -m h`` makes one search per agenda episode; the nodes each
-    uses were recorded under the linear subset scan, and the scan still
-    agrees search by search. The chronological search used 1895 and 51222
-    nodes in the largest episodes; backjumping below level-off cut them to
-    1757 and 5386. Symmetric nogoods, which count no nodes, then cut
-    tyreworld_3's episodes 2 and 3 from 5386 and 1333 nodes to 2883 and
-    968; hanoi_4 has no symmetry, and its counts stayed."""
+    """``plan -m h`` (and ``-m e``) makes one search per agenda episode;
+    the nodes each uses were recorded under the linear subset scan, and the
+    scan still agrees search by search. The chronological search used 1895
+    and 51222 nodes in the largest episodes; backjumping below level-off
+    cut them to 1757 and 5386. Symmetric nogoods, which count no nodes,
+    then cut tyreworld_3's episodes 2 and 3 from 5386 and 1333 nodes to
+    2883 and 968; hanoi_4 has no symmetry, and its counts stayed.
+    Explaining failures on every layer, with the closure check behind the
+    exhaustion verdict, cut those two to 1429 and 907, and solves
+    tyreworld_4 under both agendas, which ran past 3M nodes before."""
     problem = load(name)
-    agenda = compute_agenda(problem, "h", None)
-    _, searches = assert_matches_scan(lambda: plan_with_agenda(problem, agenda))
-    assert [search.nodes_used for search in searches] == nodes
+    for method, expected in nodes.items():
+        graph = build_graph(problem) if method == "e" else None
+        agenda = compute_agenda(problem, method, graph)
+        _, searches = assert_matches_scan(
+            lambda: plan_with_agenda(problem, agenda))
+        assert [search.nodes_used for search in searches] == expected
 
 
 def grown_graphs(run):
@@ -867,8 +916,10 @@ def test_symmetries_are_found_once_and_only_at_a_failure(load, name, method,
 
 def test_unparsed_names_get_no_symmetries(load):
     """tyreworld_3 with atom names that do not parse as ``pred(args)`` gets
-    no generators, and its searches use the nodes they used before
-    symmetric nogoods."""
+    no generators, and its searches use the nodes of the search without
+    symmetric nogoods: 5386 and 1333 in episodes 2 and 3 when only the
+    layers below level-off were explained, 2470 and 1272 now that every
+    layer is."""
     problem = load("tyreworld_3")
     renamed = replace(problem, atoms=AtomTable(
         name.replace("(", "[") for name in problem.atoms))
@@ -877,7 +928,7 @@ def test_unparsed_names_get_no_symmetries(load):
     _, searches = recorded(lambda: plan_with_agenda(renamed, agenda),
                            graphplan._BackwardSearch)
     assert [search.nodes_used for search in searches] == \
-        [15, 5386, 1333, 14, 15, 16, 17]
+        [15, 2470, 1272, 14, 15, 16, 17]
     assert not any(search.images for search in searches)
 
 
@@ -894,12 +945,14 @@ _INPUTS_SPEC.loader.exec_module(perfbench_inputs)
     ("tyreworld_2", 1, [0] * 7),
     ("tyreworld_2", 2, [0] * 7),
     ("tyreworld_2", 3, [0] * 7),
-    ("tyreworld_3", 1, [0, 106, 14, 0, 0, 0, 0]),
+    ("tyreworld_3", 1, [0, 80, 14, 0, 0, 0, 0]),
 ])
 def test_symmetric_nogoods_on_benchmark_texts(name, seed, images):
     """``plan -m h`` on the benchmark's renamed and reordered texts: the
     reference's plans in no more nodes, the scan's nodes and memo, and the
-    images memoized per episode."""
+    images memoized per episode (tyreworld_3's episode 2 memoized 106
+    when only the layers below level-off were explained; explaining every
+    layer fails fewer sets there)."""
     instance = perfbench_inputs.make(name, seed, corpus)
     problem = ground(*parse(corpus.domain_text(instance.domain),
                             instance.text))

@@ -42,7 +42,11 @@ from goalagenda.model import (
     set_table,
     validate_plan,
 )
-from goalagenda.oracle import ActionInvertibility, InvertibilityReport
+from goalagenda.oracle import (
+    ActionInvertibility,
+    InvertibilityReport,
+    enumerate_reachable,
+)
 from goalagenda.ordering import (
     FixpointResult,
     OrderingVerdict,
@@ -239,6 +243,19 @@ def test_atom_set_names_the_lowest_id_that_is_not_an_atom():
                                          "problem has 19 atoms"):
         atom_set(problem, [999, 0, 19, -1])
     assert atom_set(problem, iter([3, 0, 3])) == frozenset({0, 3})
+
+
+@pytest.mark.parametrize("bad", [999, -1])
+def test_names_and_entered_reject_ids_that_are_not_atoms(bad):
+    """``AtomTable.names`` and ``ReachabilityIndex.entered`` raise the
+    ValueError of ``atom_set`` for an id outside blocks3's 19 atoms, not
+    the last atom's name, an IndexError, a negative shift or no states."""
+    problem = corpus.load("blocks3")
+    message = f"atom id {bad} out of range: the problem has 19 atoms"
+    with pytest.raises(ValueError, match=message):
+        problem.atoms.names([0, bad])
+    with pytest.raises(ValueError, match=message):
+        enumerate_reachable(problem).entered(bad)
 
 
 def _entry_points(problem, graph):
